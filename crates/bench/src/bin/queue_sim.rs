@@ -85,10 +85,10 @@
 
 use sgcn::accel::AccelModel;
 use sgcn::serving::queueing::{
-    feature_row_bytes, prepare, prepare_degraded, prepare_lineup, prepare_matrix, simulate_queue,
-    ArrivalTrace, ClassPolicy, DegradePolicy, EngineLineup, FailureModel, FleetSpec, FormatPolicy,
-    QueueConfig, QueueSummary, RequestClass, RetryPolicy, ScalePolicy, SchedPolicy, ServeFormat,
-    ShardPlan, SloConfig, TrafficModel,
+    feature_row_bytes, prepare, prepare_degraded, prepare_matrix, simulate_queue, ArrivalTrace,
+    ClassPolicy, DegradePolicy, EngineLineup, FailureModel, FleetSpec, FormatPolicy, QueueConfig,
+    QueueSummary, RequestClass, RetryPolicy, ScalePolicy, SchedPolicy, ServeFormat, ShardPlan,
+    SloConfig, TrafficModel,
 };
 use sgcn::serving::{ServingConfig, ServingContext};
 use sgcn_bench::{banner, experiment_config};
@@ -167,7 +167,13 @@ fn lineup_sweep(requests: usize, engines: usize, load: f64, hotspot: usize) {
     let t0 = std::time::Instant::now();
     // Both lineups share the same two hardware classes, so one
     // per-class preparation (the only parallel stage) serves all cells.
-    let prepared = prepare_lineup(&ctx, &stream, &AccelModel::sgcn(), &lineups[1]);
+    let prepared = prepare_matrix(
+        &ctx,
+        &stream,
+        &AccelModel::sgcn(),
+        &lineups[1],
+        &[ServeFormat::Native],
+    );
     let row_bytes = feature_row_bytes(&ctx);
     let mut cells: Vec<(String, &'static str, QueueSummary)> = Vec::new();
     for lineup in &lineups {
@@ -968,9 +974,13 @@ fn main() {
             lineup,
             &ServeFormat::PALETTE,
         ),
-        (Some(lineup), FormatPolicy::Fixed(ServeFormat::Native)) => {
-            prepare_lineup(&ctx, &stream, &AccelModel::sgcn(), lineup)
-        }
+        (Some(lineup), FormatPolicy::Fixed(ServeFormat::Native)) => prepare_matrix(
+            &ctx,
+            &stream,
+            &AccelModel::sgcn(),
+            lineup,
+            &[ServeFormat::Native],
+        ),
         (Some(lineup), _) => prepare_matrix(
             &ctx,
             &stream,

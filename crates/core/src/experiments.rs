@@ -1590,9 +1590,9 @@ pub fn queueing_lineup_sweep(
 
 /// [`queueing_lineup_sweep`] off a shared setup. Lineup cells need
 /// per-class cold reports, so the stream is re-prepared once with
-/// [`crate::serving::queueing::prepare_lineup`] (the shared setup's
-/// single-platform preparation does not carry them); the serving
-/// context and hotspot stream are reused.
+/// [`crate::serving::queueing::prepare_matrix`] over the native column
+/// (the shared setup's single-platform preparation does not carry
+/// them); the serving context and hotspot stream are reused.
 fn queueing_lineup_sweep_prepared(
     cfg: &ExperimentConfig,
     id: DatasetId,
@@ -1602,8 +1602,8 @@ fn queueing_lineup_sweep_prepared(
     setup: &QueueingSetup,
 ) -> Grid {
     use crate::serving::queueing::{
-        feature_row_bytes, prepare_lineup, simulate_queue, EngineLineup, QueueConfig, SchedPolicy,
-        TrafficModel,
+        feature_row_bytes, prepare_matrix, simulate_queue, EngineLineup, QueueConfig, SchedPolicy,
+        ServeFormat, TrafficModel,
     };
 
     let cols: Vec<String> = ["p50e(kc)", "p99e(kc)", "mksp(kc)", "warm%", "cost"]
@@ -1636,7 +1636,13 @@ fn queueing_lineup_sweep_prepared(
     // Both lineups share the same two hardware classes, so one
     // per-class preparation serves every cell.
     let stream = setup.0.hotspot_stream(requests, (requests / 6).max(2));
-    let prepared = prepare_lineup(&setup.0, &stream, &AccelModel::sgcn(), &lineups[1]);
+    let prepared = prepare_matrix(
+        &setup.0,
+        &stream,
+        &AccelModel::sgcn(),
+        &lineups[1],
+        &[ServeFormat::Native],
+    );
     let row_bytes = feature_row_bytes(&setup.0);
     for lineup in &lineups {
         for policy in policies {

@@ -439,7 +439,7 @@ impl DegradeMode {
 
 /// Brownout / graceful degradation — the `SGCN_DEGRADE` knob. Like
 /// [`ScalePolicy`], the policy is evaluated once per instant boundary
-/// of the lazy event loop (never mid-instant), so same-instant event
+/// of the event loop (never mid-instant), so same-instant event
 /// interleaving cannot perturb decisions and drill replay stays
 /// bit-exact. Under backlog or incident pressure the fleet steps down
 /// the [`DegradeMode`] ladder one rung at a time — adaptive format →

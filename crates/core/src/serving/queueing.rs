@@ -62,26 +62,18 @@
 //! `SGCN_THREADS=1,2,4` for every traffic model × policy × fleet
 //! combination, and across the fast/naive cache engines.
 //!
-//! # The two execution strategies
+//! # The event loop
 //!
-//! In-order service with no stealing lets the loop account each request
-//! the moment it is assigned (its position in its engine's schedule is
-//! already final) — the *eager* loop, byte-identical to the original
-//! PR 3 implementation on the original configurations. EDF reordering
-//! (`slo-aware`), work stealing and failure drills make a queued
-//! request's engine/order depend on future events, so those
-//! configurations run a *lazy* discrete-event loop that touches an
-//! engine's warm cache only when service actually starts. On
-//! non-reordering, non-stealing, drill-free configurations the lazy
-//! loop runs in *exact-estimate* mode: assignment order equals service
-//! order, so warm-cache accounting happens at assignment (exactly as
-//! the eager loop does) and `queued_est` carries the warm-adjusted
-//! service. The two strategies therefore coincide byte-for-byte for
-//! **every** non-reordering policy (`fifo-rr`, `least-loaded`,
-//! `cache-affinity`, `cost-aware`), any traffic model, any fleet or
-//! lineup (unit-tested below). Reordering/stealing/drill runs keep
-//! pricing queued work at the cold scaled estimate, since their service
-//! order is not known at assignment time.
+//! One discrete-event loop serves every configuration: requests queue
+//! per engine and start when their engine frees up. When service order
+//! provably equals assignment order — no EDF reordering (`slo-aware`
+//! or deadline classes), no work stealing, no failure drills, no
+//! brownout — the loop runs in *exact-estimate* mode: warm-cache
+//! accounting happens at assignment and the engine's queued backlog
+//! carries the warm-adjusted service. Otherwise a queued request's
+//! engine and order depend on future events, so warm accounting runs
+//! at service start and queued work is priced at the cold scaled
+//! estimate until then.
 //!
 //! # Heterogeneous lineups and cost-model dispatch
 //!
@@ -92,7 +84,7 @@
 //! * [`EngineLineup`] — real per-engine hardware: each engine is
 //!   assigned an [`EngineClass`] carrying its own [`HwConfig`] (cache
 //!   geometry, DRAM generation, engine counts) and a relative
-//!   cost-units price. [`prepare_lineup`] simulates every request's
+//!   cost-units price. [`prepare_matrix`] simulates every request's
 //!   cold service **per class** in the parallel phase, and warm-savings
 //!   pricing uses each class's own `effective_bw`/`line_bytes`.
 //!
@@ -226,8 +218,8 @@ impl SchedPolicy {
         }
     }
 
-    /// Whether this policy reorders queued requests (and therefore needs
-    /// the lazy event-driven loop).
+    /// Whether this policy reorders queued requests (so service order
+    /// is unknown at assignment time).
     fn reorders_queue(&self) -> bool {
         matches!(self, SchedPolicy::SloAware)
     }
@@ -369,7 +361,7 @@ pub struct EngineClass {
 /// A heterogeneous engine lineup: the hardware classes in play and each
 /// engine's class assignment. The real-hardware successor of the scalar
 /// [`FleetSpec`] — every engine simulates on its own [`HwConfig`], with
-/// per-class cold [`SimReport`]s from [`prepare_lineup`] and per-class
+/// per-class cold [`SimReport`]s from [`prepare_matrix`] and per-class
 /// warm-savings pricing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineLineup {
@@ -893,7 +885,7 @@ pub struct QueueConfig {
     /// Heterogeneous hardware lineup. When set it supersedes `fleet`:
     /// every engine runs its assigned class's [`HwConfig`] (cache
     /// geometry, DRAM bandwidth, cold service) and the prepared stream
-    /// must come from [`prepare_lineup`] with the same classes.
+    /// must come from [`prepare_matrix`] with the same classes.
     pub lineup: Option<EngineLineup>,
     /// Failure drill: how engines crash and recover (default: never).
     pub faults: FailureModel,
@@ -1127,14 +1119,14 @@ pub struct PreparedRequest {
     /// fabricated test streams — the event loop itself never reads it.
     pub stats: RequestStats,
     /// Cold reports over the prepared `(class, format)` matrix from
-    /// [`prepare_matrix`] / [`prepare_lineup`], row-major by class
+    /// [`prepare_matrix`], row-major by class
     /// (`class_reports[class * formats.len() + format]`); empty on the
     /// legacy scalar path.
     pub class_reports: Vec<SimReport>,
     /// The format palette `class_reports` is simulated over (one column
     /// per entry, palette order). Empty means the single-format
-    /// `[ServeFormat::Native]` palette — the shape [`prepare`] and
-    /// [`prepare_lineup`] produce.
+    /// `[ServeFormat::Native]` palette — the shape [`prepare`]
+    /// produces.
     pub formats: Vec<ServeFormat>,
     /// Reduced-fanout "lite" cold reports, one per lineup class (native
     /// format) — the bottom rung of the brownout ladder. Empty unless
@@ -1179,22 +1171,6 @@ pub fn prepare(
     )
 }
 
-/// [`prepare`] for a heterogeneous lineup: simulates every request's
-/// cold service **once per hardware class** inside the same parallel
-/// phase, filling [`PreparedRequest::class_reports`] in class order —
-/// the single-format (`[ServeFormat::Native]`) column of
-/// [`prepare_matrix`]. The reference report (`report`) is class 0's, so
-/// arrival calibration stays reference-based regardless of the lineup
-/// mix.
-pub fn prepare_lineup(
-    ctx: &ServingContext,
-    requests: &[Request],
-    model: &AccelModel,
-    lineup: &EngineLineup,
-) -> Vec<PreparedRequest> {
-    prepare_matrix(ctx, requests, model, lineup, &[ServeFormat::Native])
-}
-
 /// [`prepare`] over the full `(hardware class, format)` dispatch
 /// matrix: simulates every request's cold service once per lineup
 /// class × palette format inside the same parallel, stream-ordered
@@ -1216,10 +1192,6 @@ pub fn prepare_matrix(
     lineup: &EngineLineup,
     formats: &[ServeFormat],
 ) -> Vec<PreparedRequest> {
-    assert!(!formats.is_empty(), "a prepare matrix needs >= 1 format");
-    for (i, f) in formats.iter().enumerate() {
-        assert!(!formats[..i].contains(f), "palette repeats {:?}", f.label());
-    }
     let hws: Vec<HwConfig> = lineup.classes.iter().map(|c| c.hw).collect();
     prepare_cells(ctx, requests, model, &hws, formats, true, false)
 }
@@ -1242,10 +1214,6 @@ pub fn prepare_degraded(
     lineup: &EngineLineup,
     formats: &[ServeFormat],
 ) -> Vec<PreparedRequest> {
-    assert!(!formats.is_empty(), "a prepare matrix needs >= 1 format");
-    for (i, f) in formats.iter().enumerate() {
-        assert!(!formats[..i].contains(f), "palette repeats {:?}", f.label());
-    }
     let hws: Vec<HwConfig> = lineup.classes.iter().map(|c| c.hw).collect();
     prepare_cells(ctx, requests, model, &hws, formats, true, true)
 }
@@ -1266,6 +1234,10 @@ fn prepare_cells(
     keep_class_reports: bool,
     build_lite: bool,
 ) -> Vec<PreparedRequest> {
+    assert!(!formats.is_empty(), "a prepare matrix needs >= 1 format");
+    for (i, f) in formats.iter().enumerate() {
+        assert!(!formats[..i].contains(f), "palette repeats {:?}", f.label());
+    }
     let mut distinct: Vec<u32> = requests.iter().map(|r| r.seed_vertex).collect();
     distinct.sort_unstable();
     distinct.dedup();
@@ -1429,7 +1401,7 @@ struct ExactService {
     sampled: u64,
 }
 
-/// A request assigned to an engine but not yet started (lazy loop only).
+/// A request assigned to an engine but not yet started.
 #[derive(Debug, Clone, Copy)]
 struct Queued {
     id: usize,
@@ -1445,8 +1417,8 @@ struct Queued {
     exact: Option<ExactService>,
 }
 
-/// The request an engine is currently serving (lazy loop only) — what a
-/// crash kills.
+/// The request an engine is currently serving — what a crash or a
+/// preemption kills.
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
     id: usize,
@@ -1459,8 +1431,7 @@ struct Engine {
     mem: MemorySystem,
     /// Completion time of all *started* work.
     next_free: u64,
-    /// Assigned-but-unstarted requests (lazy loop only; always empty in
-    /// the eager loop).
+    /// Assigned-but-unstarted requests.
     queue: Vec<Queued>,
     /// Sum of queued service estimates (backlog projection).
     queued_est: u64,
@@ -1482,7 +1453,7 @@ struct Engine {
     active: bool,
     /// A scale-up provision is pending for this engine.
     provisioning: bool,
-    /// The request being served right now (lazy loop only).
+    /// The request being served right now.
     in_flight: Option<InFlight>,
     /// Start of the current availability interval, if available.
     up_since: Option<u64>,
@@ -1676,12 +1647,11 @@ struct QueueSim<'a> {
     predicted: Vec<u64>,
     /// Work stealing (from whichever fleet abstraction is active).
     stealing: bool,
-    /// Lazy loop in exact-estimate mode: assignment order equals
-    /// service order, so warm accounting happens at assignment and
-    /// `queued_est` carries warm-adjusted service (eager-equivalent).
+    /// Exact-estimate mode: assignment order equals service order, so
+    /// warm accounting happens at assignment and `queued_est` carries
+    /// warm-adjusted service.
     exact_est: bool,
     affinity_slack: u64,
-    event_driven: bool,
     /// Drill state (faults/autoscale): changes event ordering details
     /// (deferred closed-loop feedback, availability bookkeeping), so it
     /// is only armed when the configuration actually drills.
@@ -1752,10 +1722,10 @@ impl QueueSim<'_> {
         self.engines.iter().any(Engine::available)
     }
 
-    /// Picks the serving engine for a request arriving at `arrival` —
-    /// identical decision logic for both loops; the eager loop's queues
-    /// are always empty, so `projected_free` collapses to `next_free`
-    /// there. Crashed and parked engines are never picked; callers check
+    /// Picks the serving engine for a request arriving at `arrival`,
+    /// projecting each engine's backlog as `projected_free` (started
+    /// work plus queued estimates). Crashed and parked engines are
+    /// never picked; callers check
     /// [`Self::any_available`] first (trivially true without drills).
     fn pick_engine(&self, id: usize, p: &PreparedRequest, arrival: u64) -> usize {
         match self.cfg.policy {
@@ -2029,7 +1999,7 @@ impl QueueSim<'_> {
     /// prediction it was minimized to) for service on engine `e` —
     /// called at every (re)assignment, so a redriven request re-picks
     /// for its new engine. Pure in `(engine class, prepared, cost
-    /// model)`, so the eager and lazy loops commit identical choices.
+    /// model)`.
     fn assign_format(&mut self, e: usize, id: usize) {
         let (fmt, predicted) = self.best_format(e, &self.prepared[id]);
         self.chosen_fmt[id] = fmt;
@@ -2092,8 +2062,7 @@ impl QueueSim<'_> {
         let mut service = scale_service(report.cycles.saturating_sub(saved_cycles), scale).max(1);
         // Sharded store: rows not resident on the engine's shard are
         // fetched over the interconnect before service can stream them
-        // — pure in `(engine shard, request)`, so the eager and lazy
-        // loops price identical bills.
+        // — pure in `(engine shard, request)`.
         let net = match &self.cfg.sharding {
             Some(plan) => {
                 let cost =
@@ -2155,11 +2124,9 @@ impl QueueSim<'_> {
             net,
             sampled_vertices: sampled,
         });
-        if self.event_driven {
-            let epoch = self.engines[e].epoch;
-            self.engines[e].in_flight = Some(InFlight { id, finish });
-            self.completions.push(Reverse((finish, e, epoch, id)));
-        }
+        let epoch = self.engines[e].epoch;
+        self.engines[e].in_flight = Some(InFlight { id, finish });
+        self.completions.push(Reverse((finish, e, epoch, id)));
         finish
     }
 
@@ -2232,30 +2199,7 @@ impl QueueSim<'_> {
         }
     }
 
-    /// The eager loop: service order per engine equals assignment order,
-    /// so each request is fully accounted the moment it arrives —
-    /// byte-identical to the original PR 3 loop on its configurations.
-    fn run_eager(&mut self) {
-        while let Some((id, arrival)) = self.next_arrival() {
-            let p = &self.prepared[id];
-            let e = self.pick_engine(id, p, arrival);
-            self.assign_format(e, id);
-            let est = self.cold_est(e, id);
-            if self.shed_decision(arrival, e, est, id) {
-                self.shed.push(ShedRecord {
-                    index: p.request.index,
-                    arrival,
-                });
-                self.schedule_next_client(id, arrival);
-                continue;
-            }
-            let start = arrival.max(self.engines[e].next_free);
-            let finish = self.start_service(e, id, arrival, start, None);
-            self.schedule_next_client(id, finish);
-        }
-    }
-
-    /// The lazy discrete-event loop: requests queue per engine and are
+    /// The discrete-event loop: requests queue per engine and are
     /// pulled (earliest-deadline-first under `slo-aware`, FIFO
     /// otherwise) when an engine frees up; idle engines may steal queued
     /// work from backlogged peers. Arrivals at an instant are processed
@@ -2265,7 +2209,7 @@ impl QueueSim<'_> {
     /// arrival < redrive < completion — so a chained incident hands
     /// over cleanly, a revived engine catches same-instant redrives,
     /// and a crash at a request's exact finish instant kills it.
-    fn run_lazy(&mut self) {
+    fn run(&mut self) {
         // Autoscaling decisions happen at instant *boundaries* (when
         // the clock is about to advance), never between two events at
         // the same instant: the end-of-instant fleet state is identical
@@ -2337,7 +2281,7 @@ impl QueueSim<'_> {
                 }
                 3 => {
                     let (id, t) = self.next_arrival().expect("peeked");
-                    self.lazy_arrival(id, t);
+                    self.arrive(id, t);
                 }
                 4 => {
                     let Reverse((t, id)) = self.redrives.pop().expect("peeked");
@@ -2383,11 +2327,11 @@ impl QueueSim<'_> {
         }
     }
 
-    /// Lazy-loop arrival: admission, assignment, and a dispatch pass so
-    /// an idle fleet starts the request immediately. Under drills an
-    /// arrival into a total outage is deferred to the next revival (or
-    /// failed outright when none is coming).
-    fn lazy_arrival(&mut self, id: usize, t: u64) {
+    /// Arrival: admission, assignment, and a dispatch pass so an idle
+    /// fleet starts the request immediately. Under drills an arrival
+    /// into a total outage is deferred to the next revival (or failed
+    /// outright when none is coming).
+    fn arrive(&mut self, id: usize, t: u64) {
         self.arrival_of[id] = t;
         if self.drills && !self.any_available() {
             self.defer_or_fail(id, t);
@@ -2406,9 +2350,9 @@ impl QueueSim<'_> {
             return;
         }
         self.attempts[id] = 1;
-        // Exact-estimate mode: assignment order is service order, so the
-        // warm accounting the eager loop would do right now happens here
-        // — queued_est then projects warm-adjusted service exactly.
+        // Exact-estimate mode: assignment order is service order, so
+        // warm accounting happens now — queued_est then projects
+        // warm-adjusted service exactly.
         let exact = if self.exact_est {
             Some(self.account_warm(e, id))
         } else {
@@ -2974,22 +2918,6 @@ pub fn simulate_queue(
     hw: &HwConfig,
     feature_row_bytes: u64,
 ) -> QueueOutcome {
-    simulate_queue_forced(prepared, cfg, hw, feature_row_bytes, false)
-}
-
-/// [`simulate_queue`] with the execution strategy forced: `force_lazy`
-/// routes even FIFO-ordered configurations through the lazy
-/// discrete-event loop. The two strategies produce identical outcomes on
-/// every configuration both can express — this hook lets the tests pin
-/// that equivalence.
-#[doc(hidden)]
-pub fn simulate_queue_forced(
-    prepared: &[PreparedRequest],
-    cfg: &QueueConfig,
-    hw: &HwConfig,
-    feature_row_bytes: u64,
-    force_lazy: bool,
-) -> QueueOutcome {
     assert_eq!(
         cfg.fleet.engines(),
         cfg.engines,
@@ -3049,7 +2977,7 @@ pub fn simulate_queue_forced(
                 p.class_reports.len(),
                 lineup.classes.len() * palette.len(),
                 "a lineup run needs per-(class, format) cold reports — prepare with \
-                 prepare_lineup or prepare_matrix"
+                 prepare_matrix"
             );
         }
     }
@@ -3213,7 +3141,7 @@ pub fn simulate_queue_forced(
 
     // The fault schedule, materialized against the stream's own mean
     // cold service (pure in `(model, seed, engines, mean)`). Recoveries
-    // sort before crashes at equal instants — see `run_lazy`.
+    // sort before crashes at equal instants — see `QueueSim::run`.
     let plan = cfg.faults.materialize(cfg.seed, cfg.engines, mean_service);
     let mut drill_events: Vec<(u64, u8, usize)> = Vec::with_capacity(2 * plan.incidents().len());
     for inc in plan.incidents() {
@@ -3232,18 +3160,12 @@ pub fn simulate_queue_forced(
     };
     let stealing = cfg.stealing();
     // Deadline classes reorder every queue (per-class EDF) and brownout
-    // re-prices service at start time, so both force the lazy loop.
+    // re-prices service at start time, so neither knows service order
+    // at assignment.
     let lab = cfg.classes.is_some() || cfg.degrade.is_some();
-    let lazy = force_lazy || cfg.policy.reorders_queue() || stealing || drills || lab;
-    assert!(
-        !drills || lazy,
-        "failure drills always run the event-driven loop"
-    );
-    // A lazy run whose service order provably equals assignment order
-    // can account warm caches at assignment, exactly like the eager
-    // loop — the exact-estimate mode that keeps the two loops
-    // byte-identical on every non-reordering configuration.
-    let exact_est = lazy && !drills && !stealing && !cfg.policy.reorders_queue() && !lab;
+    // A run whose service order provably equals assignment order
+    // accounts warm caches at assignment (exact-estimate mode).
+    let exact_est = !drills && !stealing && !cfg.policy.reorders_queue() && !lab;
     // The cost model is fitted (serially, in stream order) only when
     // routing actually has distinct cells to predict for: cost-aware
     // engine choice or adaptive format choice, under a lineup.
@@ -3331,7 +3253,6 @@ pub fn simulate_queue_forced(
         stealing,
         exact_est,
         affinity_slack,
-        event_driven: lazy,
         drills,
         drill_events,
         drill_ptr: 0,
@@ -3360,11 +3281,7 @@ pub fn simulate_queue_forced(
         cheapest_fmt,
         req_bits,
     };
-    if lazy {
-        sim.run_lazy();
-    } else {
-        sim.run_eager();
-    }
+    sim.run();
 
     let QueueSim {
         mut engines,
@@ -3382,11 +3299,11 @@ pub fn simulate_queue_forced(
         class_ddl,
         ..
     } = sim;
-    // The lazy loop records in service-start order; report in stream
-    // order like the eager loop does naturally.
-    records.sort_by_key(|r| r.index);
-    shed.sort_by_key(|s| s.index);
-    failed.sort_by_key(|f| f.index);
+    // Records arrive in service-start order. Indices are unique, so an
+    // unstable sort gives stream order without a stream-sized buffer.
+    records.sort_unstable_by_key(|r| r.index);
+    shed.sort_unstable_by_key(|s| s.index);
+    failed.sort_unstable_by_key(|f| f.index);
     debug_assert_eq!(records.len() + shed.len() + failed.len(), n, "conservation");
 
     // Availability is defined over [0, makespan]: close every open
@@ -3450,10 +3367,9 @@ pub fn simulate_queue_forced(
 }
 
 /// Convenience wrapper: [`prepare`] (or, when the config carries a
-/// lineup, [`prepare_lineup`] — widened to the full
-/// [`ServeFormat::PALETTE`] via [`prepare_matrix`] when the format
-/// policy needs more than the native column) + [`simulate_queue`] in
-/// one call.
+/// lineup, [`prepare_matrix`] over the native column — widened to the
+/// full [`ServeFormat::PALETTE`] when the format policy needs more) +
+/// [`simulate_queue`] in one call.
 pub fn run_queue(
     ctx: &ServingContext,
     requests: &[Request],
@@ -3466,7 +3382,7 @@ pub fn run_queue(
             prepare_degraded(ctx, requests, model, lineup, &ServeFormat::PALETTE)
         }
         (Some(lineup), FormatPolicy::Fixed(ServeFormat::Native)) => {
-            prepare_lineup(ctx, requests, model, lineup)
+            prepare_matrix(ctx, requests, model, lineup, &[ServeFormat::Native])
         }
         (Some(lineup), _) => prepare_matrix(ctx, requests, model, lineup, &ServeFormat::PALETTE),
         (None, _) => prepare(ctx, requests, model, hw),
@@ -4126,92 +4042,6 @@ mod tests {
     }
 
     #[test]
-    fn lazy_loop_reproduces_eager_loop_on_in_order_configs() {
-        // The two execution strategies must agree wherever both apply:
-        // any non-reordering policy, no stealing, no drills. The lazy
-        // loop's exact-estimate mode accounts warm caches at assignment,
-        // so even load-sensitive policies project the same
-        // warm-adjusted backlog the eager loop knows. Exercised across
-        // traffic models (incl. the closed loop) and a heterogeneous
-        // fleet.
-        let (_ctx, prepared, row) = prepared_tiny(20, 4);
-        let hw = HwConfig::default();
-        for policy in [
-            SchedPolicy::FifoRoundRobin,
-            SchedPolicy::LeastLoaded,
-            SchedPolicy::CacheAffinity,
-            SchedPolicy::CostAware,
-        ] {
-            for traffic in [
-                TrafficModel::Exponential,
-                TrafficModel::bursty_default(),
-                TrafficModel::ClosedLoop { clients: 3 },
-            ] {
-                for fleet in [FleetSpec::uniform(3), FleetSpec::mixed(3, 1.5)] {
-                    let cfg = qcfg(3, policy).with_traffic(traffic).with_fleet(fleet);
-                    let eager = simulate_queue_forced(&prepared, &cfg, &hw, row, false);
-                    let lazy = simulate_queue_forced(&prepared, &cfg, &hw, row, true);
-                    assert_eq!(
-                        eager,
-                        lazy,
-                        "{policy:?} {traffic:?} {:?}",
-                        cfg.fleet.label()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lazy_loop_reproduces_eager_loop_on_lineups() {
-        // Exact-estimate equivalence holds under a hardware lineup too:
-        // per-class pricing happens at assignment in both loops.
-        let ctx = tiny_ctx();
-        let stream = ctx.hotspot_stream(18, 4);
-        let base = HwConfig::default();
-        let lineup = EngineLineup::mixed(3, base);
-        let prepared = prepare_lineup(&ctx, &stream, &AccelModel::sgcn(), &lineup);
-        let row = feature_row_bytes(&ctx);
-        for policy in [
-            SchedPolicy::LeastLoaded,
-            SchedPolicy::CacheAffinity,
-            SchedPolicy::CostAware,
-        ] {
-            let cfg = qcfg(3, policy).with_lineup(lineup.clone());
-            let eager = simulate_queue_forced(&prepared, &cfg, &base, row, false);
-            let lazy = simulate_queue_forced(&prepared, &cfg, &base, row, true);
-            assert_eq!(eager, lazy, "{policy:?}");
-        }
-        // And under per-request format dispatch: the format choice is
-        // committed at assignment in both loops, so the full
-        // (class, format) matrix preserves the equivalence too.
-        let matrix = prepare_matrix(
-            &ctx,
-            &stream,
-            &AccelModel::sgcn(),
-            &lineup,
-            &ServeFormat::PALETTE,
-        );
-        for policy in [
-            SchedPolicy::LeastLoaded,
-            SchedPolicy::CacheAffinity,
-            SchedPolicy::CostAware,
-        ] {
-            for format in [
-                FormatPolicy::Adaptive,
-                FormatPolicy::Fixed(ServeFormat::Kind(FormatKind::Beicsr)),
-            ] {
-                let cfg = qcfg(3, policy)
-                    .with_lineup(lineup.clone())
-                    .with_format(format);
-                let eager = simulate_queue_forced(&matrix, &cfg, &base, row, false);
-                let lazy = simulate_queue_forced(&matrix, &cfg, &base, row, true);
-                assert_eq!(eager, lazy, "{policy:?} / {}", format.label());
-            }
-        }
-    }
-
-    #[test]
     fn warm_savings_scale_with_the_engine_class() {
         // Regression (heterogeneous-engine mispricing): warm-hit savings
         // used to be subtracted from the *scaled* estimate at reference
@@ -4403,7 +4233,13 @@ mod tests {
         let row = feature_row_bytes(&ctx);
         let legacy_prepared = prepare(&ctx, &stream, &AccelModel::sgcn(), &base);
         let lineup = EngineLineup::uniform(3, base);
-        let lineup_prepared = prepare_lineup(&ctx, &stream, &AccelModel::sgcn(), &lineup);
+        let lineup_prepared = prepare_matrix(
+            &ctx,
+            &stream,
+            &AccelModel::sgcn(),
+            &lineup,
+            &[ServeFormat::Native],
+        );
         for policy in [SchedPolicy::LeastLoaded, SchedPolicy::CacheAffinity] {
             let legacy = simulate_queue(&legacy_prepared, &qcfg(3, policy), &base, row);
             let lin = simulate_queue(
@@ -4426,7 +4262,13 @@ mod tests {
         let stream = ctx.hotspot_stream(12, 3);
         let base = HwConfig::default();
         let lineup = EngineLineup::mixed(2, base);
-        let prepared = prepare_lineup(&ctx, &stream, &AccelModel::sgcn(), &lineup);
+        let prepared = prepare_matrix(
+            &ctx,
+            &stream,
+            &AccelModel::sgcn(),
+            &lineup,
+            &[ServeFormat::Native],
+        );
         for p in &prepared {
             assert_eq!(p.class_reports.len(), 2);
             assert_eq!(p.class_reports[0], p.report);
@@ -4445,7 +4287,13 @@ mod tests {
         let stream = ctx.hotspot_stream(20, 5);
         let base = HwConfig::default();
         let lineup = EngineLineup::mixed(2, base);
-        let prepared = prepare_lineup(&ctx, &stream, &AccelModel::sgcn(), &lineup);
+        let prepared = prepare_matrix(
+            &ctx,
+            &stream,
+            &AccelModel::sgcn(),
+            &lineup,
+            &[ServeFormat::Native],
+        );
         let model = CostModel::fit(&prepared, 2);
         assert_eq!(model.classes(), 2);
         // Refitting the same stream yields the same model, and
@@ -4488,7 +4336,13 @@ mod tests {
         let stream = ctx.hotspot_stream(48, 6);
         let base = HwConfig::default();
         let lineup = EngineLineup::mixed(4, base);
-        let prepared = prepare_lineup(&ctx, &stream, &AccelModel::sgcn(), &lineup);
+        let prepared = prepare_matrix(
+            &ctx,
+            &stream,
+            &AccelModel::sgcn(),
+            &lineup,
+            &[ServeFormat::Native],
+        );
         let row = feature_row_bytes(&ctx);
         let run = |policy| {
             let cfg = QueueConfig::new(4, policy, 0.9, 7)
@@ -5213,10 +5067,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_accounts_network_identically_in_both_loops() {
-        // The network bill is pure in (engine shard, request), so the
-        // eager and lazy loops must price identical bytes and cycles —
-        // across every policy that runs both loops.
+    fn sharded_run_accounts_network_under_every_in_order_policy() {
+        // Every in-order policy on a 3-shard split completes the stream
+        // and bills a finite, nonzero cross-shard network cost.
         let (ctx, prepared, row) = prepared_tiny(24, 5);
         let hw = HwConfig::default();
         let plan = ShardPlan::from_graph(&ctx.dataset.graph, 3, 8);
@@ -5228,10 +5081,8 @@ mod tests {
             SchedPolicy::ShardAffinity,
         ] {
             let cfg = qcfg(3, policy).with_sharding(plan.clone());
-            let eager = simulate_queue_forced(&prepared, &cfg, &hw, row, false);
-            let lazy = simulate_queue_forced(&prepared, &cfg, &hw, row, true);
-            assert_eq!(eager, lazy, "{policy:?}");
-            let s = &eager.summary;
+            let out = simulate_queue(&prepared, &cfg, &hw, row);
+            let s = &out.summary;
             assert_eq!(s.shards, "3x8hub");
             assert_eq!(s.completed, 24);
             assert!(s.net_bytes > 0, "{policy:?}: a 3-shard split pays network");

@@ -281,8 +281,8 @@ fn check_queue_drill_summary_golden() {
 fn check_queue_lineup_summary_golden() {
     use sgcn::accel::AccelModel;
     use sgcn::serving::queueing::{
-        feature_row_bytes, prepare_lineup, simulate_queue, EngineLineup, QueueConfig, SchedPolicy,
-        TrafficModel,
+        feature_row_bytes, prepare_matrix, simulate_queue, EngineLineup, QueueConfig, SchedPolicy,
+        ServeFormat, TrafficModel,
     };
     use sgcn::serving::{ServingConfig, ServingContext};
 
@@ -296,7 +296,13 @@ fn check_queue_lineup_summary_golden() {
     });
     let stream = ctx.hotspot_stream(60, 10);
     let lineup = EngineLineup::mixed(4, cfg.hw());
-    let prepared = prepare_lineup(&ctx, &stream, &AccelModel::sgcn(), &lineup);
+    let prepared = prepare_matrix(
+        &ctx,
+        &stream,
+        &AccelModel::sgcn(),
+        &lineup,
+        &[ServeFormat::Native],
+    );
     let run = |policy| {
         let qcfg = QueueConfig::new(4, policy, 0.8, cfg.seed)
             .with_traffic(TrafficModel::bursty_default())

@@ -21,9 +21,9 @@ use sgcn::{HwConfig, SimReport};
 
 /// Fabricates a prepared request carrying per-class cold reports: class
 /// 0 is the reference profile, class 1 is `eco_x10/10` × slower — the
-/// shape [`sgcn::serving::queueing::prepare_lineup`] produces for a
-/// two-class lineup. Stats are a deterministic function of the profile
-/// so the fitted cost model has signal.
+/// shape [`sgcn::serving::queueing::prepare_matrix`] produces for a
+/// two-class lineup over the native column. Stats are a deterministic
+/// function of the profile so the fitted cost model has signal.
 fn fab(index: usize, cycles: u64, eco_x10: u64, vertices: Vec<u32>) -> PreparedRequest {
     let mut mem = sgcn_mem::MemReport::default();
     mem.per_class[1].dram_bytes = 4096;

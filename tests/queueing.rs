@@ -153,12 +153,17 @@ proptest! {
         prop_assert_eq!(out.records.len(), prepared.len());
         prop_assert_eq!(out.engine_served.iter().sum::<u64>(), prepared.len() as u64);
 
-        // Per-engine, service intervals are disjoint and ordered.
+        // Per-engine, service intervals are disjoint and ordered. Every
+        // in-order policy is also work-conserving: a request starts the
+        // moment both it and its engine are ready.
         let mut next_free = vec![0u64; engines];
         for r in &out.records {
             prop_assert!(r.engine < engines);
             prop_assert!(r.start >= r.arrival);
             prop_assert!(r.start >= next_free[r.engine], "engine double-booked");
+            if policy != SchedPolicy::SloAware {
+                prop_assert_eq!(r.start, r.arrival.max(next_free[r.engine]), "FIFO engine idled");
+            }
             prop_assert_eq!(r.finish, r.start + r.service_cycles);
             next_free[r.engine] = r.finish;
         }

@@ -53,7 +53,7 @@ fn queue_probe() -> Vec<String> {
             );
         }
     }
-    // SLO shedding under pressure, and the lazy loop's fleet features.
+    // SLO shedding under pressure, and the event loop's fleet features.
     for (name, qcfg) in [
         (
             "slo-shed",
