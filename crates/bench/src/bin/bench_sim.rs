@@ -19,7 +19,7 @@
 
 use sgcn::experiments::ExperimentConfig;
 use sgcn::metrics::timing;
-use sgcn_bench::{banner, run_suite, selected_datasets};
+use sgcn_bench::{banner, env_parse, run_suite, selected_datasets};
 
 /// One path's timings: total wall seconds and the simulate/prepare split.
 struct PathTiming {
@@ -29,11 +29,12 @@ struct PathTiming {
 }
 
 fn reps() -> usize {
-    std::env::var("SGCN_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(2)
+    let reps = env_parse("SGCN_BENCH_REPS", 2);
+    assert!(
+        reps > 0,
+        "SGCN_BENCH_REPS=0 — the harness needs at least one repetition"
+    );
+    reps
 }
 
 /// Runs the suite `reps` times, keeping the fastest repetition (outputs

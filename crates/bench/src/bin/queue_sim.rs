@@ -79,30 +79,29 @@
 //!   path instead of generating traffic,
 //! * `SGCN_QUICK=1` — test-scale graph, `SGCN_QUEUE_OUT` — output path.
 //!
-//! Every enum-valued knob is strict: an unknown value aborts with a
-//! message listing the valid spellings (silent fallbacks would make a
+//! Every knob is strict: an unknown enum value aborts with a message
+//! listing the valid spellings, and a numeric value that does not parse
+//! aborts naming the expected type (silent fallbacks would make a
 //! typo'd CI matrix cell silently re-run the default scenario).
 
 use sgcn::accel::AccelModel;
-use sgcn::serving::queueing::{
-    feature_row_bytes, prepare, prepare_degraded, prepare_matrix, simulate_queue, ArrivalTrace,
-    ClassPolicy, DegradePolicy, EngineLineup, FailureModel, FleetSpec, FormatPolicy, QueueConfig,
-    QueueSummary, RequestClass, RetryPolicy, ScalePolicy, SchedPolicy, ServeFormat, ShardPlan,
-    SloConfig, TrafficModel,
+use sgcn::config::HwConfig;
+use sgcn::experiments::{
+    format_cells, lineup_cells, prepare_sweep, shard_cells, CapacityScenario, ExperimentConfig,
+    QueueCell,
 };
-use sgcn::serving::{ServingConfig, ServingContext};
-use sgcn_bench::{banner, experiment_config};
+use sgcn::serving::queueing::{
+    feature_row_bytes, prepare_for, simulate_queue, ArrivalTrace, ClassPolicy, DegradePolicy,
+    EngineLineup, FailureModel, FleetSpec, FormatPolicy, PreparedRequest, QueueConfig,
+    QueueSummary, RequestClass, RetryPolicy, ScalePolicy, SchedPolicy, ShardPlan, SloConfig,
+    TrafficModel,
+};
+use sgcn::serving::{Request, ServingConfig, ServingContext};
+use sgcn_bench::{banner, env_parse, experiment_config};
 use sgcn_graph::datasets::DatasetId;
 use sgcn_graph::generate::power_law;
 use sgcn_graph::sampling::Fanouts;
 use sgcn_graph::Normalization;
-
-fn env_parse<T: std::str::FromStr>(key: &str, default: T) -> T {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Parses an enum-valued knob, aborting on unknown values with the list
 /// of valid spellings — never a silent fallback.
@@ -127,19 +126,17 @@ const REPLICATE_VALUES: &str = "a non-negative hub-replication count";
 const TRACE_FORMAT: &str = "an arrival-trace JSON written by SGCN_TRACE_RECORD \
      ({\"trace\": \"sgcn-arrivals\", \"version\": 1, \"traffic\": ..., \"times\": [...]})";
 
-/// The lineup × routing-policy capacity planner behind
-/// `BENCH_lineup.json`: uniform vs mixed hardware lineups × {least-
-/// loaded, cache-affinity, cost-aware} under bursty traffic, one
-/// per-class preparation shared by every cell, plus a `cheapest_p99`
-/// verdict — the cell minimizing p99 × cost units (ties to the cheaper
-/// lineup, then sweep order). Every byte of the JSON is a pure function
-/// of `(stream, knobs)`.
-fn lineup_sweep(requests: usize, engines: usize, load: f64, hotspot: usize) {
-    let cfg = experiment_config();
-    let hw = cfg.hw();
+/// The PubMed serving context every run of this binary uses, its
+/// request stream (`hotspot` hot seeds; uniform when `hotspot` is 0),
+/// and the `dataset fanout … SGCN` label prefix of every JSON it writes.
+fn serving(
+    cfg: &ExperimentConfig,
+    requests: usize,
+    hotspot: usize,
+) -> (ServingContext, Vec<Request>, String) {
     let fanouts = Fanouts::new(vec![10, 5]);
     let label = format!(
-        "{} fanout {} SGCN x{engines} lineup sweep bursty load {load:.2}",
+        "{} fanout {} SGCN",
         DatasetId::PubMed.abbrev(),
         fanouts.label()
     );
@@ -155,64 +152,93 @@ fn lineup_sweep(requests: usize, engines: usize, load: f64, hotspot: usize) {
     } else {
         ctx.hotspot_stream(requests, hotspot)
     };
-    let lineups = [
-        EngineLineup::uniform(engines, hw),
-        EngineLineup::mixed(engines, hw),
-    ];
-    let policies = [
-        SchedPolicy::LeastLoaded,
-        SchedPolicy::CacheAffinity,
-        SchedPolicy::CostAware,
-    ];
-    let t0 = std::time::Instant::now();
-    // Both lineups share the same two hardware classes, so one
-    // per-class preparation (the only parallel stage) serves all cells.
-    let prepared = prepare_matrix(
-        &ctx,
-        &stream,
-        &AccelModel::sgcn(),
-        &lineups[1],
-        &[ServeFormat::Native],
-    );
-    let row_bytes = feature_row_bytes(&ctx);
-    let mut cells: Vec<(String, &'static str, QueueSummary)> = Vec::new();
-    for lineup in &lineups {
-        for policy in policies {
-            let qcfg = QueueConfig::new(engines, policy, load, cfg.seed)
-                .with_traffic(TrafficModel::bursty_default())
-                .with_lineup(lineup.clone());
-            let s = simulate_queue(&prepared, &qcfg, &hw, row_bytes).summary;
+    (ctx, stream, label)
+}
+
+/// Simulates every sweep cell over `prepared`, in order, printing one
+/// line per cell (`detail` adds the sweep's own figures).
+fn run_cells(
+    prepared: &[PreparedRequest],
+    cells: &[QueueCell],
+    hw: &HwConfig,
+    row_bytes: u64,
+    detail: impl Fn(&QueueSummary) -> String,
+) -> Vec<QueueSummary> {
+    cells
+        .iter()
+        .map(|(row, qcfg)| {
+            let s = simulate_queue(prepared, qcfg, hw, row_bytes).summary;
             println!(
-                "  {:>16} {:>14}: p50e {:>9} / p99e {:>9} cycles, warm {:>5.1}%, {:.2} cost units",
-                lineup.label(),
-                policy.label(),
+                "  {row:>34}: p50e {:>9} / p99e {:>9} cycles, {}",
                 s.p50_e2e_cycles,
                 s.p99_e2e_cycles,
-                s.warm_hit_rate * 100.0,
-                s.cost_units
+                detail(&s)
             );
-            cells.push((lineup.label(), policy.label(), s));
-        }
-    }
-    let wall = t0.elapsed().as_secs_f64();
-    let best = cells
+            s
+        })
+        .collect()
+}
+
+/// Renders JSON list entries: one per line at cell indentation,
+/// comma-separated.
+fn json_rows(rows: impl Iterator<Item = String>) -> String {
+    let rows: Vec<String> = rows.map(|r| format!("    {r}")).collect();
+    format!("{}\n", rows.join(",\n"))
+}
+
+/// Prints the sweep's host-time line.
+fn report_wall(t0: std::time::Instant, cells: usize) {
+    println!(
+        "host replay:     {:.2}s wall ({cells} cells on {} thread(s))",
+        t0.elapsed().as_secs_f64(),
+        sgcn_par::threads()
+    );
+}
+
+/// Writes a sweep's JSON to the path in `out_key` (else `default`).
+fn write_json(out_key: &str, default: &str, json: &str) {
+    let path = std::env::var(out_key).unwrap_or_else(|_| default.into());
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {default}: {e}"));
+    println!("wrote {path}");
+}
+
+/// The lineup × routing-policy capacity planner behind
+/// `BENCH_lineup.json`: the suite's lineup cells
+/// ([`sgcn::experiments::lineup_cells`]) at paper scale, one per-class
+/// preparation shared by every cell, plus a `cheapest_p99` verdict —
+/// the cell minimizing p99 × cost units (ties to the cheaper lineup,
+/// then sweep order). Every byte of the JSON is a pure function of
+/// `(stream, knobs)`.
+fn lineup_sweep(requests: usize, engines: usize, load: f64, hotspot: usize) {
+    let cfg = experiment_config();
+    let hw = cfg.hw();
+    let (ctx, stream, serving_label) = serving(&cfg, requests, hotspot);
+    let label = format!("{serving_label} x{engines} lineup sweep bursty load {load:.2}");
+    let cells = lineup_cells(&cfg, engines, load);
+    let t0 = std::time::Instant::now();
+    // One per-class preparation (the only parallel stage) serves all cells.
+    let prepared = prepare_sweep(&ctx, &stream, &hw, &cells);
+    let summaries = run_cells(&prepared, &cells, &hw, feature_row_bytes(&ctx), |s| {
+        format!(
+            "warm {:>5.1}%, {:.2} cost units",
+            s.warm_hit_rate * 100.0,
+            s.cost_units
+        )
+    });
+    let best = summaries
         .iter()
         .min_by(|a, b| {
-            let ka = a.2.p99_e2e_cycles as f64 * a.2.cost_units;
-            let kb = b.2.p99_e2e_cycles as f64 * b.2.cost_units;
+            let ka = a.p99_e2e_cycles as f64 * a.cost_units;
+            let kb = b.p99_e2e_cycles as f64 * b.cost_units;
             ka.total_cmp(&kb)
-                .then(a.2.cost_units.total_cmp(&b.2.cost_units))
+                .then(a.cost_units.total_cmp(&b.cost_units))
         })
         .expect("the sweep has cells");
     println!(
         "cheapest p99:    {} with {} — p99 {} cycles at {:.2} cost units",
-        best.0, best.1, best.2.p99_e2e_cycles, best.2.cost_units
+        best.fleet, best.policy, best.p99_e2e_cycles, best.cost_units
     );
-    println!(
-        "host replay:     {wall:.2}s wall ({} cells on {} thread(s))",
-        cells.len(),
-        sgcn_par::threads()
-    );
+    report_wall(t0, cells.len());
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -221,11 +247,13 @@ fn lineup_sweep(requests: usize, engines: usize, load: f64, hotspot: usize) {
     json.push_str(&format!("  \"engines\": {engines},\n"));
     json.push_str(&format!("  \"offered_load\": {load:.6},\n"));
     json.push_str("  \"cells\": [\n");
-    for (i, (lineup, policy, s)) in cells.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"lineup\": \"{lineup}\", \"policy\": \"{policy}\", \"cost_units\": {:.3}, \
+    json.push_str(&json_rows(summaries.iter().map(|s| {
+        format!(
+            "{{\"lineup\": \"{}\", \"policy\": \"{}\", \"cost_units\": {:.3}, \
              \"completed\": {}, \"p50_e2e_cycles\": {}, \"p99_e2e_cycles\": {}, \
-             \"makespan_cycles\": {}, \"utilization\": {:.6}, \"warm_hit_rate\": {:.6}}}{}\n",
+             \"makespan_cycles\": {}, \"utilization\": {:.6}, \"warm_hit_rate\": {:.6}}}",
+            s.fleet,
+            s.policy,
             s.cost_units,
             s.completed,
             s.p50_e2e_cycles,
@@ -233,106 +261,63 @@ fn lineup_sweep(requests: usize, engines: usize, load: f64, hotspot: usize) {
             s.makespan_cycles,
             s.utilization,
             s.warm_hit_rate,
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
+        )
+    })));
     json.push_str("  ],\n");
     json.push_str(&format!(
         "  \"cheapest_p99\": {{\"lineup\": \"{}\", \"policy\": \"{}\", \"cost_units\": {:.3}, \
          \"p99_e2e_cycles\": {}}}\n",
-        best.0, best.1, best.2.cost_units, best.2.p99_e2e_cycles
+        best.fleet, best.policy, best.cost_units, best.p99_e2e_cycles
     ));
     json.push_str("}\n");
-    let path = std::env::var("SGCN_LINEUP_OUT").unwrap_or_else(|_| "BENCH_lineup.json".into());
-    std::fs::write(&path, &json).expect("write BENCH_lineup.json");
-    println!("wrote {path}");
+    write_json("SGCN_LINEUP_OUT", "BENCH_lineup.json", &json);
 }
 
-/// The serving-format dispatch planner behind `BENCH_format.json`:
-/// every fixed palette format plus adaptive per-request dispatch on the
-/// **mixed** lineup, routed `cost-aware` under bursty traffic. One
-/// `(class, format)` matrix preparation is shared by every cell. The
-/// verdict compares adaptive's p99 against the best single fixed
-/// format — the paper's Fig. 3 claim ("format choice dominates cost")
-/// turned into an online scheduling win. Every byte of the JSON is a
-/// pure function of `(stream, knobs)`.
+/// The serving-format dispatch planner behind `BENCH_format.json`: the
+/// suite's format cells ([`sgcn::experiments::format_cells`] — every
+/// fixed palette format plus adaptive on the mixed lineup, cost-aware,
+/// bursty) at paper scale over one shared `(class, format)` matrix
+/// preparation. The verdict compares adaptive's p99 against the best
+/// single fixed format — the paper's Fig. 3 claim ("format choice
+/// dominates cost") turned into an online scheduling win. Every byte of
+/// the JSON is a pure function of `(stream, knobs)`.
 fn format_sweep(requests: usize, engines: usize, load: f64, hotspot: usize) {
     let cfg = experiment_config();
     let hw = cfg.hw();
-    let fanouts = Fanouts::new(vec![10, 5]);
-    let label = format!(
-        "{} fanout {} SGCN x{engines} format sweep mixed cost-aware bursty load {load:.2}",
-        DatasetId::PubMed.abbrev(),
-        fanouts.label()
-    );
-    let ctx = ServingContext::new(ServingConfig {
-        dataset: DatasetId::PubMed,
-        scale: cfg.scale,
-        fanouts,
-        width: cfg.width,
-        seed: cfg.seed,
-    });
-    let stream = if hotspot == 0 {
-        ctx.request_stream(requests)
-    } else {
-        ctx.hotspot_stream(requests, hotspot)
-    };
-    let lineup = EngineLineup::mixed(engines, hw);
-    let policies: Vec<FormatPolicy> = ServeFormat::PALETTE
-        .iter()
-        .map(|&f| FormatPolicy::Fixed(f))
-        .chain(std::iter::once(FormatPolicy::Adaptive))
-        .collect();
+    let (ctx, stream, serving_label) = serving(&cfg, requests, hotspot);
+    let label =
+        format!("{serving_label} x{engines} format sweep mixed cost-aware bursty load {load:.2}");
+    let cells = format_cells(&cfg, engines, load);
     let t0 = std::time::Instant::now();
     // One (class, format) matrix preparation (the only parallel stage)
-    // serves every policy cell.
-    let prepared = prepare_matrix(
-        &ctx,
-        &stream,
-        &AccelModel::sgcn(),
-        &lineup,
-        &ServeFormat::PALETTE,
-    );
-    let row_bytes = feature_row_bytes(&ctx);
-    let mut cells: Vec<(String, QueueSummary)> = Vec::new();
-    for policy in &policies {
-        let qcfg = QueueConfig::new(engines, SchedPolicy::CostAware, load, cfg.seed)
-            .with_traffic(TrafficModel::bursty_default())
-            .with_lineup(lineup.clone())
-            .with_format(*policy);
-        let s = simulate_queue(&prepared, &qcfg, &hw, row_bytes).summary;
-        println!(
-            "  {:>20}: p50e {:>9} / p99e {:>9} cycles, warm {:>5.1}%, pred err {:>5.2}%",
-            policy.label(),
-            s.p50_e2e_cycles,
-            s.p99_e2e_cycles,
+    // serves every cell.
+    let prepared = prepare_sweep(&ctx, &stream, &hw, &cells);
+    let summaries = run_cells(&prepared, &cells, &hw, feature_row_bytes(&ctx), |s| {
+        format!(
+            "warm {:>5.1}%, pred err {:>5.2}%",
             s.warm_hit_rate * 100.0,
             s.format_pred_err * 100.0
-        );
-        cells.push((policy.label(), s));
-    }
-    let wall = t0.elapsed().as_secs_f64();
-    let (adaptive_label, adaptive) = cells.last().expect("the sweep has an adaptive cell");
-    let best_fixed = cells[..cells.len() - 1]
+        )
+    });
+    let (adaptive, fixed) = summaries
+        .split_last()
+        .expect("the sweep has an adaptive cell");
+    let best_fixed = fixed
         .iter()
         .min_by(|a, b| {
-            (a.1.p99_e2e_cycles, a.1.makespan_cycles)
-                .cmp(&(b.1.p99_e2e_cycles, b.1.makespan_cycles))
+            (a.p99_e2e_cycles, a.makespan_cycles).cmp(&(b.p99_e2e_cycles, b.makespan_cycles))
         })
         .expect("the sweep has fixed cells");
-    let wins = adaptive.p99_e2e_cycles <= best_fixed.1.p99_e2e_cycles;
+    let wins = adaptive.p99_e2e_cycles <= best_fixed.p99_e2e_cycles;
     println!(
-        "verdict:         {adaptive_label} p99 {} vs best fixed ({}) p99 {} — adaptive {}",
+        "verdict:         {} p99 {} vs best fixed ({}) p99 {} — adaptive {}",
+        adaptive.format_policy,
         adaptive.p99_e2e_cycles,
-        best_fixed.0,
-        best_fixed.1.p99_e2e_cycles,
+        best_fixed.format_policy,
+        best_fixed.p99_e2e_cycles,
         if wins { "wins (<=)" } else { "LOSES" }
     );
-    println!(
-        "host replay:     {wall:.2}s wall ({} cells on {} thread(s))",
-        cells.len(),
-        sgcn_par::threads()
-    );
+    report_wall(t0, cells.len());
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -341,17 +326,18 @@ fn format_sweep(requests: usize, engines: usize, load: f64, hotspot: usize) {
     json.push_str(&format!("  \"engines\": {engines},\n"));
     json.push_str(&format!("  \"offered_load\": {load:.6},\n"));
     json.push_str("  \"cells\": [\n");
-    for (i, (policy, s)) in cells.iter().enumerate() {
+    json.push_str(&json_rows(summaries.iter().map(|s| {
         let dispatch: Vec<String> = s
             .format_dispatch
             .iter()
             .map(|(f, c)| format!("\"{f}\": {c}"))
             .collect();
-        json.push_str(&format!(
-            "    {{\"format_policy\": \"{policy}\", \"completed\": {}, \
+        format!(
+            "{{\"format_policy\": \"{}\", \"completed\": {}, \
              \"p50_e2e_cycles\": {}, \"p99_e2e_cycles\": {}, \"makespan_cycles\": {}, \
              \"utilization\": {:.6}, \"warm_hit_rate\": {:.6}, \"format_pred_err\": {:.6}, \
-             \"format_dispatch\": {{{}}}}}{}\n",
+             \"format_dispatch\": {{{}}}}}",
+            s.format_policy,
             s.completed,
             s.p50_e2e_cycles,
             s.p99_e2e_cycles,
@@ -360,19 +346,16 @@ fn format_sweep(requests: usize, engines: usize, load: f64, hotspot: usize) {
             s.warm_hit_rate,
             s.format_pred_err,
             dispatch.join(", "),
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
+        )
+    })));
     json.push_str("  ],\n");
     json.push_str(&format!(
         "  \"verdict\": {{\"adaptive_p99_e2e_cycles\": {}, \"best_fixed\": \"{}\", \
          \"best_fixed_p99_e2e_cycles\": {}, \"adaptive_beats_best_fixed\": {}}}\n",
-        adaptive.p99_e2e_cycles, best_fixed.0, best_fixed.1.p99_e2e_cycles, wins
+        adaptive.p99_e2e_cycles, best_fixed.format_policy, best_fixed.p99_e2e_cycles, wins
     ));
     json.push_str("}\n");
-    let path = std::env::var("SGCN_FORMAT_OUT").unwrap_or_else(|_| "BENCH_format.json".into());
-    std::fs::write(&path, &json).expect("write BENCH_format.json");
-    println!("wrote {path}");
+    write_json("SGCN_FORMAT_OUT", "BENCH_format.json", &json);
 }
 
 /// Per-class "SLO met" verdict of one capacity cell: the class had
@@ -396,102 +379,57 @@ fn interactive_shed_rate(s: &QueueSummary) -> f64 {
 }
 
 /// The capacity planner behind `BENCH_capacity.json`: fleet sizes ×
-/// class mixes under a drills-on overload (bursty traffic at ρ ≥ 1.2
-/// with MTBF faults), every cell protected by deadline classes with
-/// preemption and the brownout ladder. The plan reports the minimum
-/// fleet meeting each class's SLO (≤ 10% bad outcomes) per mix, and the
-/// verdict re-runs the base fleet with preemption + brownout disabled
-/// on the same seed — the overload-resilience claim (better interactive
+/// class mixes over the suite's drills-on overload
+/// ([`sgcn::experiments::CapacityScenario`] — bursty traffic at ρ ≥ 1.2
+/// with MTBF faults, one recorded base-fleet timeline replayed into
+/// every cell), every cell guarded by deadline classes with preemption
+/// and the brownout ladder. The plan reports the minimum fleet meeting
+/// each class's SLO (≤ 10% bad outcomes) per mix, and the verdict
+/// re-runs the base fleet with preemption + brownout disabled on the
+/// same timeline — the overload-resilience claim (better interactive
 /// p99 *and* shed rate) as a committed, drift-checked number. Every
 /// byte of the JSON is a pure function of `(stream, knobs)`.
 fn capacity_plan(requests: usize, engines: usize, load: f64, hotspot: usize) {
     let cfg = experiment_config();
     let hw = cfg.hw();
-    // Capacity planning is an overload exercise: keep ρ well over 1 so
-    // both the fleet sizing and the protected-vs-baseline verdict bite.
-    let rho = load.max(1.2);
-    let fanouts = Fanouts::new(vec![10, 5]);
-    let label = format!(
-        "{} fanout {} SGCN capacity plan mixed cost-aware bursty load {rho:.2} mtbf drills",
-        DatasetId::PubMed.abbrev(),
-        fanouts.label()
-    );
-    let ctx = ServingContext::new(ServingConfig {
-        dataset: DatasetId::PubMed,
-        scale: cfg.scale,
-        fanouts,
-        width: cfg.width,
-        seed: cfg.seed,
-    });
-    let stream = if hotspot == 0 {
-        ctx.request_stream(requests)
-    } else {
-        ctx.hotspot_stream(requests, hotspot)
-    };
+    let (ctx, stream, serving_label) = serving(&cfg, requests, hotspot);
     let fleet_sizes = [2usize, 3, 4, 6, 8, 12, 16];
-    let mixes = [0.3f64, 0.6];
+    let mixes = CapacityScenario::MIXES;
     let t0 = std::time::Instant::now();
-    // One (class, format, lite) preparation serves every cell: the
-    // mixed lineup's hardware classes are engine-count independent.
-    let prepared = prepare_degraded(
-        &ctx,
-        &stream,
-        &AccelModel::sgcn(),
-        &EngineLineup::mixed(engines.max(2), hw),
-        &ServeFormat::PALETTE,
-    );
+    let scenario = CapacityScenario::new(&cfg, &ctx, &stream, engines, load);
     let row_bytes = feature_row_bytes(&ctx);
-    let base = |e: usize| {
-        QueueConfig::new(e, SchedPolicy::CostAware, rho, cfg.seed)
-            .with_traffic(TrafficModel::bursty_default())
-            .with_lineup(EngineLineup::mixed(e, hw))
-            .with_format(FormatPolicy::Adaptive)
-            .with_faults(FailureModel::mtbf_default())
-            .with_retry(RetryPolicy::default())
-    };
-    // Record the base fleet's offered-arrival timeline once, then pin
-    // the SAME absolute timeline on every cell through the replay seam.
-    // Without it each fleet size would re-normalize the traffic model
-    // to its own capacity — every cell would see the same relative
-    // overload and no fleet could ever catch up, which is the opposite
-    // of a capacity question.
-    let trace = simulate_queue(
-        &prepared,
-        &base(engines).with_classes(ClassPolicy::mix(mixes[0])),
-        &hw,
-        row_bytes,
-    )
-    .arrival_trace();
-    let scenario = |e: usize, classes: ClassPolicy, brownout: bool| {
-        let mut qc = base(e).with_trace(trace.clone()).with_classes(classes);
-        if brownout {
-            qc = qc.with_degrade(DegradePolicy::default());
-        }
-        simulate_queue(&prepared, &qc, &hw, row_bytes).summary
-    };
+    let rho = scenario.rho();
+    let label =
+        format!("{serving_label} capacity plan mixed cost-aware bursty load {rho:.2} mtbf drills");
     let iv = RequestClass::Interactive.idx();
     let bt = RequestClass::Batch.idx();
-    let mut cells: Vec<(usize, f64, QueueSummary)> = Vec::new();
-    for &mix in &mixes {
-        for &e in &fleet_sizes {
-            let s = scenario(e, ClassPolicy::mix(mix).with_preemption(), true);
-            let (_, met_i) = class_met(&s, iv);
-            let (_, met_b) = class_met(&s, bt);
-            println!(
-                "  mix {mix:.2} x{e}: int p99 {:>9} (met {}), batch p99 {:>9} (met {}), \
-                 {} preempted, {} degraded",
-                s.class_p99_e2e[iv], met_i, s.class_p99_e2e[bt], met_b, s.preemptions, s.degraded
-            );
-            cells.push((e, mix, s));
-        }
-    }
-    // The acceptance comparison: same fleet, same seed, protection off.
-    let protected = scenario(engines, ClassPolicy::mix(mixes[0]).with_preemption(), true);
-    let baseline = scenario(engines, ClassPolicy::mix(mixes[0]), false);
+    let detail = |s: &QueueSummary| {
+        format!(
+            "int p99 {:>9} (met {}), batch p99 {:>9} (met {}), {} preempted, {} degraded",
+            s.class_p99_e2e[iv],
+            class_met(s, iv).1,
+            s.class_p99_e2e[bt],
+            class_met(s, bt).1,
+            s.preemptions,
+            s.degraded
+        )
+    };
+    let points: Vec<(f64, usize)> = mixes
+        .iter()
+        .flat_map(|&mix| fleet_sizes.map(|e| (mix, e)))
+        .collect();
+    let cells: Vec<QueueCell> = points
+        .iter()
+        .map(|&(mix, e)| (format!("mix {mix:.2} x{e}"), scenario.guarded(e, mix)))
+        .collect();
+    let summaries = run_cells(scenario.prepared(), &cells, &hw, row_bytes, detail);
+    // The acceptance comparison: same fleet, same timeline, protection off.
+    let run = |qcfg: QueueConfig| simulate_queue(scenario.prepared(), &qcfg, &hw, row_bytes);
+    let protected = run(scenario.guarded(engines, mixes[0])).summary;
+    let baseline = run(scenario.plain(engines, mixes[0])).summary;
     let p99_better = protected.class_p99_e2e[iv] < baseline.class_p99_e2e[iv];
     let shed_better = interactive_shed_rate(&protected) < interactive_shed_rate(&baseline);
     let improved = p99_better && shed_better;
-    let wall = t0.elapsed().as_secs_f64();
     println!(
         "verdict:         x{engines} mix {:.2} — interactive p99 {} vs {} baseline, \
          shed {:.1}% vs {:.1}% — protection {}",
@@ -502,12 +440,9 @@ fn capacity_plan(requests: usize, engines: usize, load: f64, hotspot: usize) {
         interactive_shed_rate(&baseline) * 100.0,
         if improved { "wins" } else { "DOES NOT WIN" }
     );
-    println!(
-        "host replay:     {wall:.2}s wall ({} cells on {} thread(s))",
-        cells.len() + 2,
-        sgcn_par::threads()
-    );
+    report_wall(t0, cells.len() + 2);
 
+    let join = |items: Vec<String>| items.join(", ");
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str(&format!("  \"label\": \"{label}\",\n"));
@@ -515,63 +450,56 @@ fn capacity_plan(requests: usize, engines: usize, load: f64, hotspot: usize) {
     json.push_str(&format!("  \"offered_load\": {rho:.6},\n"));
     json.push_str(&format!(
         "  \"fleet_sizes\": [{}],\n",
-        fleet_sizes
-            .iter()
-            .map(|e| e.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
+        join(fleet_sizes.iter().map(|e| e.to_string()).collect())
     ));
     json.push_str(&format!(
         "  \"class_mixes\": [{}],\n",
-        mixes
-            .iter()
-            .map(|m| format!("{m:.2}"))
-            .collect::<Vec<_>>()
-            .join(", ")
+        join(mixes.iter().map(|m| format!("{m:.2}")).collect())
     ));
     json.push_str("  \"cells\": [\n");
-    for (i, (e, mix, s)) in cells.iter().enumerate() {
-        let (off_i, met_i) = class_met(s, iv);
-        let (off_b, met_b) = class_met(s, bt);
-        json.push_str(&format!(
-            "    {{\"engines\": {e}, \"mix\": {mix:.2}, \"completed\": {}, \"shed\": {}, \
+    json.push_str(&json_rows(points.iter().zip(&summaries).map(
+        |(&(mix, e), s)| {
+            let (off_i, met_i) = class_met(s, iv);
+            let (off_b, met_b) = class_met(s, bt);
+            format!(
+                "{{\"engines\": {e}, \"mix\": {mix:.2}, \"completed\": {}, \"shed\": {}, \
              \"failed\": {}, \"preemptions\": {}, \"degraded\": {}, \
              \"interactive\": {{\"offered\": {off_i}, \"completed\": {}, \"shed\": {}, \
              \"violations\": {}, \"p99_e2e_cycles\": {}, \"met\": {met_i}}}, \
              \"batch\": {{\"offered\": {off_b}, \"completed\": {}, \"shed\": {}, \
-             \"violations\": {}, \"p99_e2e_cycles\": {}, \"met\": {met_b}}}}}{}\n",
-            s.completed,
-            s.shed,
-            s.failed,
-            s.preemptions,
-            s.degraded,
-            s.class_completed[iv],
-            s.class_shed[iv],
-            s.class_violations[iv],
-            s.class_p99_e2e[iv],
-            s.class_completed[bt],
-            s.class_shed[bt],
-            s.class_violations[bt],
-            s.class_p99_e2e[bt],
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
+             \"violations\": {}, \"p99_e2e_cycles\": {}, \"met\": {met_b}}}}}",
+                s.completed,
+                s.shed,
+                s.failed,
+                s.preemptions,
+                s.degraded,
+                s.class_completed[iv],
+                s.class_shed[iv],
+                s.class_violations[iv],
+                s.class_p99_e2e[iv],
+                s.class_completed[bt],
+                s.class_shed[bt],
+                s.class_violations[bt],
+                s.class_p99_e2e[bt],
+            )
+        },
+    )));
     json.push_str("  ],\n");
     json.push_str("  \"plan\": [\n");
-    for (mi, &mix) in mixes.iter().enumerate() {
+    json.push_str(&json_rows(mixes.iter().map(|&mix| {
         let min_for = |c: usize| {
-            cells
+            points
                 .iter()
-                .find(|(_, m, s)| *m == mix && class_met(s, c).1)
-                .map_or(0, |(e, ..)| *e)
+                .zip(&summaries)
+                .find(|((m, _), s)| *m == mix && class_met(s, c).1)
+                .map_or(0, |((_, e), _)| *e)
         };
-        json.push_str(&format!(
-            "    {{\"mix\": {mix:.2}, \"min_engines\": {{\"interactive\": {}, \"batch\": {}}}}}{}\n",
+        format!(
+            "{{\"mix\": {mix:.2}, \"min_engines\": {{\"interactive\": {}, \"batch\": {}}}}}",
             min_for(iv),
             min_for(bt),
-            if mi + 1 < mixes.len() { "," } else { "" }
-        ));
-    }
+        )
+    })));
     json.push_str("  ],\n");
     json.push_str(&format!(
         "  \"verdict\": {{\"engines\": {engines}, \"mix\": {:.2}, \
@@ -589,18 +517,17 @@ fn capacity_plan(requests: usize, engines: usize, load: f64, hotspot: usize) {
         interactive_shed_rate(&baseline),
     ));
     json.push_str("}\n");
-    let path = std::env::var("SGCN_CAPACITY_OUT").unwrap_or_else(|_| "BENCH_capacity.json".into());
-    std::fs::write(&path, &json).expect("write BENCH_capacity.json");
-    println!("wrote {path}");
+    write_json("SGCN_CAPACITY_OUT", "BENCH_capacity.json", &json);
 }
 
-/// The sharded-store planner behind `BENCH_shard.json`: shard count ×
-/// hub replication × {shard-oblivious least-loaded, shard-affinity}
-/// routing under bursty traffic, one shared preparation for every cell.
-/// A million-vertex power-law graph (2²⁰ vertices at paper scale, 2¹⁶
-/// in quick mode) exercises the plan builder at the scale the ROADMAP
-/// asks for — plan stats only, the serving cells run on the suite
-/// dataset. The verdict totals cross-shard bytes across every
+/// The sharded-store planner behind `BENCH_shard.json`: the suite's
+/// shard cells ([`sgcn::experiments::shard_cells`] — shard count × hub
+/// replication × {shard-oblivious least-loaded, shard-affinity} routing
+/// under bursty traffic) at paper scale, one shared preparation for
+/// every cell. A million-vertex power-law graph (2²⁰ vertices at paper
+/// scale, 2¹⁶ in quick mode) exercises the plan builder at the scale the
+/// ROADMAP asks for — plan stats only, the serving cells run on the
+/// suite dataset. The verdict totals cross-shard bytes across every
 /// `(shards, hubs)` point: locality wins iff shard-affinity completes
 /// exactly as many requests as least-loaded everywhere and moves
 /// strictly fewer bytes overall. Every byte of the JSON is a pure
@@ -608,66 +535,35 @@ fn capacity_plan(requests: usize, engines: usize, load: f64, hotspot: usize) {
 fn shard_sweep(requests: usize, engines: usize, load: f64, hotspot: usize) {
     let cfg = experiment_config();
     let hw = cfg.hw();
-    let fanouts = Fanouts::new(vec![10, 5]);
-    let label = format!(
-        "{} fanout {} SGCN x{engines} shard sweep bursty load {load:.2}",
-        DatasetId::PubMed.abbrev(),
-        fanouts.label()
-    );
-    let ctx = ServingContext::new(ServingConfig {
-        dataset: DatasetId::PubMed,
-        scale: cfg.scale,
-        fanouts,
-        width: cfg.width,
-        seed: cfg.seed,
-    });
-    let stream = if hotspot == 0 {
-        ctx.request_stream(requests)
-    } else {
-        ctx.hotspot_stream(requests, hotspot)
-    };
+    let (ctx, stream, serving_label) = serving(&cfg, requests, hotspot);
+    let label = format!("{serving_label} x{engines} shard sweep bursty load {load:.2}");
     let t0 = std::time::Instant::now();
     // One preparation (the only parallel stage) serves every cell: the
     // shard plan changes routing and the network bill, not the work.
-    let prepared = prepare(&ctx, &stream, &AccelModel::sgcn(), &hw);
-    let row_bytes = feature_row_bytes(&ctx);
-    let shard_counts = [2usize, 4, 8];
-    let hub_counts = [0usize, 64];
-    let policies = [SchedPolicy::LeastLoaded, SchedPolicy::ShardAffinity];
-    let mut cells: Vec<(String, &'static str, QueueSummary)> = Vec::new();
-    for &sh in &shard_counts {
-        for &hubs in &hub_counts {
-            let plan = ShardPlan::from_graph(&ctx.dataset.graph, sh, hubs);
-            for policy in policies {
-                let qcfg = QueueConfig::new(engines, policy, load, cfg.seed)
-                    .with_traffic(TrafficModel::bursty_default())
-                    .with_sharding(plan.clone());
-                let s = simulate_queue(&prepared, &qcfg, &hw, row_bytes).summary;
-                println!(
-                    "  {:>9} {:>14}: net {:>10} B / {:>9} cycles, remote {:>5.1}%, p99e {:>9}",
-                    plan.label(),
-                    policy.label(),
-                    s.net_bytes,
-                    s.net_cycles,
-                    s.remote_rate * 100.0,
-                    s.p99_e2e_cycles
-                );
-                cells.push((plan.label(), policy.label(), s));
-            }
-        }
-    }
+    let cells = shard_cells(
+        &cfg,
+        &ctx.dataset.graph,
+        engines,
+        load,
+        &[2, 4, 8],
+        &[0, 64],
+    );
+    let prepared = prepare_sweep(&ctx, &stream, &hw, &cells);
+    let summaries = run_cells(&prepared, &cells, &hw, feature_row_bytes(&ctx), |s| {
+        format!(
+            "net {:>10} B / {:>9} cycles, remote {:>5.1}%",
+            s.net_bytes,
+            s.net_cycles,
+            s.remote_rate * 100.0
+        )
+    });
     // Locality verdict: pair each (shards, hubs) point's oblivious and
     // affine cells — they interleave in sweep order.
-    let oblivious: Vec<&QueueSummary> = cells
-        .iter()
-        .filter(|(_, p, _)| *p == SchedPolicy::LeastLoaded.label())
-        .map(|(.., s)| s)
-        .collect();
-    let affine: Vec<&QueueSummary> = cells
-        .iter()
-        .filter(|(_, p, _)| *p == SchedPolicy::ShardAffinity.label())
-        .map(|(.., s)| s)
-        .collect();
+    let by_policy = |p: SchedPolicy| -> Vec<&QueueSummary> {
+        summaries.iter().filter(|s| s.policy == p.label()).collect()
+    };
+    let oblivious = by_policy(SchedPolicy::LeastLoaded);
+    let affine = by_policy(SchedPolicy::ShardAffinity);
     let equal_completed = oblivious
         .iter()
         .zip(&affine)
@@ -689,7 +585,6 @@ fn shard_sweep(requests: usize, engines: usize, load: f64, hotspot: usize) {
     let hub_min_degree = plan.hubs().last().map_or(0, |&v| graph.degree(v as usize));
     let stored_rows: u64 = (0..pl_shards).map(|s| plan.stored_rows(s)).sum();
     let replicated_rows = stored_rows - pl_vertices as u64;
-    let wall = t0.elapsed().as_secs_f64();
     println!(
         "paper scale:     {} plan over 2^{scale_pow} power-law vertices ({} edges) — \
          hub degree {hub_min_degree}..={max_degree}, {replicated_rows} replicated rows",
@@ -705,11 +600,7 @@ fn shard_sweep(requests: usize, engines: usize, load: f64, hotspot: usize) {
             "DOES NOT WIN"
         }
     );
-    println!(
-        "host replay:     {wall:.2}s wall ({} cells on {} thread(s))",
-        cells.len(),
-        sgcn_par::threads()
-    );
+    report_wall(t0, cells.len());
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -725,11 +616,13 @@ fn shard_sweep(requests: usize, engines: usize, load: f64, hotspot: usize) {
         graph.num_edges()
     ));
     json.push_str("  \"cells\": [\n");
-    for (i, (shards, policy, s)) in cells.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"shards\": \"{shards}\", \"policy\": \"{policy}\", \"completed\": {}, \
+    json.push_str(&json_rows(summaries.iter().map(|s| {
+        format!(
+            "{{\"shards\": \"{}\", \"policy\": \"{}\", \"completed\": {}, \
              \"net_bytes\": {}, \"net_cycles\": {}, \"remote_rate\": {:.6}, \
-             \"p99_e2e_cycles\": {}, \"makespan_cycles\": {}, \"warm_hit_rate\": {:.6}}}{}\n",
+             \"p99_e2e_cycles\": {}, \"makespan_cycles\": {}, \"warm_hit_rate\": {:.6}}}",
+            s.shards,
+            s.policy,
             s.completed,
             s.net_bytes,
             s.net_cycles,
@@ -737,9 +630,8 @@ fn shard_sweep(requests: usize, engines: usize, load: f64, hotspot: usize) {
             s.p99_e2e_cycles,
             s.makespan_cycles,
             s.warm_hit_rate,
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
+        )
+    })));
     json.push_str("  ],\n");
     json.push_str(&format!(
         "  \"verdict\": {{\"oblivious_net_bytes\": {oblivious_bytes}, \
@@ -747,9 +639,7 @@ fn shard_sweep(requests: usize, engines: usize, load: f64, hotspot: usize) {
          \"locality_wins\": {locality_wins}}}\n"
     ));
     json.push_str("}\n");
-    let path = std::env::var("SGCN_SHARD_OUT").unwrap_or_else(|_| "BENCH_shard.json".into());
-    std::fs::write(&path, &json).expect("write BENCH_shard.json");
-    println!("wrote {path}");
+    write_json("SGCN_SHARD_OUT", "BENCH_shard.json", &json);
 }
 
 fn main() {
@@ -881,11 +771,9 @@ fn main() {
         panic!("SGCN_TRACE_REPLAY and SGCN_LOG_INGEST both set — pick one arrival source");
     }
 
-    let fanouts = Fanouts::new(vec![10, 5]);
+    let (ctx, stream, serving_label) = serving(&cfg, requests, hotspot);
     let mut label = format!(
-        "{} fanout {} SGCN x{engines} {} {} {}",
-        DatasetId::PubMed.abbrev(),
-        fanouts.label(),
+        "{serving_label} x{engines} {} {} {}",
         policy.label(),
         traffic.label(),
         lineup
@@ -914,18 +802,6 @@ fn main() {
     if log_ingest.is_some() {
         label = format!("{label} log-ingest");
     }
-    let ctx = ServingContext::new(ServingConfig {
-        dataset: DatasetId::PubMed,
-        scale: cfg.scale,
-        fanouts,
-        width: cfg.width,
-        seed: cfg.seed,
-    });
-    let stream = if hotspot == 0 {
-        ctx.request_stream(requests)
-    } else {
-        ctx.hotspot_stream(requests, hotspot)
-    };
 
     let mut qcfg = QueueConfig::new(engines, policy, load, cfg.seed)
         .with_traffic(traffic)
@@ -966,30 +842,7 @@ fn main() {
     // Prepare before traffic materializes: log ingestion rescales the
     // real log's gaps against the prepared stream's mean cold service,
     // so the replayed timeline offers exactly SGCN_LOAD to this fleet.
-    let prepared = match (&qcfg.lineup, qcfg.format) {
-        (Some(lineup), _) if qcfg.degrade.is_some() => prepare_degraded(
-            &ctx,
-            &stream,
-            &AccelModel::sgcn(),
-            lineup,
-            &ServeFormat::PALETTE,
-        ),
-        (Some(lineup), FormatPolicy::Fixed(ServeFormat::Native)) => prepare_matrix(
-            &ctx,
-            &stream,
-            &AccelModel::sgcn(),
-            lineup,
-            &[ServeFormat::Native],
-        ),
-        (Some(lineup), _) => prepare_matrix(
-            &ctx,
-            &stream,
-            &AccelModel::sgcn(),
-            lineup,
-            &ServeFormat::PALETTE,
-        ),
-        (None, _) => prepare(&ctx, &stream, &AccelModel::sgcn(), &cfg.hw()),
-    };
+    let prepared = prepare_for(&ctx, &stream, &AccelModel::sgcn(), &cfg.hw(), &qcfg);
     if let Some(path) = log_ingest {
         let mean_service = prepared.iter().map(|p| p.report.cycles).sum::<u64>() as f64
             / prepared.len().max(1) as f64;

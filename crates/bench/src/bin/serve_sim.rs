@@ -15,17 +15,14 @@
 
 use sgcn::accel::AccelModel;
 use sgcn::serving::{ServeSummary, ServingConfig, ServingContext};
-use sgcn_bench::{banner, experiment_config};
+use sgcn_bench::{banner, env_parse, experiment_config};
 use sgcn_graph::datasets::DatasetId;
 use sgcn_graph::sampling::Fanouts;
 
 fn main() {
     banner("BENCH_serve harness (sampled-subgraph request replay)");
     let cfg = experiment_config();
-    let requests: usize = std::env::var("SGCN_REQUESTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1000);
+    let requests: usize = env_parse("SGCN_REQUESTS", 1000);
 
     let fanouts = Fanouts::new(vec![10, 5]);
     let label = format!(

@@ -24,6 +24,21 @@ pub fn quick_mode() -> bool {
         .unwrap_or(false)
 }
 
+/// Reads a numeric knob: unset means `default`; a set value that does
+/// not parse as `T` aborts with the key, the raw value and the expected
+/// type — never a silent fallback to the default.
+pub fn env_parse<T: std::str::FromStr>(key: &str, default: T) -> T {
+    match std::env::var(key) {
+        Err(_) => default,
+        Ok(v) => v.trim().parse().unwrap_or_else(|_| {
+            panic!(
+                "{key}={v:?} is not a valid value — expected a {}",
+                std::any::type_name::<T>()
+            )
+        }),
+    }
+}
+
 /// The nine evaluation datasets in the paper's order.
 pub fn all_datasets() -> Vec<DatasetId> {
     DatasetId::ALL.to_vec()
@@ -183,20 +198,16 @@ pub fn run_suite(cfg: &ExperimentConfig, datasets: &[DatasetId], quick: bool) ->
 
     // Online queueing scenario: the same sampled-request serving path put
     // behind live traffic with multi-engine co-scheduling (`queue_sim` is
-    // the full-stream harness). All eight grids share one prepared
-    // stream — the preparation is traffic/policy/load/fleet independent:
-    // policy × offered load, engine-count scaling, traffic model × policy
-    // under an SLO deadline (bursty/diurnal/closed-loop arrivals with
-    // load shedding), the heterogeneous-fleet / work-stealing lineup,
-    // the hardware lineup × routing-policy capacity planner (per-engine
-    // accelerator models with cost-model dispatch), the serving-format
-    // dispatch sweep (fixed palette formats vs adaptive per-request
-    // choice), the failure drills (fault intensity × policy × retry
-    // budget with elastic autoscaling), and the deadline-class capacity
-    // sweep (fleet size × interactive mix under drills-on overload,
-    // guarded by preemption and the brownout ladder).
+    // the full-stream harness). All nine grids share one prepared stream
+    // — the preparation is traffic/policy/load/fleet independent: policy
+    // × offered load, engine-count scaling, traffic model × policy under
+    // an SLO deadline, the heterogeneous-fleet / work-stealing lineup,
+    // the hardware lineup × routing-policy capacity planner, the
+    // serving-format dispatch sweep, the failure drills, the
+    // deadline-class capacity sweep, and the sharded-store sweep (see
+    // `sgcn::experiments::queueing_grids`).
     let queue_requests = if quick { 36 } else { 192 };
-    let grids = exp::queueing_grids(
+    for grid in exp::queueing_grids(
         cfg,
         DatasetId::PubMed,
         4,
@@ -204,15 +215,8 @@ pub fn run_suite(cfg: &ExperimentConfig, datasets: &[DatasetId], quick: bool) ->
         &[1, 2, 4, 8],
         0.8,
         queue_requests,
-    );
-    writeln!(out, "{}", grids.policy).unwrap();
-    writeln!(out, "{}", grids.engine).unwrap();
-    writeln!(out, "{}", grids.traffic).unwrap();
-    writeln!(out, "{}", grids.fleet).unwrap();
-    writeln!(out, "{}", grids.lineup).unwrap();
-    writeln!(out, "{}", grids.format).unwrap();
-    writeln!(out, "{}", grids.failure).unwrap();
-    writeln!(out, "{}", grids.classes).unwrap();
-    writeln!(out, "{}", grids.shard).unwrap();
+    ) {
+        writeln!(out, "{grid}").unwrap();
+    }
     out
 }

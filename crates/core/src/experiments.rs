@@ -23,6 +23,13 @@ use sgcn_par::par_map;
 use crate::accel::AccelModel;
 use crate::config::HwConfig;
 use crate::metrics::{GeoMean, SimReport};
+use crate::serving::queueing::{
+    feature_row_bytes, prepare, prepare_degraded, prepare_for, simulate_queue, ArrivalTrace,
+    ClassPolicy, DegradePolicy, EngineLineup, FailureModel, FleetSpec, FormatPolicy,
+    PreparedRequest, QueueConfig, QueueSummary, RequestClass, RetryPolicy, ScalePolicy,
+    SchedPolicy, ServeFormat, ShardPlan, SloConfig, TrafficModel,
+};
+use crate::serving::{Request, ServingConfig, ServingContext};
 use crate::workload::Workload;
 
 /// Scale knobs shared by all experiment drivers.
@@ -1112,7 +1119,7 @@ pub fn serving_lineup(cfg: &ExperimentConfig, id: DatasetId, requests: usize) ->
     // replay every accelerator over the prepared set.
     let workloads = ctx.build_workloads(&stream);
     for m in &lineup {
-        let batch = ctx.serve_prepared(&stream, &workloads, m, &hw);
+        let batch = ctx.serve_workloads(&stream, &workloads, m, &hw);
         let s = ServeSummary::from_reports(&batch);
         grid.set(m.name, "p50(kcyc)", s.p50_cycles as f64 / 1e3);
         grid.set(m.name, "p99(kcyc)", s.p99_cycles as f64 / 1e3);
@@ -1178,72 +1185,150 @@ pub fn serving_batch_sweep(
     grid
 }
 
-/// Shared setup for the queueing grids: a serving context on `id` with a
-/// hotspot request stream (shared neighborhoods are what warm reuse and
-/// affinity routing act on) and the stream prepared once — the prepared
-/// reports are policy/load/engine-count independent, so every sweep cell
-/// replays the same prepared vector through the serial event loop.
-fn queueing_setup(cfg: &ExperimentConfig, id: DatasetId, requests: usize) -> QueueingSetup {
-    use crate::serving::queueing::prepare;
-    use crate::serving::{ServingConfig, ServingContext};
-    use sgcn_graph::sampling::Fanouts;
-
-    let ctx = ServingContext::new(ServingConfig {
-        dataset: id,
-        scale: cfg.scale,
-        fanouts: Fanouts::new(vec![10, 5]),
-        width: cfg.width,
-        seed: cfg.seed,
-    });
-    // A hot pool of ~1/6 of the stream: realistic skew (trending seeds)
-    // with enough distinct neighborhoods to keep the schedulers honest.
-    let stream = ctx.hotspot_stream(requests, (requests / 6).max(2));
-    let prepared = prepare(&ctx, &stream, &AccelModel::sgcn(), &cfg.hw());
-    (ctx, prepared)
+/// Shared setup for the queueing grids: a serving context on one dataset
+/// with a hotspot request stream (shared neighborhoods are what warm
+/// reuse and affinity routing act on), that stream prepared once on the
+/// native platform — the prepared reports are policy/load/engine-count
+/// independent, so every cell replays the same prepared vector through
+/// the serial event loop — and the platform and feature-row size every
+/// cell simulates with.
+struct QueueingSetup {
+    cfg: ExperimentConfig,
+    id: DatasetId,
+    ctx: ServingContext,
+    stream: Vec<Request>,
+    prepared: Vec<PreparedRequest>,
+    hw: HwConfig,
+    row_bytes: u64,
 }
 
-/// The shared (context, prepared stream) pair behind the queueing grids.
-type QueueingSetup = (
-    crate::serving::ServingContext,
-    Vec<crate::serving::queueing::PreparedRequest>,
-);
+/// One queueing-grid cell: its row label and the run it renders.
+pub type QueueCell = (String, QueueConfig);
 
-/// The nine queueing grids of the full suite, rendered off one shared
-/// preparation.
-pub struct QueueingGrids {
-    /// Policy × offered-load sweep.
-    pub policy: Grid,
-    /// Engine-count sweep under cache affinity.
-    pub engine: Grid,
-    /// Traffic-model × policy sweep under an SLO deadline.
-    pub traffic: Grid,
-    /// Heterogeneous-fleet / work-stealing sweep.
-    pub fleet: Grid,
-    /// Hardware lineup × routing-policy sweep (per-engine accelerator
-    /// models with cost-model dispatch).
-    pub lineup: Grid,
-    /// Format-dispatch sweep: fixed palette formats vs adaptive
-    /// per-request format choice on the mixed lineup.
-    pub format: Grid,
-    /// Failure-drill sweep: fault intensity × policy × retry budget.
-    pub failure: Grid,
-    /// Deadline-class capacity sweep: fleet size × interactive mix
-    /// under a drills-on overload, guarded cells protected by class
-    /// deadlines with preemption and the brownout ladder.
-    pub classes: Grid,
-    /// Sharded-store sweep: shard count × hub replication under
-    /// shard-oblivious vs shard-affinity routing (cross-shard bytes,
-    /// network cycles, latency).
-    pub shard: Grid,
+impl QueueingSetup {
+    fn new(cfg: &ExperimentConfig, id: DatasetId, requests: usize) -> Self {
+        use sgcn_graph::sampling::Fanouts;
+
+        let ctx = ServingContext::new(ServingConfig {
+            dataset: id,
+            scale: cfg.scale,
+            fanouts: Fanouts::new(vec![10, 5]),
+            width: cfg.width,
+            seed: cfg.seed,
+        });
+        // A hot pool of ~1/6 of the stream: realistic skew (trending seeds)
+        // with enough distinct neighborhoods to keep the schedulers honest.
+        let stream = ctx.hotspot_stream(requests, (requests / 6).max(2));
+        let hw = cfg.hw();
+        let prepared = prepare(&ctx, &stream, &AccelModel::sgcn(), &hw);
+        let row_bytes = feature_row_bytes(&ctx);
+        QueueingSetup {
+            cfg: *cfg,
+            id,
+            ctx,
+            stream,
+            prepared,
+            hw,
+            row_bytes,
+        }
+    }
+
+    /// The one queueing-grid driver: one row per cell, each cell's run
+    /// simulated over `prepared`, every column filled through
+    /// [`queue_column`].
+    fn render(
+        &self,
+        title: String,
+        cols: &[&str],
+        prepared: &[PreparedRequest],
+        cells: Vec<QueueCell>,
+    ) -> Grid {
+        let rows = cells.iter().map(|(row, _)| row.clone()).collect();
+        let mut grid = Grid::new(title, cols.iter().map(|c| c.to_string()).collect(), rows);
+        for ((_, qcfg), values) in cells.iter().zip(&mut grid.values) {
+            let s = simulate_queue(prepared, qcfg, &self.hw, self.row_bytes).summary;
+            for (v, col) in values.iter_mut().zip(cols) {
+                *v = queue_column(col, &s);
+            }
+        }
+        grid
+    }
 }
 
-/// Renders all nine queueing grids (policy × offered-load sweep,
-/// engine-count sweep, traffic-mix × policy SLO sweep, fleet sweep,
-/// hardware-lineup sweep, format-dispatch sweep, failure-drill sweep,
-/// deadline-class capacity sweep, sharded-store sweep) off one shared
-/// preparation — what the full suite calls, since the expensive half
-/// (sampling + cold simulation of the stream) is identical for every
-/// sweep cell of every grid.
+/// The queueing grids' column table: a column label → the
+/// [`QueueSummary`] value it shows (cycles in kilocycles, rates in
+/// percent).
+///
+/// # Panics
+///
+/// Panics on an unknown label.
+fn queue_column(col: &str, s: &QueueSummary) -> f64 {
+    let ratio = |n: f64, d: f64| if d == 0.0 { 0.0 } else { n / d };
+    let iv = RequestClass::Interactive.idx();
+    match col {
+        "p50w(kc)" => s.p50_wait_cycles as f64 / 1e3,
+        "p50e(kc)" => s.p50_e2e_cycles as f64 / 1e3,
+        "p99e(kc)" => s.p99_e2e_cycles as f64 / 1e3,
+        "mksp(kc)" => s.makespan_cycles as f64 / 1e3,
+        "util%" => s.utilization * 100.0,
+        "warm%" => s.warm_hit_rate * 100.0,
+        "shed%" => s.shed_rate * 100.0,
+        "viol%" => s.violation_rate * 100.0,
+        "cost" => s.cost_units,
+        "err%" => s.format_pred_err * 100.0,
+        "done%" => ratio(s.completed as f64, s.requests as f64) * 100.0,
+        "fail%" => s.failed_rate * 100.0,
+        "avail%" => s.availability * 100.0,
+        "ishd%" => {
+            let offered = s.class_completed[iv] + s.class_shed[iv] + s.class_failed[iv];
+            ratio(s.class_shed[iv] as f64, offered as f64) * 100.0
+        }
+        "ip99(kc)" => s.class_p99_e2e[iv] as f64 / 1e3,
+        "bp99(kc)" => s.class_p99_e2e[RequestClass::Batch.idx()] as f64 / 1e3,
+        "pre" => s.preemptions as f64,
+        "deg%" => ratio(s.degraded as f64, s.completed as f64) * 100.0,
+        "netKB" => s.net_bytes as f64 / 1e3,
+        "netkc" => s.net_cycles as f64 / 1e3,
+        "rem%" => s.remote_rate * 100.0,
+        _ => panic!("unknown queueing column {col:?}"),
+    }
+}
+
+/// Prepares `stream` once for a cell list whose last cell needs the
+/// widest preparation — true of [`lineup_cells`] (the mixed lineup
+/// carries both hardware classes), [`format_cells`] (adaptive needs the
+/// whole palette) and [`shard_cells`] (one native preparation serves
+/// every shard plan) — so that one preparation serves every cell.
+///
+/// # Panics
+///
+/// Panics if `cells` is empty.
+pub fn prepare_sweep(
+    ctx: &ServingContext,
+    stream: &[Request],
+    hw: &HwConfig,
+    cells: &[QueueCell],
+) -> Vec<PreparedRequest> {
+    let (_, widest) = cells.last().expect("a sweep has cells");
+    prepare_for(ctx, stream, &AccelModel::sgcn(), hw, widest)
+}
+
+/// Renders the nine queueing grids (beyond the paper) in suite order off
+/// one shared preparation — the expensive half (sampling + cold
+/// simulation of the stream) is identical for every cell of every grid:
+///
+/// 1. policy × offered load (`loads`),
+/// 2. engine-count scaling under cache affinity (`engine_counts`),
+/// 3. traffic model × policy under an SLO deadline,
+/// 4. heterogeneous fleets with and without work stealing,
+/// 5. hardware lineup × routing policy ([`lineup_cells`]),
+/// 6. serving-format dispatch on the mixed lineup ([`format_cells`]),
+/// 7. failure drills: fault intensity × policy × retry budget,
+/// 8. deadline classes & brownout capacity ([`CapacityScenario`]),
+/// 9. sharded store × routing ([`shard_cells`]).
+///
+/// Every grid but the engine sweep runs `engines` engines at offered
+/// load `load`.
 #[allow(clippy::too_many_arguments)]
 pub fn queueing_grids(
     cfg: &ExperimentConfig,
@@ -1253,545 +1338,265 @@ pub fn queueing_grids(
     engine_counts: &[usize],
     load: f64,
     requests: usize,
-) -> QueueingGrids {
-    let setup = queueing_setup(cfg, id, requests);
-    QueueingGrids {
-        policy: queueing_policy_sweep_prepared(cfg, id, engines, loads, requests, &setup),
-        engine: queueing_engine_sweep_prepared(cfg, id, engine_counts, load, requests, &setup),
-        traffic: queueing_traffic_sweep_prepared(cfg, id, engines, load, requests, &setup),
-        fleet: queueing_fleet_sweep_prepared(cfg, id, engines, load, requests, &setup),
-        lineup: queueing_lineup_sweep_prepared(cfg, id, engines, load, requests, &setup),
-        format: queueing_format_sweep_prepared(cfg, id, engines, load, requests, &setup),
-        failure: queueing_failure_sweep_prepared(cfg, id, engines, load, requests, &setup),
-        classes: queueing_class_sweep_prepared(cfg, id, engines, load, requests, &setup),
-        shard: queueing_shard_sweep_prepared(cfg, id, engines, load, requests, &setup),
-    }
+) -> Vec<Grid> {
+    let setup = QueueingSetup::new(cfg, id, requests);
+    vec![
+        policy_grid(&setup, engines, loads),
+        engine_grid(&setup, engine_counts, load),
+        traffic_grid(&setup, engines, load),
+        fleet_grid(&setup, engines, load),
+        lineup_grid(&setup, engines, load),
+        format_grid(&setup, engines, load),
+        failure_grid(&setup, engines, load),
+        class_grid(&setup, engines, load),
+        shard_grid(&setup, engines, load),
+    ]
 }
 
-/// Online queueing (beyond the paper): offered-load sweep × scheduler
-/// policy on one dataset. Rows are `policy @ load`; columns report the
-/// SLO view (p50 queueing delay, p99 end-to-end latency, both in
-/// kilocycles), fleet utilization (%), and the warm-cache hit rate (%) —
-/// the cold-vs-warm reuse measurement.
-pub fn queueing_policy_sweep(
-    cfg: &ExperimentConfig,
-    id: DatasetId,
-    engines: usize,
-    loads: &[f64],
-    requests: usize,
-) -> Grid {
-    queueing_policy_sweep_prepared(
-        cfg,
-        id,
-        engines,
-        loads,
-        requests,
-        &queueing_setup(cfg, id, requests),
+/// Policy × offered load. Rows are `policy @ load`; columns report the
+/// SLO view (p50 queueing delay, p99 end-to-end latency), fleet
+/// utilization, and the warm-cache hit rate — the cold-vs-warm reuse
+/// measurement.
+fn policy_grid(s: &QueueingSetup, engines: usize, loads: &[f64]) -> Grid {
+    let cells = SchedPolicy::ALL
+        .iter()
+        .flat_map(|&policy| {
+            loads.iter().map(move |&load| {
+                (
+                    format!("{} @{load:.2}", policy.label()),
+                    QueueConfig::new(engines, policy, load, s.cfg.seed),
+                )
+            })
+        })
+        .collect();
+    s.render(
+        format!(
+            "Queueing: policy × offered load on {} ({} requests, {engines} engines)",
+            s.id.abbrev(),
+            s.stream.len()
+        ),
+        &["p50w(kc)", "p99e(kc)", "util%", "warm%"],
+        &s.prepared,
+        cells,
     )
 }
 
-/// [`queueing_policy_sweep`] over an already-prepared stream (the setup
-/// is policy/load/engine independent, so callers rendering several
-/// queueing grids share one [`queueing_setup`]).
-fn queueing_policy_sweep_prepared(
-    cfg: &ExperimentConfig,
-    id: DatasetId,
-    engines: usize,
-    loads: &[f64],
-    requests: usize,
-    setup: &QueueingSetup,
-) -> Grid {
-    use crate::serving::queueing::{feature_row_bytes, simulate_queue, QueueConfig, SchedPolicy};
-
-    let cols: Vec<String> = ["p50w(kc)", "p99e(kc)", "util%", "warm%"]
-        .map(String::from)
-        .to_vec();
-    let mut rows = Vec::new();
-    for policy in SchedPolicy::ALL {
-        for load in loads {
-            rows.push(format!("{} @{load:.2}", policy.label()));
-        }
-    }
-    let mut grid = Grid::new(
+/// Engine-count sweep under the cache-affinity policy at a fixed offered
+/// load — how co-scheduling scales the fleet (latency, makespan,
+/// utilization, warm reuse).
+fn engine_grid(s: &QueueingSetup, engine_counts: &[usize], load: f64) -> Grid {
+    let cells = engine_counts
+        .iter()
+        .map(|&e| {
+            let qcfg = QueueConfig::new(e, SchedPolicy::CacheAffinity, load, s.cfg.seed);
+            (format!("E{e}"), qcfg)
+        })
+        .collect();
+    s.render(
         format!(
-            "Queueing: policy × offered load on {} ({requests} requests, {engines} engines)",
-            id.abbrev()
+            "Queueing: engine-count sweep on {} (cache-affinity, load {load:.2}, {} requests)",
+            s.id.abbrev(),
+            s.stream.len()
         ),
-        cols,
-        rows,
-    );
-    let hw = cfg.hw();
-    let row_bytes = feature_row_bytes(&setup.0);
-    for policy in SchedPolicy::ALL {
-        for &load in loads {
-            let qcfg = QueueConfig::new(engines, policy, load, cfg.seed);
-            let s = simulate_queue(&setup.1, &qcfg, &hw, row_bytes).summary;
-            let row = format!("{} @{load:.2}", policy.label());
-            grid.set(&row, "p50w(kc)", s.p50_wait_cycles as f64 / 1e3);
-            grid.set(&row, "p99e(kc)", s.p99_e2e_cycles as f64 / 1e3);
-            grid.set(&row, "util%", s.utilization * 100.0);
-            grid.set(&row, "warm%", s.warm_hit_rate * 100.0);
-        }
-    }
-    grid
-}
-
-/// Online queueing (beyond the paper): engine-count sweep under the
-/// cache-affinity policy at a fixed offered load — how co-scheduling
-/// scales the fleet (latency, makespan, utilization, warm reuse).
-pub fn queueing_engine_sweep(
-    cfg: &ExperimentConfig,
-    id: DatasetId,
-    engine_counts: &[usize],
-    load: f64,
-    requests: usize,
-) -> Grid {
-    queueing_engine_sweep_prepared(
-        cfg,
-        id,
-        engine_counts,
-        load,
-        requests,
-        &queueing_setup(cfg, id, requests),
+        &["p50e(kc)", "p99e(kc)", "mksp(kc)", "util%", "warm%"],
+        &s.prepared,
+        cells,
     )
 }
 
-/// [`queueing_engine_sweep`] over an already-prepared stream.
-fn queueing_engine_sweep_prepared(
-    cfg: &ExperimentConfig,
-    id: DatasetId,
-    engine_counts: &[usize],
-    load: f64,
-    requests: usize,
-    setup: &QueueingSetup,
-) -> Grid {
-    use crate::serving::queueing::{feature_row_bytes, simulate_queue, QueueConfig, SchedPolicy};
-
-    let cols: Vec<String> = ["p50e(kc)", "p99e(kc)", "mksp(kc)", "util%", "warm%"]
-        .map(String::from)
-        .to_vec();
-    let rows: Vec<String> = engine_counts.iter().map(|e| format!("E{e}")).collect();
-    let mut grid = Grid::new(
-        format!(
-            "Queueing: engine-count sweep on {} (cache-affinity, load {load:.2}, {requests} requests)",
-            id.abbrev()
-        ),
-        cols,
-        rows,
-    );
-    let hw = cfg.hw();
-    let row_bytes = feature_row_bytes(&setup.0);
-    for &engines in engine_counts {
-        let qcfg = QueueConfig::new(engines, SchedPolicy::CacheAffinity, load, cfg.seed);
-        let s = simulate_queue(&setup.1, &qcfg, &hw, row_bytes).summary;
-        let row = format!("E{engines}");
-        grid.set(&row, "p50e(kc)", s.p50_e2e_cycles as f64 / 1e3);
-        grid.set(&row, "p99e(kc)", s.p99_e2e_cycles as f64 / 1e3);
-        grid.set(&row, "mksp(kc)", s.makespan_cycles as f64 / 1e3);
-        grid.set(&row, "util%", s.utilization * 100.0);
-        grid.set(&row, "warm%", s.warm_hit_rate * 100.0);
-    }
-    grid
-}
-
-/// The traffic models the scenario grids sweep, in report order (the
-/// closed loop sized at twice the engine count so clients outnumber
-/// engines without trivially saturating them).
-fn traffic_lineup(engines: usize) -> [crate::serving::queueing::TrafficModel; 4] {
-    use crate::serving::queueing::TrafficModel;
-    [
+/// Traffic & SLO: arrival model × policy under a deadline of three mean
+/// cold services with load shedding on. The closed loop is sized at
+/// twice the engine count so clients outnumber engines without
+/// trivially saturating them. Rows are `traffic / policy`; columns
+/// report median queueing delay and p99 end-to-end latency over
+/// completed requests, the shed and violation rates, and the warm-cache
+/// hit rate — where bursty/diurnal/closed-loop load separates the
+/// schedulers that the Poisson sweep cannot.
+fn traffic_grid(s: &QueueingSetup, engines: usize, load: f64) -> Grid {
+    // Deadline: three mean cold services — tight enough that bursts and
+    // peaks shed, loose enough that the off-peak stream flows.
+    let mean_service = if s.prepared.is_empty() {
+        0
+    } else {
+        s.prepared.iter().map(|p| p.report.cycles).sum::<u64>() / s.prepared.len() as u64
+    };
+    let slo = SloConfig::shedding((3 * mean_service).max(1));
+    let traffics = [
         TrafficModel::Exponential,
         TrafficModel::bursty_default(),
         TrafficModel::diurnal_default(),
         TrafficModel::ClosedLoop {
             clients: engines * 2,
         },
-    ]
-}
-
-/// Traffic & SLO scenario (beyond the paper): arrival-model × policy
-/// sweep under a deadline of three mean cold services with load shedding
-/// on. Rows are `traffic / policy`; columns report median queueing delay
-/// and p99 end-to-end latency over completed requests (kilocycles), the
-/// shed and violation rates (%), and the warm-cache hit rate (%) — where
-/// bursty/diurnal/closed-loop load separates the schedulers that the
-/// Poisson sweep cannot.
-pub fn queueing_traffic_sweep(
-    cfg: &ExperimentConfig,
-    id: DatasetId,
-    engines: usize,
-    load: f64,
-    requests: usize,
-) -> Grid {
-    queueing_traffic_sweep_prepared(
-        cfg,
-        id,
-        engines,
-        load,
-        requests,
-        &queueing_setup(cfg, id, requests),
-    )
-}
-
-/// [`queueing_traffic_sweep`] over an already-prepared stream.
-fn queueing_traffic_sweep_prepared(
-    cfg: &ExperimentConfig,
-    id: DatasetId,
-    engines: usize,
-    load: f64,
-    requests: usize,
-    setup: &QueueingSetup,
-) -> Grid {
-    use crate::serving::queueing::{
-        feature_row_bytes, simulate_queue, QueueConfig, SchedPolicy, SloConfig,
-    };
-
-    let cols: Vec<String> = ["p50w(kc)", "p99e(kc)", "shed%", "viol%", "warm%"]
-        .map(String::from)
-        .to_vec();
-    let traffics = traffic_lineup(engines);
-    let mut rows = Vec::new();
-    for traffic in &traffics {
-        for policy in SchedPolicy::ALL {
-            rows.push(format!("{} / {}", traffic.label(), policy.label()));
-        }
-    }
-    let mut grid = Grid::new(
+    ];
+    let cells = traffics
+        .iter()
+        .flat_map(|&traffic| {
+            SchedPolicy::ALL.iter().map(move |&policy| {
+                (
+                    format!("{} / {}", traffic.label(), policy.label()),
+                    QueueConfig::new(engines, policy, load, s.cfg.seed)
+                        .with_traffic(traffic)
+                        .with_slo(slo),
+                )
+            })
+        })
+        .collect();
+    s.render(
         format!(
-            "Queueing: traffic model × policy under SLO on {} ({requests} requests, {engines} engines, load {load:.2})",
-            id.abbrev()
+            "Queueing: traffic model × policy under SLO on {} ({} requests, {engines} engines, load {load:.2})",
+            s.id.abbrev(),
+            s.stream.len()
         ),
-        cols,
-        rows,
-    );
-    let hw = cfg.hw();
-    let row_bytes = feature_row_bytes(&setup.0);
-    // Deadline: three mean cold services — tight enough that bursts and
-    // peaks shed, loose enough that the off-peak stream flows.
-    let mean_service = if setup.1.is_empty() {
-        0
-    } else {
-        setup.1.iter().map(|p| p.report.cycles).sum::<u64>() / setup.1.len() as u64
-    };
-    let slo = SloConfig::shedding((3 * mean_service).max(1));
-    for traffic in traffics {
-        for policy in SchedPolicy::ALL {
-            let qcfg = QueueConfig::new(engines, policy, load, cfg.seed)
-                .with_traffic(traffic)
-                .with_slo(slo);
-            let s = simulate_queue(&setup.1, &qcfg, &hw, row_bytes).summary;
-            let row = format!("{} / {}", traffic.label(), policy.label());
-            grid.set(&row, "p50w(kc)", s.p50_wait_cycles as f64 / 1e3);
-            grid.set(&row, "p99e(kc)", s.p99_e2e_cycles as f64 / 1e3);
-            grid.set(&row, "shed%", s.shed_rate * 100.0);
-            grid.set(&row, "viol%", s.violation_rate * 100.0);
-            grid.set(&row, "warm%", s.warm_hit_rate * 100.0);
-        }
-    }
-    grid
-}
-
-/// Heterogeneous-fleet scenario (beyond the paper): uniform vs mixed
-/// fast/slow fleets with and without cross-engine work stealing, under
-/// bursty traffic and cache-affinity routing — how much a slow engine
-/// class costs and how much stealing claws back (latency, makespan,
-/// utilization, warm reuse).
-pub fn queueing_fleet_sweep(
-    cfg: &ExperimentConfig,
-    id: DatasetId,
-    engines: usize,
-    load: f64,
-    requests: usize,
-) -> Grid {
-    queueing_fleet_sweep_prepared(
-        cfg,
-        id,
-        engines,
-        load,
-        requests,
-        &queueing_setup(cfg, id, requests),
+        &["p50w(kc)", "p99e(kc)", "shed%", "viol%", "warm%"],
+        &s.prepared,
+        cells,
     )
 }
 
-/// [`queueing_fleet_sweep`] over an already-prepared stream.
-fn queueing_fleet_sweep_prepared(
-    cfg: &ExperimentConfig,
-    id: DatasetId,
-    engines: usize,
-    load: f64,
-    requests: usize,
-    setup: &QueueingSetup,
-) -> Grid {
-    use crate::serving::queueing::{
-        feature_row_bytes, simulate_queue, FleetSpec, QueueConfig, SchedPolicy, TrafficModel,
-    };
-
-    let cols: Vec<String> = ["p50e(kc)", "p99e(kc)", "mksp(kc)", "util%", "warm%"]
-        .map(String::from)
-        .to_vec();
+/// Heterogeneous fleets: uniform vs mixed fast/slow fleets with and
+/// without cross-engine work stealing, under bursty traffic and
+/// cache-affinity routing — how much a slow engine class costs and how
+/// much stealing claws back.
+fn fleet_grid(s: &QueueingSetup, engines: usize, load: f64) -> Grid {
     let fleets = [
         FleetSpec::uniform(engines),
         FleetSpec::uniform(engines).with_work_stealing(),
         FleetSpec::mixed(engines, 1.5),
         FleetSpec::mixed(engines, 1.5).with_work_stealing(),
     ];
-    let rows: Vec<String> = fleets.iter().map(|f| f.label()).collect();
-    let mut grid = Grid::new(
+    let cells = fleets
+        .into_iter()
+        .map(|fleet| {
+            (
+                fleet.label(),
+                QueueConfig::new(engines, SchedPolicy::CacheAffinity, load, s.cfg.seed)
+                    .with_traffic(TrafficModel::bursty_default())
+                    .with_fleet(fleet),
+            )
+        })
+        .collect();
+    s.render(
         format!(
-            "Queueing: fleet lineup on {} (cache-affinity, bursty, load {load:.2}, {requests} requests, {engines} engines)",
-            id.abbrev()
+            "Queueing: fleet lineup on {} (cache-affinity, bursty, load {load:.2}, {} requests, {engines} engines)",
+            s.id.abbrev(),
+            s.stream.len()
         ),
-        cols,
-        rows,
-    );
-    let hw = cfg.hw();
-    let row_bytes = feature_row_bytes(&setup.0);
-    for fleet in fleets {
-        let row = fleet.label();
-        let qcfg = QueueConfig::new(engines, SchedPolicy::CacheAffinity, load, cfg.seed)
-            .with_traffic(TrafficModel::bursty_default())
-            .with_fleet(fleet);
-        let s = simulate_queue(&setup.1, &qcfg, &hw, row_bytes).summary;
-        grid.set(&row, "p50e(kc)", s.p50_e2e_cycles as f64 / 1e3);
-        grid.set(&row, "p99e(kc)", s.p99_e2e_cycles as f64 / 1e3);
-        grid.set(&row, "mksp(kc)", s.makespan_cycles as f64 / 1e3);
-        grid.set(&row, "util%", s.utilization * 100.0);
-        grid.set(&row, "warm%", s.warm_hit_rate * 100.0);
-    }
-    grid
-}
-
-/// Heterogeneous-lineup capacity planning (beyond the paper): hardware
-/// lineup × routing policy under bursty traffic. Each engine runs its
-/// own accelerator platform (`ref` = the base hardware, `eco` = half
-/// the engine arrays on HBM1 at 0.45 cost units), with per-class cold
-/// reports and per-class warm-savings pricing; the `cost-aware` policy
-/// routes on a [`crate::serving::queueing::CostModel`] fitted from
-/// those reports. Rows are `lineup / policy`; columns report the p50 /
-/// p99 end-to-end latency (kilocycles), makespan (kilocycles), warm-hit
-/// rate (%), and the lineup's price in cost units — the "what lineup
-/// serves this traffic at the cheapest p99?" planning view.
-pub fn queueing_lineup_sweep(
-    cfg: &ExperimentConfig,
-    id: DatasetId,
-    engines: usize,
-    load: f64,
-    requests: usize,
-) -> Grid {
-    queueing_lineup_sweep_prepared(
-        cfg,
-        id,
-        engines,
-        load,
-        requests,
-        &queueing_setup(cfg, id, requests),
+        &["p50e(kc)", "p99e(kc)", "mksp(kc)", "util%", "warm%"],
+        &s.prepared,
+        cells,
     )
 }
 
-/// [`queueing_lineup_sweep`] off a shared setup. Lineup cells need
-/// per-class cold reports, so the stream is re-prepared once with
-/// [`crate::serving::queueing::prepare_matrix`] over the native column
-/// (the shared setup's single-platform preparation does not carry
-/// them); the serving context and hotspot stream are reused.
-fn queueing_lineup_sweep_prepared(
-    cfg: &ExperimentConfig,
-    id: DatasetId,
-    engines: usize,
-    load: f64,
-    requests: usize,
-    setup: &QueueingSetup,
-) -> Grid {
-    use crate::serving::queueing::{
-        feature_row_bytes, prepare_matrix, simulate_queue, EngineLineup, QueueConfig, SchedPolicy,
-        ServeFormat, TrafficModel,
-    };
-
-    let cols: Vec<String> = ["p50e(kc)", "p99e(kc)", "mksp(kc)", "warm%", "cost"]
-        .map(String::from)
-        .to_vec();
+/// The hardware lineup × routing-policy cells shared by the suite's
+/// lineup grid and `queue_sim`'s `BENCH_lineup.json` sweep: uniform vs
+/// mixed lineups (`ref` = the base hardware, `eco` = half the engine
+/// arrays on HBM1 at 0.45 cost units) × {least-loaded, cache-affinity,
+/// cost-aware} under bursty traffic. Rows are `lineup / policy`. The
+/// last cell (mixed, cost-aware) carries both hardware classes, so
+/// preparing for it serves every cell.
+pub fn lineup_cells(cfg: &ExperimentConfig, engines: usize, load: f64) -> Vec<QueueCell> {
     let hw = cfg.hw();
-    let lineups = [
-        EngineLineup::uniform(engines, hw),
-        EngineLineup::mixed(engines, hw),
-    ];
     let policies = [
         SchedPolicy::LeastLoaded,
         SchedPolicy::CacheAffinity,
         SchedPolicy::CostAware,
     ];
-    let mut rows = Vec::new();
-    for lineup in &lineups {
-        for policy in policies {
-            rows.push(format!("{} / {}", lineup.label(), policy.label()));
-        }
-    }
-    let mut grid = Grid::new(
-        format!(
-            "Queueing: hardware lineup × routing policy on {} (bursty, load {load:.2}, {requests} requests, {engines} engines)",
-            id.abbrev()
-        ),
-        cols,
-        rows,
-    );
-    // Both lineups share the same two hardware classes, so one
-    // per-class preparation serves every cell.
-    let stream = setup.0.hotspot_stream(requests, (requests / 6).max(2));
-    let prepared = prepare_matrix(
-        &setup.0,
-        &stream,
-        &AccelModel::sgcn(),
-        &lineups[1],
-        &[ServeFormat::Native],
-    );
-    let row_bytes = feature_row_bytes(&setup.0);
-    for lineup in &lineups {
-        for policy in policies {
-            let row = format!("{} / {}", lineup.label(), policy.label());
-            let qcfg = QueueConfig::new(engines, policy, load, cfg.seed)
-                .with_traffic(TrafficModel::bursty_default())
-                .with_lineup(lineup.clone());
-            let s = simulate_queue(&prepared, &qcfg, &hw, row_bytes).summary;
-            grid.set(&row, "p50e(kc)", s.p50_e2e_cycles as f64 / 1e3);
-            grid.set(&row, "p99e(kc)", s.p99_e2e_cycles as f64 / 1e3);
-            grid.set(&row, "mksp(kc)", s.makespan_cycles as f64 / 1e3);
-            grid.set(&row, "warm%", s.warm_hit_rate * 100.0);
-            grid.set(&row, "cost", s.cost_units);
-        }
-    }
-    grid
+    [
+        EngineLineup::uniform(engines, hw),
+        EngineLineup::mixed(engines, hw),
+    ]
+    .iter()
+    .flat_map(|lineup| {
+        policies.map(|policy| {
+            (
+                format!("{} / {}", lineup.label(), policy.label()),
+                QueueConfig::new(engines, policy, load, cfg.seed)
+                    .with_traffic(TrafficModel::bursty_default())
+                    .with_lineup(lineup.clone()),
+            )
+        })
+    })
+    .collect()
 }
 
-/// Per-request format dispatch (the paper's Fig. 3 axis turned into a
-/// serving decision): serving-format policy × the mixed hardware lineup
-/// under bursty traffic, all routed `cost-aware`. Each fixed row pins
-/// every request to one palette format; the `adaptive` row lets the
-/// cost model pick the `(engine, format)` pair with the smallest
-/// predicted completion per request. Rows are the format-policy labels;
-/// columns report p50 / p99 end-to-end latency (kilocycles), makespan
-/// (kilocycles), warm-hit rate (%), and the dispatcher's mean relative
-/// prediction error (%) — the "does adaptive beat the best single
-/// format?" view.
-pub fn queueing_format_sweep(
-    cfg: &ExperimentConfig,
-    id: DatasetId,
-    engines: usize,
-    load: f64,
-    requests: usize,
-) -> Grid {
-    queueing_format_sweep_prepared(
-        cfg,
-        id,
-        engines,
-        load,
-        requests,
-        &queueing_setup(cfg, id, requests),
+/// Heterogeneous-lineup capacity planning over [`lineup_cells`]: each
+/// engine runs its own accelerator platform with per-class cold reports
+/// and per-class warm-savings pricing; the `cost-aware` policy routes on
+/// a [`crate::serving::queueing::CostModel`] fitted from those reports.
+/// Columns report the p50 / p99 end-to-end latency, makespan, warm-hit
+/// rate, and the lineup's price in cost units — the "what lineup serves
+/// this traffic at the cheapest p99?" planning view.
+fn lineup_grid(s: &QueueingSetup, engines: usize, load: f64) -> Grid {
+    let cells = lineup_cells(&s.cfg, engines, load);
+    let prepared = prepare_sweep(&s.ctx, &s.stream, &s.hw, &cells);
+    s.render(
+        format!(
+            "Queueing: hardware lineup × routing policy on {} (bursty, load {load:.2}, {} requests, {engines} engines)",
+            s.id.abbrev(),
+            s.stream.len()
+        ),
+        &["p50e(kc)", "p99e(kc)", "mksp(kc)", "warm%", "cost"],
+        &prepared,
+        cells,
     )
 }
 
-/// [`queueing_format_sweep`] off a shared setup. Format cells need the
-/// full `(class, format)` cold-report matrix, so the stream is
-/// re-prepared once with [`crate::serving::queueing::prepare_matrix`]
-/// over the whole palette; every policy row replays that one
-/// preparation.
-fn queueing_format_sweep_prepared(
-    cfg: &ExperimentConfig,
-    id: DatasetId,
-    engines: usize,
-    load: f64,
-    requests: usize,
-    setup: &QueueingSetup,
-) -> Grid {
-    use crate::serving::queueing::{
-        feature_row_bytes, prepare_matrix, simulate_queue, EngineLineup, FormatPolicy, QueueConfig,
-        SchedPolicy, ServeFormat, TrafficModel,
-    };
-
-    let cols: Vec<String> = ["p50e(kc)", "p99e(kc)", "mksp(kc)", "warm%", "err%"]
-        .map(String::from)
-        .to_vec();
-    let hw = cfg.hw();
-    let lineup = EngineLineup::mixed(engines, hw);
-    let policies: Vec<FormatPolicy> = ServeFormat::PALETTE
+/// The serving-format cells shared by the suite's format grid and
+/// `queue_sim`'s `BENCH_format.json` sweep: every palette format pinned
+/// ([`FormatPolicy::Fixed`]) and then `adaptive`, on the mixed lineup,
+/// routed `cost-aware` under bursty traffic. Rows are the format-policy
+/// labels; the last cell is the adaptive one, which needs (and is
+/// prepared for) the whole palette.
+pub fn format_cells(cfg: &ExperimentConfig, engines: usize, load: f64) -> Vec<QueueCell> {
+    let lineup = EngineLineup::mixed(engines, cfg.hw());
+    ServeFormat::PALETTE
         .iter()
         .map(|&f| FormatPolicy::Fixed(f))
         .chain(std::iter::once(FormatPolicy::Adaptive))
-        .collect();
-    let rows: Vec<String> = policies.iter().map(FormatPolicy::label).collect();
-    let mut grid = Grid::new(
-        format!(
-            "Queueing: serving-format policy on the mixed lineup on {} (cost-aware, bursty, load {load:.2}, {requests} requests, {engines} engines)",
-            id.abbrev()
-        ),
-        cols,
-        rows,
-    );
-    let stream = setup.0.hotspot_stream(requests, (requests / 6).max(2));
-    let prepared = prepare_matrix(
-        &setup.0,
-        &stream,
-        &AccelModel::sgcn(),
-        &lineup,
-        &ServeFormat::PALETTE,
-    );
-    let row_bytes = feature_row_bytes(&setup.0);
-    for policy in &policies {
-        let row = policy.label();
-        let qcfg = QueueConfig::new(engines, SchedPolicy::CostAware, load, cfg.seed)
-            .with_traffic(TrafficModel::bursty_default())
-            .with_lineup(lineup.clone())
-            .with_format(*policy);
-        let s = simulate_queue(&prepared, &qcfg, &hw, row_bytes).summary;
-        grid.set(&row, "p50e(kc)", s.p50_e2e_cycles as f64 / 1e3);
-        grid.set(&row, "p99e(kc)", s.p99_e2e_cycles as f64 / 1e3);
-        grid.set(&row, "mksp(kc)", s.makespan_cycles as f64 / 1e3);
-        grid.set(&row, "warm%", s.warm_hit_rate * 100.0);
-        grid.set(&row, "err%", s.format_pred_err * 100.0);
-    }
-    grid
+        .map(|policy| {
+            (
+                policy.label(),
+                QueueConfig::new(engines, SchedPolicy::CostAware, load, cfg.seed)
+                    .with_traffic(TrafficModel::bursty_default())
+                    .with_lineup(lineup.clone())
+                    .with_format(policy),
+            )
+        })
+        .collect()
 }
 
-/// Failure-drill scenario (beyond the paper): fault intensity ×
-/// scheduler policy × retry budget under bursty traffic, with elastic
-/// autoscaling holding a floor of half the fleet. Rows are
-/// `fault / policy rN`; columns report the completion and failure rates
-/// (%), fleet availability (%), p99 end-to-end latency over completed
-/// requests (kilocycles), and the warm-cache hit rate (%) — how
-/// gracefully the fleet degrades when engines crash, and what the retry
-/// budget buys back.
-pub fn queueing_failure_sweep(
-    cfg: &ExperimentConfig,
-    id: DatasetId,
-    engines: usize,
-    load: f64,
-    requests: usize,
-) -> Grid {
-    queueing_failure_sweep_prepared(
-        cfg,
-        id,
-        engines,
-        load,
-        requests,
-        &queueing_setup(cfg, id, requests),
+/// Per-request format dispatch (the paper's Fig. 3 axis turned into a
+/// serving decision) over [`format_cells`]: each fixed row pins every
+/// request to one palette format; the `adaptive` row lets the cost model
+/// pick the `(engine, format)` pair with the smallest predicted
+/// completion per request. Columns report p50 / p99 end-to-end latency,
+/// makespan, warm-hit rate, and the dispatcher's mean relative
+/// prediction error — the "does adaptive beat the best single format?"
+/// view.
+fn format_grid(s: &QueueingSetup, engines: usize, load: f64) -> Grid {
+    let cells = format_cells(&s.cfg, engines, load);
+    let prepared = prepare_sweep(&s.ctx, &s.stream, &s.hw, &cells);
+    s.render(
+        format!(
+            "Queueing: serving-format policy on the mixed lineup on {} (cost-aware, bursty, load {load:.2}, {} requests, {engines} engines)",
+            s.id.abbrev(),
+            s.stream.len()
+        ),
+        &["p50e(kc)", "p99e(kc)", "mksp(kc)", "warm%", "err%"],
+        &prepared,
+        cells,
     )
 }
 
-/// [`queueing_failure_sweep`] over an already-prepared stream.
-fn queueing_failure_sweep_prepared(
-    cfg: &ExperimentConfig,
-    id: DatasetId,
-    engines: usize,
-    load: f64,
-    requests: usize,
-    setup: &QueueingSetup,
-) -> Grid {
-    use crate::serving::queueing::{
-        feature_row_bytes, simulate_queue, FailureModel, QueueConfig, RetryPolicy, ScalePolicy,
-        SchedPolicy, TrafficModel,
-    };
-
-    let cols: Vec<String> = ["done%", "fail%", "avail%", "p99e(kc)", "warm%"]
-        .map(String::from)
-        .to_vec();
+/// Failure drills: fault intensity × scheduler policy × retry budget
+/// under bursty traffic, with elastic autoscaling holding a floor of
+/// half the fleet. Rows are `fault / policy rN`; columns report the
+/// completion and failure rates, fleet availability, p99 end-to-end
+/// latency over completed requests, and the warm-cache hit rate — how
+/// gracefully the fleet degrades when engines crash, and what the retry
+/// budget buys back.
+fn failure_grid(s: &QueueingSetup, engines: usize, load: f64) -> Grid {
     let faults = [
         ("none", FailureModel::None),
         (
@@ -1813,271 +1618,211 @@ fn queueing_failure_sweep_prepared(
     ];
     let policies = [SchedPolicy::FifoRoundRobin, SchedPolicy::CacheAffinity];
     let retries = [RetryPolicy::new(1, 0), RetryPolicy::new(3, 0)];
-    let mut rows = Vec::new();
-    for (name, _) in &faults {
-        for policy in policies {
-            for retry in &retries {
-                rows.push(format!("{name} / {} {}", policy.label(), retry.label()));
-            }
-        }
-    }
-    let mut grid = Grid::new(
-        format!(
-            "Queueing: failure drills on {} (bursty, autoscale floor {}, load {load:.2}, {requests} requests, {engines} engines)",
-            id.abbrev(),
-            (engines / 2).max(1),
-        ),
-        cols,
-        rows,
-    );
-    let hw = cfg.hw();
-    let row_bytes = feature_row_bytes(&setup.0);
     let floor = (engines / 2).max(1);
-    for (name, faults) in faults {
+    let mut cells = Vec::new();
+    for (name, fault) in &faults {
         for policy in policies {
-            for retry in &retries {
-                let qcfg = QueueConfig::new(engines, policy, load, cfg.seed)
-                    .with_traffic(TrafficModel::bursty_default())
-                    .with_faults(faults.clone())
-                    .with_retry(*retry)
-                    .with_autoscale(ScalePolicy::with_floor(floor));
-                let s = simulate_queue(&setup.1, &qcfg, &hw, row_bytes).summary;
-                let row = format!("{name} / {} {}", policy.label(), retry.label());
-                let done = if s.requests == 0 {
-                    0.0
-                } else {
-                    s.completed as f64 / s.requests as f64
-                };
-                grid.set(&row, "done%", done * 100.0);
-                grid.set(&row, "fail%", s.failed_rate * 100.0);
-                grid.set(&row, "avail%", s.availability * 100.0);
-                grid.set(&row, "p99e(kc)", s.p99_e2e_cycles as f64 / 1e3);
-                grid.set(&row, "warm%", s.warm_hit_rate * 100.0);
+            for retry in retries {
+                cells.push((
+                    format!("{name} / {} {}", policy.label(), retry.label()),
+                    QueueConfig::new(engines, policy, load, s.cfg.seed)
+                        .with_traffic(TrafficModel::bursty_default())
+                        .with_faults(fault.clone())
+                        .with_retry(retry)
+                        .with_autoscale(ScalePolicy::with_floor(floor)),
+                ));
             }
         }
     }
-    grid
+    s.render(
+        format!(
+            "Queueing: failure drills on {} (bursty, autoscale floor {floor}, load {load:.2}, {} requests, {engines} engines)",
+            s.id.abbrev(),
+            s.stream.len()
+        ),
+        &["done%", "fail%", "avail%", "p99e(kc)", "warm%"],
+        &s.prepared,
+        cells,
+    )
 }
 
-/// Deadline-class capacity scenario (beyond the paper): fleet size ×
-/// interactive mix under a drills-on overload (bursty at ρ ≥ 1.2 with
-/// MTBF faults). Each mix gets an unprotected baseline row at the base
-/// fleet, then guarded rows (class deadlines + preemption + the
-/// brownout ladder) across fleet sizes. The arrival timeline is
+/// The drills-on overload shared by the suite's deadline-class grid and
+/// `queue_sim`'s `BENCH_capacity.json` plan: cost-aware adaptive
+/// dispatch on the mixed lineup under bursty traffic at ρ ≥ 1.2 with
+/// MTBF faults and the default retry budget. The arrival timeline is
 /// recorded once at the base fleet and replayed into every cell, so a
 /// larger fleet actually drains the same offered traffic instead of
-/// seeing it re-normalized to its own capacity. Columns report the
-/// interactive shed rate (%), per-class p99 end-to-end latency
-/// (kilocycles), the preemption count, and the degraded-completion
-/// share (%).
-pub fn queueing_class_sweep(
-    cfg: &ExperimentConfig,
-    id: DatasetId,
-    engines: usize,
-    load: f64,
-    requests: usize,
-) -> Grid {
-    queueing_class_sweep_prepared(
-        cfg,
-        id,
-        engines,
-        load,
-        requests,
-        &queueing_setup(cfg, id, requests),
-    )
+/// seeing it re-normalized to its own capacity.
+pub struct CapacityScenario {
+    rho: f64,
+    seed: u64,
+    hw: HwConfig,
+    prepared: Vec<PreparedRequest>,
+    trace: ArrivalTrace,
 }
 
-/// [`queueing_class_sweep`] over an already-prepared stream (only the
-/// serving context is shared — the sweep runs its own degraded
-/// preparation, which carries the lineup's per-class and reduced-fanout
-/// lite reports the brownout ladder serves from).
-fn queueing_class_sweep_prepared(
-    cfg: &ExperimentConfig,
-    id: DatasetId,
-    engines: usize,
-    load: f64,
-    requests: usize,
-    setup: &QueueingSetup,
-) -> Grid {
-    use crate::serving::queueing::{
-        feature_row_bytes, prepare_degraded, simulate_queue, ClassPolicy, DegradePolicy,
-        EngineLineup, FailureModel, FormatPolicy, QueueConfig, RequestClass, RetryPolicy,
-        SchedPolicy, ServeFormat, TrafficModel,
-    };
+impl CapacityScenario {
+    /// The interactive-class mixes both callers sweep; the base-fleet
+    /// timeline is recorded under the first.
+    pub const MIXES: [f64; 2] = [0.3, 0.6];
 
-    let cols: Vec<String> = ["ishd%", "ip99(kc)", "bp99(kc)", "pre", "deg%"]
-        .map(String::from)
-        .to_vec();
-    let mixes = [0.3f64, 0.6];
-    let sizes = [2usize, 4, 8];
-    // Capacity is an overload question: keep ρ well over 1 so the
-    // protection mechanisms (shed, preempt, brownout) actually bite.
-    let rho = load.max(1.2);
-    let mut rows = Vec::new();
-    for &mix in &mixes {
-        rows.push(format!("mix {mix:.1} plain x{engines}"));
-        for &e in &sizes {
-            rows.push(format!("mix {mix:.1} guard x{e}"));
-        }
-    }
-    let mut grid = Grid::new(
-        format!(
-            "Queueing: deadline classes & brownout capacity on {} (cost-aware, bursty, mtbf drills, load {rho:.2}, {requests} requests)",
-            id.abbrev()
-        ),
-        cols,
-        rows,
-    );
-    let hw = cfg.hw();
-    let stream = setup.0.hotspot_stream(requests, (requests / 6).max(2));
-    let prepared = prepare_degraded(
-        &setup.0,
-        &stream,
-        &AccelModel::sgcn(),
-        &EngineLineup::mixed(engines.max(2), hw),
-        &ServeFormat::PALETTE,
-    );
-    let row_bytes = feature_row_bytes(&setup.0);
-    let base = |e: usize| {
-        QueueConfig::new(e, SchedPolicy::CostAware, rho, cfg.seed)
-            .with_traffic(TrafficModel::bursty_default())
-            .with_lineup(EngineLineup::mixed(e, hw))
-            .with_format(FormatPolicy::Adaptive)
-            .with_faults(FailureModel::mtbf_default())
-            .with_retry(RetryPolicy::default())
-    };
-    // The fixed offered timeline every cell replays (recorded at the
-    // base fleet — see the function doc).
-    let trace = simulate_queue(
-        &prepared,
-        &base(engines).with_classes(ClassPolicy::mix(mixes[0])),
-        &hw,
-        row_bytes,
-    )
-    .arrival_trace();
-    let iv = RequestClass::Interactive.idx();
-    let bt = RequestClass::Batch.idx();
-    let mut fill = |row: &str, qcfg: QueueConfig| {
-        let s = simulate_queue(&prepared, &qcfg, &hw, row_bytes).summary;
-        let offered_i = s.class_completed[iv] + s.class_shed[iv] + s.class_failed[iv];
-        let ishd = if offered_i == 0 {
-            0.0
-        } else {
-            s.class_shed[iv] as f64 / offered_i as f64
-        };
-        let deg = if s.completed == 0 {
-            0.0
-        } else {
-            s.degraded as f64 / s.completed as f64
-        };
-        grid.set(row, "ishd%", ishd * 100.0);
-        grid.set(row, "ip99(kc)", s.class_p99_e2e[iv] as f64 / 1e3);
-        grid.set(row, "bp99(kc)", s.class_p99_e2e[bt] as f64 / 1e3);
-        grid.set(row, "pre", s.preemptions as f64);
-        grid.set(row, "deg%", deg * 100.0);
-    };
-    for &mix in &mixes {
-        fill(
-            &format!("mix {mix:.1} plain x{engines}"),
-            base(engines)
-                .with_trace(trace.clone())
-                .with_classes(ClassPolicy::mix(mix)),
+    /// Prepares `stream` once for every capacity cell — per-class,
+    /// full-palette and lite (brownout) reports on the mixed lineup,
+    /// whose hardware classes are engine-count independent — and
+    /// records the offered timeline at the base fleet of `engines`
+    /// engines. Capacity is an overload question: ρ is `load` raised to
+    /// at least 1.2 so the protection mechanisms (shed, preempt,
+    /// brownout) actually bite.
+    pub fn new(
+        cfg: &ExperimentConfig,
+        ctx: &ServingContext,
+        stream: &[Request],
+        engines: usize,
+        load: f64,
+    ) -> Self {
+        let (rho, hw) = (load.max(1.2), cfg.hw());
+        let prepared = prepare_degraded(
+            ctx,
+            stream,
+            &AccelModel::sgcn(),
+            &EngineLineup::mixed(engines.max(2), hw),
+            &ServeFormat::PALETTE,
         );
-        for &e in &sizes {
-            fill(
-                &format!("mix {mix:.1} guard x{e}"),
-                base(e)
-                    .with_trace(trace.clone())
-                    .with_classes(ClassPolicy::mix(mix).with_preemption())
-                    .with_degrade(DegradePolicy::default()),
-            );
+        let base = capacity_base(engines, rho, cfg.seed, hw)
+            .with_classes(ClassPolicy::mix(Self::MIXES[0]));
+        let trace = simulate_queue(&prepared, &base, &hw, feature_row_bytes(ctx)).arrival_trace();
+        CapacityScenario {
+            rho,
+            seed: cfg.seed,
+            hw,
+            prepared,
+            trace,
         }
     }
-    grid
+
+    /// The prepared stream every cell replays.
+    pub fn prepared(&self) -> &[PreparedRequest] {
+        &self.prepared
+    }
+
+    /// The offered load every cell runs at.
+    pub fn rho(&self) -> f64 {
+        self.rho
+    }
+
+    /// An unprotected `e`-engine cell on the recorded timeline: class
+    /// deadlines only, no preemption, no brownout.
+    pub fn plain(&self, e: usize, mix: f64) -> QueueConfig {
+        capacity_base(e, self.rho, self.seed, self.hw)
+            .with_trace(self.trace.clone())
+            .with_classes(ClassPolicy::mix(mix))
+    }
+
+    /// A guarded `e`-engine cell on the recorded timeline: class
+    /// deadlines with preemption plus the brownout ladder.
+    pub fn guarded(&self, e: usize, mix: f64) -> QueueConfig {
+        capacity_base(e, self.rho, self.seed, self.hw)
+            .with_trace(self.trace.clone())
+            .with_classes(ClassPolicy::mix(mix).with_preemption())
+            .with_degrade(DegradePolicy::default())
+    }
 }
 
-/// Sharded-store serving (the ROADMAP's million-vertex scale-out axis,
-/// scaled to the suite dataset): shard count × hub replication under
-/// shard-oblivious (`least-loaded`) vs shard-locality
-/// (`shard-affinity`) routing. Rows are `<shards>sh <hubs>hub /
-/// <policy>`; columns report cross-shard kilobytes and network
-/// kilocycles, the remote-row rate (%), p99 end-to-end latency and
-/// makespan (kilocycles) — the "does locality routing pay for itself?"
-/// view.
-pub fn queueing_shard_sweep(
-    cfg: &ExperimentConfig,
-    id: DatasetId,
-    engines: usize,
-    load: f64,
-    requests: usize,
-) -> Grid {
-    queueing_shard_sweep_prepared(
-        cfg,
-        id,
-        engines,
-        load,
-        requests,
-        &queueing_setup(cfg, id, requests),
+/// The drills-on base configuration of an `e`-engine capacity fleet.
+fn capacity_base(e: usize, rho: f64, seed: u64, hw: HwConfig) -> QueueConfig {
+    QueueConfig::new(e, SchedPolicy::CostAware, rho, seed)
+        .with_traffic(TrafficModel::bursty_default())
+        .with_lineup(EngineLineup::mixed(e, hw))
+        .with_format(FormatPolicy::Adaptive)
+        .with_faults(FailureModel::mtbf_default())
+        .with_retry(RetryPolicy::default())
+}
+
+/// Deadline-class capacity over a [`CapacityScenario`]: fleet size ×
+/// interactive mix. Each mix gets an unprotected baseline row at the
+/// base fleet, then guarded rows across fleet sizes. Columns report the
+/// interactive shed rate, per-class p99 end-to-end latency, the
+/// preemption count, and the degraded-completion share.
+fn class_grid(s: &QueueingSetup, engines: usize, load: f64) -> Grid {
+    let scenario = CapacityScenario::new(&s.cfg, &s.ctx, &s.stream, engines, load);
+    let mut cells = Vec::new();
+    for mix in CapacityScenario::MIXES {
+        cells.push((
+            format!("mix {mix:.1} plain x{engines}"),
+            scenario.plain(engines, mix),
+        ));
+        for e in [2usize, 4, 8] {
+            cells.push((format!("mix {mix:.1} guard x{e}"), scenario.guarded(e, mix)));
+        }
+    }
+    s.render(
+        format!(
+            "Queueing: deadline classes & brownout capacity on {} (cost-aware, bursty, mtbf drills, load {:.2}, {} requests)",
+            s.id.abbrev(),
+            scenario.rho(),
+            s.stream.len()
+        ),
+        &["ishd%", "ip99(kc)", "bp99(kc)", "pre", "deg%"],
+        scenario.prepared(),
+        cells,
     )
 }
 
-/// [`queueing_shard_sweep`] off a shared setup (the prepared stream is
-/// shard-plan independent — only routing and the network bill change
-/// per cell).
-fn queueing_shard_sweep_prepared(
+/// The sharded-store cells shared by the suite's shard grid and
+/// `queue_sim`'s `BENCH_shard.json` sweep: every shard count × hub
+/// replication plan over `graph`, each under shard-oblivious
+/// (`least-loaded`) then shard-locality (`shard-affinity`) routing,
+/// bursty traffic. Rows are `<shards>sh <hubs>hub / <policy>`.
+pub fn shard_cells(
     cfg: &ExperimentConfig,
-    id: DatasetId,
+    graph: &sgcn_graph::csr::CsrGraph,
     engines: usize,
     load: f64,
-    requests: usize,
-    setup: &QueueingSetup,
-) -> Grid {
-    use crate::serving::queueing::{
-        feature_row_bytes, simulate_queue, QueueConfig, SchedPolicy, ShardPlan, TrafficModel,
-    };
+    shard_counts: &[usize],
+    hub_counts: &[usize],
+) -> Vec<QueueCell> {
+    let mut cells = Vec::new();
+    for &sh in shard_counts {
+        for &hubs in hub_counts {
+            let plan = ShardPlan::from_graph(graph, sh, hubs);
+            for policy in [SchedPolicy::LeastLoaded, SchedPolicy::ShardAffinity] {
+                cells.push((
+                    format!("{sh}sh {hubs}hub / {}", policy.label()),
+                    QueueConfig::new(engines, policy, load, cfg.seed)
+                        .with_traffic(TrafficModel::bursty_default())
+                        .with_sharding(plan.clone()),
+                ));
+            }
+        }
+    }
+    cells
+}
 
-    let cols: Vec<String> = ["netKB", "netkc", "rem%", "p99e(kc)", "mksp(kc)"]
-        .map(String::from)
-        .to_vec();
-    let shard_counts = [2usize, 4];
-    let hub_counts = [0usize, 16];
-    let policies = [SchedPolicy::LeastLoaded, SchedPolicy::ShardAffinity];
-    let mut rows = Vec::new();
-    for &sh in &shard_counts {
-        for &hubs in &hub_counts {
-            for policy in policies {
-                rows.push(format!("{sh}sh {hubs}hub / {}", policy.label()));
-            }
-        }
-    }
-    let mut grid = Grid::new(
-        format!(
-            "Queueing: sharded store × routing on {} (bursty, load {load:.2}, {requests} requests, {engines} engines)",
-            id.abbrev()
-        ),
-        cols,
-        rows,
+/// Sharded-store serving (the million-vertex scale-out axis, scaled to
+/// the suite dataset) over [`shard_cells`]: columns report cross-shard
+/// kilobytes and network kilocycles, the remote-row rate, p99
+/// end-to-end latency and makespan — the "does locality routing pay for
+/// itself?" view. The prepared stream is shard-plan independent: only
+/// routing and the network bill change per cell.
+fn shard_grid(s: &QueueingSetup, engines: usize, load: f64) -> Grid {
+    let cells = shard_cells(
+        &s.cfg,
+        &s.ctx.dataset.graph,
+        engines,
+        load,
+        &[2, 4],
+        &[0, 16],
     );
-    let hw = cfg.hw();
-    let row_bytes = feature_row_bytes(&setup.0);
-    for &sh in &shard_counts {
-        for &hubs in &hub_counts {
-            let plan = ShardPlan::from_graph(&setup.0.dataset.graph, sh, hubs);
-            for policy in policies {
-                let row = format!("{sh}sh {hubs}hub / {}", policy.label());
-                let qcfg = QueueConfig::new(engines, policy, load, cfg.seed)
-                    .with_traffic(TrafficModel::bursty_default())
-                    .with_sharding(plan.clone());
-                let s = simulate_queue(&setup.1, &qcfg, &hw, row_bytes).summary;
-                grid.set(&row, "netKB", s.net_bytes as f64 / 1e3);
-                grid.set(&row, "netkc", s.net_cycles as f64 / 1e3);
-                grid.set(&row, "rem%", s.remote_rate * 100.0);
-                grid.set(&row, "p99e(kc)", s.p99_e2e_cycles as f64 / 1e3);
-                grid.set(&row, "mksp(kc)", s.makespan_cycles as f64 / 1e3);
-            }
-        }
-    }
-    grid
+    s.render(
+        format!(
+            "Queueing: sharded store × routing on {} (bursty, load {load:.2}, {} requests, {engines} engines)",
+            s.id.abbrev(),
+            s.stream.len()
+        ),
+        &["netKB", "netkc", "rem%", "p99e(kc)", "mksp(kc)"],
+        &s.prepared,
+        cells,
+    )
 }
 
 #[cfg(test)]
@@ -2330,15 +2075,14 @@ mod tests {
         }
     }
 
+    /// The queueing grids' shared setup at unit-test scale.
+    fn cora_setup() -> QueueingSetup {
+        QueueingSetup::new(&ExperimentConfig::quick(), DatasetId::Cora, 30)
+    }
+
     #[test]
-    fn queueing_policy_sweep_affinity_wins_warm_reuse() {
-        let g = queueing_policy_sweep(
-            &ExperimentConfig::quick(),
-            DatasetId::Cora,
-            3,
-            &[0.5, 0.9],
-            30,
-        );
+    fn policy_grid_affinity_wins_warm_reuse() {
+        let g = policy_grid(&cora_setup(), 3, &[0.5, 0.9]);
         for load in ["@0.50", "@0.90"] {
             let aff = g.get(&format!("cache-affinity {load}"), "warm%");
             let fifo = g.get(&format!("fifo-rr {load}"), "warm%");
@@ -2355,14 +2099,8 @@ mod tests {
     }
 
     #[test]
-    fn queueing_engine_sweep_more_engines_cut_makespan() {
-        let g = queueing_engine_sweep(
-            &ExperimentConfig::quick(),
-            DatasetId::Cora,
-            &[1, 4],
-            0.8,
-            30,
-        );
+    fn engine_grid_more_engines_cut_makespan() {
+        let g = engine_grid(&cora_setup(), &[1, 4], 0.8);
         assert!(g.get("E4", "mksp(kc)") <= g.get("E1", "mksp(kc)"));
         for e in ["E1", "E4"] {
             let util = g.get(e, "util%");
@@ -2373,9 +2111,9 @@ mod tests {
     }
 
     #[test]
-    fn queueing_traffic_sweep_sheds_under_pressure_and_stays_sane() {
+    fn traffic_grid_sheds_under_pressure_and_stays_sane() {
         use crate::serving::queueing::SchedPolicy;
-        let g = queueing_traffic_sweep(&ExperimentConfig::quick(), DatasetId::Cora, 2, 0.9, 30);
+        let g = traffic_grid(&cora_setup(), 2, 0.9);
         let traffics = ["exponential", "bursty", "diurnal", "closed:4"];
         let mut total_shed = 0.0;
         for t in traffics {
@@ -2395,8 +2133,8 @@ mod tests {
     }
 
     #[test]
-    fn queueing_fleet_sweep_orders_fleets_sensibly() {
-        let g = queueing_fleet_sweep(&ExperimentConfig::quick(), DatasetId::Cora, 4, 0.8, 30);
+    fn fleet_grid_orders_fleets_sensibly() {
+        let g = fleet_grid(&cora_setup(), 4, 0.8);
         for row in ["uniform", "uniform+steal", "mixed", "mixed+steal"] {
             let util = g.get(row, "util%");
             assert!((0.0..=100.0).contains(&util), "{row}: util {util}");
@@ -2410,8 +2148,8 @@ mod tests {
     }
 
     #[test]
-    fn queueing_failure_sweep_degrades_gracefully() {
-        let g = queueing_failure_sweep(&ExperimentConfig::quick(), DatasetId::Cora, 4, 0.8, 30);
+    fn failure_grid_degrades_gracefully() {
+        let g = failure_grid(&cora_setup(), 4, 0.8);
         for fault in ["none", "mtbf", "harsh"] {
             for cell in [
                 "fifo-rr r1",
@@ -2446,6 +2184,68 @@ mod tests {
                         >= g.get(&format!("{fault} / {policy} r1"), "done%"),
                     "{fault}/{policy}: retries lost work"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn lineup_grid_prices_each_lineup_on_every_row() {
+        let g = lineup_grid(&cora_setup(), 4, 0.8);
+        assert_eq!(g.rows.len(), 6);
+        for row in &g.rows {
+            // ref engines cost 1.0, eco engines 0.45: 4 × ref vs 2 + 2.
+            let want = if row.starts_with("lineup-uniform / ") {
+                4.0
+            } else {
+                assert!(row.starts_with("lineup-mixed / "), "{row}");
+                2.9
+            };
+            let cost = g.get(row, "cost");
+            assert!((cost - want).abs() < 1e-9, "{row}: cost {cost}");
+        }
+    }
+
+    #[test]
+    fn format_grid_has_one_row_per_palette_format_plus_adaptive() {
+        use crate::serving::queueing::{FormatPolicy, ServeFormat};
+        let g = format_grid(&cora_setup(), 4, 0.8);
+        let want: Vec<String> = ServeFormat::PALETTE
+            .iter()
+            .map(|&f| FormatPolicy::Fixed(f).label())
+            .chain(std::iter::once(FormatPolicy::Adaptive.label()))
+            .collect();
+        assert_eq!(g.rows, want);
+    }
+
+    #[test]
+    fn class_grid_plain_rows_never_preempt_or_degrade() {
+        let g = class_grid(&cora_setup(), 4, 0.8);
+        let plain: Vec<&String> = g.rows.iter().filter(|r| r.contains(" plain ")).collect();
+        assert_eq!(plain.len(), CapacityScenario::MIXES.len());
+        for row in plain {
+            assert_eq!(g.get(row, "pre"), 0.0, "{row}");
+            assert_eq!(g.get(row, "deg%"), 0.0, "{row}");
+        }
+    }
+
+    #[test]
+    fn queueing_grid_percentages_stay_in_range() {
+        let grids = queueing_grids(
+            &ExperimentConfig::quick(),
+            DatasetId::Cora,
+            4,
+            &[0.5, 0.9],
+            &[1, 4],
+            0.8,
+            30,
+        );
+        assert_eq!(grids.len(), 9);
+        for g in &grids {
+            for col in g.cols.iter().filter(|c| c.ends_with('%')) {
+                for row in &g.rows {
+                    let v = g.get(row, col);
+                    assert!((0.0..=100.0).contains(&v), "{}: {row} {col} {v}", g.title);
+                }
             }
         }
     }

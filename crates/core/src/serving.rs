@@ -296,7 +296,7 @@ impl ServingContext {
     /// Builds the stream's workloads in parallel (stream order) — the
     /// model-independent half of a replay. When several accelerators
     /// replay the same stream, build once and feed each model through
-    /// [`Self::serve_prepared`] instead of re-sampling per model.
+    /// [`Self::serve_workloads`] instead of re-sampling per model.
     pub fn build_workloads(&self, requests: &[Request]) -> Vec<Workload> {
         par_map(requests.to_vec(), |req| self.build_workload(&req))
     }
@@ -308,7 +308,7 @@ impl ServingContext {
     /// # Panics
     ///
     /// Panics if `requests` and `workloads` disagree in length.
-    pub fn serve_prepared(
+    pub fn serve_workloads(
         &self,
         requests: &[Request],
         workloads: &[Workload],
@@ -580,7 +580,7 @@ mod tests {
         let hw = HwConfig::default();
         let workloads = ctx.build_workloads(&reqs);
         for model in [AccelModel::sgcn(), AccelModel::gcnax()] {
-            let prepared = ctx.serve_prepared(&reqs, &workloads, &model, &hw);
+            let prepared = ctx.serve_workloads(&reqs, &workloads, &model, &hw);
             let batch = ctx.serve_batch(&reqs, &model, &hw);
             assert_eq!(prepared, batch, "{}", model.name);
         }
@@ -592,7 +592,7 @@ mod tests {
         let ctx = tiny_ctx();
         let reqs = ctx.request_stream(3);
         let workloads = ctx.build_workloads(&reqs[..2]);
-        let _ = ctx.serve_prepared(&reqs, &workloads, &AccelModel::sgcn(), &HwConfig::default());
+        let _ = ctx.serve_workloads(&reqs, &workloads, &AccelModel::sgcn(), &HwConfig::default());
     }
 
     #[test]

@@ -3366,18 +3366,18 @@ pub fn simulate_queue(
     }
 }
 
-/// Convenience wrapper: [`prepare`] (or, when the config carries a
-/// lineup, [`prepare_matrix`] over the native column — widened to the
-/// full [`ServeFormat::PALETTE`] when the format policy needs more) +
-/// [`simulate_queue`] in one call.
-pub fn run_queue(
+/// Prepares `requests` the way `cfg` needs them: [`prepare`] on `hw`
+/// without a lineup; with one, [`prepare_matrix`] over the native column
+/// — widened to the full [`ServeFormat::PALETTE`] when the format policy
+/// needs more — or [`prepare_degraded`] when a brownout ladder is armed.
+pub fn prepare_for(
     ctx: &ServingContext,
     requests: &[Request],
     model: &AccelModel,
     hw: &HwConfig,
     cfg: &QueueConfig,
-) -> QueueOutcome {
-    let prepared = match (&cfg.lineup, cfg.format) {
+) -> Vec<PreparedRequest> {
+    match (&cfg.lineup, cfg.format) {
         (Some(lineup), _) if cfg.degrade.is_some() => {
             prepare_degraded(ctx, requests, model, lineup, &ServeFormat::PALETTE)
         }
@@ -3386,7 +3386,18 @@ pub fn run_queue(
         }
         (Some(lineup), _) => prepare_matrix(ctx, requests, model, lineup, &ServeFormat::PALETTE),
         (None, _) => prepare(ctx, requests, model, hw),
-    };
+    }
+}
+
+/// Convenience wrapper: [`prepare_for`] + [`simulate_queue`] in one call.
+pub fn run_queue(
+    ctx: &ServingContext,
+    requests: &[Request],
+    model: &AccelModel,
+    hw: &HwConfig,
+    cfg: &QueueConfig,
+) -> QueueOutcome {
+    let prepared = prepare_for(ctx, requests, model, hw, cfg);
     simulate_queue(&prepared, cfg, hw, feature_row_bytes(ctx))
 }
 
@@ -4231,9 +4242,9 @@ mod tests {
         let stream = ctx.hotspot_stream(16, 3);
         let base = HwConfig::default();
         let row = feature_row_bytes(&ctx);
-        let legacy_prepared = prepare(&ctx, &stream, &AccelModel::sgcn(), &base);
+        let native_prep = prepare(&ctx, &stream, &AccelModel::sgcn(), &base);
         let lineup = EngineLineup::uniform(3, base);
-        let lineup_prepared = prepare_matrix(
+        let lineup_prep = prepare_matrix(
             &ctx,
             &stream,
             &AccelModel::sgcn(),
@@ -4241,9 +4252,9 @@ mod tests {
             &[ServeFormat::Native],
         );
         for policy in [SchedPolicy::LeastLoaded, SchedPolicy::CacheAffinity] {
-            let legacy = simulate_queue(&legacy_prepared, &qcfg(3, policy), &base, row);
+            let legacy = simulate_queue(&native_prep, &qcfg(3, policy), &base, row);
             let lin = simulate_queue(
-                &lineup_prepared,
+                &lineup_prep,
                 &qcfg(3, policy).with_lineup(lineup.clone()),
                 &base,
                 row,
