@@ -26,10 +26,9 @@
 //!   *global* vertex ids) are pulled through the engine's cache, so a
 //!   later request sharing sampled neighborhoods hits resident lines.
 //!   Warm hits shave the corresponding DRAM service time off the
-//!   request's cold latency. Engines may be a heterogeneous fleet
-//!   ([`FleetSpec`]): each engine carries a service-time scale (mixed
-//!   fast/slow accelerator classes), and idle engines can optionally
-//!   **steal** queued work from backlogged peers.
+//!   request's cold latency. Engines may be heterogeneous (see below),
+//!   and idle engines can optionally **steal** queued work from
+//!   backlogged peers.
 //! * [`SloConfig`] — per-request deadlines: admission control *sheds*
 //!   requests predicted to miss their budget, completed requests that
 //!   still missed count as *violations*, and the `slo-aware` policy
@@ -77,16 +76,19 @@
 //!
 //! # Heterogeneous lineups and cost-model dispatch
 //!
-//! Two fleet abstractions coexist:
+//! Every run prices service from one per-class hardware table: each
+//! engine belongs to a class, and the class's [`HwConfig`] sets the
+//! engine's warm [`MemorySystem`] and its warm-savings pricing
+//! (`effective_bw`, `line_bytes`). The table comes from the fleet knob:
 //!
-//! * [`FleetSpec`] — the legacy scalar path: one reference accelerator
-//!   whose service times are scaled per engine.
-//! * [`EngineLineup`] — real per-engine hardware: each engine is
-//!   assigned an [`EngineClass`] carrying its own [`HwConfig`] (cache
-//!   geometry, DRAM generation, engine counts) and a relative
-//!   cost-units price. [`prepare_matrix`] simulates every request's
-//!   cold service **per class** in the parallel phase, and warm-savings
-//!   pricing uses each class's own `effective_bw`/`line_bytes`.
+//! * [`EngineLineup`] — one class per [`EngineClass`], each with its own
+//!   hardware (cache geometry, DRAM generation, engine counts) and a
+//!   relative cost-units price. [`prepare_matrix`] simulates every
+//!   request's cold service **per class** in the parallel phase.
+//! * [`FleetSpec`] — the scalar fleet: one class on the run's platform,
+//!   scaled per engine. It serves the reference cold report, scaled by
+//!   each engine's service-time factor, and warms the full Table III
+//!   512 KB cache rather than the scaled-down experiment cache.
 //!
 //! The `cost-aware` policy routes on a [`CostModel`]: per-cell linear
 //!   predictors of service cycles from subgraph stats
@@ -225,9 +227,10 @@ impl SchedPolicy {
     }
 }
 
-/// The engine lineup of one queueing run: a per-engine service-time
-/// scale (1.0 = the reference accelerator; a slow engine class scales
-/// every service up) plus the work-stealing switch.
+/// The scalar fleet of one queueing run: one hardware class on the
+/// run's platform, with a per-engine service-time scale (1.0 = the
+/// reference accelerator; a slow engine scales every service up) plus
+/// the work-stealing switch. An [`EngineLineup`] supersedes it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetSpec {
     /// Per-engine service-time scale factors (`scales.len()` engines).
@@ -870,11 +873,6 @@ pub struct QueueConfig {
     pub offered_load: f64,
     /// Arrival/think-time seed.
     pub seed: u64,
-    /// Geometry of each engine's warm feature cache. Defaults to the
-    /// platform's full 512 KB cache: serving engines keep input-feature
-    /// rows resident across requests (unlike the scaled-down experiment
-    /// caches, which model intermediate working sets).
-    pub warm_cache: CacheConfig,
     /// The arrival model (default: open-loop exponential — the PR 3
     /// behavior).
     pub traffic: TrafficModel,
@@ -925,8 +923,7 @@ pub struct QueueConfig {
 }
 
 impl QueueConfig {
-    /// A config with the default warm-cache geometry, exponential
-    /// arrivals, no SLO, and a uniform fleet.
+    /// A config with exponential arrivals, no SLO, and a uniform fleet.
     ///
     /// # Panics
     ///
@@ -943,7 +940,6 @@ impl QueueConfig {
             policy,
             offered_load,
             seed,
-            warm_cache: CacheConfig::default(),
             traffic: TrafficModel::Exponential,
             slo: None,
             fleet: FleetSpec::uniform(engines),
@@ -1438,11 +1434,11 @@ struct Engine {
     busy: u64,
     served: u64,
     warm: SpanCounts,
-    /// Service-time scale of this engine's accelerator class (legacy
-    /// scalar fleet; 1.0 under a hardware lineup).
+    /// Service-time scale of this engine (the scalar fleet's factor;
+    /// 1.0 under a hardware lineup).
     scale: f64,
     /// Hardware-class index into the run's pricing table (0 on the
-    /// legacy scalar path).
+    /// scalar fleet).
     class: usize,
     /// Crash counter: completion events minted before a crash carry a
     /// stale epoch and are discarded when popped.
@@ -1586,13 +1582,11 @@ struct ClassPricing {
 }
 
 impl ClassPricing {
-    /// Pricing from a cache geometry + DRAM pair (the legacy path uses
-    /// the run's warm-cache geometry with the shared platform DRAM; a
-    /// lineup class uses its own hardware for both).
-    fn new(cache: &CacheConfig, dram: &sgcn_mem::DramConfig, feature_row_bytes: u64) -> Self {
-        let line_bytes = cache.line_bytes;
+    /// Pricing from one hardware class's cache geometry and DRAM.
+    fn new(hw: &HwConfig, feature_row_bytes: u64) -> Self {
+        let line_bytes = hw.cache.line_bytes;
         ClassPricing {
-            effective_bw: dram.peak_bytes_per_cycle * dram.efficiency,
+            effective_bw: hw.dram.peak_bytes_per_cycle * hw.dram.efficiency,
             line_bytes,
             row_stride: feature_row_bytes.div_ceil(line_bytes) * line_bytes,
             feature_row_bytes,
@@ -1624,13 +1618,11 @@ struct QueueSim<'a> {
     /// stale epoch were killed by a crash and are discarded on pop.
     completions: BinaryHeap<Reverse<(u64, usize, u64, usize)>>,
     source: Source,
-    /// Per-class warm-savings pricing (one entry on the legacy path).
+    /// Per-class warm-savings pricing (one entry for the scalar fleet).
     pricing: Vec<ClassPricing>,
-    /// Whether the run prices service from per-class lineup reports.
-    lineup_active: bool,
     /// The fitted service-time predictor (cost-aware or adaptive-format
-    /// routing under a lineup; `None` otherwise — legacy cost-aware
-    /// routes on the exact cold scaled estimate).
+    /// routing under a lineup; `None` otherwise — scalar-fleet
+    /// cost-aware routes on the exact cold scaled estimate).
     cost: Option<CostModel>,
     /// The prepared stream's format palette (always ≥ 1 entry;
     /// `[Native]` on the legacy single-format path).
@@ -1639,7 +1631,7 @@ struct QueueSim<'a> {
     /// policy; `None` under adaptive dispatch.
     fixed_fmt: Option<usize>,
     /// Chosen palette format per request, committed at every
-    /// (re)assignment — what `cold_report`/`account_warm` price from.
+    /// (re)assignment — what `cold_est`/`account_warm` price from.
     chosen_fmt: Vec<usize>,
     /// Routing-time predicted service per request (the quantity the
     /// dispatcher minimized), recorded for the summary's
@@ -1722,12 +1714,13 @@ impl QueueSim<'_> {
         self.engines.iter().any(Engine::available)
     }
 
-    /// Picks the serving engine for a request arriving at `arrival`,
+    /// Picks the serving engine for request `id` arriving at `arrival`,
     /// projecting each engine's backlog as `projected_free` (started
     /// work plus queued estimates). Crashed and parked engines are
     /// never picked; callers check
     /// [`Self::any_available`] first (trivially true without drills).
-    fn pick_engine(&self, id: usize, p: &PreparedRequest, arrival: u64) -> usize {
+    fn pick_engine(&self, id: usize, arrival: u64) -> usize {
+        let p = &self.prepared[id];
         match self.cfg.policy {
             // Dispatch by the request's stream index (not loop
             // position), so the documented `i mod N` contract holds even
@@ -1742,118 +1735,88 @@ impl QueueSim<'_> {
                     .find(|&e| self.engines[e].available())
                     .expect("an engine is available")
             }
-            SchedPolicy::LeastLoaded | SchedPolicy::SloAware => self
-                .engines
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.available())
-                .min_by_key(|(id, e)| (e.projected_free(), *id))
-                .map(|(id, _)| id)
-                .expect("an engine is available"),
+            SchedPolicy::LeastLoaded | SchedPolicy::SloAware => {
+                self.argmin_available(|_, e| e.projected_free())
+            }
             // Cost-model routing: minimize predicted completion
             // (projected start + predicted service on the engine's
             // class, in the best palette format for that class under
             // adaptive dispatch — a joint engines × formats argmin),
             // falling back to least-loaded order then the lowest id on
             // ties.
-            SchedPolicy::CostAware => self
-                .engines
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.available())
-                .min_by_key(|(id, e)| {
-                    let start = e.projected_free().max(arrival);
-                    (
-                        start.saturating_add(self.best_format(*id, p).1),
-                        e.projected_free(),
-                        *id,
-                    )
-                })
-                .map(|(id, _)| id)
-                .expect("an engine is available"),
-            SchedPolicy::CacheAffinity => {
-                // Bounded-load affinity: an engine's backlog is the work
-                // queued beyond the request's arrival instant; only
-                // engines within `affinity_slack` of the lightest
-                // backlog are eligible (pure greedy routing would starve
-                // the fleet behind one hot engine). Among those, a
-                // non-mutating residency poll picks the most warm lines,
-                // ties to the earliest-free then lowest id. The commit
-                // happens once the winner is chosen.
-                let backlog = |e: &Engine| e.projected_free().saturating_sub(arrival);
-                let min_backlog = self
-                    .engines
+            SchedPolicy::CostAware => self.argmin_available(|e, eng| {
+                let start = eng.projected_free().max(arrival);
+                (
+                    start.saturating_add(self.best_format(e, p).1),
+                    eng.projected_free(),
+                )
+            }),
+            // Cache affinity polls each engine's warm cache without
+            // mutating it (the commit happens once the winner is chosen).
+            SchedPolicy::CacheAffinity => self.bounded_load_pick(arrival, |_, eng| {
+                let stride = self.pricing[eng.class].row_stride;
+                p.vertices
                     .iter()
-                    .filter(|e| e.available())
-                    .map(backlog)
-                    .min()
-                    .expect("an engine is available");
-                let limit = min_backlog.saturating_add(self.affinity_slack);
-                let mut best = usize::MAX;
-                let mut best_key = (0u64, 0u64); // (hits, -projected_free) maximized
-                for (id, eng) in self.engines.iter().enumerate() {
-                    if !eng.available() || backlog(eng) > limit {
-                        continue;
-                    }
-                    let stride = self.pricing[eng.class].row_stride;
-                    let hits: u64 = p
-                        .vertices
-                        .iter()
-                        .map(|&v| eng.mem.peek_span(u64::from(v) * stride, stride).hits)
-                        .sum();
-                    let key = (hits, u64::MAX - eng.projected_free());
-                    if best == usize::MAX || key > best_key {
-                        best_key = key;
-                        best = id;
-                    }
+                    .map(|&v| eng.mem.peek_span(u64::from(v) * stride, stride).hits)
+                    .sum()
+            }),
+            // Shard locality is one word-level bitmap intersection per
+            // engine (request bits ∧ shard residency). Engines striped
+            // onto the same shard tie on locality. Without a shard plan
+            // the policy is documented to degrade to least-loaded
+            // (shard-oblivious) routing.
+            SchedPolicy::ShardAffinity => match &self.cfg.sharding {
+                Some(plan) => {
+                    let bits = &self.req_bits[id];
+                    self.bounded_load_pick(arrival, |e, _| {
+                        plan.resident_count(plan.engine_shard(e), bits)
+                    })
                 }
-                best
+                None => self.argmin_available(|_, e| e.projected_free()),
+            },
+        }
+    }
+
+    /// The available engine minimizing `key`, ties to the lowest id.
+    fn argmin_available<K: Ord>(&self, key: impl Fn(usize, &Engine) -> K) -> usize {
+        self.engines
+            .iter()
+            .enumerate()
+            .filter(|(_, eng)| eng.available())
+            .min_by_key(|&(e, eng)| (key(e, eng), e))
+            .map(|(e, _)| e)
+            .expect("an engine is available")
+    }
+
+    /// Bounded-load locality routing: an engine's backlog is the work
+    /// queued beyond the request's `arrival` instant, and only engines
+    /// within `affinity_slack` of the lightest backlog are eligible
+    /// (pure greedy routing would starve the fleet behind one hot
+    /// engine). Among those the highest locality `score` wins, ties to
+    /// the earliest-free then lowest id.
+    fn bounded_load_pick(&self, arrival: u64, score: impl Fn(usize, &Engine) -> u64) -> usize {
+        let backlog = |eng: &Engine| eng.projected_free().saturating_sub(arrival);
+        let min_backlog = self
+            .engines
+            .iter()
+            .filter(|eng| eng.available())
+            .map(backlog)
+            .min()
+            .expect("an engine is available");
+        let limit = min_backlog.saturating_add(self.affinity_slack);
+        let mut best = usize::MAX;
+        let mut best_key = (0u64, 0u64); // (score, -projected_free) maximized
+        for (e, eng) in self.engines.iter().enumerate() {
+            if !eng.available() || backlog(eng) > limit {
+                continue;
             }
-            SchedPolicy::ShardAffinity => {
-                // Shard-locality routing: the same bounded-load window
-                // as cache affinity, but the residency poll is one
-                // word-level bitmap intersection per engine (request
-                // bits ∧ shard residency) instead of per-vertex cache
-                // peeks. Engines striped onto the same shard tie on
-                // locality and fall back to earliest-free then lowest
-                // id. Without a shard plan the policy is documented to
-                // degrade to least-loaded (shard-oblivious) routing.
-                let Some(plan) = &self.cfg.sharding else {
-                    return self
-                        .engines
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, e)| e.available())
-                        .min_by_key(|(eid, e)| (e.projected_free(), *eid))
-                        .map(|(eid, _)| eid)
-                        .expect("an engine is available");
-                };
-                let backlog = |e: &Engine| e.projected_free().saturating_sub(arrival);
-                let min_backlog = self
-                    .engines
-                    .iter()
-                    .filter(|e| e.available())
-                    .map(backlog)
-                    .min()
-                    .expect("an engine is available");
-                let limit = min_backlog.saturating_add(self.affinity_slack);
-                let bits = &self.req_bits[id];
-                let mut best = usize::MAX;
-                let mut best_key = (0u64, 0u64); // (local rows, -projected_free) maximized
-                for (eid, eng) in self.engines.iter().enumerate() {
-                    if !eng.available() || backlog(eng) > limit {
-                        continue;
-                    }
-                    let local = plan.resident_count(plan.engine_shard(eid), bits);
-                    let key = (local, u64::MAX - eng.projected_free());
-                    if best == usize::MAX || key > best_key {
-                        best_key = key;
-                        best = eid;
-                    }
-                }
-                best
+            let key = (score(e, eng), u64::MAX - eng.projected_free());
+            if best == usize::MAX || key > best_key {
+                best_key = key;
+                best = e;
             }
         }
+        best
     }
 
     /// The deadline class of request `id` (interactive when classes are
@@ -1891,7 +1854,7 @@ impl QueueSim<'_> {
             // not just the served tail.
             if pol.preempt
                 && class == RequestClass::Interactive
-                && self.preemptible_victim_exists(arrival)
+                && self.preempt_victim(arrival).is_some()
             {
                 return est > self.class_ddl[class.idx()];
             }
@@ -1914,52 +1877,44 @@ impl QueueSim<'_> {
         fmt == self.palette.len()
     }
 
-    /// The cold report request `id` runs from on engine `e`'s hardware
-    /// class **in its chosen format**: the `(class, chosen format)`
-    /// lineup cell, the class's reduced-fanout lite report under the
-    /// lite pseudo-format, or the reference report on the legacy scalar
-    /// path. Callers commit the format choice
-    /// ([`Self::assign_format`]) before pricing.
-    fn cold_report(&self, e: usize, id: usize) -> &SimReport {
-        let p = &self.prepared[id];
-        if self.is_lite(self.chosen_fmt[id]) {
-            return &p.lite_reports[self.engines[e].class];
-        }
-        if self.lineup_active {
-            &p.class_reports[self.engines[e].class * self.palette.len() + self.chosen_fmt[id]]
-        } else {
+    /// The cold report of request `p` in format `fmt` on hardware class
+    /// `class` — the one lookup every pricing path reads: the class's
+    /// reduced-fanout lite report under the lite pseudo-format, the
+    /// `(class, format)` lineup cell, or the reference report for a
+    /// stream prepared without cells (the scalar fleet's one native
+    /// column).
+    fn cell_report<'p>(&self, p: &'p PreparedRequest, class: usize, fmt: usize) -> &'p SimReport {
+        if self.is_lite(fmt) {
+            &p.lite_reports[class]
+        } else if p.class_reports.is_empty() {
             &p.report
+        } else {
+            &p.class_reports[class * self.palette.len() + fmt]
         }
     }
 
-    /// Cold service estimate of request `id` on engine `e` (the chosen
-    /// `(class, format)` cell report scaled by the engine's legacy
-    /// factor).
+    /// Cold service estimate of request `id` on engine `e`: its report
+    /// in the committed format ([`Self::assign_format`]) on the engine's
+    /// class, scaled by the engine's scalar-fleet factor.
     fn cold_est(&self, e: usize, id: usize) -> u64 {
-        scale_service(self.cold_report(e, id).cycles, self.engines[e].scale)
+        let eng = &self.engines[e];
+        let report = self.cell_report(&self.prepared[id], eng.class, self.chosen_fmt[id]);
+        scale_service(report.cycles, eng.scale)
     }
 
-    /// Predicted cold cycles of request `p` on the `(class, format)`
-    /// cell: the fitted cost model when present, the exact prepared
-    /// cell report otherwise (the reference report on the legacy scalar
-    /// path, whose palette is the single native column).
-    fn cell_cycles(&self, class: usize, f: usize, p: &PreparedRequest) -> u64 {
-        let cell = class * self.palette.len() + f;
-        match &self.cost {
-            Some(model) => model.predict_cycles(cell, &p.stats),
-            None if self.lineup_active => p.class_reports[cell].cycles,
-            None => p.report.cycles,
-        }
-    }
-
-    /// Predicted service of request `p` on engine `e` in palette format
-    /// `f`: the `(class, format)` cell prediction scaled by the
-    /// engine's legacy factor (1.0 under a lineup).
+    /// Predicted service of request `p` on engine `e` in format `f`
+    /// (the lite pseudo-format included): the fitted cost model's
+    /// `(class, format)` cell prediction when present, the exact cold
+    /// report otherwise, scaled by the engine's scalar-fleet factor.
     fn predicted_service(&self, e: usize, f: usize, p: &PreparedRequest) -> u64 {
-        scale_service(
-            self.cell_cycles(self.engines[e].class, f, p),
-            self.engines[e].scale,
-        )
+        let class = self.engines[e].class;
+        let cycles = match &self.cost {
+            Some(model) if !self.is_lite(f) => {
+                model.predict_cycles(class * self.palette.len() + f, &p.stats)
+            }
+            _ => self.cell_report(p, class, f).cycles,
+        };
+        scale_service(cycles, self.engines[e].scale)
     }
 
     /// The palette format minimizing request `p`'s predicted service on
@@ -1970,24 +1925,13 @@ impl QueueSim<'_> {
     /// the class's reduced-fanout lite report (the pseudo-format one
     /// past the palette).
     fn best_format(&self, e: usize, p: &PreparedRequest) -> (usize, u64) {
-        match self.degrade_mode {
-            DegradeMode::CheapFixed => {
-                return (
-                    self.cheapest_fmt,
-                    self.predicted_service(e, self.cheapest_fmt, p),
-                );
-            }
-            DegradeMode::Lite => {
-                let lite = scale_service(
-                    p.lite_reports[self.engines[e].class].cycles,
-                    self.engines[e].scale,
-                );
-                return (self.palette.len(), lite);
-            }
-            DegradeMode::Full => {}
-        }
-        if let Some(fixed) = self.fixed_fmt {
-            return (fixed, self.predicted_service(e, fixed, p));
+        let pinned = match self.degrade_mode {
+            DegradeMode::CheapFixed => Some(self.cheapest_fmt),
+            DegradeMode::Lite => Some(self.palette.len()),
+            DegradeMode::Full => self.fixed_fmt,
+        };
+        if let Some(f) = pinned {
+            return (f, self.predicted_service(e, f, p));
         }
         (0..self.palette.len())
             .map(|f| (f, self.predicted_service(e, f, p)))
@@ -2010,28 +1954,25 @@ impl QueueSim<'_> {
     /// warm cache and prices its service: warm hits displace
     /// feature-read DRAM bytes at the class's effective bandwidth, and
     /// the whole warm-adjusted cold time is scaled by the engine's
-    /// legacy factor — a slow engine's savings are slow too.
+    /// scalar-fleet factor — a slow engine's savings are slow too.
     fn account_warm(&mut self, e: usize, id: usize) -> ExactService {
         let prepared = self.prepared;
         let p = &prepared[id];
         let class = self.engines[e].class;
         let pricing = self.pricing[class];
         let scale = self.engines[e].scale;
-        let lite = self.is_lite(self.chosen_fmt[id]);
-        let report = if lite {
-            // Lite service streams the reduced sample — fewer feature
-            // rows through the cache, and savings capped at the lite
-            // report's own DRAM traffic.
-            &p.lite_reports[class]
-        } else if self.lineup_active {
-            // The request's committed (class, format) cell — a
-            // recovered or freshly-provisioned engine re-warms against
-            // its *own* class/format cold report, never the reference.
-            &p.class_reports[class * self.palette.len() + self.chosen_fmt[id]]
+        let fmt = self.chosen_fmt[id];
+        // The committed (class, format) cell: a recovered or
+        // freshly-provisioned engine re-warms against its *own* class's
+        // report. Lite service streams the reduced sample — fewer
+        // feature rows through the cache, and savings capped at the lite
+        // report's own DRAM traffic.
+        let report = self.cell_report(p, class, fmt);
+        let vertices = if self.is_lite(fmt) {
+            &p.lite_vertices
         } else {
-            &p.report
+            &p.vertices
         };
-        let vertices = if lite { &p.lite_vertices } else { &p.vertices };
         let eng = &mut self.engines[e];
         // Fresh per-request counters on a warm hierarchy (contents and
         // open rows survive; see MemorySystem::reset_stats).
@@ -2337,35 +2278,15 @@ impl QueueSim<'_> {
             self.defer_or_fail(id, t);
             return;
         }
-        let p = &self.prepared[id];
-        let e = self.pick_engine(id, p, t);
-        self.assign_format(e, id);
-        let est = self.cold_est(e, id);
-        if self.shed_decision(t, e, est, id) {
-            self.shed.push(ShedRecord {
-                index: p.request.index,
-                arrival: t,
-            });
-            self.schedule_next_client(id, t);
+        let Some((e, est)) = self.route(id, t, true) else {
             return;
-        }
+        };
         self.attempts[id] = 1;
         // Exact-estimate mode: assignment order is service order, so
         // warm accounting happens now — queued_est then projects
         // warm-adjusted service exactly.
-        let exact = if self.exact_est {
-            Some(self.account_warm(e, id))
-        } else {
-            None
-        };
-        let est = exact.map_or(est, |x| x.service);
-        self.engines[e].queue.push(Queued {
-            id,
-            arrival: t,
-            est,
-            exact,
-        });
-        self.engines[e].queued_est = self.engines[e].queued_est.saturating_add(est);
+        let exact = self.exact_est.then(|| self.account_warm(e, id));
+        self.enqueue(e, id, exact.map_or(est, |x| x.service), exact);
         self.dispatch_idle(t);
         // An interactive arrival that is *still* waiting after the
         // dispatch pass schedules a preemption attempt at this instant
@@ -2374,29 +2295,105 @@ impl QueueSim<'_> {
         if let Some(pol) = &self.cfg.classes {
             if pol.preempt
                 && self.req_class(id) == RequestClass::Interactive
-                && self.holding_engine(id).is_some()
+                && self.queue_slot(id).is_some()
             {
                 self.preempts.push(Reverse((t, id)));
             }
         }
     }
 
-    /// Whether any engine currently serves preemptible batch work: up,
-    /// mid-service on a batch request with preemption budget left. The
-    /// admission-time mirror of [`Self::process_preempt`]'s victim scan.
-    fn preemptible_victim_exists(&self, t: u64) -> bool {
+    /// The dispatch steps arrivals and redrives share: pick request
+    /// `id`'s engine at `t`, commit its format there, and price its cold
+    /// estimate. With `admit`, admission control runs too and a shed
+    /// request returns `None`.
+    fn route(&mut self, id: usize, t: u64, admit: bool) -> Option<(usize, u64)> {
+        let e = self.pick_engine(id, t);
+        self.assign_format(e, id);
+        let est = self.cold_est(e, id);
+        if admit && self.shed_decision(t, e, est, id) {
+            self.shed_request(id, t);
+            return None;
+        }
+        Some((e, est))
+    }
+
+    /// Queues request `id` on engine `e` with service estimate `est`
+    /// (and the warm accounting already done in exact-estimate mode).
+    fn enqueue(&mut self, e: usize, id: usize, est: u64, exact: Option<ExactService>) {
+        let eng = &mut self.engines[e];
+        eng.queue.push(Queued {
+            id,
+            arrival: self.arrival_of[id],
+            est,
+            exact,
+        });
+        eng.queued_est = eng.queued_est.saturating_add(est);
+    }
+
+    /// Removes the request at queue position `pos` of engine `e`.
+    fn unqueue(&mut self, e: usize, pos: usize) -> Queued {
+        let eng = &mut self.engines[e];
+        let q = eng.queue.remove(pos);
+        eng.queued_est -= q.est;
+        q
+    }
+
+    /// Sheds request `id` and releases its closed-loop client at `t`.
+    fn shed_request(&mut self, id: usize, t: u64) {
+        self.shed.push(ShedRecord {
+            index: self.prepared[id].request.index,
+            arrival: self.arrival_of[id],
+        });
+        self.schedule_next_client(id, t);
+    }
+
+    /// Un-records engine `e`'s in-flight service, aborted at `t`: the
+    /// engine was genuinely occupied from start to `t` but rendered
+    /// nothing, so the record, the unserved tail of its busy time, its
+    /// served count and its warm counters come back out (the cache
+    /// contents stay). Returns the aborted request. Callers bump the
+    /// epoch and reset `next_free` themselves.
+    fn rollback_in_flight(&mut self, e: usize, t: u64) -> Option<usize> {
+        let fl = self.engines[e].in_flight.take()?;
+        let idx = self.prepared[fl.id].request.index;
+        let pos = self
+            .records
+            .iter()
+            .rposition(|r| r.index == idx && r.finish == fl.finish && r.engine == e)
+            .expect("in-flight request has a record");
+        let rec = self.records.remove(pos);
+        let eng = &mut self.engines[e];
+        eng.busy -= fl.finish - t;
+        eng.served -= 1;
+        eng.warm.lines -= rec.warm.lines;
+        eng.warm.hits -= rec.warm.hits;
+        eng.warm.misses -= rec.warm.misses;
+        Some(fl.id)
+    }
+
+    /// The engine whose in-service work a preemption at `t` would
+    /// evict, if any (`None` unless deadline classes preempt): an
+    /// available engine mid-service on a **batch** request with
+    /// preemption budget left, the one finishing latest (most residual
+    /// work reclaimed; ties to the lowest engine id). Admission control
+    /// and [`Self::process_preempt`] share this one scan.
+    fn preempt_victim(&self, t: u64) -> Option<usize> {
         let max_preemptions = match &self.cfg.classes {
             Some(pol) if pol.preempt => pol.max_preemptions,
-            _ => return false,
+            _ => return None,
         };
-        self.engines.iter().any(|eng| {
-            eng.available()
-                && eng.in_flight.is_some_and(|fl| {
-                    fl.finish > t
-                        && self.req_class(fl.id) == RequestClass::Batch
-                        && self.preempt_count[fl.id] < max_preemptions
-                })
-        })
+        self.engines
+            .iter()
+            .enumerate()
+            .filter_map(|(e, eng)| {
+                let fl = eng.in_flight.filter(|_| eng.available())?;
+                (fl.finish > t
+                    && self.req_class(fl.id) == RequestClass::Batch
+                    && self.preempt_count[fl.id] < max_preemptions)
+                    .then_some((fl.finish, Reverse(e)))
+            })
+            .max()
+            .map(|(_, Reverse(e))| e)
     }
 
     /// Whether queued request `id` (which arrived at `arrival`) has
@@ -2413,62 +2410,36 @@ impl QueueSim<'_> {
         }
     }
 
-    /// The engine whose queue currently holds request `id`, if any.
-    fn holding_engine(&self, id: usize) -> Option<usize> {
+    /// The `(engine, queue position)` currently holding request `id`,
+    /// if any.
+    fn queue_slot(&self, id: usize) -> Option<(usize, usize)> {
         self.engines
             .iter()
-            .position(|e| e.queue.iter().any(|q| q.id == id))
+            .enumerate()
+            .find_map(|(e, eng)| Some((e, eng.queue.iter().position(|q| q.id == id)?)))
     }
 
     /// Attempts to preempt an in-service batch request in favor of the
-    /// still-waiting interactive request `id`. No-ops when the request
-    /// already started (or terminated), or when no victim qualifies. A
-    /// victim must be available, mid-service on a **batch** request
-    /// with preemption budget left, and is chosen as the one finishing
-    /// latest (most residual work reclaimed; ties to the lowest engine
-    /// id). The victim's partial service is rolled back exactly like a
-    /// crash kill — the engine was genuinely occupied from start to
-    /// `t` but rendered nothing — except its warm cache survives, so
-    /// the re-queued batch work re-prices its residual against the rows
-    /// it already pulled. The interactive request then starts on the
-    /// freed engine immediately.
+    /// still-waiting interactive request `id` (scheduled only when the
+    /// deadline classes preempt). No-ops when the request already
+    /// started (or terminated). The victim ([`Self::preempt_victim`])
+    /// has its partial service rolled back exactly like a crash kill —
+    /// the engine was genuinely occupied from start to `t` but rendered
+    /// nothing — except its warm cache survives, so the re-queued batch
+    /// work re-prices its residual against the rows it already pulled.
+    /// The interactive request then starts on the freed engine
+    /// immediately.
     fn process_preempt(&mut self, id: usize, t: u64) {
-        let max_preemptions = match &self.cfg.classes {
-            Some(pol) if pol.preempt => pol.max_preemptions,
-            _ => return,
-        };
         // Stale event: the request already reached an engine.
-        let Some(src) = self.holding_engine(id) else {
+        let Some((src, qpos)) = self.queue_slot(id) else {
             return;
         };
-        let mut victim: Option<(u64, usize)> = None; // (finish, engine)
-        for (ve, eng) in self.engines.iter().enumerate() {
-            if !eng.available() {
-                continue;
-            }
-            let Some(fl) = eng.in_flight else { continue };
-            if fl.finish <= t
-                || self.req_class(fl.id) != RequestClass::Batch
-                || self.preempt_count[fl.id] >= max_preemptions
-            {
-                continue;
-            }
-            if victim.is_none_or(|(bf, _)| fl.finish > bf) {
-                victim = Some((fl.finish, ve));
-            }
-        }
-        let Some((_, ve)) = victim else {
+        let Some(ve) = self.preempt_victim(t) else {
             // The victim promised at admission is gone (completed, or
             // taken by a same-instant preemption). Re-check the normal
             // deadline prediction so an optimistically admitted
             // interactive cannot strand in the backlog past its
             // deadline — it sheds now instead.
-            let arrival = self.arrival_of[id];
-            let qpos = self.engines[src]
-                .queue
-                .iter()
-                .position(|q| q.id == id)
-                .expect("holder still queues the request");
             let est = self.engines[src].queue[qpos].est;
             // The request itself already sits in the holder's queue, so
             // its own estimate must come back out of the projection —
@@ -2476,59 +2447,29 @@ impl QueueSim<'_> {
             let wait_pred = self.engines[src]
                 .projected_free()
                 .saturating_sub(est)
-                .saturating_sub(arrival);
+                .saturating_sub(self.arrival_of[id]);
             let ddl = self.class_ddl[self.req_class(id).idx()];
             if wait_pred.saturating_add(est) > ddl {
-                let q = self.engines[src].queue.remove(qpos);
-                self.engines[src].queued_est -= q.est;
-                self.shed.push(ShedRecord {
-                    index: self.prepared[id].request.index,
-                    arrival,
-                });
-                self.schedule_next_client(id, t);
+                self.unqueue(src, qpos);
+                self.shed_request(id, t);
             }
             return;
         };
-        let fl = self.engines[ve].in_flight.take().expect("victim in flight");
         // Un-record the aborted service (the crash-kill rollback), but
         // keep the cache warm: the victim's rows stay resident.
-        let vidx = self.prepared[fl.id].request.index;
-        let pos = self
-            .records
-            .iter()
-            .rposition(|r| r.index == vidx && r.finish == fl.finish && r.engine == ve)
-            .expect("in-flight victim has a record");
-        let rec = self.records.remove(pos);
-        let eng = &mut self.engines[ve];
-        eng.epoch += 1; // the victim's pending completion dies stale
-        eng.busy -= fl.finish - t;
-        eng.served -= 1;
-        eng.warm.lines -= rec.warm.lines;
-        eng.warm.hits -= rec.warm.hits;
-        eng.warm.misses -= rec.warm.misses;
-        eng.next_free = t;
-        self.preempt_count[fl.id] += 1;
+        let vid = self.rollback_in_flight(ve, t).expect("victim in flight");
+        self.engines[ve].epoch += 1; // the victim's pending completion dies stale
+        self.engines[ve].next_free = t;
+        self.preempt_count[vid] += 1;
         self.preemptions += 1;
         // The victim re-queues on its engine at the cold estimate; its
         // residual re-prices against the warm cache at restart.
-        self.assign_format(ve, fl.id);
-        let vest = self.cold_est(ve, fl.id);
-        self.engines[ve].queue.push(Queued {
-            id: fl.id,
-            arrival: self.arrival_of[fl.id],
-            est: vest,
-            exact: None,
-        });
-        self.engines[ve].queued_est = self.engines[ve].queued_est.saturating_add(vest);
+        self.assign_format(ve, vid);
+        let vest = self.cold_est(ve, vid);
+        self.enqueue(ve, vid, vest, None);
         // Move the interactive request to the freed engine and start it
         // now (bypassing the queue discipline — that is the point).
-        let qpos = self.engines[src]
-            .queue
-            .iter()
-            .position(|q| q.id == id)
-            .expect("holder still queues the request");
-        let q = self.engines[src].queue.remove(qpos);
-        self.engines[src].queued_est -= q.est;
+        let q = self.unqueue(src, qpos);
         self.assign_format(ve, id);
         let finish = self.start_service(ve, id, q.arrival, t, None);
         if !self.drills {
@@ -2550,11 +2491,7 @@ impl QueueSim<'_> {
                 // meet the SLO — a shedding class drops it at dispatch
                 // rather than burn capacity on a guaranteed violation.
                 if self.expired_at_dispatch(q.id, q.arrival, t) {
-                    self.shed.push(ShedRecord {
-                        index: self.prepared[q.id].request.index,
-                        arrival: q.arrival,
-                    });
-                    self.schedule_next_client(q.id, t);
+                    self.shed_request(q.id, t);
                     continue;
                 }
                 let start = t.max(self.engines[e].next_free);
@@ -2629,31 +2566,16 @@ impl QueueSim<'_> {
             return;
         }
         let first_dispatch = self.attempts[id] == 0;
-        let p = &self.prepared[id];
-        let e = self.pick_engine(id, p, t);
-        self.assign_format(e, id);
-        let est = self.cold_est(e, id);
-        if first_dispatch && self.shed_decision(t, e, est, id) {
-            self.shed.push(ShedRecord {
-                index: p.request.index,
-                arrival: self.arrival_of[id],
-            });
-            self.schedule_next_client(id, t);
+        let Some((e, est)) = self.route(id, t, first_dispatch) else {
             return;
-        }
+        };
         self.attempts[id] += 1;
         if !first_dispatch {
             self.retries += 1;
         }
         // Redrives exist only under drills, which never run in
         // exact-estimate mode: queue at the cold estimate.
-        self.engines[e].queue.push(Queued {
-            id,
-            arrival: self.arrival_of[id],
-            est,
-            exact: None,
-        });
-        self.engines[e].queued_est = self.engines[e].queued_est.saturating_add(est);
+        self.enqueue(e, id, est, None);
         self.dispatch_idle(t);
     }
 
@@ -2669,23 +2591,8 @@ impl QueueSim<'_> {
         self.close_uptime(e, t);
         self.engines[e].up = false;
         self.engines[e].epoch += 1;
-        if let Some(fl) = self.engines[e].in_flight.take() {
-            // Un-record the aborted service: the engine was genuinely
-            // occupied from start to the crash, but rendered nothing.
-            let idx = self.prepared[fl.id].request.index;
-            let pos = self
-                .records
-                .iter()
-                .rposition(|r| r.index == idx && r.finish == fl.finish && r.engine == e)
-                .expect("in-flight request has a record");
-            let rec = self.records.remove(pos);
-            let eng = &mut self.engines[e];
-            eng.busy -= fl.finish - t;
-            eng.served -= 1;
-            eng.warm.lines -= rec.warm.lines;
-            eng.warm.hits -= rec.warm.hits;
-            eng.warm.misses -= rec.warm.misses;
-            self.handle_kill(fl.id, t);
+        if let Some(id) = self.rollback_in_flight(e, t) {
+            self.handle_kill(id, t);
         }
         self.engines[e].next_free = t;
         let killed = std::mem::take(&mut self.engines[e].queue);
@@ -2733,22 +2640,8 @@ impl QueueSim<'_> {
         if t < self.cooldown_until {
             return;
         }
-        let available = self.engines.iter().filter(|e| e.available()).count();
         let pending = self.engines.iter().filter(|e| e.provisioning).count();
-        let outstanding: u64 = self
-            .engines
-            .iter()
-            .filter(|e| e.available())
-            .map(|e| e.queued_est.saturating_add(e.next_free.saturating_sub(t)))
-            .sum();
-        let capacity = (available + pending) as f64 * self.mean_service;
-        let pressure = if capacity > 0.0 {
-            outstanding as f64 / capacity
-        } else if outstanding > 0 || !self.redrives.is_empty() || self.peek_arrival().is_some() {
-            f64::INFINITY
-        } else {
-            0.0
-        };
+        let pressure = self.backlog_pressure(t, pending);
         let active = self.engines.iter().filter(|e| e.active).count();
         if pressure > pol.up_pressure && active + pending < self.engines.len() {
             if let Some(e) = self
@@ -2785,21 +2678,7 @@ impl QueueSim<'_> {
         if t < self.degrade_cooldown_until {
             return;
         }
-        let available = self.engines.iter().filter(|e| e.available()).count();
-        let outstanding: u64 = self
-            .engines
-            .iter()
-            .filter(|e| e.available())
-            .map(|e| e.queued_est.saturating_add(e.next_free.saturating_sub(t)))
-            .sum();
-        let capacity = available as f64 * self.mean_service;
-        let pressure = if capacity > 0.0 {
-            outstanding as f64 / capacity
-        } else if outstanding > 0 || !self.redrives.is_empty() || self.peek_arrival().is_some() {
-            f64::INFINITY
-        } else {
-            0.0
-        };
+        let pressure = self.backlog_pressure(t, 0);
         let next = if pressure > pol.down_pressure {
             self.degrade_mode.down()
         } else if pressure < pol.up_pressure {
@@ -2812,6 +2691,30 @@ impl QueueSim<'_> {
             self.mode_since = t;
             self.degrade_mode = next;
             self.degrade_cooldown_until = t.saturating_add(self.degrade_cooldown_cycles);
+        }
+    }
+
+    /// The backlog-pressure signal autoscaling and brownout share:
+    /// outstanding work (queued estimates + unfinished service) on the
+    /// available engines at `t`, in mean cold services per engine of
+    /// capacity — the available engines plus `extra` (autoscale's
+    /// pending provisions). With no capacity it is infinite while any
+    /// work remains, zero otherwise.
+    fn backlog_pressure(&self, t: u64, extra: usize) -> f64 {
+        let available = self.engines.iter().filter(|e| e.available()).count();
+        let outstanding: u64 = self
+            .engines
+            .iter()
+            .filter(|e| e.available())
+            .map(|e| e.queued_est.saturating_add(e.next_free.saturating_sub(t)))
+            .sum();
+        let capacity = (available + extra) as f64 * self.mean_service;
+        if capacity > 0.0 {
+            outstanding as f64 / capacity
+        } else if outstanding > 0 || !self.redrives.is_empty() || self.peek_arrival().is_some() {
+            f64::INFINITY
+        } else {
+            0.0
         }
     }
 
@@ -2842,9 +2745,7 @@ impl QueueSim<'_> {
     fn pop_next(&mut self, e: usize) -> Option<Queued> {
         if !self.engines[e].queue.is_empty() {
             let pos = self.discipline_pos(&self.engines[e].queue);
-            let q = self.engines[e].queue.remove(pos);
-            self.engines[e].queued_est -= q.est;
-            return Some(q);
+            return Some(self.unqueue(e, pos));
         }
         if !self.stealing {
             return None;
@@ -2860,9 +2761,7 @@ impl QueueSim<'_> {
         if victim == usize::MAX {
             return None;
         }
-        let q = self.engines[victim].queue.pop().expect("non-empty victim");
-        self.engines[victim].queued_est -= q.est;
-        Some(q)
+        Some(self.unqueue(victim, victim_len - 1))
     }
 
     /// The queue position the discipline serves next: earliest absolute
@@ -2873,32 +2772,23 @@ impl QueueSim<'_> {
     /// SLO every deadline saturates and EDF degenerates to id order —
     /// FIFO.
     fn discipline_pos(&self, queue: &[Queued]) -> usize {
-        if self.cfg.classes.is_some() {
-            return queue
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, q)| {
-                    (
-                        q.arrival
-                            .saturating_add(self.class_ddl[self.req_class(q.id).idx()]),
-                        q.id,
-                    )
-                })
-                .map(|(pos, _)| pos)
-                .expect("non-empty queue");
-        }
-        match self.cfg.policy {
-            SchedPolicy::SloAware => {
-                let ddl = self.cfg.slo.map(|s| s.deadline_cycles).unwrap_or(u64::MAX);
-                queue
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, q)| (q.arrival.saturating_add(ddl), q.id))
-                    .map(|(pos, _)| pos)
-                    .expect("non-empty queue")
+        // `None` reads each request's class deadline.
+        let slo_ddl = match (&self.cfg.classes, self.cfg.policy) {
+            (Some(_), _) => None,
+            (None, SchedPolicy::SloAware) => {
+                Some(self.cfg.slo.map_or(u64::MAX, |s| s.deadline_cycles))
             }
-            _ => 0,
-        }
+            (None, _) => return 0,
+        };
+        queue
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, q)| {
+                let ddl = slo_ddl.unwrap_or_else(|| self.class_ddl[self.req_class(q.id).idx()]);
+                (q.arrival.saturating_add(ddl), q.id)
+            })
+            .map(|(pos, _)| pos)
+            .expect("non-empty queue")
     }
 }
 
@@ -2962,6 +2852,34 @@ pub fn simulate_queue(
         })),
         FormatPolicy::Adaptive => None,
     };
+    // The scalar fleet serves every request from its reference report,
+    // which is the native column: any other format would be credited in
+    // the summary's dispatch counts while the native report is served.
+    assert!(
+        cfg.lineup.is_some() || cfg.format == FormatPolicy::Fixed(ServeFormat::Native),
+        "format policy {} needs a hardware lineup — the scalar fleet serves fixed:native only",
+        cfg.format.label()
+    );
+    // One hardware table prices every engine: the lineup's classes, or —
+    // for the scalar fleet — one class on the run's platform, scaled per
+    // engine. The scalar class warms the full Table III cache
+    // (`CacheConfig::default()`, 512 KB) rather than `hw.cache`: serving
+    // engines keep input-feature rows resident across requests, unlike
+    // the scaled-down experiment caches, which model intermediate
+    // working sets.
+    let (class_hw, engine_hw): (Vec<HwConfig>, Vec<(usize, f64)>) = match &cfg.lineup {
+        Some(lineup) => (
+            lineup.classes.iter().map(|c| c.hw).collect(),
+            lineup.assignment.iter().map(|&k| (k, 1.0)).collect(),
+        ),
+        None => (
+            vec![HwConfig {
+                cache: CacheConfig::default(),
+                ..*hw
+            }],
+            cfg.fleet.scales.iter().map(|&s| (0, s)).collect(),
+        ),
+    };
     if let Some(lineup) = &cfg.lineup {
         assert_eq!(
             lineup.engines(),
@@ -2969,31 +2887,28 @@ pub fn simulate_queue(
             "lineup width must match the engine count"
         );
         assert!(
-            lineup.assignment.iter().all(|&k| k < lineup.classes.len()),
+            lineup.assignment.iter().all(|&k| k < class_hw.len()),
             "lineup assigns an unknown class"
         );
         for p in prepared {
             assert_eq!(
                 p.class_reports.len(),
-                lineup.classes.len() * palette.len(),
+                class_hw.len() * palette.len(),
                 "a lineup run needs per-(class, format) cold reports — prepare with \
                  prepare_matrix"
             );
         }
     }
     if cfg.degrade.is_some() {
+        // Adaptive dispatch implies a lineup (asserted above).
         assert!(
             matches!(cfg.format, FormatPolicy::Adaptive),
             "brownout degrades the adaptive dispatcher — run with the adaptive format policy"
         );
-        let lineup = cfg
-            .lineup
-            .as_ref()
-            .expect("brownout needs a hardware lineup — its ladder spans per-class cold reports");
         for p in prepared {
             assert_eq!(
                 p.lite_reports.len(),
-                lineup.classes.len(),
+                class_hw.len(),
                 "brownout needs reduced-fanout lite cold reports — prepare with prepare_degraded"
             );
         }
@@ -3064,21 +2979,11 @@ pub fn simulate_queue(
     // boundary line, so a cold engine reports zero warm hits even when
     // the row size is not a multiple of the line size (the line count
     // per row is unchanged — an aligned row touches ⌈row/line⌉ lines
-    // either way). The legacy path prices every engine with the run's
-    // warm-cache geometry on the shared platform DRAM; a lineup prices
-    // each class from its own hardware.
-    let pricing: Vec<ClassPricing> = match &cfg.lineup {
-        Some(lineup) => lineup
-            .classes
-            .iter()
-            .map(|c| ClassPricing::new(&c.hw.cache, &c.hw.dram, feature_row_bytes))
-            .collect(),
-        None => vec![ClassPricing::new(
-            &cfg.warm_cache,
-            &hw.dram,
-            feature_row_bytes,
-        )],
-    };
+    // either way).
+    let pricing: Vec<ClassPricing> = class_hw
+        .iter()
+        .map(|h| ClassPricing::new(h, feature_row_bytes))
+        .collect();
     // Affinity slack: the warm engine may run ahead of the least-loaded
     // one by at most two mean cold services before the policy falls back
     // to balancing (bounded-load affinity — pure greedy routing would
@@ -3098,28 +3003,15 @@ pub fn simulate_queue(
         .autoscale
         .as_ref()
         .map_or(cfg.engines, |p| p.min_engines);
-    // Per-engine (class, scale, memory system): a lineup engine runs
-    // its class's own cache geometry, DRAM and cache engine at scale
-    // 1.0; a legacy engine runs the shared warm-cache geometry at its
-    // fleet scale.
-    let engine_hw: Vec<(usize, f64)> = match &cfg.lineup {
-        Some(lineup) => lineup.assignment.iter().map(|&k| (k, 1.0)).collect(),
-        None => cfg.fleet.scales.iter().map(|&s| (0, s)).collect(),
-    };
+    // Each engine runs its class's cache geometry, DRAM and cache engine.
     let engines: Vec<Engine> = engine_hw
         .iter()
         .enumerate()
         .map(|(e, &(class, scale))| {
             let active = e < initial_active;
-            let mem = match &cfg.lineup {
-                Some(lineup) => {
-                    let class_hw = &lineup.classes[class].hw;
-                    MemorySystem::with_engine(class_hw.cache, class_hw.dram, class_hw.cache_engine)
-                }
-                None => MemorySystem::with_engine(cfg.warm_cache, hw.dram, hw.cache_engine),
-            };
+            let h = &class_hw[class];
             Engine {
-                mem,
+                mem: MemorySystem::with_engine(h.cache, h.dram, h.cache_engine),
                 next_free: 0,
                 queue: Vec::new(),
                 queued_est: 0,
@@ -3170,12 +3062,8 @@ pub fn simulate_queue(
     // routing actually has distinct cells to predict for: cost-aware
     // engine choice or adaptive format choice, under a lineup.
     let adaptive = matches!(cfg.format, FormatPolicy::Adaptive);
-    let cost = match &cfg.lineup {
-        Some(lineup) if cfg.policy == SchedPolicy::CostAware || adaptive => {
-            Some(CostModel::fit(prepared, lineup.classes.len()))
-        }
-        _ => None,
-    };
+    let cost = (cfg.lineup.is_some() && (cfg.policy == SchedPolicy::CostAware || adaptive))
+        .then(|| CostModel::fit(prepared, class_hw.len()));
     let peak_available = engines.iter().filter(|e| e.available()).count();
     // Per-request deadline classes and their materialized deadlines
     // (pure in seed × index, so replay and the summary agree).
@@ -3194,7 +3082,7 @@ pub fn simulate_queue(
     // lowest mean cold cycles across every prepared cell (ties to the
     // lowest index — native first in the standard palette).
     let cheapest_fmt = if cfg.degrade.is_some() && !prepared.is_empty() {
-        let class_count = cfg.lineup.as_ref().map_or(1, |l| l.classes.len());
+        let class_count = class_hw.len();
         let pal_len = palette.len();
         (0..pal_len)
             .min_by_key(|&f| {
@@ -3244,7 +3132,6 @@ pub fn simulate_queue(
         completions: BinaryHeap::new(),
         source,
         pricing,
-        lineup_active: cfg.lineup.is_some(),
         cost,
         palette,
         fixed_fmt,
@@ -3304,7 +3191,7 @@ pub fn simulate_queue(
     records.sort_unstable_by_key(|r| r.index);
     shed.sort_unstable_by_key(|s| s.index);
     failed.sort_unstable_by_key(|f| f.index);
-    debug_assert_eq!(records.len() + shed.len() + failed.len(), n, "conservation");
+    assert_eq!(records.len() + shed.len() + failed.len(), n, "conservation");
 
     // Availability is defined over [0, makespan]: close every open
     // interval there and clip the closed ones (a fault event can be
@@ -3928,6 +3815,27 @@ mod tests {
         let cfg =
             qcfg(2, SchedPolicy::LeastLoaded).with_traffic(TrafficModel::ClosedLoop { clients: 0 });
         let _ = simulate_queue(&prepared, &cfg, &HwConfig::default(), row);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a hardware lineup")]
+    fn non_native_format_without_a_lineup_panics() {
+        // A palette-wide stream carries a csr column, but the scalar
+        // fleet serves the native reference report: running it pinned
+        // to csr would credit csr for native service.
+        let ctx = tiny_ctx();
+        let hw = HwConfig::default();
+        let stream = ctx.hotspot_stream(4, 2);
+        let prepared = prepare_matrix(
+            &ctx,
+            &stream,
+            &AccelModel::sgcn(),
+            &EngineLineup::uniform(2, hw),
+            &ServeFormat::PALETTE,
+        );
+        let cfg = qcfg(2, SchedPolicy::LeastLoaded)
+            .with_format(FormatPolicy::Fixed(ServeFormat::Kind(FormatKind::Csr)));
+        let _ = simulate_queue(&prepared, &cfg, &hw, feature_row_bytes(&ctx));
     }
 
     #[test]

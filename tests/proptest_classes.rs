@@ -140,6 +140,60 @@ fn brownout_setup() -> &'static BrownoutSetup {
     })
 }
 
+/// Per-engine ledgers survive the crash and preemption rollbacks: after
+/// drills + `mix:0.3+preempt` + brownout runs on a lineup, every
+/// engine's served count and warm counters equal exactly what its
+/// surviving records carry, and its busy time covers their service (an
+/// aborted partial service stays busy but renders no record).
+#[test]
+fn engine_ledgers_match_their_records_after_rollbacks() {
+    let (prepared, hw, row) = brownout_setup();
+    let engines = 3;
+    let (mut incidents, mut preemptions) = (0u64, 0u64);
+    for seed in 0..8u64 {
+        for load_x10 in [10u32, 14, 18] {
+            let cfg = QueueConfig::new(
+                engines,
+                SchedPolicy::CostAware,
+                load_x10 as f64 / 10.0,
+                seed,
+            )
+            .with_traffic(TrafficModel::bursty_default())
+            .with_lineup(EngineLineup::mixed(engines, *hw))
+            .with_format(FormatPolicy::Adaptive)
+            .with_faults(FailureModel::mtbf_default())
+            .with_retry(RetryPolicy::new(3, 0))
+            .with_classes(ClassPolicy::mix(0.3).with_preemption())
+            .with_degrade(DegradePolicy::default());
+            let out = simulate_queue(prepared, &cfg, hw, *row);
+            incidents += out.summary.incidents;
+            preemptions += out.summary.preemptions;
+            for e in 0..engines {
+                let mut served = 0u64;
+                let mut warm = sgcn_mem::SpanCounts::default();
+                let mut service = 0u64;
+                for r in out.records.iter().filter(|r| r.engine == e) {
+                    served += 1;
+                    warm.add(r.warm);
+                    service += r.service_cycles;
+                }
+                let at = format!("seed {seed} load {load_x10} engine {e}");
+                assert_eq!(out.engine_served[e], served, "served count off at {at}");
+                assert_eq!(out.engine_warm[e], warm, "warm counters off at {at}");
+                assert!(
+                    out.engine_busy[e] >= service,
+                    "busy {} below recorded service {service} at {at}",
+                    out.engine_busy[e]
+                );
+            }
+        }
+    }
+    assert!(
+        incidents > 0 && preemptions > 0,
+        "the sweep never exercised both rollbacks ({incidents} incidents, {preemptions} preemptions)"
+    );
+}
+
 proptest! {
     // Per-class conservation is exact: the interactive/batch partitions
     // of completed, shed and failed sum to the run totals, and the run
