@@ -153,11 +153,15 @@ pub enum SchedPolicy {
     LeastLoaded,
     /// Bounded-load warm-cache affinity: among engines whose backlog is
     /// within a slack window (two mean cold services) of the
-    /// least-loaded one, peek each engine's resident feature lines for
+    /// least-loaded one, count each engine's resident feature lines for
     /// the request's sampled vertices and route to the engine holding
     /// the most (ties to the earliest-free, then lowest id). The window
     /// keeps a hot neighborhood from starving the fleet behind one
-    /// engine while preserving reuse.
+    /// engine while preserving reuse. The count is O(rows): one read of
+    /// the engine's per-row resident-line counter
+    /// ([`MemorySystem::resident_lines`]) per sampled vertex, exact
+    /// because feature rows are line-aligned and engine caches hold
+    /// only feature rows.
     CacheAffinity,
     /// Deadline-driven: requests go to the least-loaded engine, and each
     /// engine serves its queued requests **earliest deadline first**
@@ -178,7 +182,7 @@ pub enum SchedPolicy {
     /// but among eligible engines it maximizes the count of the
     /// request's sampled rows **resident on the engine's shard** — one
     /// word-level bitmap intersection per engine instead of a
-    /// per-vertex cache peek, so the query stays O(vertices / 64) at
+    /// per-vertex counter read, so the query stays O(vertices / 64) at
     /// million-vertex scale. Without a configured shard plan the
     /// decision falls back to least-loaded (shard-oblivious) routing.
     ShardAffinity,
@@ -1594,6 +1598,18 @@ impl ClassPricing {
     }
 }
 
+/// A fresh engine hierarchy for one hardware class. Cache-affinity
+/// routing scores engines by resident lines per feature row, so only
+/// that policy arms the row counters; every other policy replays
+/// untracked.
+fn engine_memory(hw: &HwConfig, pricing: &ClassPricing, policy: SchedPolicy) -> MemorySystem {
+    let mut mem = MemorySystem::with_engine(hw.cache, hw.dram, hw.cache_engine);
+    if policy == SchedPolicy::CacheAffinity {
+        mem.track_rows(pricing.row_stride / pricing.line_bytes);
+    }
+    mem
+}
+
 /// Bounded-load affinity slack: two mean cold services, guarded against
 /// degenerate means (empty streams, fabricated zero-cycle profiles, or
 /// non-finite sums) — an unguarded `as u64` cast maps NaN to 0 and
@@ -1751,14 +1767,28 @@ impl QueueSim<'_> {
                     eng.projected_free(),
                 )
             }),
-            // Cache affinity polls each engine's warm cache without
-            // mutating it (the commit happens once the winner is chosen).
+            // Cache affinity reads each engine's per-row resident-line
+            // counters: one array read per sampled row, exact because
+            // the engine caches hold only line-aligned feature rows. The
+            // commit happens once the winner is chosen.
             SchedPolicy::CacheAffinity => self.bounded_load_pick(arrival, |_, eng| {
-                let stride = self.pricing[eng.class].row_stride;
-                p.vertices
+                let score = p
+                    .vertices
                     .iter()
-                    .map(|&v| eng.mem.peek_span(u64::from(v) * stride, stride).hits)
-                    .sum()
+                    .map(|&v| eng.mem.resident_lines(u64::from(v)))
+                    .sum();
+                debug_assert_eq!(
+                    score,
+                    {
+                        let stride = self.pricing[eng.class].row_stride;
+                        p.vertices
+                            .iter()
+                            .map(|&v| eng.mem.peek_span(u64::from(v) * stride, stride).hits)
+                            .sum::<u64>()
+                    },
+                    "row counters diverged from the warm cache"
+                );
+                score
             }),
             // Shard locality is one word-level bitmap intersection per
             // engine (request bits ∧ shard residency). Engines striped
@@ -3011,7 +3041,7 @@ pub fn simulate_queue(
             let active = e < initial_active;
             let h = &class_hw[class];
             Engine {
-                mem: MemorySystem::with_engine(h.cache, h.dram, h.cache_engine),
+                mem: engine_memory(h, &pricing[class], cfg.policy),
                 next_free: 0,
                 queue: Vec::new(),
                 queued_est: 0,
@@ -3756,6 +3786,23 @@ mod tests {
         assert_eq!(SchedPolicy::parse("warm"), Some(SchedPolicy::CacheAffinity));
         assert_eq!(SchedPolicy::parse("edf"), Some(SchedPolicy::SloAware));
         assert_eq!(SchedPolicy::parse("bogus"), None);
+    }
+
+    #[test]
+    fn only_cache_affinity_arms_row_tracking() {
+        // The counters cost an update per fill and eviction; policies
+        // that never read them replay untracked, exactly as before the
+        // counters existed.
+        let hw = HwConfig::default();
+        let pricing = ClassPricing::new(&hw, 2000);
+        for policy in SchedPolicy::ALL {
+            let mem = engine_memory(&hw, &pricing, policy);
+            assert_eq!(
+                mem.tracks_rows(),
+                policy == SchedPolicy::CacheAffinity,
+                "{policy:?}"
+            );
+        }
     }
 
     #[test]

@@ -157,6 +157,26 @@ impl CacheStats {
 
 use crate::fastdiv::FastDiv;
 
+/// Observer of line-residency changes during a probe: told of every line
+/// a miss fills and of every valid line that leaves the cache (evicted by
+/// a fill or invalidated by a streaming write). The row-residency
+/// counters behind [`crate::MemorySystem::track_rows`] implement it.
+pub(crate) trait ResidencySink {
+    /// `line` was filled into the cache.
+    fn fill(&mut self, line: u64);
+    /// `line`, previously resident, left the cache.
+    fn evict(&mut self, line: u64);
+}
+
+/// The untracked sink: both hooks are empty, so an unobserved probe
+/// monomorphises to the plain replay.
+impl ResidencySink for () {
+    #[inline(always)]
+    fn fill(&mut self, _line: u64) {}
+    #[inline(always)]
+    fn evict(&mut self, _line: u64) {}
+}
+
 /// A set-associative cache over 64 B (configurable) lines with a
 /// selectable replacement policy (LRU by default) — the allocation-free
 /// fast path.
@@ -298,11 +318,26 @@ impl Cache {
     /// count)` so the caller can batch the DRAM walk. Counter-for-counter
     /// and state-for-state identical to probing each line through
     /// [`Cache::access_line`] in ascending order. Returns the hit count.
+    #[inline]
     pub fn probe_run(
         &mut self,
         first_line: u64,
         lines: u64,
+        on_miss_run: impl FnMut(u64, u64),
+    ) -> u64 {
+        self.probe_run_observed(first_line, lines, on_miss_run, &mut ())
+    }
+
+    /// [`Cache::probe_run`] reporting every fill and every eviction to
+    /// `sink`, in probe order. The evicted line is always the set's last
+    /// slot (`ways - 1`): LRU and FIFO keep it as the least recent, and
+    /// BIP's cold insert overwrites exactly that slot.
+    pub(crate) fn probe_run_observed<S: ResidencySink>(
+        &mut self,
+        first_line: u64,
+        lines: u64,
         mut on_miss_run: impl FnMut(u64, u64),
+        sink: &mut S,
     ) -> u64 {
         let Cache {
             config,
@@ -351,11 +386,13 @@ impl Cache {
                 } else {
                     let filled = if n == ways {
                         evictions += 1;
+                        sink.evict(set_tags[ways - 1]);
                         ways
                     } else {
                         *n_slot = (n + 1) as u8;
                         n + 1
                     };
+                    sink.fill(line);
                     let at_mru = match policy {
                         ReplacementPolicy::Lru | ReplacementPolicy::Fifo => true,
                         ReplacementPolicy::Bip => {
@@ -398,10 +435,13 @@ impl Cache {
         self.stats.hits += n;
     }
 
+    /// Valid lines currently held.
+    pub fn occupancy(&self) -> u64 {
+        self.len.iter().map(|&n| u64::from(n)).sum()
+    }
+
     /// Non-mutating presence probe of the line containing `addr`: no
-    /// fill, no promotion, no statistics. The warm-reuse scheduling path
-    /// uses this to *ask* whether a request's working set is resident
-    /// before committing it to an engine.
+    /// fill, no promotion, no statistics.
     #[inline]
     pub fn peek(&self, addr: u64) -> bool {
         self.peek_line(self.line_div.div(addr))
@@ -445,9 +485,15 @@ impl Cache {
 
     /// Invalidates `lines` consecutive lines starting at `first_line`
     /// (the streaming-write line-run replay), walking the consecutive
-    /// sets incrementally. Identical state to calling
-    /// [`Cache::invalidate_line`] per line in ascending order.
-    pub fn invalidate_run(&mut self, first_line: u64, lines: u64) {
+    /// sets incrementally, and reports each dropped line to `sink`.
+    /// Identical state to calling [`Cache::invalidate_line`] per line in
+    /// ascending order.
+    pub(crate) fn invalidate_run(
+        &mut self,
+        first_line: u64,
+        lines: u64,
+        sink: &mut impl ResidencySink,
+    ) {
         let ways = self.config.ways;
         let nsets = self.len.len();
         let mut set = self.set_div.rem(first_line) as usize;
@@ -458,6 +504,7 @@ impl Cache {
             if let Some(w) = set_tags[..n].iter().position(|&t| t == line) {
                 set_tags.copy_within(w + 1..n, w);
                 self.len[set] = (n - 1) as u8;
+                sink.evict(line);
             }
             set += 1;
             if set == nsets {
@@ -520,6 +567,12 @@ impl ListCache {
     /// Probes the line containing `addr`; fills on miss, evicting per the
     /// configured policy. Returns `true` on hit.
     pub fn access(&mut self, addr: u64) -> bool {
+        self.access_observed(addr, &mut ())
+    }
+
+    /// [`ListCache::access`] reporting the fill and the popped (evicted)
+    /// tag to `sink` (see [`Cache::probe_run_observed`]).
+    pub(crate) fn access_observed(&mut self, addr: u64, sink: &mut impl ResidencySink) -> bool {
         let line = addr / self.config.line_bytes;
         let set = (line % self.sets as u64) as usize;
         let policy = self.config.policy;
@@ -534,9 +587,12 @@ impl ListCache {
             true
         } else {
             if ways.len() == self.config.ways {
-                ways.pop();
+                if let Some(evicted) = ways.pop() {
+                    sink.evict(evicted);
+                }
                 self.stats.evictions += 1;
             }
+            sink.fill(line);
             let at_mru = match policy {
                 ReplacementPolicy::Lru | ReplacementPolicy::Fifo => true,
                 ReplacementPolicy::Bip => {
@@ -560,6 +616,11 @@ impl ListCache {
     #[inline]
     pub fn count_repeat_hits(&mut self, n: u64) {
         self.stats.hits += n;
+    }
+
+    /// Valid lines currently held.
+    pub fn occupancy(&self) -> u64 {
+        self.lines.iter().map(|set| set.len() as u64).sum()
     }
 
     /// Non-mutating presence probe of the line containing `addr` (see

@@ -14,7 +14,7 @@
 //! [`SpanCounts`]. The legacy single-shot methods (`read`, `write`, …)
 //! delegate to them, so every caller sees identical counters.
 
-use crate::cache::{Cache, CacheConfig, CacheEngine, CacheStats, ListCache};
+use crate::cache::{Cache, CacheConfig, CacheEngine, CacheStats, ListCache, ResidencySink};
 use crate::dram::{Dram, DramConfig, DramStats};
 use crate::fastdiv::FastDiv;
 use sgcn_formats::LineRun;
@@ -162,10 +162,65 @@ impl CacheImpl {
         }
     }
 
+    fn occupancy(&self) -> u64 {
+        match self {
+            CacheImpl::Flat(c) => c.occupancy(),
+            CacheImpl::List(c) => c.occupancy(),
+        }
+    }
+
     fn reset_stats(&mut self) {
         match self {
             CacheImpl::Flat(c) => c.reset_stats(),
             CacheImpl::List(c) => c.reset_stats(),
+        }
+    }
+}
+
+/// Exact per-row resident-line counters (see
+/// [`MemorySystem::track_rows`]): row `r` owns lines
+/// `r·lines_per_row .. (r+1)·lines_per_row`.
+#[derive(Debug, Clone)]
+struct RowResidency {
+    lines_per_row: FastDiv,
+    /// Resident lines per row, grown on demand by fills.
+    counts: Vec<u32>,
+}
+
+impl ResidencySink for RowResidency {
+    #[inline]
+    fn fill(&mut self, line: u64) {
+        let row = self.lines_per_row.div(line) as usize;
+        if row >= self.counts.len() {
+            self.counts.resize(row + 1, 0);
+        }
+        self.counts[row] += 1;
+    }
+
+    #[inline]
+    fn evict(&mut self, line: u64) {
+        self.counts[self.lines_per_row.div(line) as usize] -= 1;
+    }
+}
+
+/// The tracker slot as a sink: every replay path hands it to the cache,
+/// which reports only fills and evictions, so an untracked replay pays
+/// one predictable branch per miss. Dispatching on the slot once per run
+/// instead (a `()`-sink replay beside a tracked one) changed inlining
+/// and measured ~25 % slower on the untracked serving path (80k-request
+/// least-loaded `queue_sim`, one thread).
+impl ResidencySink for Option<RowResidency> {
+    #[inline]
+    fn fill(&mut self, line: u64) {
+        if let Some(rows) = self {
+            rows.fill(line);
+        }
+    }
+
+    #[inline]
+    fn evict(&mut self, line: u64) {
+        if let Some(rows) = self {
+            rows.evict(line);
         }
     }
 }
@@ -180,6 +235,9 @@ pub struct MemorySystem {
     /// Line-byte divider (shift when power-of-two) — every span/run call
     /// derives line indices through it.
     line_div: FastDiv,
+    /// Opt-in row-residency counters; `None` (the simulator's case)
+    /// keeps every replay unobserved.
+    rows: Option<RowResidency>,
 }
 
 impl MemorySystem {
@@ -206,7 +264,52 @@ impl MemorySystem {
             per_class: [TrafficStats::default(); 5],
             line_bytes,
             line_div: FastDiv::new(line_bytes),
+            rows: None,
         }
+    }
+
+    /// Arms exact per-row residency counting: from now on every fill,
+    /// eviction and invalidation updates a resident-line count for row
+    /// `line / lines_per_row`, read back by
+    /// [`MemorySystem::resident_lines`]. The counts equal
+    /// [`MemorySystem::peek_span`] over a row's byte range as long as
+    /// rows are line-aligned runs of `lines_per_row` lines from address
+    /// 0 — which is how a serving engine's cache holds feature rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lines_per_row` is zero or the cache already holds
+    /// lines (arm tracking on a cold hierarchy).
+    pub fn track_rows(&mut self, lines_per_row: u64) {
+        assert!(lines_per_row > 0, "a row spans at least one line");
+        assert_eq!(
+            self.cache.occupancy(),
+            0,
+            "arm row tracking on a cold cache"
+        );
+        self.rows = Some(RowResidency {
+            lines_per_row: FastDiv::new(lines_per_row),
+            counts: Vec::new(),
+        });
+    }
+
+    /// Whether [`MemorySystem::track_rows`] armed the row counters.
+    pub fn tracks_rows(&self) -> bool {
+        self.rows.is_some()
+    }
+
+    /// Lines of row `row` resident right now: one array read.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`MemorySystem::track_rows`] armed the counters.
+    #[inline]
+    pub fn resident_lines(&self, row: u64) -> u64 {
+        let rows = self.rows.as_ref().expect("row tracking is armed");
+        usize::try_from(row)
+            .ok()
+            .and_then(|r| rows.counts.get(r))
+            .map_or(0, |&c| u64::from(c))
     }
 
     /// Cache line size in bytes — what callers compact spans against
@@ -278,9 +381,14 @@ impl MemorySystem {
             CacheImpl::Flat(c) => {
                 let line_bytes = self.line_bytes;
                 let dram = &mut self.dram;
-                hits = c.probe_run(first, lines, |miss_first, miss_count| {
-                    dram.access_run(miss_first * line_bytes, miss_count, line_bytes, false);
-                });
+                hits = c.probe_run_observed(
+                    first,
+                    lines,
+                    |miss_first, miss_count| {
+                        dram.access_run(miss_first * line_bytes, miss_count, line_bytes, false);
+                    },
+                    &mut self.rows,
+                );
                 c.count_repeat_hits(seam_hits);
                 let stats = &mut self.per_class[kind.index()];
                 stats.requests += spans;
@@ -293,7 +401,7 @@ impl MemorySystem {
                 for line in first..first + lines {
                     let line_addr = line * self.line_bytes;
                     self.per_class[kind.index()].bytes_requested += self.line_bytes;
-                    if c.access(line_addr) {
+                    if c.access_observed(line_addr, &mut self.rows) {
                         hits += 1;
                     } else {
                         self.dram.access_reference(line_addr, false);
@@ -318,9 +426,10 @@ impl MemorySystem {
     }
 
     /// Non-mutating residency probe of a span: how many of its lines a
-    /// read *would* hit right now. No fill, no promotion, no counters —
-    /// the scheduling half of the warm-reuse hooks (a cache-affinity
-    /// scheduler peeks every engine before committing a request to one).
+    /// read *would* hit right now. No fill, no promotion, no counters.
+    /// One set scan per line, so it is the oracle the O(1)-per-row
+    /// [`MemorySystem::resident_lines`] counters are tested against, not
+    /// the scheduler's path.
     pub fn peek_span(&self, addr: u64, bytes: u64) -> SpanCounts {
         if bytes == 0 {
             return SpanCounts::default();
@@ -354,7 +463,7 @@ impl MemorySystem {
     /// every DRAM bank's open row is closed, and all counters are zero,
     /// so the first requests it serves honestly pay the warm-up again.
     pub fn reset_cold(&mut self) {
-        self.cache.flush();
+        self.flush_cache();
         self.cache.reset_stats();
         self.dram.reset_cold();
         self.per_class = [TrafficStats::default(); 5];
@@ -453,7 +562,7 @@ impl MemorySystem {
     ) -> SpanCounts {
         match &mut self.cache {
             CacheImpl::Flat(c) => {
-                c.invalidate_run(first, lines);
+                c.invalidate_run(first, lines, &mut self.rows);
                 self.dram
                     .access_run(first * self.line_bytes, lines, self.line_bytes, true);
                 let stats = &mut self.per_class[kind.index()];
@@ -466,7 +575,9 @@ impl MemorySystem {
                 self.per_class[kind.index()].requests += spans;
                 for line in first..first + lines {
                     let line_addr = line * self.line_bytes;
-                    c.invalidate(line_addr);
+                    if c.invalidate(line_addr) {
+                        self.rows.evict(line);
+                    }
                     self.dram.access_reference(line_addr, true);
                     let s = &mut self.per_class[kind.index()];
                     s.bytes_requested += self.line_bytes;
@@ -499,15 +610,19 @@ impl MemorySystem {
         let mut hits = 0u64;
         match &mut self.cache {
             CacheImpl::Flat(c) => {
-                for line in first..=last {
-                    if c.access_line(line) {
-                        hits += 1;
-                    } else {
-                        let line_addr = line * self.line_bytes;
-                        self.dram.access(line_addr, false);
-                        self.dram.access(line_addr, true); // dirty write-back
-                    }
-                }
+                let line_bytes = self.line_bytes;
+                let dram = &mut self.dram;
+                hits = c.probe_run_observed(
+                    first,
+                    lines,
+                    |miss_first, miss_count| {
+                        for line in miss_first..miss_first + miss_count {
+                            dram.access(line * line_bytes, false);
+                            dram.access(line * line_bytes, true); // dirty write-back
+                        }
+                    },
+                    &mut self.rows,
+                );
             }
             CacheImpl::List(c) => {
                 // Preserved seed path.
@@ -515,7 +630,7 @@ impl MemorySystem {
                 for line in first..=last {
                     let line_addr = line * self.line_bytes;
                     self.per_class[kind.index()].bytes_requested += self.line_bytes;
-                    if c.access(line_addr) {
+                    if c.access_observed(line_addr, &mut self.rows) {
                         hits += 1;
                     } else {
                         self.dram.access_reference(line_addr, false);
@@ -562,9 +677,13 @@ impl MemorySystem {
         self.dram.reset_time();
     }
 
-    /// Drops all cached lines (keeps statistics).
+    /// Drops all cached lines (keeps statistics) and zeroes the row
+    /// counters.
     pub fn flush_cache(&mut self) {
         self.cache.flush();
+        if let Some(rows) = &mut self.rows {
+            rows.counts.clear();
+        }
     }
 
     /// Counters snapshot.
@@ -733,6 +852,63 @@ mod tests {
         );
         assert_eq!(m.report(), before, "peek must leave every counter alone");
         assert_eq!(m.peek_span(0, 0), SpanCounts::default());
+    }
+
+    #[test]
+    fn row_counters_follow_fills_evictions_and_flushes() {
+        for engine in [CacheEngine::Flat, CacheEngine::List] {
+            // 4 sets × 2 ways × 64 B: rows of 2 lines, so rows 0 and 2
+            // share sets 0–1 and row 4 evicts the older of them.
+            let mut m = MemorySystem::with_engine(
+                CacheConfig {
+                    capacity_bytes: 512,
+                    ways: 2,
+                    line_bytes: 64,
+                    ..CacheConfig::default()
+                },
+                DramConfig::hbm2(),
+                engine,
+            );
+            m.track_rows(2);
+            assert!(m.tracks_rows());
+            assert_eq!(m.resident_lines(7), 0, "{engine:?}: untouched row");
+            m.read_span(0, 128, Traffic::FeatureRead); // row 0
+            m.read_span(512, 128, Traffic::FeatureRead); // row 4
+            assert_eq!((m.resident_lines(0), m.resident_lines(4)), (2, 2));
+            m.read_span(1024, 128, Traffic::FeatureRead); // row 8 evicts row 0
+            assert_eq!(
+                (
+                    m.resident_lines(0),
+                    m.resident_lines(4),
+                    m.resident_lines(8)
+                ),
+                (0, 2, 2),
+                "{engine:?}"
+            );
+            m.write_span(512, 64, Traffic::FeatureWrite); // invalidates one line
+            assert_eq!(m.resident_lines(4), 1, "{engine:?}");
+            m.reset_stats();
+            assert_eq!(m.resident_lines(8), 2, "{engine:?}: contents survive");
+            m.reset_cold();
+            assert_eq!(m.resident_lines(8), 0, "{engine:?}");
+            m.read_span(0, 64, Traffic::FeatureRead);
+            m.flush_cache();
+            assert_eq!(m.resident_lines(0), 0, "{engine:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cold cache")]
+    fn row_tracking_arms_only_on_a_cold_cache() {
+        let mut m = sys();
+        m.read(0, 64, Traffic::FeatureRead);
+        m.track_rows(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "row tracking is armed")]
+    fn resident_lines_needs_armed_tracking() {
+        let _ = sys().resident_lines(0);
     }
 
     #[test]
