@@ -90,6 +90,16 @@
 //!   each engine's service-time factor, and warms the full Table III
 //!   512 KB cache rather than the scaled-down experiment cache.
 //!
+//! A warm engine cache only ever sees whole feature rows of `k =
+//! row_stride / line_bytes` lines. When `k` divides the class cache's
+//! set count and its policy is LRU or FIFO, the engine runs the exact
+//! row-granular twin ([`CacheConfig::row_granular`]): one probe per row,
+//! with hits, evictions, DRAM bursts and clocks identical to the line
+//! cache once counts are scaled by `k` — PubMed's 32-line row on the
+//! 512-set Table III cache and the 64-set lineup cache, and every
+//! quick-scale row. Otherwise (BIP, or paper-scale Cora's 90-line row)
+//! the engine keeps the line geometry through the same code.
+//!
 //! The `cost-aware` policy routes on a [`CostModel`]: per-cell linear
 //!   predictors of service cycles from subgraph stats
 //!   ([`RequestStats`]: vertices, edges, sparsity, feature bytes),
@@ -161,7 +171,10 @@ pub enum SchedPolicy {
     /// the engine's per-row resident-line counter
     /// ([`MemorySystem::resident_lines`]) per sampled vertex, exact
     /// because feature rows are line-aligned and engine caches hold
-    /// only feature rows.
+    /// only feature rows. On a row-granular engine cache (a row's line
+    /// count divides the set count under LRU or FIFO) the counter reads
+    /// 0 or 1 per row and is scaled by the row's line count; otherwise
+    /// it counts the row's resident lines directly.
     CacheAffinity,
     /// Deadline-driven: requests go to the least-loaded engine, and each
     /// engine serves its queued requests **earliest deadline first**
@@ -1596,16 +1609,37 @@ impl ClassPricing {
             feature_row_bytes,
         }
     }
+
+    /// Lines of the class's cache per line of `mem`: the row's line
+    /// count when `mem` runs the row-granular twin, 1 on the line
+    /// geometry. Every count read off an engine hierarchy is scaled by
+    /// it back into the class's lines.
+    #[inline]
+    fn granule(&self, mem: &MemorySystem) -> u64 {
+        mem.line_bytes() / self.line_bytes
+    }
 }
 
-/// A fresh engine hierarchy for one hardware class. Cache-affinity
-/// routing scores engines by resident lines per feature row, so only
-/// that policy arms the row counters; every other policy replays
-/// untracked.
+/// A fresh engine hierarchy for one hardware class.
+///
+/// An engine cache only ever sees whole feature rows — `k =
+/// row_stride / line_bytes` lines from line `v·k` — so when `k` divides
+/// the set count under LRU or FIFO it runs the exact row-granular twin
+/// ([`CacheConfig::row_granular`]): one probe per row instead of `k`,
+/// with identical hits, evictions, DRAM bursts and clocks up to the
+/// `k`-fold [`ClassPricing::granule`]. Any other geometry or policy
+/// (BIP, or a line count that does not divide the set count) falls back
+/// to the class's line geometry through the same code. Cache-affinity routing
+/// scores engines by resident lines per feature row, so only that
+/// policy arms the row counters; every other policy replays untracked.
 fn engine_memory(hw: &HwConfig, pricing: &ClassPricing, policy: SchedPolicy) -> MemorySystem {
-    let mut mem = MemorySystem::with_engine(hw.cache, hw.dram, hw.cache_engine);
+    let cache = hw
+        .cache
+        .row_granular(pricing.row_stride / pricing.line_bytes)
+        .unwrap_or(hw.cache);
+    let mut mem = MemorySystem::with_engine(cache, hw.dram, hw.cache_engine);
     if policy == SchedPolicy::CacheAffinity {
-        mem.track_rows(pricing.row_stride / pricing.line_bytes);
+        mem.track_rows(pricing.row_stride / cache.line_bytes);
     }
     mem
 }
@@ -1769,22 +1803,27 @@ impl QueueSim<'_> {
             }),
             // Cache affinity reads each engine's per-row resident-line
             // counters: one array read per sampled row, exact because
-            // the engine caches hold only line-aligned feature rows. The
-            // commit happens once the winner is chosen.
+            // the engine caches hold only line-aligned feature rows,
+            // scaled from row-lines back to class lines. The commit
+            // happens once the winner is chosen.
             SchedPolicy::CacheAffinity => self.bounded_load_pick(arrival, |_, eng| {
+                let pricing = &self.pricing[eng.class];
+                let granule = pricing.granule(&eng.mem);
                 let score = p
                     .vertices
                     .iter()
                     .map(|&v| eng.mem.resident_lines(u64::from(v)))
-                    .sum();
+                    .sum::<u64>()
+                    * granule;
                 debug_assert_eq!(
                     score,
                     {
-                        let stride = self.pricing[eng.class].row_stride;
+                        let stride = pricing.row_stride;
                         p.vertices
                             .iter()
                             .map(|&v| eng.mem.peek_span(u64::from(v) * stride, stride).hits)
                             .sum::<u64>()
+                            * granule
                     },
                     "row counters diverged from the warm cache"
                 );
@@ -2011,8 +2050,8 @@ impl QueueSim<'_> {
         // multiple), so each row is one pre-compacted line run — the
         // same batched replay the dataflow simulator uses
         // (`MemorySystem::access_lines`), bit-identical to the per-span
-        // path.
-        let lines_per_row = pricing.row_stride / pricing.line_bytes;
+        // path. On a row-granular hierarchy the run is one row-line.
+        let lines_per_row = pricing.row_stride / eng.mem.line_bytes();
         let mut warm = SpanCounts::default();
         for &v in vertices {
             warm.add(eng.mem.access_lines(
@@ -2021,6 +2060,7 @@ impl QueueSim<'_> {
                 Traffic::FeatureRead,
             ));
         }
+        let warm = warm.scaled(pricing.granule(&eng.mem));
         // Reuse can only displace feature-read DRAM traffic the cold run
         // actually paid for.
         let saved_bytes =
@@ -3792,17 +3832,82 @@ mod tests {
     fn only_cache_affinity_arms_row_tracking() {
         // The counters cost an update per fill and eviction; policies
         // that never read them replay untracked, exactly as before the
-        // counters existed.
+        // counters existed — on the row geometry (PubMed's 32-line row)
+        // and on the line fallback (a 90-line row) alike.
         let hw = HwConfig::default();
-        let pricing = ClassPricing::new(&hw, 2000);
-        for policy in SchedPolicy::ALL {
-            let mem = engine_memory(&hw, &pricing, policy);
+        for row_bytes in [2000, 90 * 64] {
+            let pricing = ClassPricing::new(&hw, row_bytes);
+            for policy in SchedPolicy::ALL {
+                let mem = engine_memory(&hw, &pricing, policy);
+                assert_eq!(
+                    mem.tracks_rows(),
+                    policy == SchedPolicy::CacheAffinity,
+                    "{policy:?}, {row_bytes} B rows"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn engine_memory_picks_row_geometry_only_when_exact() {
+        // (cache, row bytes) → expected engine line bytes.
+        let table_iii = HwConfig::default();
+        let lineup_cache = HwConfig::default().with_cache_kib(64);
+        let bip = HwConfig::default().with_cache_policy(sgcn_mem::ReplacementPolicy::Bip);
+        let cases = [
+            // PubMed's 2,000 B row pads to 32 lines: 32 | 512 sets and
+            // 32 | 64 sets, so both caches replay one line per row.
+            (table_iii, 2000, 2048),
+            (lineup_cache, 2000, 2048),
+            // Cora's 90-line row divides neither: line geometry.
+            (table_iii, 90 * 64, 64),
+            (lineup_cache, 90 * 64, 64),
+            // BIP's global insertion counter rules the twin out.
+            (bip, 2000, 64),
+        ];
+        for (hw, row_bytes, line_bytes) in cases {
+            let pricing = ClassPricing::new(&hw, row_bytes);
+            let mut mem = engine_memory(&hw, &pricing, SchedPolicy::CacheAffinity);
+            assert_eq!(mem.line_bytes(), line_bytes, "{row_bytes} B rows");
+            assert_eq!(pricing.granule(&mem), line_bytes / 64);
+            // Either way the armed counters, scaled by the granule, count
+            // a resident row's class lines.
+            let row_lines = pricing.row_stride / line_bytes;
+            mem.access_lines(
+                0,
+                LineRun::contiguous(3 * row_lines, row_lines),
+                Traffic::FeatureRead,
+            );
             assert_eq!(
-                mem.tracks_rows(),
-                policy == SchedPolicy::CacheAffinity,
-                "{policy:?}"
+                mem.resident_lines(3) * pricing.granule(&mem),
+                pricing.row_stride / 64
             );
         }
+    }
+
+    #[test]
+    fn cache_affinity_through_the_line_fallback_conserves_requests() {
+        // A 3-line row divides no power-of-two set count, so the engines
+        // run the line geometry; under `cargo test` every routing
+        // decision also checks the row counters against the peek oracle.
+        let (_ctx, prepared, _row) = prepared_tiny(48, 6);
+        let hw = HwConfig::default();
+        assert_eq!(
+            engine_memory(
+                &hw,
+                &ClassPricing::new(&hw, 3 * 64),
+                SchedPolicy::CacheAffinity
+            )
+            .line_bytes(),
+            64
+        );
+        let out = simulate_queue(&prepared, &qcfg(3, SchedPolicy::CacheAffinity), &hw, 3 * 64);
+        let sum = &out.summary;
+        assert_eq!(
+            sum.completed as u64 + sum.shed + sum.failed,
+            prepared.len() as u64
+        );
+        assert!(sum.warm_hits > 0, "the hot pool must reuse resident rows");
     }
 
     #[test]

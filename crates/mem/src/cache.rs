@@ -126,6 +126,35 @@ impl CacheConfig {
         );
         (self.capacity_bytes / set_bytes) as usize
     }
+
+    /// The row-granular twin of this geometry for a cache that only
+    /// ever sees whole rows of `lines_per_row` lines laid out from
+    /// address 0: `sets / lines_per_row` sets of one
+    /// `lines_per_row × line_bytes` line per row, same ways and
+    /// capacity. `Some` only when the twin is exact — `lines_per_row ≥
+    /// 1` divides the set count and the policy is LRU or FIFO.
+    ///
+    /// Row `v`'s line `j` lands in set `k·(v mod S/k) + j` (`k` lines
+    /// per row, `S` sets), so every set of a `k`-set group receives the
+    /// identical row sequence. Under LRU or FIFO each set evolves on its
+    /// own sequence alone, so the group's sets hold the same rows in the
+    /// same order and every row access hits or misses on all `k` lines
+    /// together: the twin replays it hit for hit and eviction for
+    /// eviction, with every count divided by `k`. BIP is excluded — its
+    /// bimodal counter is global and ticks per missed line, so the sets
+    /// of a group diverge.
+    pub fn row_granular(self, lines_per_row: u64) -> Option<CacheConfig> {
+        let exact = lines_per_row >= 1
+            && (self.sets() as u64).is_multiple_of(lines_per_row)
+            && matches!(
+                self.policy,
+                ReplacementPolicy::Lru | ReplacementPolicy::Fifo
+            );
+        exact.then(|| CacheConfig {
+            line_bytes: self.line_bytes * lines_per_row,
+            ..self
+        })
+    }
 }
 
 /// Hit/miss counters.

@@ -266,11 +266,15 @@ impl Dram {
     /// Services `count` accesses at `stride_bytes` intervals from `addr`
     /// — the batched DRAM walk behind the line-run replay (a compacted
     /// read run's miss sub-runs, a streaming write run, an uncached
-    /// topology stream). When the stride equals the burst size (cache
-    /// line == DRAM burst, the universal configuration) the
+    /// topology stream). [`crate::MemorySystem`] moves a line larger
+    /// than a burst as its consecutive bursts, so every run of lines at
+    /// least one burst wide arrives here with the stride equal to the
+    /// burst size — including a [`crate::CacheConfig::row_granular`]
+    /// cache's row-lines, whose bursts are exactly the ones the
+    /// line-granular cache it twins would issue. At that stride the
     /// channel/bank/row decomposition advances incrementally instead of
-    /// re-dividing the address per burst; otherwise each access falls
-    /// back to [`Dram::access`]. Either way the per-burst sequence —
+    /// re-dividing the address per burst; any other stride (lines
+    /// smaller than a burst) falls back to [`Dram::access`] per access. Either way the per-burst sequence —
     /// including the order the `f64` channel/bank clocks accumulate in —
     /// is identical to calling [`Dram::access`] per address, so every
     /// counter and clock stays bit-identical.

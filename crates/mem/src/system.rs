@@ -13,6 +13,14 @@
 //! the cache short-circuit repeated probes) and returns the per-span
 //! [`SpanCounts`]. The legacy single-shot methods (`read`, `write`, …)
 //! delegate to them, so every caller sees identical counters.
+//!
+//! DRAM moves whole lines: a missed, streamed or written-back line
+//! larger than a DRAM burst reaches DRAM as its `line_bytes /
+//! burst_bytes` bursts in ascending order, so the DRAM byte counters and
+//! the per-class `dram_bytes` agree at any line size. That is also what
+//! makes a [`CacheConfig::row_granular`] hierarchy exact: a missed
+//! row-line issues the same bursts, in the same order, as the run of
+//! missed lines it stands for.
 
 use crate::cache::{Cache, CacheConfig, CacheEngine, CacheStats, ListCache, ResidencySink};
 use crate::dram::{Dram, DramConfig, DramStats};
@@ -101,6 +109,17 @@ impl SpanCounts {
         self.lines += other.lines;
         self.hits += other.hits;
         self.misses += other.misses;
+    }
+
+    /// Every count multiplied by `granule` — converts counts from a
+    /// [`CacheConfig::row_granular`] hierarchy's row-lines back into the
+    /// lines of the geometry it twins.
+    pub fn scaled(self, granule: u64) -> SpanCounts {
+        SpanCounts {
+            lines: self.lines * granule,
+            hits: self.hits * granule,
+            misses: self.misses * granule,
+        }
     }
 }
 
@@ -225,6 +244,64 @@ impl ResidencySink for Option<RowResidency> {
     }
 }
 
+/// How a cache line moves to and from DRAM: a line no larger than a
+/// burst is one burst at the line's address; a larger line is its
+/// `line_bytes / burst_bytes` bursts in ascending order, so every byte
+/// the per-class counters book also reaches the DRAM counters.
+#[derive(Debug, Clone, Copy)]
+struct LineBursts {
+    line_bytes: u64,
+    /// Bursts per line (≥ 1).
+    per_line: u64,
+    /// Address step between consecutive bursts of a line run: the burst
+    /// size for multi-burst lines, the line size otherwise.
+    stride: u64,
+}
+
+impl LineBursts {
+    /// # Panics
+    ///
+    /// Panics if a line larger than a burst is not a whole number of
+    /// bursts.
+    fn new(line_bytes: u64, burst_bytes: u64) -> Self {
+        if line_bytes <= burst_bytes {
+            return LineBursts {
+                line_bytes,
+                per_line: 1,
+                stride: line_bytes,
+            };
+        }
+        assert!(
+            line_bytes.is_multiple_of(burst_bytes),
+            "a {line_bytes} B line is not a whole number of {burst_bytes} B bursts"
+        );
+        LineBursts {
+            line_bytes,
+            per_line: line_bytes / burst_bytes,
+            stride: burst_bytes,
+        }
+    }
+
+    /// Moves `count` consecutive lines from line `first` in one batched
+    /// DRAM walk (a line's bursts continue where the previous line's
+    /// end).
+    #[inline]
+    fn run(self, dram: &mut Dram, first: u64, count: u64, is_write: bool) {
+        dram.access_run(
+            first * self.line_bytes,
+            count * self.per_line,
+            self.stride,
+            is_write,
+        );
+    }
+
+    /// The burst addresses of one line, ascending.
+    #[inline]
+    fn addrs(self, line: u64) -> impl Iterator<Item = u64> {
+        (0..self.per_line).map(move |b| line * self.line_bytes + b * self.stride)
+    }
+}
+
 /// The memory hierarchy: global cache in front of HBM.
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
@@ -232,6 +309,8 @@ pub struct MemorySystem {
     dram: Dram,
     per_class: [TrafficStats; 5],
     line_bytes: u64,
+    /// How each missed or streamed line reaches DRAM.
+    bursts: LineBursts,
     /// Line-byte divider (shift when power-of-two) — every span/run call
     /// derives line indices through it.
     line_div: FastDiv,
@@ -249,6 +328,11 @@ impl MemorySystem {
     }
 
     /// Builds the hierarchy with an explicit cache engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache or DRAM geometry is degenerate, or if a line
+    /// larger than a DRAM burst is not a whole number of bursts.
     pub fn with_engine(
         cache_config: CacheConfig,
         dram_config: DramConfig,
@@ -263,6 +347,7 @@ impl MemorySystem {
             dram: Dram::new(dram_config),
             per_class: [TrafficStats::default(); 5],
             line_bytes,
+            bursts: LineBursts::new(line_bytes, dram_config.burst_bytes),
             line_div: FastDiv::new(line_bytes),
             rows: None,
         }
@@ -380,13 +465,12 @@ impl MemorySystem {
         match &mut self.cache {
             CacheImpl::Flat(c) => {
                 let line_bytes = self.line_bytes;
+                let bursts = self.bursts;
                 let dram = &mut self.dram;
                 hits = c.probe_run_observed(
                     first,
                     lines,
-                    |miss_first, miss_count| {
-                        dram.access_run(miss_first * line_bytes, miss_count, line_bytes, false);
-                    },
+                    |miss_first, miss_count| bursts.run(dram, miss_first, miss_count, false),
                     &mut self.rows,
                 );
                 c.count_repeat_hits(seam_hits);
@@ -404,7 +488,9 @@ impl MemorySystem {
                     if c.access_observed(line_addr, &mut self.rows) {
                         hits += 1;
                     } else {
-                        self.dram.access_reference(line_addr, false);
+                        for addr in self.bursts.addrs(line) {
+                            self.dram.access_reference(addr, false);
+                        }
                         self.per_class[kind.index()].dram_bytes += self.line_bytes;
                     }
                 }
@@ -483,7 +569,9 @@ impl MemorySystem {
             let stats = &mut self.per_class[kind.index()];
             stats.requests += 1;
             for line in first..=last {
-                self.dram.access_reference(line * self.line_bytes, false);
+                for addr in self.bursts.addrs(line) {
+                    self.dram.access_reference(addr, false);
+                }
                 let s = &mut self.per_class[kind.index()];
                 s.bytes_requested += self.line_bytes;
                 s.dram_bytes += self.line_bytes;
@@ -494,8 +582,7 @@ impl MemorySystem {
                 misses: lines,
             };
         }
-        self.dram
-            .access_run(first * self.line_bytes, lines, self.line_bytes, false);
+        self.bursts.run(&mut self.dram, first, lines, false);
         let stats = &mut self.per_class[kind.index()];
         stats.requests += 1;
         stats.bytes_requested += lines * self.line_bytes;
@@ -563,8 +650,7 @@ impl MemorySystem {
         match &mut self.cache {
             CacheImpl::Flat(c) => {
                 c.invalidate_run(first, lines, &mut self.rows);
-                self.dram
-                    .access_run(first * self.line_bytes, lines, self.line_bytes, true);
+                self.bursts.run(&mut self.dram, first, lines, true);
                 let stats = &mut self.per_class[kind.index()];
                 stats.requests += spans;
                 stats.bytes_requested += lines * self.line_bytes;
@@ -578,7 +664,9 @@ impl MemorySystem {
                     if c.invalidate(line_addr) {
                         self.rows.evict(line);
                     }
-                    self.dram.access_reference(line_addr, true);
+                    for addr in self.bursts.addrs(line) {
+                        self.dram.access_reference(addr, true);
+                    }
                     let s = &mut self.per_class[kind.index()];
                     s.bytes_requested += self.line_bytes;
                     s.dram_bytes += self.line_bytes;
@@ -610,15 +698,17 @@ impl MemorySystem {
         let mut hits = 0u64;
         match &mut self.cache {
             CacheImpl::Flat(c) => {
-                let line_bytes = self.line_bytes;
+                let bursts = self.bursts;
                 let dram = &mut self.dram;
                 hits = c.probe_run_observed(
                     first,
                     lines,
                     |miss_first, miss_count| {
                         for line in miss_first..miss_first + miss_count {
-                            dram.access(line * line_bytes, false);
-                            dram.access(line * line_bytes, true); // dirty write-back
+                            for addr in bursts.addrs(line) {
+                                dram.access(addr, false);
+                                dram.access(addr, true); // dirty write-back
+                            }
                         }
                     },
                     &mut self.rows,
@@ -633,8 +723,10 @@ impl MemorySystem {
                     if c.access_observed(line_addr, &mut self.rows) {
                         hits += 1;
                     } else {
-                        self.dram.access_reference(line_addr, false);
-                        self.dram.access_reference(line_addr, true); // dirty write-back
+                        for addr in self.bursts.addrs(line) {
+                            self.dram.access_reference(addr, false);
+                            self.dram.access_reference(addr, true); // dirty write-back
+                        }
                         self.per_class[kind.index()].dram_bytes += 2 * self.line_bytes;
                     }
                 }
@@ -660,6 +752,13 @@ impl MemorySystem {
     /// Read-modify-write of `bytes` at `addr` through the cache.
     pub fn read_modify_write(&mut self, addr: u64, bytes: u64, kind: Traffic) {
         self.read_modify_write_span(addr, bytes, kind);
+    }
+
+    /// The DRAM device, read-only: its `Debug` rendering carries every
+    /// open row and every `f64` channel and bank clock, so two
+    /// hierarchies can be compared bit for bit.
+    pub fn dram(&self) -> &Dram {
+        &self.dram
     }
 
     /// Elapsed DRAM time (busiest channel) in cycles.
@@ -1070,6 +1169,48 @@ mod tests {
         by_span.read_span(base, 256, Traffic::Weight);
         by_run.access_lines(base, LineRun::contiguous(0, 4), Traffic::Weight);
         assert_eq!(by_span.report(), by_run.report());
+    }
+
+    #[test]
+    fn multi_burst_lines_move_every_burst() {
+        // 128 B lines over 64 B bursts: each missed or streamed line is
+        // two DRAM bursts, so the DRAM byte totals equal the per-class
+        // ones on every path.
+        for engine in [CacheEngine::Flat, CacheEngine::List] {
+            let mut m = MemorySystem::with_engine(
+                CacheConfig {
+                    line_bytes: 128,
+                    ..CacheConfig::default()
+                },
+                DramConfig::hbm2(),
+                engine,
+            );
+            m.read(0, 1000, Traffic::FeatureRead); // 8 missed lines
+            m.read(0, 1000, Traffic::FeatureRead); // all hits
+            m.read_uncached(1 << 20, 256, Traffic::Topology); // 2 lines
+            m.write(2 << 20, 384, Traffic::FeatureWrite); // 3 lines
+            m.read_modify_write(3 << 20, 128, Traffic::PartialSum); // 1 miss
+            let r = m.report();
+            assert_eq!(r.cache.misses, 8 + 1, "{engine:?}");
+            assert_eq!(r.dram.read_bursts, 2 * (8 + 2 + 1), "{engine:?}");
+            assert_eq!(r.dram.write_bursts, 2 * (3 + 1), "{engine:?}");
+            let per_class: u64 = r.per_class.iter().map(|t| t.dram_bytes).sum();
+            assert_eq!(r.dram_total_bytes(), per_class, "{engine:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number")]
+    fn lines_must_be_whole_bursts() {
+        MemorySystem::with_engine(
+            CacheConfig {
+                capacity_bytes: 96 * 16 * 4,
+                line_bytes: 96,
+                ..CacheConfig::default()
+            },
+            DramConfig::hbm2(),
+            CacheEngine::Flat,
+        );
     }
 
     #[test]

@@ -1,0 +1,137 @@
+//! Property tests for the row-granular cache twin
+//! (`CacheConfig::row_granular`): a hierarchy that only ever sees whole
+//! rows of `k` lines must replay identically on the line geometry and
+//! on its twin of one `k`-line line per row. Random traces of whole-row
+//! runs, statistics resets, flushes and power-cycle resets drive both,
+//! on both cache engines, under every replacement policy the twin
+//! admits, for `k ∈ {1, 2, 4, 8}` on a small cache where nearly every
+//! fill evicts. After every operation the twin's span counts, cache
+//! counters and resident-row counts times `k` equal the line
+//! geometry's, and its DRAM device — counters, open rows and every
+//! `f64` clock — is bit-identical.
+
+use proptest::prelude::*;
+use sgcn_formats::LineRun;
+use sgcn_mem::{
+    CacheConfig, CacheEngine, DramConfig, MemReport, MemorySystem, ReplacementPolicy, Traffic,
+};
+
+/// 2 KiB, 2-way, 64 B lines: 16 sets × 2 ways = 32 lines.
+fn line_config(policy: ReplacementPolicy) -> CacheConfig {
+    CacheConfig {
+        capacity_bytes: 2 * 1024,
+        ways: 2,
+        line_bytes: 64,
+        policy,
+    }
+}
+
+/// Rows the traces aim at: more than the cache holds at every `k`.
+const ROWS: u64 = 48;
+
+fn tracked(config: CacheConfig, engine: CacheEngine, lines_per_row: u64) -> MemorySystem {
+    let mut mem = MemorySystem::with_engine(config, DramConfig::hbm2(), engine);
+    mem.track_rows(lines_per_row);
+    mem
+}
+
+/// A report's cache counters in lines of the twinned geometry.
+fn in_lines(mut report: MemReport, k: u64) -> MemReport {
+    report.cache.hits *= k;
+    report.cache.misses *= k;
+    report.cache.evictions *= k;
+    report
+}
+
+proptest! {
+    #[test]
+    fn row_twin_replays_the_line_geometry(
+        ops in proptest::collection::vec((0u32..100, 0u64..ROWS, 1u64..4), 1..150),
+    ) {
+        for engine in [CacheEngine::Flat, CacheEngine::List] {
+            for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Fifo, ReplacementPolicy::Bip] {
+                for k in [1u64, 2, 4, 8] {
+                    let Some(row_config) = line_config(policy).row_granular(k) else {
+                        continue;
+                    };
+                    let mut line = tracked(line_config(policy), engine, k);
+                    let mut row = tracked(row_config, engine, 1);
+                    for (step, &(kind, first, n)) in ops.iter().enumerate() {
+                        match kind {
+                            // `n` consecutive whole rows, one request
+                            // each: adjacent missed rows share one DRAM
+                            // walk.
+                            0..=87 => {
+                                let spans = n as u32;
+                                let by_line = line.access_lines(
+                                    0,
+                                    LineRun { first_line: first * k, lines: n * k, spans, seam_hits: 0 },
+                                    Traffic::FeatureRead,
+                                );
+                                let by_row = row.access_lines(
+                                    0,
+                                    LineRun { first_line: first, lines: n, spans, seam_hits: 0 },
+                                    Traffic::FeatureRead,
+                                );
+                                prop_assert_eq!(
+                                    by_line, by_row.scaled(k),
+                                    "{:?} {:?} k {} step {}", engine, policy, k, step
+                                );
+                            }
+                            88..=93 => {
+                                line.reset_stats();
+                                row.reset_stats();
+                            }
+                            94..=96 => {
+                                line.flush_cache();
+                                row.flush_cache();
+                            }
+                            _ => {
+                                line.reset_cold();
+                                row.reset_cold();
+                            }
+                        }
+                        prop_assert_eq!(
+                            line.report(), in_lines(row.report(), k),
+                            "{:?} {:?} k {} step {}", engine, policy, k, step
+                        );
+                        prop_assert_eq!(
+                            format!("{:?}", line.dram()), format!("{:?}", row.dram()),
+                            "{:?} {:?} k {} step {}: DRAM state or clocks diverged",
+                            engine, policy, k, step
+                        );
+                        prop_assert_eq!(line.elapsed_dram_cycles(), row.elapsed_dram_cycles());
+                        for v in 0..ROWS + 4 {
+                            prop_assert_eq!(
+                                line.resident_lines(v), row.resident_lines(v) * k,
+                                "{:?} {:?} k {} step {} row {}", engine, policy, k, step, v
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn row_twin_is_refused_when_inexact() {
+    let lru = line_config(ReplacementPolicy::Lru);
+    for k in [1, 2, 4, 8, 16] {
+        assert!(lru.row_granular(k).is_some(), "k = {k} divides 16 sets");
+        assert!(
+            line_config(ReplacementPolicy::Fifo)
+                .row_granular(k)
+                .is_some(),
+            "FIFO, k = {k}"
+        );
+        assert_eq!(
+            line_config(ReplacementPolicy::Bip).row_granular(k),
+            None,
+            "BIP's global insertion counter splits a row's sets, k = {k}"
+        );
+    }
+    for k in [0, 3, 5, 32] {
+        assert_eq!(lru.row_granular(k), None, "k = {k} does not divide 16 sets");
+    }
+}
