@@ -48,8 +48,8 @@ fn bench_cache(c: &mut Criterion) {
     g.finish();
 }
 
-/// The tentpole's batched span path vs the preserved naive per-line path:
-/// identical counters, different cost.
+/// The flat cache engine vs the recency-list reference engine on the
+/// same span reads: identical counters, different cost.
 fn bench_spans(c: &mut Criterion) {
     let mut g = c.benchmark_group("span_reads");
     // 10k spans of 384 B (a 96-column f32 slice) with feature-sweep-like
@@ -79,7 +79,7 @@ fn bench_spans(c: &mut Criterion) {
             counts
         })
     });
-    g.bench_function("naive_list_engine", |b| {
+    g.bench_function("list_reference_engine", |b| {
         let mut mem = MemorySystem::with_engine(
             CacheConfig::with_capacity_kib(64),
             DramConfig::hbm2(),

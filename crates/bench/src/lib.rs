@@ -68,10 +68,9 @@ pub fn banner(what: &str) {
 }
 
 /// Renders every table/figure of the evaluation into one string — the
-/// body of the `all_experiments` binary, callable by the `bench_sim`
-/// timing harness. The output is deterministic (bit-identical across
-/// thread counts and cache engines), so the harness also asserts the
-/// naive and fast paths render identical suites.
+/// body of the `all_experiments` binary and of the golden suite. The
+/// output is deterministic (bit-identical across thread counts and cache
+/// engines).
 pub fn run_suite(cfg: &ExperimentConfig, datasets: &[DatasetId], quick: bool) -> String {
     use sgcn::experiments as exp;
     use sgcn_model::GcnVariant;

@@ -9,11 +9,10 @@
 //! the maximum of its pipelined compute time and its DRAM service time
 //! (the paper's aggregation phase is "extremely memory intensive", §IV).
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use sgcn_engines::{two_stage_pipeline, SystolicArray};
-use sgcn_formats::{Beicsr, ColRange, CsrFeatures, DenseMatrix, FeatureFormat, LineRun, Span};
+use sgcn_formats::{Beicsr, ColRange, CsrFeatures, DenseMatrix, FeatureFormat, LineRun};
 use sgcn_graph::reorder::{islandize, top_degree_vertices};
 use sgcn_graph::{CsrGraph, Tiling};
 use sgcn_mem::CacheEngine;
@@ -74,15 +73,6 @@ impl VertexSet {
 
     fn is_empty(&self) -> bool {
         self.count == 0
-    }
-
-    /// Iterates the contained vertex ids in ascending order.
-    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &word)| {
-            (0..64)
-                .filter(move |b| (word >> b) & 1 == 1)
-                .map(move |b| (w * 64 + b) as u32)
-        })
     }
 }
 
@@ -185,18 +175,12 @@ fn run_untimed(
     let mut mem_cycles_total = 0u64;
     let mut layer_reports = Vec::with_capacity(layers);
 
-    // Fast path: encode each boundary matrix once up front — layer `l`'s
-    // output matrix *is* layer `l + 1`'s input, and the storage encoding
-    // is a pure function of (matrix, format), so the seed's per-layer
-    // re-encode did every intermediate encode twice. Naive mode keeps the
-    // seed behaviour (per-layer `encode_reference`) as the perf baseline.
-    let boundary_formats: Vec<LayerFormat> = if hw.is_naive() {
-        Vec::new()
-    } else {
-        (1..=layers)
-            .map(|b| boundary_format(model, workload, b, format_override, false))
-            .collect()
-    };
+    // Encode each boundary matrix once up front: layer `l`'s output
+    // matrix *is* layer `l + 1`'s input, and the storage encoding is a
+    // pure function of (matrix, format).
+    let boundary_formats: Vec<LayerFormat> = (1..=layers)
+        .map(|b| boundary_format(model, workload, b, format_override))
+        .collect();
 
     for l in 0..layers {
         let x_in = workload.trace.layer_features(l);
@@ -281,9 +265,8 @@ fn run_untimed(
 }
 
 /// Per-layer feature storage built from the trace. Encoded variants are
-/// `Arc`-shared with the workload's [`crate::workload::FormatCache`] on
-/// the fast path (encodings are pure, so sharing is invisible in the
-/// counters); the naive baseline owns fresh per-layer encodings.
+/// `Arc`-shared with the workload's [`crate::workload::FormatCache`]
+/// (encodings are pure, so sharing is invisible in the counters).
 enum LayerFormat<'a> {
     Dense(&'a DenseMatrix),
     Beicsr(Arc<Beicsr>),
@@ -344,9 +327,8 @@ impl LayerFormat<'_> {
 /// column window is fixed for a whole slice pass, so the slot-coverage
 /// arithmetic of [`LayerFormat::lane_work`] (slice divisions, partial-
 /// vs-full window classification) is resolved once per (tile, slice);
-/// each edge then pays only a per-row lookup. Fast path only — naive
-/// mode replays the seed's per-edge recomputation. Produces the exact
-/// values `lane_work` would.
+/// each edge then pays only a per-row lookup. Produces the exact values
+/// `lane_work` would.
 enum SlicePlan<'f> {
     /// Dense compute: every edge works the full window.
     Fixed(usize),
@@ -468,16 +450,14 @@ pub(crate) fn run_with_format_override(
 /// Builds the storage format of a boundary matrix — the matrix at trace
 /// index `b`, stored as layer `b - 1`'s output and read back as layer
 /// `b`'s input. A pure function of `(model storage / override, matrix)`,
-/// so the fast path encodes each boundary once and shares it through the
-/// workload's [`FormatCache`] across simulations (hardware sweeps revisit
-/// the same boundaries under many configs); the naive baseline rebuilds
-/// per layer with the seed's per-bit encoder.
+/// so each boundary is encoded once and shared through the workload's
+/// [`FormatCache`] across simulations (hardware sweeps revisit the same
+/// boundaries under many configs).
 fn boundary_format<'a>(
     model: &AccelModel,
     workload: &'a Workload,
     b: usize,
     format_override: Option<sgcn_formats::FormatKind>,
-    naive: bool,
 ) -> LayerFormat<'a> {
     let x = workload.trace.layer_features(b);
     if let Some(kind) = format_override {
@@ -487,9 +467,6 @@ fn boundary_format<'a>(
         // instead of boxing a clone behind dynamic dispatch.
         if matches!(kind, sgcn_formats::FormatKind::Dense) {
             return LayerFormat::Dense(x);
-        }
-        if naive {
-            return LayerFormat::Generic(encode_kind(kind, x));
         }
         let cached = workload
             .format_cache
@@ -504,9 +481,6 @@ fn boundary_format<'a>(
     match model.storage {
         FeatureStorage::Dense => LayerFormat::Dense(x),
         FeatureStorage::Beicsr(cfg) => {
-            if naive {
-                return LayerFormat::Beicsr(Arc::new(Beicsr::encode_reference(x, cfg)));
-            }
             let cached = workload
                 .format_cache
                 .get_or_build(FormatKey::Beicsr(b, cfg), || {
@@ -540,7 +514,6 @@ fn simulate_layer(
 ) -> LayerTally {
     let w_in = x_in.cols();
     let w_out = x_out.cols();
-    let naive = hw.is_naive();
 
     // Weights stream once per layer (they fit on chip / in cache).
     mem.read(
@@ -550,35 +523,25 @@ fn simulate_layer(
     );
 
     // Storage formats for this layer's input and output. Boundary
-    // matrices come precomputed on the fast path (see `run_inner`); the
-    // layer-0 input is special-cased below.
+    // matrices come precomputed (see `run_untimed`); the layer-0 input is
+    // special-cased below.
     // §V-F/§VII-B: the first-layer combination moves onto the sparse
     // aggregator only when the input is *extremely* sparse (one-hot-style,
     // NELL's 99.9%) — otherwise the systolic array's far higher peak wins.
-    // The trace already measured each matrix's sparsity at synthesis; the
-    // fast path reads it back while naive replays the seed's full rescan.
-    let sparse_input_layer = layer == 0
-        && model.sparse_first_layer
-        && (if naive {
-            x_in.sparsity()
-        } else {
-            workload.trace.sparsity(layer)
-        }) > 0.98;
+    // The trace already measured each matrix's sparsity at synthesis.
+    let sparse_input_layer =
+        layer == 0 && model.sparse_first_layer && workload.trace.sparsity(layer) > 0.98;
     let in_holder;
     let in_fmt: &LayerFormat<'_> = if sparse_input_layer {
-        in_holder = LayerFormat::Csr(if naive {
-            Arc::new(CsrFeatures::encode(x_in))
-        } else {
-            let cached = workload
-                .format_cache
-                .get_or_build(FormatKey::Csr(layer), || {
-                    CachedFormat::Csr(Arc::new(CsrFeatures::encode(x_in)))
-                });
-            let CachedFormat::Csr(f) = cached else {
-                unreachable!("Csr key stores Csr");
-            };
-            f
-        });
+        let cached = workload
+            .format_cache
+            .get_or_build(FormatKey::Csr(layer), || {
+                CachedFormat::Csr(Arc::new(CsrFeatures::encode(x_in)))
+            });
+        let CachedFormat::Csr(f) = cached else {
+            unreachable!("Csr key stores Csr");
+        };
+        in_holder = LayerFormat::Csr(f);
         &in_holder
     } else if layer == 0
         || (format_override.is_none() && matches!(model.storage, FeatureStorage::Dense))
@@ -588,19 +551,10 @@ fn simulate_layer(
         // borrows the trace matrix directly — no encode to share.
         in_holder = LayerFormat::Dense(x_in);
         &in_holder
-    } else if naive {
-        in_holder = boundary_format(model, workload, layer, format_override, true);
-        &in_holder
     } else {
         &boundary_formats[layer - 1]
     };
-    let out_holder;
-    let out_fmt: &LayerFormat<'_> = if naive {
-        out_holder = boundary_format(model, workload, layer + 1, format_override, true);
-        &out_holder
-    } else {
-        &boundary_formats[layer]
-    };
+    let out_fmt = &boundary_formats[layer];
 
     // Layer-0 runs combination first on every design that performs
     // inter-layer optimization; HyGCN (agg-first, untiled) is the paper's
@@ -615,15 +569,15 @@ fn simulate_layer(
 
     if model.column_product {
         return column_product_layer(
-            model, workload, hw, graph, systolic, mem, layer, in_fmt, x_in, w_in, w_out, in_base,
+            model, workload, hw, graph, systolic, mem, layer, in_fmt, w_in, w_out, in_base,
             out_base,
         );
     }
 
     match order {
         PhaseOrder::AggFirst => agg_first_layer(
-            model, workload, hw, graph, systolic, mem, pinned, davc_hits, in_fmt, out_fmt, x_in,
-            w_in, w_out, in_base, out_base,
+            model, workload, hw, graph, systolic, mem, pinned, davc_hits, in_fmt, out_fmt, w_in,
+            w_out, in_base, out_base,
         ),
         PhaseOrder::CombFirst => comb_first_layer(
             model,
@@ -649,7 +603,7 @@ fn simulate_layer(
 
 /// AWB-GCN's on-chip partial-sum accumulation banks, modelled with
 /// whichever cache implementation the run selects (both are
-/// stats-identical; `List` keeps the naive baseline faithful end to end).
+/// stats-identical, so the `List` reference engine runs end to end).
 enum PsumBanks {
     Flat(sgcn_mem::Cache),
     List(sgcn_mem::ListCache),
@@ -799,6 +753,24 @@ impl RowSliceMemo {
     }
 }
 
+/// GraphSAGE's sampled share of one destination's in-tile neighbor
+/// window: at most `cap` of its `deg` neighbors survive overall (§VI-C),
+/// so each tile keeps a proportional prefix. `None` keeps the window.
+fn sampled_prefix(neigh: &[u32], deg: usize, cap: Option<usize>) -> &[u32] {
+    match cap {
+        Some(cap) => {
+            let deg = deg.max(1);
+            let keep = if deg <= cap {
+                neigh.len()
+            } else {
+                (neigh.len() * cap).div_ceil(deg).min(neigh.len())
+            };
+            &neigh[..keep]
+        }
+        None => neigh,
+    }
+}
+
 /// The aggregation sweep shared by the row-product paths: returns
 /// per-destination-tile SIMD cycles and total MACs.
 #[allow(clippy::too_many_arguments)]
@@ -828,17 +800,8 @@ fn aggregation_sweep(
     let tiling = Tiling::new(vertices, DST_TILE_ROWS.min(vertices.max(1)), src_rows);
     let nslices = width.div_ceil(slice_w);
 
-    let naive = hw.is_naive();
     let has_pinned = !pinned.is_empty();
     let lane_div = LaneDiv::new(hw.simd_lanes);
-    // The naive baseline replays the seed's hashed pinned-set membership
-    // (a SipHash per (edge, slice), even when the set is empty).
-    let hashed_pinned: HashSet<u32> = if naive {
-        pinned.iter().collect()
-    } else {
-        HashSet::new()
-    };
-    let mut hashed_loaded: HashSet<u32> = HashSet::new();
     let mut per_tile_cycles: Vec<u64> = Vec::with_capacity(tiling.dst_tiles());
     let mut macs = 0u64;
     let mut lane_cycles_total = 0u64;
@@ -852,15 +815,9 @@ fn aggregation_sweep(
     // it, and both quantities are pure in `(format, row, window)`, so the
     // first touch in a pass computes them and every repeat replays the
     // memo without re-deriving spans (or paying the format's dynamic
-    // dispatch). Naive mode replays the seed's per-edge recomputation.
-    // `gen` stamps entries so a new pass invalidates the table without
-    // clearing it.
-    let memo_runs = !naive;
-    let mut run_memo: Vec<RowSliceMemo> = if memo_runs {
-        vec![RowSliceMemo::default(); src_rows.min(vertices.max(1))]
-    } else {
-        Vec::new()
-    };
+    // dispatch). `gen` stamps entries so a new pass invalidates the
+    // table without clearing it.
+    let mut run_memo = vec![RowSliceMemo::default(); src_rows.min(vertices.max(1))];
     let mut run_gen: u64 = 0;
 
     for di in 0..tiling.dst_tiles() {
@@ -871,75 +828,49 @@ fn aggregation_sweep(
             model.sac,
             model.strip_height,
         );
-        // Fast path: source tiles sweep in ascending vertex order and
-        // adjacency lists are sorted, so each destination's in-tile
-        // window advances a cursor over its full neighbor list — O(deg)
-        // amortized across all source tiles instead of two binary
-        // searches per (dst, tile). Naive mode replays the seed's
-        // per-(slice, dst) binary searches.
-        let full_neighbors: Vec<&[u32]> = if naive {
-            Vec::new()
-        } else {
-            order
-                .iter()
-                .map(|&dst| graph.neighbors(dst as usize))
-                .collect()
-        };
-        let mut cursors: Vec<usize> = vec![0; if naive { 0 } else { order.len() }];
+        // Source tiles sweep in ascending vertex order and adjacency lists
+        // are sorted, so each destination's in-tile window advances a
+        // cursor over its full neighbor list — O(deg) amortized across
+        // all source tiles instead of two binary searches per (dst, tile).
+        let full_neighbors: Vec<&[u32]> = order
+            .iter()
+            .map(|&dst| graph.neighbors(dst as usize))
+            .collect();
+        let mut cursors: Vec<usize> = vec![0; order.len()];
         let mut tile_lane_cycles = 0u64;
         for sj in 0..tiling.src_tiles() {
             let src_range = tiling.src_range(sj);
             // The neighbor window (and GraphSAGE's sampled prefix) is a
-            // function of (dst, src tile) only. The fast path computes it
-            // once per tile pair; naive mode replays the seed's
-            // binary-search-per-(slice, dst) behaviour for the harness
-            // baseline — both visit the identical window.
-            let window = |dst: u32| -> &[u32] {
-                let (neigh, _) = graph.neighbors_in(dst as usize, src_range);
-                match sample_cap {
-                    Some(cap) => {
-                        let deg = graph.degree(dst as usize).max(1);
-                        let keep = if deg <= cap {
-                            neigh.len()
-                        } else {
-                            (neigh.len() * cap).div_ceil(deg).min(neigh.len())
-                        };
-                        &neigh[..keep]
-                    }
-                    None => neigh,
-                }
-            };
+            // function of (dst, src tile) only: computed once per tile
+            // pair and reused by every slice pass.
             ordered_neighbors.clear();
-            if !naive {
-                ordered_neighbors.extend((0..order.len()).map(|k| {
-                    let full = full_neighbors[k];
-                    let lo = cursors[k];
-                    let mut hi = lo;
-                    while hi < full.len() && (full[hi] as usize) < src_range.end {
-                        hi += 1;
-                    }
-                    cursors[k] = hi;
-                    let neigh = &full[lo..hi];
-                    match sample_cap {
-                        Some(cap) => {
-                            let deg = full.len().max(1);
-                            let keep = if deg <= cap {
-                                neigh.len()
-                            } else {
-                                (neigh.len() * cap).div_ceil(deg).min(neigh.len())
-                            };
-                            &neigh[..keep]
-                        }
-                        None => neigh,
-                    }
-                }));
-            }
+            ordered_neighbors.extend((0..order.len()).map(|k| {
+                let full = full_neighbors[k];
+                let lo = cursors[k];
+                let mut hi = lo;
+                while hi < full.len() && (full[hi] as usize) < src_range.end {
+                    hi += 1;
+                }
+                cursors[k] = hi;
+                let neigh = sampled_prefix(&full[lo..hi], full.len(), sample_cap);
+                debug_assert_eq!(
+                    neigh,
+                    sampled_prefix(
+                        graph.neighbors_in(order[k] as usize, src_range).0,
+                        graph.degree(order[k] as usize),
+                        sample_cap,
+                    ),
+                    "cursor window of dst {} drifted from its in-range neighbors",
+                    order[k]
+                );
+                neigh
+            }));
 
             // Topology subtile streams once per tile pair. Without
             // sampling the windows already hold the full in-range
-            // neighbor lists (`order` permutes `dst_range`), so the fast
-            // path sums their lengths instead of re-searching the CSR.
-            let tile_edges: usize = if !naive && sample_cap.is_none() {
+            // neighbor lists (`order` permutes `dst_range`), so their
+            // lengths sum to the tile's edges without re-searching the CSR.
+            let tile_edges: usize = if sample_cap.is_none() {
                 ordered_neighbors.iter().map(|n| n.len()).sum()
             } else {
                 dst_range
@@ -954,74 +885,26 @@ fn aggregation_sweep(
             for s in 0..nslices {
                 let range = ColRange::new(s * slice_w, ((s + 1) * slice_w).min(width));
                 // The window's slot-coverage arithmetic is edge-invariant:
-                // resolve it once per slice pass (naive recomputes per
-                // edge, seed-faithfully).
-                let plan = (!naive).then(|| SlicePlan::new(fmt, range));
+                // resolve it once per slice pass.
+                let plan = SlicePlan::new(fmt, range);
                 run_gen += 1;
                 let line_bytes = mem.line_bytes();
-                for (k, &dst) in order.iter().enumerate() {
-                    let neigh = if naive {
-                        window(dst)
-                    } else {
-                        ordered_neighbors[k]
-                    };
-                    for &src in neigh {
-                        let memo = if memo_runs {
-                            let e = &mut run_memo[src as usize - src_range.start];
-                            if e.gen != run_gen {
-                                e.fill(
-                                    run_gen,
-                                    fmt,
-                                    src as usize,
-                                    range,
-                                    line_bytes,
-                                    plan.as_ref().expect("fast path has a plan"),
-                                );
-                            }
-                            Some(&*e)
-                        } else {
-                            None
-                        };
-                        let work = match (&memo, &plan) {
-                            (Some(e), _) => e.work as usize,
-                            (None, Some(p)) => p.lane_work(src as usize),
-                            (None, None) => fmt.lane_work(src as usize, range),
-                        };
+                for neigh in &ordered_neighbors {
+                    for &src in *neigh {
+                        let e = &mut run_memo[src as usize - src_range.start];
+                        if e.gen != run_gen {
+                            e.fill(run_gen, fmt, src as usize, range, line_bytes, &plan);
+                        }
+                        let work = e.work as usize;
                         macs += work as u64;
-                        let lanes = if naive {
-                            work.div_ceil(hw.simd_lanes)
-                        } else {
-                            lane_div.div_ceil(work)
-                        };
-                        tile_lane_cycles += (lanes as u64).max(1);
-                        let is_pinned = if naive {
-                            hashed_pinned.contains(&src)
-                        } else {
-                            has_pinned && pinned.contains(src)
-                        };
-                        if is_pinned {
+                        tile_lane_cycles += (lane_div.div_ceil(work) as u64).max(1);
+                        if has_pinned && pinned.contains(src) {
                             *davc_hits += 1;
-                            let fresh = if naive {
-                                hashed_loaded.insert(src)
-                            } else {
-                                davc_loaded.insert(src)
-                            };
-                            if !fresh {
+                            if !davc_loaded.insert(src) {
                                 continue;
                             }
                         }
-                        match memo {
-                            Some(e) => e.replay(mem, fmt, src as usize, range, feature_base),
-                            None => read_slice_spans(
-                                mem,
-                                fmt.as_format(),
-                                src as usize,
-                                range,
-                                feature_base,
-                                Traffic::FeatureRead,
-                                naive,
-                            ),
-                        }
+                        e.replay(mem, fmt, src as usize, range, feature_base);
                     }
                 }
             }
@@ -1036,45 +919,12 @@ fn aggregation_sweep(
     )
 }
 
-fn read_span(mem: &mut MemorySystem, base: u64, span: Span, kind: Traffic) {
-    mem.read_span(base + span.offset, u64::from(span.bytes), kind);
-}
-
-fn write_span(mem: &mut MemorySystem, base: u64, span: Span, kind: Traffic) {
-    mem.write_span(base + span.offset, u64::from(span.bytes), kind);
-}
-
-/// Reads a column window of `row` through the memory system.
-///
-/// The fast path replays the format's pre-coalesced line runs
-/// ([`FeatureFormat::for_each_slice_run`] → [`MemorySystem::access_lines`]:
-/// one batched probe/DRAM walk per run of consecutive lines); naive mode
-/// replays the original allocating `slice_spans` + per-span `read` path so
-/// the perf harness has a faithful baseline. Compaction is exact by
-/// construction (see `sgcn_formats::runs`), so every counter matches bit
+/// Reads a full row through the memory system: the format's
+/// pre-coalesced line runs ([`FeatureFormat::for_each_row_run`] →
+/// [`MemorySystem::access_lines`]: one batched probe/DRAM walk per run of
+/// consecutive lines). Compaction is exact by construction (see
+/// `sgcn_formats::runs`), so every counter matches a per-span replay bit
 /// for bit.
-#[inline]
-fn read_slice_spans(
-    mem: &mut MemorySystem,
-    fmt: &dyn FeatureFormat,
-    row: usize,
-    range: ColRange,
-    base: u64,
-    kind: Traffic,
-    naive: bool,
-) {
-    if naive {
-        for span in fmt.slice_spans(row, range) {
-            read_span(mem, base, span, kind);
-        }
-    } else {
-        fmt.for_each_slice_run(row, range, mem.line_bytes(), &mut |run| {
-            mem.access_lines(base, run, kind);
-        });
-    }
-}
-
-/// Reads a full row (see [`read_slice_spans`] for the naive/fast split).
 #[inline]
 fn read_row_spans(
     mem: &mut MemorySystem,
@@ -1082,22 +932,14 @@ fn read_row_spans(
     row: usize,
     base: u64,
     kind: Traffic,
-    naive: bool,
 ) {
-    if naive {
-        for span in fmt.row_spans(row) {
-            read_span(mem, base, span, kind);
-        }
-    } else {
-        fmt.for_each_row_run(row, mem.line_bytes(), &mut |run| {
-            mem.access_lines(base, run, kind);
-        });
-    }
+    fmt.for_each_row_run(row, mem.line_bytes(), &mut |run| {
+        mem.access_lines(base, run, kind);
+    });
 }
 
-/// Writes a row back (see [`read_slice_spans`] for the naive/fast split;
-/// write runs merge only contiguous spans, keeping the streamed DRAM
-/// burst order intact).
+/// Writes a row back (see [`read_row_spans`]; write runs merge only
+/// contiguous spans, keeping the streamed DRAM burst order intact).
 #[inline]
 fn write_row_spans(
     mem: &mut MemorySystem,
@@ -1105,17 +947,10 @@ fn write_row_spans(
     row: usize,
     base: u64,
     kind: Traffic,
-    naive: bool,
 ) {
-    if naive {
-        for span in fmt.write_spans(row) {
-            write_span(mem, base, span, kind);
-        }
-    } else {
-        fmt.for_each_write_run(row, mem.line_bytes(), &mut |run| {
-            mem.write_lines(base, run, kind);
-        });
-    }
+    fmt.for_each_write_run(row, mem.line_bytes(), &mut |run| {
+        mem.write_lines(base, run, kind);
+    });
 }
 
 /// Aggregation-first layer (GCNAX intermediate layers, HyGCN, SGCN):
@@ -1133,13 +968,11 @@ fn agg_first_layer(
     davc_hits: &mut u64,
     in_fmt: &LayerFormat<'_>,
     out_fmt: &LayerFormat<'_>,
-    x_in: &DenseMatrix,
     w_in: usize,
     w_out: usize,
     in_base: u64,
     out_base: u64,
 ) -> LayerTally {
-    let _ = workload;
     let (per_tile_agg, agg_cycles, mut macs) = aggregation_sweep(
         model,
         hw,
@@ -1152,7 +985,6 @@ fn agg_first_layer(
         w_in,
         workload.network.variant,
     );
-    let _ = x_in;
 
     // Combination + output write per destination tile.
     let vertices = graph.num_vertices();
@@ -1167,14 +999,7 @@ fn agg_first_layer(
         comb_cycles += comb;
         pairs.push((agg, comb));
         for r in ti * rows_per_tile..(ti * rows_per_tile + rows).min(vertices) {
-            write_row_spans(
-                mem,
-                out_fmt.as_format(),
-                r,
-                out_base,
-                Traffic::FeatureWrite,
-                hw.is_naive(),
-            );
+            write_row_spans(mem, out_fmt.as_format(), r, out_base, Traffic::FeatureWrite);
         }
     }
     LayerTally {
@@ -1208,7 +1033,6 @@ fn comb_first_layer(
     sparse_input: bool,
 ) -> LayerTally {
     let vertices = graph.num_vertices();
-    let naive = hw.is_naive();
     let mut macs = 0u64;
     let mut comb_cycles = 0u64;
 
@@ -1216,14 +1040,7 @@ fn comb_first_layer(
     // to scratch.
     let y = DenseMatrix::zeros(vertices, w_out);
     for r in 0..vertices {
-        read_row_spans(
-            mem,
-            in_fmt.as_format(),
-            r,
-            in_base,
-            Traffic::FeatureRead,
-            naive,
-        );
+        read_row_spans(mem, in_fmt.as_format(), r, in_base, Traffic::FeatureRead);
     }
     if sparse_input {
         // SGCN's §V-F option: the first-layer combination runs on the
@@ -1237,14 +1054,8 @@ fn comb_first_layer(
         let mut cycles =
             systolic.gemm_cycles(vertices, w_in, w_out) / hw.combination_engines as u64;
         if model.comb_zero_skip {
-            // The trace pre-measured this matrix's sparsity; the naive
-            // baseline replays the seed's full rescan.
-            let sparsity = if naive {
-                x_in.sparsity()
-            } else {
-                workload.trace.sparsity(layer)
-            };
-            let density = (1.0 - sparsity).clamp(0.02, 1.0);
+            // The trace pre-measured this matrix's sparsity.
+            let density = (1.0 - workload.trace.sparsity(layer)).clamp(0.02, 1.0);
             cycles = (cycles as f64 * density) as u64;
             macs += (dense_macs as f64 * density) as u64;
         } else {
@@ -1253,7 +1064,7 @@ fn comb_first_layer(
         comb_cycles += cycles;
     }
     for r in 0..vertices {
-        write_row_spans(mem, &y, r, SCRATCH_BASE, Traffic::FeatureWrite, naive);
+        write_row_spans(mem, &y, r, SCRATCH_BASE, Traffic::FeatureWrite);
     }
 
     // Aggregation pass over the dense scratch Y.
@@ -1274,16 +1085,8 @@ fn comb_first_layer(
 
     // Activated output written back in the accelerator's storage format.
     for r in 0..vertices {
-        write_row_spans(
-            mem,
-            out_fmt.as_format(),
-            r,
-            out_base,
-            Traffic::FeatureWrite,
-            naive,
-        );
+        write_row_spans(mem, out_fmt.as_format(), r, out_base, Traffic::FeatureWrite);
     }
-    let _ = workload;
 
     LayerTally {
         agg_cycles,
@@ -1307,7 +1110,6 @@ fn column_product_layer(
     mem: &mut MemorySystem,
     layer: usize,
     in_fmt: &LayerFormat<'_>,
-    x_in: &DenseMatrix,
     w_in: usize,
     w_out: usize,
     in_base: u64,
@@ -1326,25 +1128,11 @@ fn column_product_layer(
 
     // Combination: stream inputs once (dense storage — AWB keeps features
     // dense, §VI-B), zero-skipped compute.
-    let naive = hw.is_naive();
     for r in 0..vertices {
-        read_row_spans(
-            mem,
-            in_fmt.as_format(),
-            r,
-            in_base,
-            Traffic::FeatureRead,
-            naive,
-        );
+        read_row_spans(mem, in_fmt.as_format(), r, in_base, Traffic::FeatureRead);
     }
-    // The trace pre-measured this matrix's sparsity; the naive baseline
-    // replays the seed's full rescan.
-    let sparsity = if naive {
-        x_in.sparsity()
-    } else {
-        workload.trace.sparsity(layer)
-    };
-    let density = (1.0 - sparsity).clamp(0.02, 1.0);
+    // The trace pre-measured this matrix's sparsity.
+    let density = (1.0 - workload.trace.sparsity(layer)).clamp(0.02, 1.0);
     let dense_macs = SystolicArray::gemm_macs(vertices, w_in, w_out);
     let comb_cycles = if model.comb_zero_skip {
         macs += (dense_macs as f64 * density) as u64;
@@ -1413,8 +1201,196 @@ fn column_product_layer(
 mod tests {
     use super::*;
     use crate::accel::AccelModel;
+    use sgcn_formats::{BeicsrConfig, Span};
     use sgcn_graph::datasets::{DatasetId, SynthScale};
+    use sgcn_mem::{CacheConfig, DramConfig};
     use sgcn_model::NetworkConfig;
+    use std::collections::HashSet;
+
+    /// splitmix64 — a seeded, dependency-free stream for the oracles.
+    fn mix(mut x: u64) -> u64 {
+        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+
+    /// A `rows × cols` matrix with roughly 60% zeros, including some
+    /// all-zero rows.
+    fn sparse_matrix(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
+        let data = (0..rows * cols)
+            .map(|i| {
+                let h = mix(seed ^ i as u64);
+                let row_zero = (i / cols) % 7 == 3;
+                if row_zero || h % 5 < 3 {
+                    0.0
+                } else {
+                    (h % 97) as f32 + 1.0
+                }
+            })
+            .collect();
+        DenseMatrix::from_vec(rows, cols, data)
+    }
+
+    /// The storage formats whose lane work the sweep plans: sliced and
+    /// non-sliced BEICSR, CSR and Dense.
+    fn planned_formats(m: &DenseMatrix) -> Vec<LayerFormat<'_>> {
+        vec![
+            LayerFormat::Beicsr(Arc::new(Beicsr::encode(m, BeicsrConfig::sliced(8)))),
+            LayerFormat::Beicsr(Arc::new(Beicsr::encode(m, BeicsrConfig::sliced(5)))),
+            LayerFormat::Beicsr(Arc::new(Beicsr::encode(m, BeicsrConfig::non_sliced()))),
+            LayerFormat::Csr(Arc::new(CsrFeatures::encode(m))),
+            LayerFormat::Dense(m),
+        ]
+    }
+
+    #[test]
+    fn slice_plan_matches_per_edge_lane_work() {
+        // Every non-empty window — full, partial inside one slot, slot
+        // aligned and straddling slot boundaries — on every row.
+        let m = sparse_matrix(12, 29, 5);
+        for fmt in planned_formats(&m) {
+            let name = fmt.as_format().format_name();
+            for start in 0..m.cols() {
+                for end in start + 1..=m.cols() {
+                    let range = ColRange::new(start, end);
+                    let plan = SlicePlan::new(&fmt, range);
+                    for row in 0..m.rows() {
+                        assert_eq!(
+                            plan.lane_work(row),
+                            fmt.lane_work(row, range),
+                            "{name} row {row} window {range}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_div_matches_plain_div_ceil() {
+        for lanes in 1..=33 {
+            let div = LaneDiv::new(lanes);
+            for w in 0..=512 {
+                assert_eq!(div.div_ceil(w), w.div_ceil(lanes), "{w} / {lanes}");
+            }
+        }
+    }
+
+    #[test]
+    fn vertex_set_agrees_with_hash_set() {
+        let vertices = 1000;
+        let mut set = VertexSet::new(vertices);
+        let mut oracle: HashSet<u32> = HashSet::new();
+        assert_eq!(set.is_empty(), oracle.is_empty());
+        for i in 0..600u64 {
+            // Skewed ids so repeats are common.
+            let v = (mix(i) % if i % 3 == 0 { 40 } else { vertices as u64 }) as u32;
+            assert_eq!(set.insert(v), oracle.insert(v), "insert {v}");
+            assert_eq!(set.is_empty(), oracle.is_empty());
+            if i % 50 == 0 {
+                for u in 0..vertices as u32 {
+                    assert_eq!(set.contains(u), oracle.contains(&u), "contains {u}");
+                }
+            }
+        }
+    }
+
+    /// A generic format whose row `r` reads `r + 1` spans two lines apart,
+    /// so rows from `MEMO_RUNS` on overflow a memo entry's inline runs.
+    struct GappedSpans {
+        rows: usize,
+    }
+
+    impl GappedSpans {
+        fn spans(&self, row: usize) -> Vec<Span> {
+            let base = row as u64 * 4096;
+            (0..=row as u64)
+                .map(|k| Span::new(base + k * 192 + 8, 40))
+                .collect()
+        }
+    }
+
+    impl FeatureFormat for GappedSpans {
+        fn format_name(&self) -> &'static str {
+            "gapped"
+        }
+        fn rows(&self) -> usize {
+            self.rows
+        }
+        fn cols(&self) -> usize {
+            16
+        }
+        fn capacity_bytes(&self) -> u64 {
+            self.rows as u64 * 4096
+        }
+        fn row_spans(&self, row: usize) -> Vec<Span> {
+            self.spans(row)
+        }
+        fn slice_spans(&self, row: usize, _range: ColRange) -> Vec<Span> {
+            self.spans(row)
+        }
+        fn write_spans(&self, row: usize) -> Vec<Span> {
+            self.spans(row)
+        }
+        fn decode_row(&self, _row: usize) -> Vec<f32> {
+            vec![0.0; 16]
+        }
+    }
+
+    #[test]
+    fn row_slice_memo_replays_like_direct_run_reads() {
+        let m = sparse_matrix(10, 29, 9);
+        let mut formats = planned_formats(&m);
+        formats.push(LayerFormat::Generic(Arc::new(GappedSpans { rows: 10 })));
+        let small = |engine| {
+            MemorySystem::with_engine(
+                CacheConfig {
+                    capacity_bytes: 2 * 1024,
+                    ways: 4,
+                    line_bytes: 64,
+                    ..CacheConfig::default()
+                },
+                DramConfig::hbm2(),
+                engine,
+            )
+        };
+        let mut spilled = 0;
+        for fmt in &formats {
+            let name = fmt.as_format().format_name();
+            for engine in [CacheEngine::Flat, CacheEngine::List] {
+                let mut memoized = small(engine);
+                let mut direct = small(engine);
+                let line_bytes = memoized.line_bytes();
+                let mut gen = 0;
+                for range in [
+                    ColRange::new(0, 29),
+                    ColRange::new(3, 11),
+                    ColRange::new(8, 24),
+                ] {
+                    gen += 1;
+                    let plan = SlicePlan::new(fmt, range);
+                    let mut memo = vec![RowSliceMemo::default(); m.rows()];
+                    // Each row twice, so the second read replays the memo.
+                    for row in (0..m.rows()).chain((0..m.rows()).rev()) {
+                        let e = &mut memo[row];
+                        if e.gen != gen {
+                            e.fill(gen, fmt, row, range, line_bytes, &plan);
+                            assert_eq!(e.work as usize, fmt.lane_work(row, range), "{name}");
+                            spilled += usize::from(e.nruns == u8::MAX);
+                        }
+                        e.replay(&mut memoized, fmt, row, range, FEATURE_A_BASE);
+                        fmt.as_format()
+                            .for_each_slice_run(row, range, line_bytes, &mut |run| {
+                                direct.access_lines(FEATURE_A_BASE, run, Traffic::FeatureRead);
+                            });
+                    }
+                }
+                assert_eq!(memoized.report(), direct.report(), "{name} on {engine:?}");
+            }
+        }
+        assert!(spilled > 0, "no row overflowed the inline run capacity");
+    }
 
     fn tiny_workload(id: DatasetId) -> Workload {
         Workload::build(

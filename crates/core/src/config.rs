@@ -23,9 +23,10 @@ pub struct HwConfig {
     pub dram: DramConfig,
     /// Simulator implementation knob (not a hardware parameter): which
     /// cache model the memory system drives. `Flat` is the allocation-free
-    /// fast path; `List` replays the original naive per-line path for the
-    /// perf harness and equivalence tests. Both yield bit-identical
-    /// [`crate::SimReport`]s.
+    /// default; `List` is the recency-list reference model the
+    /// equivalence tests compare against. Both yield bit-identical
+    /// [`crate::SimReport`]s. Set only through
+    /// [`HwConfig::with_cache_engine`].
     pub cache_engine: CacheEngine,
 }
 
@@ -39,7 +40,7 @@ impl Default for HwConfig {
             systolic: SystolicConfig::default(),
             cache: CacheConfig::default(),
             dram: DramConfig::hbm2(),
-            cache_engine: CacheEngine::from_env(),
+            cache_engine: CacheEngine::Flat,
         }
     }
 }
@@ -72,16 +73,11 @@ impl HwConfig {
         self
     }
 
-    /// Selects the simulator's cache engine (fast flat path vs the naive
-    /// reference path; see [`CacheEngine`]).
+    /// Selects the simulator's cache engine (the flat default vs the
+    /// recency-list reference; see [`CacheEngine`]).
     pub fn with_cache_engine(mut self, engine: CacheEngine) -> Self {
         self.cache_engine = engine;
         self
-    }
-
-    /// Whether this configuration replays the naive reference path.
-    pub fn is_naive(&self) -> bool {
-        matches!(self.cache_engine, CacheEngine::List)
     }
 
     /// Peak aggregation MACs per cycle across engines.

@@ -190,15 +190,12 @@ fn dataset_cols(datasets: &[DatasetId]) -> Vec<String> {
 /// are the `Debug` rendering of every input (f64s print
 /// shortest-roundtrip, so distinct configs cannot collide). The bounded
 /// tables themselves live in [`sgcn_par::BoundedMemo`], where the
-/// eviction behaviour is unit-tested. Naive mode (`SGCN_NAIVE=1`)
-/// bypasses every cache and rebuilds from scratch, like the original
-/// driver did.
+/// eviction behaviour is unit-tested.
 mod memo {
     use std::sync::{Arc, OnceLock};
 
     use sgcn_formats::FormatKind;
     use sgcn_graph::datasets::{DatasetId, SynthScale};
-    use sgcn_mem::CacheEngine;
     use sgcn_model::NetworkConfig;
     use sgcn_par::BoundedMemo;
 
@@ -220,10 +217,6 @@ mod memo {
         fn deref(&self) -> &Workload {
             &self.wl
         }
-    }
-
-    fn naive() -> bool {
-        matches!(CacheEngine::from_env(), CacheEngine::List)
     }
 
     /// Entry caps keep a paper-scale run's memory bounded. Workloads are
@@ -266,8 +259,7 @@ mod memo {
             None => Workload::build(id, scale, network, seed),
             Some(sp) => Workload::build_with_uniform_sparsity(id, scale, network, sp, seed),
         };
-        let memo = if naive() { None } else { workload_memo() };
-        let wl = match memo {
+        let wl = match workload_memo() {
             None => Arc::new(build()),
             Some(memo) => match memo.get(&key) {
                 Some(wl) => wl,
@@ -296,9 +288,6 @@ mod memo {
 
     /// Simulates (or recalls) one `(model, workload, hw)` point.
     pub(super) fn simulate(model: &AccelModel, wl: &CachedWorkload, hw: &HwConfig) -> SimReport {
-        if hw.is_naive() {
-            return model.simulate(wl, hw);
-        }
         let mut anon = model.clone();
         anon.name = "";
         recall_or(
@@ -308,25 +297,8 @@ mod memo {
         )
     }
 
-    /// Empties the workload and report tables (workloads carry their
-    /// per-boundary format caches with them, so those drop too). The
-    /// perf harness calls this between repetitions so every repetition
-    /// measures a cold-cache suite; results are unaffected either way —
-    /// the memos only ever recall bit-identical values.
-    pub fn reset_driver_caches() {
-        if let Some(w) = workload_memo() {
-            w.clear();
-        }
-        if let Some(r) = REPORTS.get() {
-            r.clear();
-        }
-    }
-
     /// Runs (or recalls) one Fig. 3-style format study point.
     pub(super) fn format_study(kind: FormatKind, wl: &CachedWorkload, hw: &HwConfig) -> SimReport {
-        if hw.is_naive() {
-            return run_format_study(kind, wl, hw);
-        }
         recall_or(
             format!("fmt|{kind:?}|{}|{hw:?}", wl.key),
             || run_format_study(kind, wl, hw),
@@ -335,7 +307,6 @@ mod memo {
     }
 }
 
-pub use memo::reset_driver_caches;
 use memo::CachedWorkload;
 
 /// Builds the standard workload for every dataset, in parallel (memoized

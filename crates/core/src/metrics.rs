@@ -6,9 +6,9 @@ use sgcn_mem::{EnergyBreakdown, MemReport, Traffic};
 /// dataflow simulator (`AccelModel::simulate` bodies), summed across
 /// threads. Everything a driver does outside of it — graph synthesis,
 /// trace generation, format encoding, sampling, rendering — is
-/// "prepare" time by subtraction. The perf harness (`bench_sim`) reads
-/// this to attribute wall time per stage; the counter never influences
-/// simulation results.
+/// "prepare" time by subtraction. The repository benchmark reads this to
+/// split a prepare pass into simulate vs everything else; the counter
+/// never influences simulation results.
 pub mod timing {
     use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -59,7 +59,7 @@
 //! inputs, so `(context, stream, model, hw, QueueConfig)` fully
 //! determines every record byte — `BENCH_queue.json` is identical across
 //! `SGCN_THREADS=1,2,4` for every traffic model × policy × fleet
-//! combination, and across the fast/naive cache engines.
+//! combination, and across the Flat/List cache engines.
 //!
 //! # The event loop
 //!

@@ -38,8 +38,7 @@ pub(crate) enum CachedFormat {
 /// generations, SAC on/off, …) re-simulate the same workload under many
 /// hardware/model variants and previously re-encoded every boundary each
 /// time. Bounded: past [`FormatCache::CAP`] entries new encodings are
-/// simply not cached (the early cross-sweep encodings stay hot). The
-/// naive path (`SGCN_NAIVE=1`) never consults it.
+/// simply not cached (the early cross-sweep encodings stay hot).
 #[derive(Clone, Default)]
 pub(crate) struct FormatCache {
     inner: Arc<Mutex<HashMap<FormatKey, CachedFormat>>>,

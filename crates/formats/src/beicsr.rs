@@ -108,8 +108,7 @@ impl Beicsr {
     /// The original per-bit encoder, kept verbatim as the executable
     /// reference: a fresh [`Bitmap`] is allocated per slot and populated
     /// bit by bit. Produces a value equal to [`Beicsr::encode`]; the
-    /// `SGCN_NAIVE=1` perf baseline and the encoder-equivalence tests
-    /// drive it.
+    /// encoder-equivalence tests drive it.
     pub fn encode_reference(dense: &DenseMatrix, config: BeicsrConfig) -> Self {
         let mut me = Self::with_shape(dense.rows(), dense.cols(), config);
         for row in 0..dense.rows() {

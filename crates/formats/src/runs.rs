@@ -20,11 +20,11 @@
 //!
 //! * **Reads** ([`RunCompactor::reads`]) merge a span that begins on the
 //!   previous span's last line (a *seam*: BEICSR's value window starting
-//!   on the line its bitmap head ends on). The naive replay re-probes
-//!   that line immediately after touching it, which is always a cache hit
-//!   and never moves state (the line is already MRU of its set), so the
-//!   merged run records it as a [`LineRun::seam_hits`] count that the
-//!   memory system adds to the hit counters post-hoc.
+//!   on the line its bitmap head ends on). A span-at-a-time replay
+//!   re-probes that line immediately after touching it, which is always a
+//!   cache hit and never moves state (the line is already MRU of its set),
+//!   so the merged run records it as a [`LineRun::seam_hits`] count that
+//!   the memory system adds to the hit counters post-hoc.
 //! * **Writes** ([`RunCompactor::writes`]) merge only strictly
 //!   line-contiguous spans. Streaming writes send *every* line to DRAM,
 //!   and the DRAM clocks accumulate `f64` service time per burst — a

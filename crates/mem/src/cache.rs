@@ -18,8 +18,8 @@
 //! * [`ListCache`] — the original recency-list model (`Vec` per set,
 //!   `remove`/`insert` on every promotion). Kept as the executable
 //!   specification: the equivalence tests below drive both on randomized
-//!   traces and demand identical [`CacheStats`], and the `SGCN_NAIVE=1`
-//!   benchmark baseline runs it end to end.
+//!   traces and demand identical [`CacheStats`], and the simulator runs
+//!   it end to end when a config selects [`CacheEngine::List`].
 
 /// Replacement policy for the global cache.
 ///
@@ -43,33 +43,15 @@ pub enum ReplacementPolicy {
 /// Selects which cache implementation a [`crate::MemorySystem`] drives.
 ///
 /// Both produce bit-identical statistics; `List` exists as the reference
-/// baseline for the perf harness (`SGCN_NAIVE=1`) and equivalence tests.
+/// model for the equivalence tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CacheEngine {
     /// Flat recency-ordered tag array — the allocation-free fast path
     /// (default).
     #[default]
     Flat,
-    /// Per-set recency `Vec`s — the original naive model.
+    /// Per-set recency `Vec`s — the original reference model.
     List,
-}
-
-impl CacheEngine {
-    /// `List` when `SGCN_NAIVE=1` is set, `Flat` otherwise — how the
-    /// benchmark harness forces the naive baseline end to end.
-    pub fn from_env() -> Self {
-        Self::from_env_value(std::env::var("SGCN_NAIVE").ok().as_deref())
-    }
-
-    /// The selection rule behind [`CacheEngine::from_env`], split out so
-    /// tests can drive it without mutating the process environment.
-    pub fn from_env_value(naive: Option<&str>) -> Self {
-        if naive == Some("1") {
-            CacheEngine::List
-        } else {
-            CacheEngine::Flat
-        }
-    }
 }
 
 /// Cache geometry.
@@ -556,7 +538,7 @@ impl Cache {
 /// The original recency-list cache: per set, a `Vec` of line tags kept in
 /// recency order (index 0 = MRU), with `remove`/`insert` on every
 /// promotion. Behaviourally identical to [`Cache`] — kept as the
-/// executable reference and the `SGCN_NAIVE=1` benchmark baseline.
+/// executable reference.
 #[derive(Debug, Clone)]
 pub struct ListCache {
     config: CacheConfig,
@@ -878,18 +860,6 @@ mod tests {
             }
             assert_eq!(c.stats().misses, 8, "{policy:?} compulsory misses only");
         }
-    }
-
-    #[test]
-    fn engine_from_env_defaults_to_flat() {
-        // The test environment does not set SGCN_NAIVE.
-        assert_eq!(CacheEngine::from_env(), CacheEngine::Flat);
-        // The selection rule itself (driven without touching the
-        // process environment).
-        assert_eq!(CacheEngine::from_env_value(None), CacheEngine::Flat);
-        assert_eq!(CacheEngine::from_env_value(Some("0")), CacheEngine::Flat);
-        assert_eq!(CacheEngine::from_env_value(Some("")), CacheEngine::Flat);
-        assert_eq!(CacheEngine::from_env_value(Some("1")), CacheEngine::List);
     }
 
     mod equivalence {

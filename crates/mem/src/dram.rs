@@ -379,10 +379,11 @@ impl Dram {
         }
     }
 
-    /// The original burst-service routine, kept verbatim as the
-    /// `SGCN_NAIVE=1` perf baseline: every address split re-derives its
-    /// divisors and `burst_cycles` re-divides on each call. Produces
-    /// bit-identical state and statistics to [`Dram::access`].
+    /// The original burst-service routine, kept verbatim as the DRAM path
+    /// of the [`crate::CacheEngine::List`] reference engine: every address
+    /// split re-derives its divisors and `burst_cycles` re-divides on each
+    /// call. Produces bit-identical state and statistics to
+    /// [`Dram::access`].
     pub fn access_reference(&mut self, addr: u64, is_write: bool) -> f64 {
         let burst = addr / self.config.burst_bytes;
         let bursts_per_row = (self.config.row_bytes / self.config.burst_bytes).max(1);

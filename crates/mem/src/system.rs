@@ -320,11 +320,9 @@ pub struct MemorySystem {
 }
 
 impl MemorySystem {
-    /// Builds the hierarchy with the engine the environment selects
-    /// ([`CacheEngine::from_env`]; the flat fast path unless
-    /// `SGCN_NAIVE=1`).
+    /// Builds the hierarchy on the flat cache engine ([`CacheEngine::Flat`]).
     pub fn new(cache_config: CacheConfig, dram_config: DramConfig) -> Self {
-        Self::with_engine(cache_config, dram_config, CacheEngine::from_env())
+        Self::with_engine(cache_config, dram_config, CacheEngine::Flat)
     }
 
     /// Builds the hierarchy with an explicit cache engine.

@@ -263,6 +263,29 @@ mod tests {
     }
 
     #[test]
+    fn trace_sparsity_is_a_bitwise_copy_of_the_rescan() {
+        // The simulator reads `sparsity(i)` instead of rescanning the
+        // matrix; the stored value must be the rescan bit for bit, input
+        // (index 0) included, for both trace builders.
+        let g = small_graph();
+        let exec = ReferenceExecutor::new(&g, NetworkConfig::deep_residual(4, 32), 3);
+        let input = generate_input_features(80, 24, 0.99, 6);
+        let targets = vec![0.4, 0.55, 0.7, 0.85];
+        for trace in [
+            exec.infer(&input, &targets),
+            exec.synthesize_trace(&input, &targets),
+        ] {
+            for i in 0..=trace.num_layers() {
+                assert_eq!(
+                    trace.sparsity(i).to_bits(),
+                    trace.layer_features(i).sparsity().to_bits(),
+                    "trace index {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "one sparsity target per layer")]
     fn mis_sized_targets_panic() {
         let g = small_graph();

@@ -10,7 +10,7 @@
 //! a `SimReport` depends only on its `(model, workload, hw)` inputs.
 //!
 //! Thread count:
-//! * `SGCN_NAIVE=1` or `SGCN_THREADS=1` → serial execution,
+//! * `SGCN_THREADS=1` → serial execution,
 //! * `SGCN_THREADS=n` → exactly `n` workers,
 //! * otherwise `std::thread::available_parallelism()`.
 
@@ -26,12 +26,6 @@ use std::sync::Mutex;
 
 /// Worker-thread count the environment requests (≥ 1).
 pub fn threads() -> usize {
-    if std::env::var("SGCN_NAIVE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
-        return 1;
-    }
     match std::env::var("SGCN_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())

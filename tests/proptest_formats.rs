@@ -8,6 +8,7 @@ use sgcn_formats::{
     Beicsr, BeicsrConfig, Bitmap, BlockedEllpack, BsrFeatures, ColRange, CooFeatures, CsrFeatures,
     DenseMatrix, FeatureFormat, PackedBeicsr, SeparateBitmapCsr, CACHELINE_BYTES,
 };
+use sgcn_mem::{CacheConfig, CacheEngine, DramConfig, MemorySystem, Traffic};
 
 /// Strategy: a small dense matrix with a mix of zeros and non-zeros.
 fn matrix_strategy() -> impl Strategy<Value = DenseMatrix> {
@@ -26,6 +27,38 @@ fn matrix_strategy() -> impl Strategy<Value = DenseMatrix> {
             DenseMatrix::from_vec(rows, cols, data)
         })
     })
+}
+
+/// Every storage encoding the simulator can drive: one per
+/// [`sgcn_formats::FormatKind`] (sliced BEICSR at both the default and a
+/// random slice width) plus Dense.
+fn every_format(m: &DenseMatrix, slice: usize) -> Vec<Box<dyn FeatureFormat>> {
+    vec![
+        Box::new(m.clone()),
+        Box::new(CsrFeatures::encode(m)),
+        Box::new(CooFeatures::encode(m)),
+        Box::new(BsrFeatures::encode(m)),
+        Box::new(BlockedEllpack::encode(m)),
+        Box::new(Beicsr::encode(m, BeicsrConfig::non_sliced())),
+        Box::new(Beicsr::encode(m, BeicsrConfig::default())),
+        Box::new(Beicsr::encode(m, BeicsrConfig::sliced(slice))),
+        Box::new(SeparateBitmapCsr::encode(m)),
+        Box::new(PackedBeicsr::encode(m)),
+    ]
+}
+
+/// A small cache (frequent evictions) over HBM2 on `engine`.
+fn small_mem(engine: CacheEngine) -> MemorySystem {
+    MemorySystem::with_engine(
+        CacheConfig {
+            capacity_bytes: 2 * 1024,
+            ways: 4,
+            line_bytes: 64,
+            ..CacheConfig::default()
+        },
+        DramConfig::hbm2(),
+        engine,
+    )
 }
 
 proptest! {
@@ -254,6 +287,65 @@ proptest! {
                 visited.clear();
                 f.for_each_write_span(r, &mut |s| visited.push(s));
                 prop_assert_eq!(&visited, &f.write_spans(r), "{} write {}", f.format_name(), r);
+            }
+        }
+    }
+
+    #[test]
+    fn run_iterators_replay_like_their_spans(
+        m in matrix_strategy(),
+        slice in 1usize..20,
+        ops in proptest::collection::vec((0usize..64, 0usize..48, 0usize..48), 1..24),
+    ) {
+        // The simulator replays each format's compacted line runs
+        // (`for_each_{row,slice,write}_run` → `access_lines` /
+        // `write_lines`); the spans the runs were compacted from
+        // (`{row,slice,write}_spans` → `read_span` / `write_span`) are the
+        // reference. Both replays of the same random row/window sequence
+        // must leave identical counters and DRAM state on both cache
+        // engines — covering the formats' hand-written run overrides
+        // (Dense's among them) as well as the compacting defaults.
+        const BASE: u64 = 1 << 20;
+        for f in every_format(&m, slice) {
+            for engine in [CacheEngine::Flat, CacheEngine::List] {
+                let mut by_run = small_mem(engine);
+                let mut by_span = small_mem(engine);
+                let line = by_run.line_bytes();
+                for &(row, start, len) in &ops {
+                    let row = row % m.rows();
+                    // Full, partial, straddling and empty windows.
+                    let start = start.min(m.cols());
+                    let range = ColRange::new(start, (start + len).min(m.cols()));
+                    f.for_each_row_run(row, line, &mut |r| {
+                        by_run.access_lines(BASE, r, Traffic::FeatureRead);
+                    });
+                    f.for_each_slice_run(row, range, line, &mut |r| {
+                        by_run.access_lines(BASE, r, Traffic::FeatureRead);
+                    });
+                    f.for_each_write_run(row, line, &mut |r| {
+                        by_run.write_lines(BASE, r, Traffic::FeatureWrite);
+                    });
+                    for s in f.row_spans(row).into_iter().chain(f.slice_spans(row, range)) {
+                        by_span.read_span(BASE + s.offset, u64::from(s.bytes), Traffic::FeatureRead);
+                    }
+                    for s in f.write_spans(row) {
+                        by_span.write_span(BASE + s.offset, u64::from(s.bytes), Traffic::FeatureWrite);
+                    }
+                }
+                prop_assert_eq!(
+                    by_run.report(),
+                    by_span.report(),
+                    "{} on {:?}: run replay diverged from span replay",
+                    f.format_name(),
+                    engine
+                );
+                prop_assert_eq!(
+                    format!("{:?}", by_run.dram()),
+                    format!("{:?}", by_span.dram()),
+                    "{} on {:?}: DRAM state diverged",
+                    f.format_name(),
+                    engine
+                );
             }
         }
     }
