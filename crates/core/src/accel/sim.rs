@@ -251,7 +251,7 @@ fn run_untimed(
 
     SimReport {
         accelerator: model.name,
-        workload: workload.dataset.spec.abbrev.to_string(),
+        workload: workload.dataset.spec.abbrev,
         cycles: total_cycles,
         agg_cycles: agg_cycles_total,
         comb_cycles: comb_cycles_total,
@@ -260,7 +260,7 @@ fn run_untimed(
         mem: report,
         energy,
         tdp_watts,
-        layers: layer_reports,
+        layers: layer_reports.into(),
     }
 }
 

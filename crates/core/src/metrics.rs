@@ -1,5 +1,7 @@
 //! Simulation reports and derived metrics.
 
+use std::sync::Arc;
+
 use sgcn_mem::{EnergyBreakdown, MemReport, Traffic};
 
 /// Process-wide wall-clock accounting of time spent *inside* the
@@ -59,7 +61,7 @@ pub struct SimReport {
     /// Accelerator name.
     pub accelerator: &'static str,
     /// Workload label (dataset abbreviation).
-    pub workload: String,
+    pub workload: &'static str,
     /// Total execution cycles.
     pub cycles: u64,
     /// Aggregation compute cycles (before memory stalls).
@@ -76,8 +78,9 @@ pub struct SimReport {
     pub energy: EnergyBreakdown,
     /// Estimated peak (TDP-style) power in watts.
     pub tdp_watts: f64,
-    /// Per-layer breakdown.
-    pub layers: Vec<LayerReport>,
+    /// Per-layer breakdown, shared: a serving stream clones each
+    /// request's reports per request, and a clone copies no layer.
+    pub layers: Arc<[LayerReport]>,
 }
 
 impl SimReport {
@@ -194,7 +197,7 @@ mod tests {
     fn report(cycles: u64) -> SimReport {
         SimReport {
             accelerator: "test",
-            workload: "WL".into(),
+            workload: "WL",
             cycles,
             agg_cycles: 0,
             comb_cycles: 0,
@@ -203,7 +206,7 @@ mod tests {
             mem: MemReport::default(),
             energy: EnergyBreakdown::default(),
             tdp_watts: 0.0,
-            layers: Vec::new(),
+            layers: Vec::new().into(),
         }
     }
 

@@ -24,6 +24,7 @@
 //! a replayed stream is **bit-identical at any thread count**, matching
 //! the experiment drivers' contract.
 
+mod engine_queue;
 pub mod faults;
 pub mod queueing;
 pub mod sharding;
@@ -668,7 +669,7 @@ mod tests {
             edges: 0,
             report: crate::metrics::SimReport {
                 accelerator: "test",
-                workload: "WL".into(),
+                workload: "WL",
                 cycles: 0,
                 agg_cycles: 0,
                 comb_cycles: 0,
@@ -677,7 +678,7 @@ mod tests {
                 mem: Default::default(),
                 energy: Default::default(),
                 tdp_watts: 0.0,
-                layers: Vec::new(),
+                layers: Vec::new().into(),
             },
         };
         let s = ServeSummary::from_reports(&[rr]);

@@ -74,6 +74,17 @@
 //! at service start and queued work is priced at the cold scaled
 //! estimate until then.
 //!
+//! Engine queues are indexed ([`super::engine_queue`]), so no queue
+//! operation scans a queue: an assignment-order map keyed by a per-run
+//! enqueue sequence serves FIFO pops, work steals (the newest entry of
+//! the longest peer queue) and crash drains; EDF runs add a `(absolute
+//! deadline, request id)` index for their pops; and a per-request
+//! `(engine, sequence)` slot finds and removes any queued request
+//! (preemption). Each is O(log n) in the queue's length, where the
+//! former `Vec` queues paid O(n) per pop and a preemption searched every
+//! engine's queue. Debug builds check each pop against the linear
+//! discipline scan.
+//!
 //! # Heterogeneous lineups and cost-model dispatch
 //!
 //! Every run prices service from one per-class hardware table: each
@@ -145,6 +156,7 @@ pub use crate::serving::traffic::{
     ArrivalModel, ArrivalProcess, BurstyArrivals, DiurnalArrivals, ThinkTimes, TrafficModel,
 };
 
+use super::engine_queue::EngineQueues;
 use crate::accel::AccelModel;
 use crate::config::HwConfig;
 use crate::metrics::SimReport;
@@ -702,54 +714,18 @@ impl CostModel {
         let classes = classes.max(1);
         let formats = prepared.first().map_or(1, PreparedRequest::format_count);
         let cells = classes * formats;
-        let cell_cycles = |p: &PreparedRequest, cell: usize| {
-            p.class_reports.get(cell).unwrap_or(&p.report).cycles
+        let Some(first) = prepared.first() else {
+            return CostModel {
+                fits: vec![ClassFit::Mean(1.0); cells],
+                formats,
+                memo: std::collections::BTreeMap::new(),
+            };
         };
-        let fits = (0..cells)
-            .map(|cell| {
-                let targets: Vec<f64> = prepared
-                    .iter()
-                    .map(|p| cell_cycles(p, cell) as f64)
-                    .collect();
-                Self::fit_class(prepared, &targets)
-            })
-            .collect();
-        // Exact training-point lookup: per key, the mean of every
-        // colliding request's cold cycles (sum and count accumulate in
-        // stream order — deterministic).
-        let mut acc: std::collections::BTreeMap<[u64; 4], (Vec<u64>, u64)> =
-            std::collections::BTreeMap::new();
-        for p in prepared {
-            let e = acc
-                .entry(stats_key(&p.stats))
-                .or_insert_with(|| (vec![0; cells], 0));
-            for (sum, cell) in e.0.iter_mut().zip(0..cells) {
-                *sum += cell_cycles(p, cell);
-            }
-            e.1 += 1;
-        }
-        let memo = acc
-            .into_iter()
-            .map(|(key, (sums, n))| (key, sums.iter().map(|s| (s / n).max(1)).collect()))
-            .collect();
-        CostModel {
-            fits,
-            formats,
-            memo,
-        }
-    }
-
-    fn fit_class(prepared: &[PreparedRequest], targets: &[f64]) -> ClassFit {
-        if prepared.is_empty() {
-            return ClassFit::Mean(1.0);
-        }
-        let mean = targets.iter().sum::<f64>() / targets.len() as f64;
         // Column normalization keeps the ridge penalty meaningful across
         // features spanning ten orders of magnitude.
         let mut scale = [1.0f64; 5];
         for p in prepared {
-            let x = cost_features(&p.stats);
-            for (s, v) in scale.iter_mut().zip(x) {
+            for (s, v) in scale.iter_mut().zip(cost_features(&p.stats)) {
                 if v.abs() > *s {
                     *s = v.abs();
                 }
@@ -765,34 +741,67 @@ impl CostModel {
         // absorbs the constant contribution) and an unseen stats
         // vector's value in a dead column cannot perturb predictions.
         // The intercept (index 0) is the one constant column that stays.
-        let first = cost_features(&prepared[0].stats);
+        let first = cost_features(&first.stats);
         let mut dead = [false; 5];
         for (j, dead_j) in dead.iter_mut().enumerate().skip(1) {
             *dead_j = prepared
                 .iter()
                 .all(|p| cost_features(&p.stats)[j] == first[j]);
         }
+        // One stream-order walk fills every cell. The normal matrix
+        // depends on the stats alone, so all cells share it; each cell
+        // keeps its own target sum and right-hand side. The exact
+        // training-point lookup accumulates, per key, every colliding
+        // request's cold cycles and their count.
         let mut a = [[0.0f64; 5]; 5];
-        let mut b = [0.0f64; 5];
-        for (p, &t) in prepared.iter().zip(targets) {
+        let mut sums = vec![0.0f64; cells];
+        let mut b = vec![[0.0f64; 5]; cells];
+        let mut acc: std::collections::BTreeMap<[u64; 4], (Vec<u64>, u64)> =
+            std::collections::BTreeMap::new();
+        for p in prepared {
             let mut x = cost_features(&p.stats);
             for ((v, s), kill) in x.iter_mut().zip(scale).zip(dead) {
                 *v = if kill { 0.0 } else { *v / s };
             }
-            for i in 0..5 {
-                for j in 0..5 {
-                    a[i][j] += x[i] * x[j];
+            for (row, xi) in a.iter_mut().zip(x) {
+                for (aij, xj) in row.iter_mut().zip(x) {
+                    *aij += xi * xj;
                 }
-                b[i] += x[i] * t;
             }
+            let memo = acc
+                .entry(stats_key(&p.stats))
+                .or_insert_with(|| (vec![0; cells], 0));
+            for cell in 0..cells {
+                let cycles = p.class_reports.get(cell).unwrap_or(&p.report).cycles;
+                let t = cycles as f64;
+                sums[cell] += t;
+                for (bi, xi) in b[cell].iter_mut().zip(x) {
+                    *bi += xi * t;
+                }
+                memo.0[cell] += cycles;
+            }
+            memo.1 += 1;
         }
         let ridge = 1e-6 * (a[0][0] + a[1][1] + a[2][2] + a[3][3] + a[4][4]).max(1e-12) / 5.0;
         for (i, row) in a.iter_mut().enumerate() {
             row[i] += ridge;
         }
-        match solve5(a, b) {
-            Some(w) if w.iter().all(|v| v.is_finite()) => ClassFit::Linear { scale, w },
-            _ => ClassFit::Mean(mean),
+        let fits = b
+            .into_iter()
+            .zip(sums)
+            .map(|(b, sum)| match solve5(a, b) {
+                Some(w) if w.iter().all(|v| v.is_finite()) => ClassFit::Linear { scale, w },
+                _ => ClassFit::Mean(sum / prepared.len() as f64),
+            })
+            .collect();
+        let memo = acc
+            .into_iter()
+            .map(|(key, (sums, n))| (key, sums.iter().map(|s| (s / n).max(1)).collect()))
+            .collect();
+        CostModel {
+            fits,
+            formats,
+            memo,
         }
     }
 
@@ -1444,8 +1453,6 @@ struct Engine {
     mem: MemorySystem,
     /// Completion time of all *started* work.
     next_free: u64,
-    /// Assigned-but-unstarted requests.
-    queue: Vec<Queued>,
     /// Sum of queued service estimates (backlog projection).
     queued_est: u64,
     busy: u64,
@@ -1661,6 +1668,8 @@ struct QueueSim<'a> {
     prepared: &'a [PreparedRequest],
     cfg: &'a QueueConfig,
     engines: Vec<Engine>,
+    /// Every engine's assigned-but-unstarted requests.
+    queues: EngineQueues<Queued>,
     records: Vec<RequestTiming>,
     shed: Vec<ShedRecord>,
     failed: Vec<FailedRecord>,
@@ -2365,7 +2374,7 @@ impl QueueSim<'_> {
         if let Some(pol) = &self.cfg.classes {
             if pol.preempt
                 && self.req_class(id) == RequestClass::Interactive
-                && self.queue_slot(id).is_some()
+                && self.queues.get(id).is_some()
             {
                 self.preempts.push(Reverse((t, id)));
             }
@@ -2390,21 +2399,21 @@ impl QueueSim<'_> {
     /// Queues request `id` on engine `e` with service estimate `est`
     /// (and the warm accounting already done in exact-estimate mode).
     fn enqueue(&mut self, e: usize, id: usize, est: u64, exact: Option<ExactService>) {
-        let eng = &mut self.engines[e];
-        eng.queue.push(Queued {
+        let q = Queued {
             id,
             arrival: self.arrival_of[id],
             est,
             exact,
-        });
+        };
+        self.queues.push(e, id, self.deadline(&q), q);
+        let eng = &mut self.engines[e];
         eng.queued_est = eng.queued_est.saturating_add(est);
     }
 
-    /// Removes the request at queue position `pos` of engine `e`.
-    fn unqueue(&mut self, e: usize, pos: usize) -> Queued {
-        let eng = &mut self.engines[e];
-        let q = eng.queue.remove(pos);
-        eng.queued_est -= q.est;
+    /// Removes queued request `id` from its engine's queue.
+    fn unqueue(&mut self, id: usize) -> Queued {
+        let (e, q) = self.queues.remove(id).expect("request is queued");
+        self.engines[e].queued_est -= q.est;
         q
     }
 
@@ -2480,15 +2489,6 @@ impl QueueSim<'_> {
         }
     }
 
-    /// The `(engine, queue position)` currently holding request `id`,
-    /// if any.
-    fn queue_slot(&self, id: usize) -> Option<(usize, usize)> {
-        self.engines
-            .iter()
-            .enumerate()
-            .find_map(|(e, eng)| Some((e, eng.queue.iter().position(|q| q.id == id)?)))
-    }
-
     /// Attempts to preempt an in-service batch request in favor of the
     /// still-waiting interactive request `id` (scheduled only when the
     /// deadline classes preempt). No-ops when the request already
@@ -2501,7 +2501,7 @@ impl QueueSim<'_> {
     /// immediately.
     fn process_preempt(&mut self, id: usize, t: u64) {
         // Stale event: the request already reached an engine.
-        let Some((src, qpos)) = self.queue_slot(id) else {
+        let Some((src, &Queued { est, .. })) = self.queues.get(id) else {
             return;
         };
         let Some(ve) = self.preempt_victim(t) else {
@@ -2509,18 +2509,17 @@ impl QueueSim<'_> {
             // taken by a same-instant preemption). Re-check the normal
             // deadline prediction so an optimistically admitted
             // interactive cannot strand in the backlog past its
-            // deadline — it sheds now instead.
-            let est = self.engines[src].queue[qpos].est;
-            // The request itself already sits in the holder's queue, so
-            // its own estimate must come back out of the projection —
-            // otherwise the deadline check double-counts its service.
+            // deadline — it sheds now instead. The request itself
+            // already sits in the holder's queue, so its own estimate
+            // must come back out of the projection — otherwise the
+            // deadline check double-counts its service.
             let wait_pred = self.engines[src]
                 .projected_free()
                 .saturating_sub(est)
                 .saturating_sub(self.arrival_of[id]);
             let ddl = self.class_ddl[self.req_class(id).idx()];
             if wait_pred.saturating_add(est) > ddl {
-                self.unqueue(src, qpos);
+                self.unqueue(id);
                 self.shed_request(id, t);
             }
             return;
@@ -2539,7 +2538,7 @@ impl QueueSim<'_> {
         self.enqueue(ve, vid, vest, None);
         // Move the interactive request to the freed engine and start it
         // now (bypassing the queue discipline — that is the point).
-        let q = self.unqueue(src, qpos);
+        let q = self.unqueue(id);
         self.assign_format(ve, id);
         let finish = self.start_service(ve, id, q.arrival, t, None);
         if !self.drills {
@@ -2665,7 +2664,7 @@ impl QueueSim<'_> {
             self.handle_kill(id, t);
         }
         self.engines[e].next_free = t;
-        let killed = std::mem::take(&mut self.engines[e].queue);
+        let killed = self.queues.drain(e);
         self.engines[e].queued_est = 0;
         for q in killed {
             self.handle_kill(q.id, t);
@@ -2726,8 +2725,12 @@ impl QueueSim<'_> {
             }
         } else if pressure < pol.down_pressure && active > pol.min_engines && pending == 0 {
             // Park the highest-id engine that is truly idle.
-            if let Some(e) = self.engines.iter().rposition(|e| {
-                e.available() && e.in_flight.is_none() && e.queue.is_empty() && e.next_free <= t
+            if let Some(e) = (0..self.engines.len()).rev().find(|&e| {
+                let eng = &self.engines[e];
+                eng.available()
+                    && eng.in_flight.is_none()
+                    && self.queues.is_empty(e)
+                    && eng.next_free <= t
             }) {
                 self.close_uptime(e, t);
                 self.engines[e].active = false;
@@ -2813,52 +2816,54 @@ impl QueueSim<'_> {
     /// discipline order, else (with work stealing) the tail of the
     /// longest peer queue (ties to the lowest peer id).
     fn pop_next(&mut self, e: usize) -> Option<Queued> {
-        if !self.engines[e].queue.is_empty() {
-            let pos = self.discipline_pos(&self.engines[e].queue);
-            return Some(self.unqueue(e, pos));
-        }
-        if !self.stealing {
-            return None;
-        }
-        let mut victim = usize::MAX;
-        let mut victim_len = 0usize;
-        for (v, eng) in self.engines.iter().enumerate() {
-            if eng.queue.len() > victim_len {
-                victim_len = eng.queue.len();
-                victim = v;
+        debug_assert_eq!(
+            self.queues.next(e).map(|q| q.id),
+            self.discipline_pick(e),
+            "the indexed pick disagrees with the linear discipline scan"
+        );
+        let (src, q) = match self.queues.pop_next(e) {
+            Some(q) => (e, q),
+            None if self.stealing => {
+                let victim = (0..self.engines.len())
+                    .filter(|&v| !self.queues.is_empty(v))
+                    .max_by_key(|&v| (self.queues.len(v), Reverse(v)))?;
+                let q = self
+                    .queues
+                    .pop_back(victim)
+                    .expect("victim queue is non-empty");
+                (victim, q)
             }
-        }
-        if victim == usize::MAX {
-            return None;
-        }
-        Some(self.unqueue(victim, victim_len - 1))
+            None => return None,
+        };
+        self.engines[src].queued_est -= q.est;
+        Some(q)
     }
 
-    /// The queue position the discipline serves next: earliest absolute
-    /// deadline (ties to the lowest id) under `slo-aware` — and under
-    /// deadline classes for **every** policy, each request's deadline
-    /// being its class's (so an interactive request overtakes queued
-    /// batch work) — the front (assignment order) otherwise. Without an
-    /// SLO every deadline saturates and EDF degenerates to id order —
-    /// FIFO.
-    fn discipline_pos(&self, queue: &[Queued]) -> usize {
-        // `None` reads each request's class deadline.
-        let slo_ddl = match (&self.cfg.classes, self.cfg.policy) {
-            (Some(_), _) => None,
-            (None, SchedPolicy::SloAware) => {
-                Some(self.cfg.slo.map_or(u64::MAX, |s| s.deadline_cycles))
-            }
-            (None, _) => return 0,
+    /// Queued request `q`'s absolute deadline, the key the discipline
+    /// serves by: its class's deadline under deadline classes (for
+    /// **every** policy, so an interactive request overtakes queued
+    /// batch work), the run's SLO under `slo-aware`. Without an SLO
+    /// every deadline saturates and EDF degenerates to id order — FIFO.
+    /// Other runs serve assignment order and never read it.
+    fn deadline(&self, q: &Queued) -> u64 {
+        let ddl = match (&self.cfg.classes, self.cfg.policy) {
+            (Some(_), _) => self.class_ddl[self.req_class(q.id).idx()],
+            (None, SchedPolicy::SloAware) => self.cfg.slo.map_or(u64::MAX, |s| s.deadline_cycles),
+            (None, _) => u64::MAX,
         };
-        queue
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, q)| {
-                let ddl = slo_ddl.unwrap_or_else(|| self.class_ddl[self.req_class(q.id).idx()]);
-                (q.arrival.saturating_add(ddl), q.id)
-            })
-            .map(|(pos, _)| pos)
-            .expect("non-empty queue")
+        q.arrival.saturating_add(ddl)
+    }
+
+    /// The linear reference for [`EngineQueues::next`]: a scan of
+    /// engine `e`'s queue in assignment order for the earliest
+    /// `(deadline, id)` under EDF, the front otherwise. Debug builds
+    /// check every pop against it.
+    fn discipline_pick(&self, e: usize) -> Option<usize> {
+        let mut queue = self.queues.iter(e);
+        if self.cfg.classes.is_none() && !self.cfg.policy.reorders_queue() {
+            return queue.next().map(|q| q.id);
+        }
+        queue.min_by_key(|q| (self.deadline(q), q.id)).map(|q| q.id)
     }
 }
 
@@ -3083,7 +3088,6 @@ pub fn simulate_queue(
             Engine {
                 mem: engine_memory(h, &pricing[class], cfg.policy),
                 next_free: 0,
-                queue: Vec::new(),
                 queued_est: 0,
                 busy: 0,
                 served: 0,
@@ -3128,6 +3132,9 @@ pub fn simulate_queue(
     // A run whose service order provably equals assignment order
     // accounts warm caches at assignment (exact-estimate mode).
     let exact_est = !drills && !stealing && !cfg.policy.reorders_queue() && !lab;
+    // Deadline classes and `slo-aware` serve each queue earliest
+    // deadline first.
+    let edf = cfg.classes.is_some() || cfg.policy.reorders_queue();
     // The cost model is fitted (serially, in stream order) only when
     // routing actually has distinct cells to predict for: cost-aware
     // engine choice or adaptive format choice, under a lineup.
@@ -3196,6 +3203,7 @@ pub fn simulate_queue(
         prepared,
         cfg,
         engines,
+        queues: EngineQueues::new(cfg.engines, n, edf),
         records: Vec::with_capacity(n),
         shed: Vec::new(),
         failed: Vec::new(),
@@ -4226,7 +4234,7 @@ mod tests {
     fn fab_const_sparsity(index: usize, vertices: u64) -> PreparedRequest {
         let report = SimReport {
             accelerator: "fab",
-            workload: "FAB".into(),
+            workload: "FAB",
             cycles: 1_000 * vertices,
             agg_cycles: 0,
             comb_cycles: 0,
@@ -4235,7 +4243,7 @@ mod tests {
             mem: sgcn_mem::MemReport::default(),
             energy: Default::default(),
             tdp_watts: 0.0,
-            layers: Vec::new(),
+            layers: Vec::new().into(),
         };
         PreparedRequest {
             request: Request {
@@ -4255,6 +4263,137 @@ mod tests {
             lite_reports: Vec::new(),
             lite_vertices: Vec::new(),
         }
+    }
+
+    /// The per-cell reference for [`CostModel::fit`]: one walk over
+    /// the stream per `(class, format)` cell.
+    fn fit_per_cell(prepared: &[PreparedRequest], classes: usize) -> CostModel {
+        let classes = classes.max(1);
+        let formats = prepared.first().map_or(1, PreparedRequest::format_count);
+        let cells = classes * formats;
+        let cell_cycles = |p: &PreparedRequest, cell: usize| {
+            p.class_reports.get(cell).unwrap_or(&p.report).cycles
+        };
+        let fits = (0..cells)
+            .map(|cell| {
+                let targets: Vec<f64> = prepared
+                    .iter()
+                    .map(|p| cell_cycles(p, cell) as f64)
+                    .collect();
+                fit_class(prepared, &targets)
+            })
+            .collect();
+        let mut acc: std::collections::BTreeMap<[u64; 4], (Vec<u64>, u64)> =
+            std::collections::BTreeMap::new();
+        for p in prepared {
+            let e = acc
+                .entry(stats_key(&p.stats))
+                .or_insert_with(|| (vec![0; cells], 0));
+            for (sum, cell) in e.0.iter_mut().zip(0..cells) {
+                *sum += cell_cycles(p, cell);
+            }
+            e.1 += 1;
+        }
+        let memo = acc
+            .into_iter()
+            .map(|(key, (sums, n))| (key, sums.iter().map(|s| (s / n).max(1)).collect()))
+            .collect();
+        CostModel {
+            fits,
+            formats,
+            memo,
+        }
+    }
+
+    fn fit_class(prepared: &[PreparedRequest], targets: &[f64]) -> ClassFit {
+        if prepared.is_empty() {
+            return ClassFit::Mean(1.0);
+        }
+        let mean = targets.iter().sum::<f64>() / targets.len() as f64;
+        let mut scale = [1.0f64; 5];
+        for p in prepared {
+            let x = cost_features(&p.stats);
+            for (s, v) in scale.iter_mut().zip(x) {
+                if v.abs() > *s {
+                    *s = v.abs();
+                }
+            }
+        }
+        let first = cost_features(&prepared[0].stats);
+        let mut dead = [false; 5];
+        for (j, dead_j) in dead.iter_mut().enumerate().skip(1) {
+            *dead_j = prepared
+                .iter()
+                .all(|p| cost_features(&p.stats)[j] == first[j]);
+        }
+        let mut a = [[0.0f64; 5]; 5];
+        let mut b = [0.0f64; 5];
+        for (p, &t) in prepared.iter().zip(targets) {
+            let mut x = cost_features(&p.stats);
+            for ((v, s), kill) in x.iter_mut().zip(scale).zip(dead) {
+                *v = if kill { 0.0 } else { *v / s };
+            }
+            for i in 0..5 {
+                for j in 0..5 {
+                    a[i][j] += x[i] * x[j];
+                }
+                b[i] += x[i] * t;
+            }
+        }
+        let ridge = 1e-6 * (a[0][0] + a[1][1] + a[2][2] + a[3][3] + a[4][4]).max(1e-12) / 5.0;
+        for (i, row) in a.iter_mut().enumerate() {
+            row[i] += ridge;
+        }
+        match solve5(a, b) {
+            Some(w) if w.iter().all(|v| v.is_finite()) => ClassFit::Linear { scale, w },
+            _ => ClassFit::Mean(mean),
+        }
+    }
+
+    #[test]
+    fn single_pass_fit_matches_the_per_cell_reference() {
+        // Two classes × two formats. Sparsity is constant (a dead
+        // column), and request 7 repeats request 3's stats with other
+        // cycles (a memo collision).
+        let stream = |sparsity: fn(usize) -> f64| -> Vec<PreparedRequest> {
+            (0..10)
+                .map(|i| {
+                    let mut p =
+                        fab_const_sparsity(i, 20 + 13 * (if i == 7 { 3 } else { i }) as u64);
+                    p.stats.sparsity = sparsity(i);
+                    p.formats = ServeFormat::PALETTE[..2].to_vec();
+                    p.class_reports = (0..4u64)
+                        .map(|c| SimReport {
+                            cycles: p.report.cycles * (c + 1) + 7 * i as u64,
+                            ..p.report.clone()
+                        })
+                        .collect();
+                    p
+                })
+                .collect()
+        };
+        let same = |prepared: &[PreparedRequest]| {
+            let fit = CostModel::fit(prepared, 2);
+            assert_eq!(
+                format!("{fit:?}"),
+                format!("{:?}", fit_per_cell(prepared, 2))
+            );
+            fit
+        };
+        let live = same(&stream(|_| 0.5));
+        assert_eq!(live.memo.len(), 9, "requests 3 and 7 share one key");
+        for fit in &live.fits {
+            let ClassFit::Linear { w, .. } = fit else {
+                panic!("a live stream fits a regression: {fit:?}");
+            };
+            assert_eq!(w[3], 0.0, "the dead sparsity column weighs nothing");
+        }
+        // A NaN stat poisons the shared normal equations: every cell
+        // falls back to its own mean.
+        let singular = same(&stream(|i| if i == 4 { f64::NAN } else { 0.5 }));
+        assert!(singular.fits.iter().all(|f| matches!(f, ClassFit::Mean(_))));
+        assert_ne!(singular.fits[0], singular.fits[3]);
+        same(&[]);
     }
 
     #[test]
@@ -4367,9 +4506,14 @@ mod tests {
         );
         let model = CostModel::fit(&prepared, 2);
         assert_eq!(model.classes(), 2);
-        // Refitting the same stream yields the same model, and
-        // predictions are pure in (stats, class).
+        // Refitting the same stream yields the same model, bit for bit
+        // the per-cell reference's, and predictions are pure in
+        // (stats, class).
         assert_eq!(model, CostModel::fit(&prepared, 2));
+        assert_eq!(
+            format!("{model:?}"),
+            format!("{:?}", fit_per_cell(&prepared, 2))
+        );
         for p in &prepared {
             let ref_pred = model.predict_cycles(0, &p.stats);
             let eco_pred = model.predict_cycles(1, &p.stats);
@@ -5086,6 +5230,68 @@ mod tests {
             b.summary.class_p99_e2e[i],
             a.summary.class_p99_e2e[i]
         );
+    }
+
+    #[test]
+    fn indexed_queues_serve_every_reordering_discipline_under_drills() {
+        // Debug builds check every pop's indexed pick against the linear
+        // discipline scan. These runs reach every queue operation under
+        // overload: EDF pops (deadline classes, then `slo-aware`), steals
+        // (`mixed-steal`), preemption removals and crash drains (MTBF).
+        let ctx = tiny_ctx();
+        let stream = ctx.hotspot_stream(96, 8);
+        let base = HwConfig::default();
+        let prepared = prepare_matrix(
+            &ctx,
+            &stream,
+            &AccelModel::sgcn(),
+            &EngineLineup::mixed(4, base),
+            &[ServeFormat::Native],
+        );
+        let row = feature_row_bytes(&ctx);
+        let mean = prepared.iter().map(|p| p.report.cycles).sum::<u64>() / prepared.len() as u64;
+        let drills = FailureModel::Mtbf {
+            mtbf_services: 6.0,
+            mttr_services: 2.0,
+            incidents_per_engine: 3,
+        };
+        let run = |policy: SchedPolicy, steal: bool, lab: &dyn Fn(QueueConfig) -> QueueConfig| {
+            let lineup = EngineLineup::mixed(4, base);
+            let lineup = if steal {
+                lineup.with_work_stealing()
+            } else {
+                lineup
+            };
+            let cfg = QueueConfig::new(4, policy, 1.4, 5)
+                .with_traffic(TrafficModel::bursty_default())
+                .with_lineup(lineup)
+                .with_faults(drills.clone())
+                .with_retry(RetryPolicy::default());
+            let out = simulate_queue(&prepared, &lab(cfg), &base, row);
+            let s = &out.summary;
+            assert_eq!(
+                out.records.len() + out.shed.len() + out.failed.len(),
+                96,
+                "conservation"
+            );
+            assert!(
+                s.incidents > 0 && s.retries > 0,
+                "crashes drained queued work"
+            );
+            out
+        };
+        let classes = |c: QueueConfig| c.with_classes(ClassPolicy::mix(0.3).with_preemption());
+        let stolen = run(SchedPolicy::LeastLoaded, true, &classes);
+        assert!(
+            stolen.summary.preemptions > 0,
+            "preemption removed queued work"
+        );
+        let kept = run(SchedPolicy::LeastLoaded, false, &classes);
+        assert_ne!(stolen.records, kept.records, "idle engines stole work");
+        let slo = |c: QueueConfig| c.with_slo(SloConfig::new(8 * mean, true));
+        let stolen = run(SchedPolicy::SloAware, true, &slo);
+        let kept = run(SchedPolicy::SloAware, false, &slo);
+        assert_ne!(stolen.records, kept.records, "idle engines stole work");
     }
 
     #[test]

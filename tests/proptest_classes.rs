@@ -36,7 +36,7 @@ fn fab(index: usize, cycles: u64, vertices: Vec<u32>) -> PreparedRequest {
         vertices,
         report: SimReport {
             accelerator: "fab",
-            workload: "FAB".into(),
+            workload: "FAB",
             cycles,
             agg_cycles: 0,
             comb_cycles: 0,
@@ -45,7 +45,7 @@ fn fab(index: usize, cycles: u64, vertices: Vec<u32>) -> PreparedRequest {
             mem,
             energy: Default::default(),
             tdp_watts: 0.0,
-            layers: Vec::new(),
+            layers: Vec::new().into(),
         },
         stats: Default::default(),
         class_reports: Vec::new(),

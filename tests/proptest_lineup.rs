@@ -29,7 +29,7 @@ fn fab(index: usize, cycles: u64, eco_x10: u64, vertices: Vec<u32>) -> PreparedR
     mem.per_class[1].dram_bytes = 4096;
     let report = SimReport {
         accelerator: "fab",
-        workload: "FAB".into(),
+        workload: "FAB",
         cycles,
         agg_cycles: 0,
         comb_cycles: 0,
@@ -38,7 +38,7 @@ fn fab(index: usize, cycles: u64, eco_x10: u64, vertices: Vec<u32>) -> PreparedR
         mem,
         energy: Default::default(),
         tdp_watts: 0.0,
-        layers: Vec::new(),
+        layers: Vec::new().into(),
     };
     let mut eco = report.clone();
     eco.cycles = (cycles * eco_x10) / 10;

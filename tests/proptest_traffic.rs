@@ -33,7 +33,7 @@ fn fab(index: usize, cycles: u64, feature_read_bytes: u64, vertices: Vec<u32>) -
         vertices,
         report: SimReport {
             accelerator: "fab",
-            workload: "FAB".into(),
+            workload: "FAB",
             cycles,
             agg_cycles: 0,
             comb_cycles: 0,
@@ -42,7 +42,7 @@ fn fab(index: usize, cycles: u64, feature_read_bytes: u64, vertices: Vec<u32>) -
             mem,
             energy: Default::default(),
             tdp_watts: 0.0,
-            layers: Vec::new(),
+            layers: Vec::new().into(),
         },
         stats: Default::default(),
         class_reports: Vec::new(),
