@@ -14,7 +14,13 @@
 //!   pointer chasing. Because hot lines sit at MRU, repeated probes of
 //!   the same line short-circuit on the first compare — the dominant
 //!   pattern when spans are swept line by line. (A per-way recency-stamp
-//!   variant was measured slower; see the [`Cache`] docs.)
+//!   variant was measured slower; see the [`Cache`] docs.) A *cold* run
+//!   — it covers every set, the policy is LRU or FIFO, no residency
+//!   sink observes it, and none of its lines is resident — cannot hit,
+//!   so [`Cache::probe_run`] writes each set's end state in closed form
+//!   instead of probing line by line. BIP (a global insertion counter
+//!   ticked per miss) and observed probes (per-line fill/evict
+//!   callbacks in probe order) keep the per-line walk.
 //! * [`ListCache`] — the original recency-list model (`Vec` per set,
 //!   `remove`/`insert` on every promotion). Kept as the executable
 //!   specification: the equivalence tests below drive both on randomized
@@ -177,6 +183,12 @@ pub(crate) trait ResidencySink {
     fn fill(&mut self, line: u64);
     /// `line`, previously resident, left the cache.
     fn evict(&mut self, line: u64);
+    /// Whether the hooks do anything. A sink that answers `false` lets
+    /// the cache skip its per-line fill/evict reports, which is what
+    /// admits a run to [`Cache::probe_run_observed`]'s cold-run replay.
+    fn observing(&self) -> bool {
+        true
+    }
 }
 
 /// The untracked sink: both hooks are empty, so an unobserved probe
@@ -186,6 +198,10 @@ impl ResidencySink for () {
     fn fill(&mut self, _line: u64) {}
     #[inline(always)]
     fn evict(&mut self, _line: u64) {}
+    #[inline(always)]
+    fn observing(&self) -> bool {
+        false
+    }
 }
 
 /// A set-associative cache over 64 B (configurable) lines with a
@@ -329,6 +345,11 @@ impl Cache {
     /// count)` so the caller can batch the DRAM walk. Counter-for-counter
     /// and state-for-state identical to probing each line through
     /// [`Cache::access_line`] in ascending order. Returns the hit count.
+    ///
+    /// A *cold* run — one that covers every set, under LRU or FIFO, with
+    /// no line of it resident — is replayed per set instead of per line
+    /// (see [`Cache::probe_run_observed`]); a layer's weight stream
+    /// through a fresh hierarchy is the common case.
     #[inline]
     pub fn probe_run(
         &mut self,
@@ -343,6 +364,29 @@ impl Cache {
     /// `sink`, in probe order. The evicted line is always the set's last
     /// slot (`ways - 1`): LRU and FIFO keep it as the least recent, and
     /// BIP's cold insert overwrites exactly that slot.
+    ///
+    /// # Cold runs
+    ///
+    /// A run is *cold* when all four of these hold:
+    ///
+    /// * it covers every set (`lines ≥ sets`);
+    /// * the policy is LRU or FIFO;
+    /// * `sink` observes nothing ([`ResidencySink::observing`]);
+    /// * one pass over the valid tags finds none in
+    ///   `[first_line, first_line + lines)`.
+    ///
+    /// Every line of a cold run misses, and under LRU and FIFO a miss
+    /// inserts at MRU and evicts the last slot, so each set ends in a
+    /// closed form: of its `m` run lines the last `min(m, ways)` sit in
+    /// front, newest first, and its `n` old lines shift down behind them,
+    /// with `min(ways, n + m)` valid and `max(0, n + m − ways)` evicted.
+    /// The replay writes that per set, books `lines` misses and makes
+    /// the one `on_miss_run(first_line, lines)` call the per-line walk
+    /// would make. Every other run takes the per-line walk. BIP is
+    /// excluded because its bimodal counter is global and ticks per
+    /// missed line in probe order across sets; an observing sink is
+    /// excluded because it must hear each line's evict-then-fill in
+    /// probe order.
     pub(crate) fn probe_run_observed<S: ResidencySink>(
         &mut self,
         first_line: u64,
@@ -350,6 +394,18 @@ impl Cache {
         mut on_miss_run: impl FnMut(u64, u64),
         sink: &mut S,
     ) -> u64 {
+        if lines >= self.len.len() as u64
+            && matches!(
+                self.config.policy,
+                ReplacementPolicy::Lru | ReplacementPolicy::Fifo
+            )
+            && !sink.observing()
+            && !self.holds_any(first_line, lines)
+        {
+            self.fill_cold_run(first_line, lines);
+            on_miss_run(first_line, lines);
+            return 0;
+        }
         let Cache {
             config,
             tags,
@@ -434,6 +490,51 @@ impl Cache {
         stats.misses += lines - hits;
         stats.evictions += evictions;
         hits
+    }
+
+    /// Whether any valid tag lies in `[first_line, first_line + lines)`:
+    /// one pass over every set's valid slots.
+    fn holds_any(&self, first_line: u64, lines: u64) -> bool {
+        self.tags
+            .chunks_exact(self.config.ways)
+            .zip(self.len.iter())
+            .any(|(set_tags, &n)| {
+                set_tags[..usize::from(n)]
+                    .iter()
+                    .any(|&t| t.wrapping_sub(first_line) < lines)
+            })
+    }
+
+    /// The cold-run replay (see [`Cache::probe_run_observed`]): writes
+    /// each set's closed-form end state. The set `j` steps past the
+    /// run's start set receives lines `first_line + j + i·sets`.
+    fn fill_cold_run(&mut self, first_line: u64, lines: u64) {
+        let ways = self.config.ways;
+        let nsets = self.len.len();
+        let sets = nsets as u64;
+        let (per_set, extra) = (lines / sets, lines % sets);
+        let mut set = self.set_div.rem(first_line) as usize;
+        let mut evictions = 0u64;
+        for j in 0..sets {
+            let m = per_set + u64::from(j < extra);
+            let newest = first_line + j + (m - 1) * sets;
+            let n = usize::from(self.len[set]);
+            let fresh = m.min(ways as u64) as usize;
+            let set_tags = &mut self.tags[set * ways..(set + 1) * ways];
+            set_tags.copy_within(0..n.min(ways - fresh), fresh);
+            for (w, slot) in set_tags[..fresh].iter_mut().enumerate() {
+                *slot = newest - w as u64 * sets;
+            }
+            let total = n as u64 + m;
+            self.len[set] = total.min(ways as u64) as u8;
+            evictions += total.saturating_sub(ways as u64);
+            set += 1;
+            if set == nsets {
+                set = 0;
+            }
+        }
+        self.stats.misses += lines;
+        self.stats.evictions += evictions;
     }
 
     /// Books `n` additional hits without touching contents — the seam

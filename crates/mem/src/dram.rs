@@ -274,10 +274,11 @@ impl Dram {
     /// line-granular cache it twins would issue. At that stride the
     /// channel/bank/row decomposition advances incrementally instead of
     /// re-dividing the address per burst; any other stride (lines
-    /// smaller than a burst) falls back to [`Dram::access`] per access. Either way the per-burst sequence —
-    /// including the order the `f64` channel/bank clocks accumulate in —
-    /// is identical to calling [`Dram::access`] per address, so every
-    /// counter and clock stays bit-identical.
+    /// smaller than a burst) falls back to [`Dram::access`] per access.
+    /// Either way the per-burst sequence — including the order the `f64`
+    /// channel/bank clocks accumulate in — is identical to calling
+    /// [`Dram::access`] per address, so every counter and clock stays
+    /// bit-identical.
     pub fn access_run(&mut self, addr: u64, count: u64, stride_bytes: u64, is_write: bool) {
         if count == 0 {
             return;

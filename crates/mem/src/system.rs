@@ -242,6 +242,11 @@ impl ResidencySink for Option<RowResidency> {
             rows.evict(line);
         }
     }
+
+    #[inline]
+    fn observing(&self) -> bool {
+        self.is_some()
+    }
 }
 
 /// How a cache line moves to and from DRAM: a line no larger than a
