@@ -87,8 +87,7 @@
 use sgcn::accel::AccelModel;
 use sgcn::config::HwConfig;
 use sgcn::experiments::{
-    format_cells, lineup_cells, prepare_sweep, shard_cells, CapacityScenario, ExperimentConfig,
-    QueueCell,
+    format_cells, lineup_cells, shard_cells, CapacityScenario, ExperimentConfig, QueueCell,
 };
 use sgcn::serving::queueing::{
     feature_row_bytes, prepare_for, simulate_queue, ArrivalTrace, ClassPolicy, DegradePolicy,
@@ -217,7 +216,8 @@ fn lineup_sweep(requests: usize, engines: usize, load: f64, hotspot: usize) {
     let cells = lineup_cells(&cfg, engines, load);
     let t0 = std::time::Instant::now();
     // One per-class preparation (the only parallel stage) serves all cells.
-    let prepared = prepare_sweep(&ctx, &stream, &hw, &cells);
+    let (_, widest) = cells.last().expect("a sweep has cells");
+    let prepared = prepare_for(&ctx, &stream, &AccelModel::sgcn(), &hw, widest);
     let summaries = run_cells(&prepared, &cells, &hw, feature_row_bytes(&ctx), |s| {
         format!(
             "warm {:>5.1}%, {:.2} cost units",
@@ -291,7 +291,8 @@ fn format_sweep(requests: usize, engines: usize, load: f64, hotspot: usize) {
     let t0 = std::time::Instant::now();
     // One (class, format) matrix preparation (the only parallel stage)
     // serves every cell.
-    let prepared = prepare_sweep(&ctx, &stream, &hw, &cells);
+    let (_, widest) = cells.last().expect("a sweep has cells");
+    let prepared = prepare_for(&ctx, &stream, &AccelModel::sgcn(), &hw, widest);
     let summaries = run_cells(&prepared, &cells, &hw, feature_row_bytes(&ctx), |s| {
         format!(
             "warm {:>5.1}%, pred err {:>5.2}%",
@@ -548,7 +549,8 @@ fn shard_sweep(requests: usize, engines: usize, load: f64, hotspot: usize) {
         &[2, 4, 8],
         &[0, 64],
     );
-    let prepared = prepare_sweep(&ctx, &stream, &hw, &cells);
+    let (_, widest) = cells.last().expect("a sweep has cells");
+    let prepared = prepare_for(&ctx, &stream, &AccelModel::sgcn(), &hw, widest);
     let summaries = run_cells(&prepared, &cells, &hw, feature_row_bytes(&ctx), |s| {
         format!(
             "net {:>10} B / {:>9} cycles, remote {:>5.1}%",

@@ -1,12 +1,13 @@
 //! The batched serving harness behind `BENCH_serve.json`.
 //!
-//! Replays a seeded stream of sampled-subgraph requests (GraphSAGE
-//! fanout 10×5 on PubMed) through SGCN via the parallel driver,
-//! aggregates the per-request [`sgcn::SimReport`]s into latency-cycle
-//! percentiles and throughput, and emits `BENCH_serve.json`.
+//! Prepares a seeded stream of sampled-subgraph requests (GraphSAGE
+//! fanout 10×5 on PubMed) on SGCN through `serving::queueing::prepare`,
+//! aggregates the per-request cold [`sgcn::SimReport`]s into
+//! latency-cycle percentiles and throughput, and emits
+//! `BENCH_serve.json`.
 //!
 //! Every field of the JSON is a pure function of the request stream —
-//! the batch fans out over `sgcn_par::par_map`, which returns results in
+//! `prepare` fans out over `sgcn_par::par_map`, which returns results in
 //! stream order — so the file is **byte-identical at any
 //! `SGCN_THREADS`** (wall-clock timings go to stdout only). Knobs:
 //! `SGCN_REQUESTS` (stream length, default 1000; 0 renders the all-zero
@@ -14,6 +15,7 @@
 //! `SGCN_SERVE_OUT` (output path).
 
 use sgcn::accel::AccelModel;
+use sgcn::serving::queueing::prepare;
 use sgcn::serving::{ServeSummary, ServingConfig, ServingContext};
 use sgcn_bench::{banner, env_parse, experiment_config};
 use sgcn_graph::datasets::DatasetId;
@@ -40,7 +42,7 @@ fn main() {
     let stream = ctx.request_stream(requests);
 
     let t0 = std::time::Instant::now();
-    let batch = ctx.serve_batch(&stream, &AccelModel::sgcn(), &cfg.hw());
+    let batch = prepare(&ctx, &stream, &AccelModel::sgcn(), &cfg.hw());
     let wall = t0.elapsed().as_secs_f64();
 
     let s = ServeSummary::from_reports(&batch);

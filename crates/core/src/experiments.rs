@@ -225,26 +225,12 @@ mod memo {
     /// the early, cross-figure standard workloads stay hot while
     /// sweep-specific variants are rebuilt on demand, exactly like the
     /// original driver. Reports are small and re-derivable, so their
-    /// table clears at the cap ([`BoundedMemo::get_or_insert`]). Tune
-    /// the workload cap with `SGCN_WORKLOAD_CACHE` (`0` disables
-    /// workload caching; read once per process).
+    /// table clears at the cap ([`BoundedMemo::get_or_insert`]).
     const WORKLOAD_CAP: usize = 12;
     const REPORT_CAP: usize = 8192;
 
-    static WORKLOADS: OnceLock<Option<BoundedMemo<Arc<Workload>>>> = OnceLock::new();
+    static WORKLOADS: OnceLock<BoundedMemo<Arc<Workload>>> = OnceLock::new();
     static REPORTS: OnceLock<BoundedMemo<SimReport>> = OnceLock::new();
-
-    fn workload_memo() -> Option<&'static BoundedMemo<Arc<Workload>>> {
-        WORKLOADS
-            .get_or_init(|| {
-                let cap = std::env::var("SGCN_WORKLOAD_CACHE")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(WORKLOAD_CAP);
-                (cap > 0).then(|| BoundedMemo::new(cap))
-            })
-            .as_ref()
-    }
 
     /// Builds (or recalls) a workload.
     pub(super) fn workload(
@@ -259,16 +245,14 @@ mod memo {
             None => Workload::build(id, scale, network, seed),
             Some(sp) => Workload::build_with_uniform_sparsity(id, scale, network, sp, seed),
         };
-        let wl = match workload_memo() {
-            None => Arc::new(build()),
-            Some(memo) => match memo.get(&key) {
-                Some(wl) => wl,
-                None => {
-                    let wl = Arc::new(build());
-                    memo.insert_if_room(key.clone(), Arc::clone(&wl));
-                    wl
-                }
-            },
+        let memo = WORKLOADS.get_or_init(|| BoundedMemo::new(WORKLOAD_CAP));
+        let wl = match memo.get(&key) {
+            Some(wl) => wl,
+            None => {
+                let wl = Arc::new(build());
+                memo.insert_if_room(key.clone(), Arc::clone(&wl));
+                wl
+            }
         };
         CachedWorkload {
             key: key.as_str().into(),
@@ -1044,7 +1028,7 @@ pub fn serving_fanout_sweep(
     for f in &fanouts {
         let ctx = base.with_fanouts(f.clone());
         let stream = ctx.request_stream(requests);
-        let batch = ctx.serve_batch(&stream, &AccelModel::sgcn(), &hw);
+        let batch = prepare(&ctx, &stream, &AccelModel::sgcn(), &hw);
         let s = ServeSummary::from_reports(&batch);
         let row = format!("fanout {}", f.label());
         grid.set(&row, "p50(kcyc)", s.p50_cycles as f64 / 1e3);
@@ -1086,11 +1070,8 @@ pub fn serving_lineup(cfg: &ExperimentConfig, id: DatasetId, requests: usize) ->
     });
     let stream = ctx.request_stream(requests);
     let hw = cfg.hw();
-    // The sampled workloads are model-independent; build them once and
-    // replay every accelerator over the prepared set.
-    let workloads = ctx.build_workloads(&stream);
     for m in &lineup {
-        let batch = ctx.serve_workloads(&stream, &workloads, m, &hw);
+        let batch = prepare(&ctx, &stream, m, &hw);
         let s = ServeSummary::from_reports(&batch);
         grid.set(m.name, "p50(kcyc)", s.p50_cycles as f64 / 1e3);
         grid.set(m.name, "p99(kcyc)", s.p99_cycles as f64 / 1e3);
@@ -1135,9 +1116,9 @@ pub fn serving_batch_sweep(
         seed: cfg.seed,
     });
     let stream = ctx.request_stream(requests);
-    // The cold replay is batch-size independent: serve once, then apply
-    // each batching schedule to the same reports.
-    let batch = ctx.serve_batch(&stream, &AccelModel::sgcn(), &hw);
+    // The cold replay is batch-size independent: prepare once, then
+    // apply each batching schedule to the same reports.
+    let batch = prepare(&ctx, &stream, &AccelModel::sgcn(), &hw);
     let cold = ServeSummary::from_reports(&batch);
     for &b in batch_sizes {
         let latencies = amortized_batch_latencies(&batch, b, &hw);
@@ -1263,25 +1244,6 @@ fn queue_column(col: &str, s: &QueueSummary) -> f64 {
         "rem%" => s.remote_rate * 100.0,
         _ => panic!("unknown queueing column {col:?}"),
     }
-}
-
-/// Prepares `stream` once for a cell list whose last cell needs the
-/// widest preparation — true of [`lineup_cells`] (the mixed lineup
-/// carries both hardware classes), [`format_cells`] (adaptive needs the
-/// whole palette) and [`shard_cells`] (one native preparation serves
-/// every shard plan) — so that one preparation serves every cell.
-///
-/// # Panics
-///
-/// Panics if `cells` is empty.
-pub fn prepare_sweep(
-    ctx: &ServingContext,
-    stream: &[Request],
-    hw: &HwConfig,
-    cells: &[QueueCell],
-) -> Vec<PreparedRequest> {
-    let (_, widest) = cells.last().expect("a sweep has cells");
-    prepare_for(ctx, stream, &AccelModel::sgcn(), hw, widest)
 }
 
 /// Renders the nine queueing grids (beyond the paper) in suite order off
@@ -1500,7 +1462,8 @@ pub fn lineup_cells(cfg: &ExperimentConfig, engines: usize, load: f64) -> Vec<Qu
 /// this traffic at the cheapest p99?" planning view.
 fn lineup_grid(s: &QueueingSetup, engines: usize, load: f64) -> Grid {
     let cells = lineup_cells(&s.cfg, engines, load);
-    let prepared = prepare_sweep(&s.ctx, &s.stream, &s.hw, &cells);
+    let (_, widest) = cells.last().expect("a sweep has cells");
+    let prepared = prepare_for(&s.ctx, &s.stream, &AccelModel::sgcn(), &s.hw, widest);
     s.render(
         format!(
             "Queueing: hardware lineup × routing policy on {} (bursty, load {load:.2}, {} requests, {engines} engines)",
@@ -1547,7 +1510,8 @@ pub fn format_cells(cfg: &ExperimentConfig, engines: usize, load: f64) -> Vec<Qu
 /// view.
 fn format_grid(s: &QueueingSetup, engines: usize, load: f64) -> Grid {
     let cells = format_cells(&s.cfg, engines, load);
-    let prepared = prepare_sweep(&s.ctx, &s.stream, &s.hw, &cells);
+    let (_, widest) = cells.last().expect("a sweep has cells");
+    let prepared = prepare_for(&s.ctx, &s.stream, &AccelModel::sgcn(), &s.hw, widest);
     s.render(
         format!(
             "Queueing: serving-format policy on the mixed lineup on {} (cost-aware, bursty, load {load:.2}, {} requests, {engines} engines)",
@@ -1743,7 +1707,9 @@ fn class_grid(s: &QueueingSetup, engines: usize, load: f64) -> Grid {
 /// `queue_sim`'s `BENCH_shard.json` sweep: every shard count × hub
 /// replication plan over `graph`, each under shard-oblivious
 /// (`least-loaded`) then shard-locality (`shard-affinity`) routing,
-/// bursty traffic. Rows are `<shards>sh <hubs>hub / <policy>`.
+/// bursty traffic. Rows are `<shards>sh <hubs>hub / <policy>`. A shard
+/// plan changes routing and the network bill, not the work, so one
+/// native preparation (the last cell's) serves every cell.
 pub fn shard_cells(
     cfg: &ExperimentConfig,
     graph: &sgcn_graph::csr::CsrGraph,

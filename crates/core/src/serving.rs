@@ -7,22 +7,23 @@
 //! that subgraph alone. This module packages one dataset's serving state
 //! ([`ServingContext`]), turns sampled subgraphs into self-contained
 //! [`Workload`]s (sliced input features + synthesized per-layer trace at
-//! the dataset's sparsity trajectory), replays request batches through
-//! the simulator in parallel, and aggregates per-request [`SimReport`]s
-//! into latency percentiles and throughput ([`ServeSummary`]). The
-//! [`queueing`] submodule layers an *online* view on top: a seeded
-//! open-loop arrival process and an N-engine event-driven scheduler with
-//! pluggable policies, including warm-cache affinity routing.
+//! the dataset's sparsity trajectory), and aggregates per-request cold
+//! reports into latency percentiles and throughput ([`ServeSummary`]).
+//! The [`queueing`] submodule owns the one request pipeline:
+//! [`queueing::prepare`] samples, builds and cold-simulates a stream
+//! (each distinct seed vertex once), and both the offline batch view
+//! here and the *online* view — a seeded open-loop arrival process and
+//! an N-engine event-driven scheduler with pluggable policies, including
+//! warm-cache affinity routing — read its [`queueing::PreparedRequest`]s.
 //!
 //! # Determinism
 //!
 //! Every stage is a pure function of `(dataset, fanouts, seed, request)`:
 //! the sampler derives its RNG from the seed vertex, the trace synthesis
-//! from the serving seed and seed vertex, and
-//! [`ServingContext::serve_batch`] fans out
-//! over [`sgcn_par::par_map`], which returns results in input order — so
-//! a replayed stream is **bit-identical at any thread count**, matching
-//! the experiment drivers' contract.
+//! from the serving seed and seed vertex, and [`queueing::prepare`] fans
+//! out over [`sgcn_par::par_map`], which returns results in input order —
+//! so a replayed stream is **bit-identical at any thread count**,
+//! matching the experiment drivers' contract.
 
 mod engine_queue;
 pub mod faults;
@@ -40,12 +41,10 @@ use sgcn_graph::datasets::{Dataset, DatasetId, SynthScale};
 use sgcn_graph::sampling::{sample_neighborhood, Fanouts, SampledSubgraph};
 use sgcn_model::features::{generate_input_features, slice_rows};
 use sgcn_model::{NetworkConfig, ReferenceExecutor};
-use sgcn_par::par_map;
 
-use crate::accel::AccelModel;
 use crate::config::HwConfig;
-use crate::metrics::SimReport;
 use crate::workload::Workload;
+use queueing::PreparedRequest;
 
 /// Scale knobs for a serving session.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,19 +84,6 @@ pub struct Request {
     pub index: usize,
     /// The queried vertex (original dataset id).
     pub seed_vertex: u32,
-}
-
-/// Per-request result: the subgraph's size plus the simulation report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RequestReport {
-    /// The request served.
-    pub request: Request,
-    /// Sampled subgraph vertices.
-    pub vertices: usize,
-    /// Sampled subgraph edges.
-    pub edges: usize,
-    /// The accelerator simulation of the request's workload.
-    pub report: SimReport,
 }
 
 /// Shared per-dataset serving state, built once per session: the backing
@@ -210,19 +196,13 @@ impl ServingContext {
         )
     }
 
-    /// Builds the request's self-contained workload: the sampled
-    /// subgraph as the topology, input features sliced from the full
-    /// `X¹` (the same vertex always serves identical bytes), and the
-    /// per-layer trace synthesized at the dataset's published sparsity
-    /// trajectory. Pure in `(self, request.seed_vertex)`.
-    pub fn build_workload(&self, request: &Request) -> Workload {
-        self.build_workload_from(request, self.sample(request))
-    }
-
-    /// [`Self::build_workload`] over an already-sampled neighborhood —
-    /// callers that also need the sample itself (e.g. the queueing
-    /// scheduler's warm-cache probe wants the global vertex ids) sample
-    /// once and build from it instead of re-sampling.
+    /// Builds the request's self-contained workload over its sampled
+    /// neighborhood `sub` (from [`Self::sample`]): the subgraph as the
+    /// topology, input features sliced from the full `X¹` (the same
+    /// vertex always serves identical bytes), and the per-layer trace
+    /// synthesized at the dataset's published sparsity trajectory. Pure
+    /// in `(self, request.seed_vertex)`. Callers keep the sample itself
+    /// for its global vertex ids (the warm-cache working set).
     pub fn build_workload_from(&self, request: &Request, sub: SampledSubgraph) -> Workload {
         let input = slice_rows(&self.input, &sub.vertices);
         let layers = self.network.layers;
@@ -247,83 +227,6 @@ impl ServingContext {
             format_cache: Default::default(),
         }
     }
-
-    /// [`Self::build_workload_from`] plus boundary pre-encoding for a
-    /// serving-format palette: every non-native palette format is
-    /// encoded once into the workload's Arc'd `FormatCache`, so the
-    /// per-(class, format) cold simulations that follow (one per lineup
-    /// class × palette entry) share the encodings instead of rebuilding
-    /// them. A `[Native]` (or empty) palette degenerates to exactly
-    /// [`Self::build_workload_from`].
-    pub fn build_workload_formats(
-        &self,
-        request: &Request,
-        sub: SampledSubgraph,
-        palette: &[queueing::ServeFormat],
-    ) -> Workload {
-        let wl = self.build_workload_from(request, sub);
-        let kinds: Vec<sgcn_formats::FormatKind> = palette
-            .iter()
-            .filter_map(queueing::ServeFormat::override_kind)
-            .collect();
-        wl.precache_boundary_formats(&kinds);
-        wl
-    }
-
-    /// Serves one request on one accelerator.
-    pub fn serve(&self, request: &Request, model: &AccelModel, hw: &HwConfig) -> RequestReport {
-        let wl = self.build_workload(request);
-        let vertices = wl.vertices();
-        let edges = wl.graph().num_edges();
-        RequestReport {
-            request: *request,
-            vertices,
-            edges,
-            report: model.simulate(&wl, hw),
-        }
-    }
-
-    /// Replays a request batch in parallel, results in stream order
-    /// (bit-identical at any `SGCN_THREADS`).
-    pub fn serve_batch(
-        &self,
-        requests: &[Request],
-        model: &AccelModel,
-        hw: &HwConfig,
-    ) -> Vec<RequestReport> {
-        par_map(requests.to_vec(), |req| self.serve(&req, model, hw))
-    }
-
-    /// Builds the stream's workloads in parallel (stream order) — the
-    /// model-independent half of a replay. When several accelerators
-    /// replay the same stream, build once and feed each model through
-    /// [`Self::serve_workloads`] instead of re-sampling per model.
-    pub fn build_workloads(&self, requests: &[Request]) -> Vec<Workload> {
-        par_map(requests.to_vec(), |req| self.build_workload(&req))
-    }
-
-    /// Simulates prebuilt workloads on one model, results in stream
-    /// order — bit-identical to [`Self::serve_batch`] on the same
-    /// stream, minus the rebuild.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `requests` and `workloads` disagree in length.
-    pub fn serve_workloads(
-        &self,
-        requests: &[Request],
-        workloads: &[Workload],
-        model: &AccelModel,
-        hw: &HwConfig,
-    ) -> Vec<RequestReport> {
-        assert_eq!(requests.len(), workloads.len(), "one workload per request");
-        par_map((0..requests.len()).collect(), |i| RequestReport {
-            request: requests[i],
-            vertices: workloads[i].vertices(),
-            edges: workloads[i].graph().num_edges(),
-            report: model.simulate(&workloads[i], hw),
-        })
-    }
 }
 
 /// Nearest-rank percentile (`q` in 0..=100) of an ascending-sorted
@@ -336,8 +239,9 @@ fn percentile(sorted: &[u64], q: u32) -> u64 {
     sorted[rank - 1]
 }
 
-/// Batch-level aggregation of per-request reports: the serving SLO view
-/// (latency-cycle percentiles, throughput) plus traffic totals.
+/// Batch-level aggregation of a prepared stream's cold reports: the
+/// serving SLO view (latency-cycle percentiles, throughput) plus traffic
+/// totals.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeSummary {
     /// Requests aggregated.
@@ -379,13 +283,13 @@ pub struct ServeSummary {
 /// Only the latency view changes: traffic counters keep describing the
 /// cold runs (the bytes a request *would* move standalone).
 pub fn amortized_batch_latencies(
-    reports: &[RequestReport],
+    prepared: &[PreparedRequest],
     batch_size: usize,
     hw: &HwConfig,
 ) -> Vec<u64> {
     let batch = batch_size.max(1);
     let effective_bw = hw.dram.peak_bytes_per_cycle * hw.dram.efficiency;
-    reports
+    prepared
         .iter()
         .enumerate()
         .map(|(i, r)| {
@@ -404,21 +308,24 @@ impl ServeSummary {
     /// Aggregates a batch. An empty batch yields the all-zero summary
     /// (every field well-defined — no `NaN`/`inf` ever reaches the JSON,
     /// so `SGCN_REQUESTS=0` renders instead of aborting).
-    pub fn from_reports(reports: &[RequestReport]) -> Self {
-        let latencies: Vec<u64> = reports.iter().map(|r| r.report.cycles).collect();
-        Self::from_reports_with_latencies(reports, latencies)
+    pub fn from_reports(prepared: &[PreparedRequest]) -> Self {
+        let latencies: Vec<u64> = prepared.iter().map(|r| r.report.cycles).collect();
+        Self::from_reports_with_latencies(prepared, latencies)
     }
 
     /// Aggregates a batch under substituted per-request latencies (e.g.
-    /// [`amortized_batch_latencies`]); traffic/size fields still come
-    /// from the reports.
+    /// [`amortized_batch_latencies`]); traffic and size fields still
+    /// come from the cold reports and subgraph stats.
     ///
     /// # Panics
     ///
-    /// Panics if `latencies` and `reports` disagree in length.
-    pub fn from_reports_with_latencies(reports: &[RequestReport], mut latencies: Vec<u64>) -> Self {
-        assert_eq!(reports.len(), latencies.len(), "one latency per request");
-        let n = reports.len();
+    /// Panics if `latencies` and `prepared` disagree in length.
+    pub fn from_reports_with_latencies(
+        prepared: &[PreparedRequest],
+        mut latencies: Vec<u64>,
+    ) -> Self {
+        assert_eq!(prepared.len(), latencies.len(), "one latency per request");
+        let n = prepared.len();
         if n == 0 {
             return ServeSummary {
                 requests: 0,
@@ -451,9 +358,9 @@ impl ServeSummary {
             } else {
                 n as f64 * 1e9 / total_cycles as f64
             },
-            total_dram_bytes: reports.iter().map(|r| r.report.dram_bytes()).sum(),
-            avg_vertices: reports.iter().map(|r| r.vertices).sum::<usize>() as f64 / n as f64,
-            avg_edges: reports.iter().map(|r| r.edges).sum::<usize>() as f64 / n as f64,
+            total_dram_bytes: prepared.iter().map(|r| r.report.dram_bytes()).sum(),
+            avg_vertices: prepared.iter().map(|r| r.stats.vertices).sum::<u64>() as f64 / n as f64,
+            avg_edges: prepared.iter().map(|r| r.stats.edges).sum::<u64>() as f64 / n as f64,
         }
     }
 
@@ -483,6 +390,8 @@ impl ServeSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accel::AccelModel;
+    use queueing::prepare;
 
     fn tiny_ctx() -> ServingContext {
         ServingContext::new(ServingConfig {
@@ -512,7 +421,7 @@ mod tests {
         let ctx = tiny_ctx();
         let req = ctx.request_stream(3)[1];
         let sub = ctx.sample(&req);
-        let wl = ctx.build_workload(&req);
+        let wl = ctx.build_workload_from(&req, sub.clone());
         assert_eq!(wl.vertices(), sub.num_vertices());
         assert_eq!(wl.graph(), &sub.graph);
         assert_eq!(wl.trace.num_layers(), ctx.network.layers);
@@ -532,27 +441,36 @@ mod tests {
             index: 900,
             seed_vertex: 42,
         };
-        assert_eq!(ctx.build_workload(&a).trace, ctx.build_workload(&b).trace);
+        assert_eq!(
+            ctx.build_workload_from(&a, ctx.sample(&a)).trace,
+            ctx.build_workload_from(&b, ctx.sample(&b)).trace
+        );
     }
 
     #[test]
     fn serve_produces_nonzero_report() {
         let ctx = tiny_ctx();
         let req = ctx.request_stream(1)[0];
-        let rr = ctx.serve(&req, &AccelModel::sgcn(), &HwConfig::default());
-        assert!(rr.report.cycles > 0);
-        assert!(rr.report.dram_bytes() > 0);
-        assert!(rr.vertices >= 1);
+        let p = &prepare(&ctx, &[req], &AccelModel::sgcn(), &HwConfig::default())[0];
+        assert!(p.report.cycles > 0);
+        assert!(p.report.dram_bytes() > 0);
+        assert!(p.stats.vertices >= 1);
+        assert_eq!(p.stats.vertices, p.vertices.len() as u64);
     }
 
+    /// Preparing a stream at once (duplicates simulated once) equals
+    /// preparing each of its requests alone.
     #[test]
     fn batch_matches_serial_replay() {
         let ctx = tiny_ctx();
-        let reqs = ctx.request_stream(12);
+        let reqs = ctx.hotspot_stream(12, 3);
         let hw = HwConfig::default();
         let model = AccelModel::sgcn();
-        let batch = ctx.serve_batch(&reqs, &model, &hw);
-        let serial: Vec<RequestReport> = reqs.iter().map(|r| ctx.serve(r, &model, &hw)).collect();
+        let batch = prepare(&ctx, &reqs, &model, &hw);
+        let serial: Vec<PreparedRequest> = reqs
+            .iter()
+            .map(|r| prepare(&ctx, std::slice::from_ref(r), &model, &hw).remove(0))
+            .collect();
         assert_eq!(batch, serial);
     }
 
@@ -568,39 +486,42 @@ mod tests {
         assert_eq!(derived.network, fresh.network);
         let req = derived.request_stream(2)[1];
         assert_eq!(req, fresh.request_stream(2)[1]);
+        let hw = HwConfig::default();
         assert_eq!(
-            derived.serve(&req, &AccelModel::sgcn(), &HwConfig::default()),
-            fresh.serve(&req, &AccelModel::sgcn(), &HwConfig::default())
+            prepare(&derived, &[req], &AccelModel::sgcn(), &hw),
+            prepare(&fresh, &[req], &AccelModel::sgcn(), &hw)
         );
     }
 
+    /// Every model's prepared stream carries, per request, the
+    /// subgraph size and the cold report of sampling, building and
+    /// simulating that request on its own.
     #[test]
     fn prepared_replay_equals_batch_replay() {
         let ctx = tiny_ctx();
-        let reqs = ctx.request_stream(10);
+        let reqs = ctx.hotspot_stream(10, 4);
         let hw = HwConfig::default();
-        let workloads = ctx.build_workloads(&reqs);
         for model in [AccelModel::sgcn(), AccelModel::gcnax()] {
-            let prepared = ctx.serve_workloads(&reqs, &workloads, &model, &hw);
-            let batch = ctx.serve_batch(&reqs, &model, &hw);
-            assert_eq!(prepared, batch, "{}", model.name);
+            let prepared = prepare(&ctx, &reqs, &model, &hw);
+            assert_eq!(prepared.len(), reqs.len());
+            for (p, req) in prepared.iter().zip(&reqs) {
+                let sub = ctx.sample(req);
+                let vertices = sub.vertices.clone();
+                let wl = ctx.build_workload_from(req, sub);
+                assert_eq!(p.request, *req);
+                assert_eq!(p.vertices, vertices);
+                assert_eq!(p.stats.vertices, wl.vertices() as u64);
+                assert_eq!(p.stats.edges, wl.graph().num_edges() as u64);
+                assert_eq!(p.report, model.simulate(&wl, &hw), "{}", model.name);
+            }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "one workload per request")]
-    fn prepared_replay_length_mismatch_panics() {
-        let ctx = tiny_ctx();
-        let reqs = ctx.request_stream(3);
-        let workloads = ctx.build_workloads(&reqs[..2]);
-        let _ = ctx.serve_workloads(&reqs, &workloads, &AccelModel::sgcn(), &HwConfig::default());
     }
 
     #[test]
     fn summary_percentiles_are_ordered() {
         let ctx = tiny_ctx();
         let reqs = ctx.request_stream(16);
-        let batch = ctx.serve_batch(&reqs, &AccelModel::sgcn(), &HwConfig::default());
+        let batch = prepare(&ctx, &reqs, &AccelModel::sgcn(), &HwConfig::default());
         let s = ServeSummary::from_reports(&batch);
         assert_eq!(s.requests, 16);
         assert!(s.p50_cycles <= s.p95_cycles);
@@ -626,7 +547,7 @@ mod tests {
     fn json_is_deterministic() {
         let ctx = tiny_ctx();
         let reqs = ctx.request_stream(4);
-        let batch = ctx.serve_batch(&reqs, &AccelModel::sgcn(), &HwConfig::default());
+        let batch = prepare(&ctx, &reqs, &AccelModel::sgcn(), &HwConfig::default());
         let s = ServeSummary::from_reports(&batch);
         assert_eq!(s.to_json("CR"), s.to_json("CR"));
         assert!(s.to_json("CR").contains("\"workload\": \"CR\""));
@@ -660,13 +581,20 @@ mod tests {
     fn zero_cycle_reports_yield_zero_throughput_not_inf() {
         // A degenerate batch whose requests took zero cycles must not
         // divide by zero: throughput is defined as 0.
-        let rr = RequestReport {
+        let rr = PreparedRequest {
             request: Request {
                 index: 0,
                 seed_vertex: 0,
             },
-            vertices: 1,
-            edges: 0,
+            vertices: vec![0],
+            stats: queueing::RequestStats {
+                vertices: 1,
+                ..Default::default()
+            },
+            class_reports: Vec::new(),
+            formats: Vec::new(),
+            lite_reports: Vec::new(),
+            lite_vertices: Vec::new(),
             report: crate::metrics::SimReport {
                 accelerator: "test",
                 workload: "WL",
@@ -713,16 +641,5 @@ mod tests {
     #[should_panic(expected = "hotspot pool")]
     fn zero_hotspot_pool_panics() {
         let _ = tiny_ctx().hotspot_stream(4, 0);
-    }
-
-    #[test]
-    fn workload_from_presampled_neighborhood_matches() {
-        let ctx = tiny_ctx();
-        let req = ctx.request_stream(2)[0];
-        let sub = ctx.sample(&req);
-        let a = ctx.build_workload_from(&req, sub);
-        let b = ctx.build_workload(&req);
-        assert_eq!(a.trace, b.trace);
-        assert_eq!(a.graph(), b.graph());
     }
 }

@@ -74,7 +74,7 @@
 //! at service start and queued work is priced at the cold scaled
 //! estimate until then.
 //!
-//! Engine queues are indexed ([`super::engine_queue`]), so no queue
+//! Engine queues are indexed (`serving/engine_queue.rs`), so no queue
 //! operation scans a queue: an assignment-order map keyed by a per-run
 //! enqueue sequence serves FIFO pops, work steals (the newest entry of
 //! the longest peer queue) and crash drains; EDF runs add a `(absolute
@@ -712,7 +712,7 @@ impl CostModel {
     /// vertices); a singular system falls back to the cell mean.
     pub fn fit(prepared: &[PreparedRequest], classes: usize) -> CostModel {
         let classes = classes.max(1);
-        let formats = prepared.first().map_or(1, PreparedRequest::format_count);
+        let formats = prepared.first().map_or(1, |p| p.palette().len());
         let cells = classes * formats;
         let Some(first) = prepared.first() else {
             return CostModel {
@@ -1137,8 +1137,11 @@ pub struct PreparedRequest {
     /// Cold service simulation of the request's workload on the
     /// reference platform.
     pub report: SimReport,
-    /// Subgraph statistics for cost-model prediction. [`Default`] in
-    /// fabricated test streams — the event loop itself never reads it.
+    /// Subgraph statistics: the [`CostModel`]'s features (the event
+    /// loop's `cost-aware` and `adaptive` dispatch predict service from
+    /// them) and the batch view's subgraph sizes
+    /// ([`crate::serving::ServeSummary`]). [`Default`] in fabricated
+    /// test streams that never reach the cost model.
     pub stats: RequestStats,
     /// Cold reports over the prepared `(class, format)` matrix from
     /// [`prepare_matrix`], row-major by class
@@ -1160,10 +1163,15 @@ pub struct PreparedRequest {
 }
 
 impl PreparedRequest {
-    /// Palette width of the prepared `(class, format)` matrix (1 for
-    /// the legacy single-format prepare).
-    pub fn format_count(&self) -> usize {
-        self.formats.len().max(1)
+    /// The format palette the request was prepared over — the columns
+    /// of `class_reports`. An empty `formats` (the shape [`prepare`]
+    /// produces) is the single-format `[ServeFormat::Native]` palette.
+    pub fn palette(&self) -> &[ServeFormat] {
+        if self.formats.is_empty() {
+            &[ServeFormat::Native]
+        } else {
+            &self.formats
+        }
     }
 }
 
@@ -1266,6 +1274,13 @@ fn prepare_cells(
     // The lite context shares the synthesized graph/features (fanouts
     // only change the sampling schedule), so deriving it is cheap.
     let lite_ctx = build_lite.then(|| ctx.with_fanouts(lite_fanouts(&ctx.config().fanouts)));
+    // Every non-native palette encoding is built once into a workload's
+    // shared format cache, so its per-(class, format) simulations reuse
+    // the encodings instead of re-encoding per class.
+    let kinds: Vec<FormatKind> = formats
+        .iter()
+        .filter_map(ServeFormat::override_kind)
+        .collect();
     let per_vertex: Vec<(
         Vec<u32>,
         RequestStats,
@@ -1279,7 +1294,8 @@ fn prepare_cells(
         };
         let sub = ctx.sample(&probe);
         let vertices = sub.vertices.clone();
-        let wl = ctx.build_workload_formats(&probe, sub, formats);
+        let wl = ctx.build_workload_from(&probe, sub);
+        wl.precache_boundary_formats(&kinds);
         let stats = RequestStats {
             vertices: vertices.len() as u64,
             edges: wl.graph().num_edges() as u64,
@@ -1685,7 +1701,7 @@ struct QueueSim<'a> {
     cost: Option<CostModel>,
     /// The prepared stream's format palette (always ≥ 1 entry;
     /// `[Native]` on the legacy single-format path).
-    palette: Vec<ServeFormat>,
+    palette: &'a [ServeFormat],
     /// Palette index every request serves in under a fixed format
     /// policy; `None` under adaptive dispatch.
     fixed_fmt: Option<usize>,
@@ -2875,8 +2891,23 @@ impl QueueSim<'_> {
 ///
 /// # Panics
 ///
-/// Panics if the fleet's engine count disagrees with `cfg.engines` or a
-/// fleet scale is not positive and finite.
+/// Panics on a configuration the prepared stream cannot serve:
+///
+/// - the fleet's engine count disagrees with `cfg.engines`, or a fleet
+///   scale is not positive and finite;
+/// - both an SLO and deadline classes are set;
+/// - the prepared requests do not share one format palette
+///   ([`PreparedRequest::palette`]), or a fixed format policy names a
+///   format outside it;
+/// - a format policy other than `fixed:native` runs without a hardware
+///   lineup;
+/// - a lineup's width disagrees with `cfg.engines`, it assigns an
+///   unknown class, or a request lacks its per-(class, format) cold
+///   reports;
+/// - brownout runs without the adaptive format policy, or a request
+///   lacks its lite reports (one per lineup class);
+/// - a recorded arrival trace's length disagrees with the stream, or
+///   closed-loop traffic has no clients.
 pub fn simulate_queue(
     prepared: &[PreparedRequest],
     cfg: &QueueConfig,
@@ -2898,24 +2929,15 @@ pub fn simulate_queue(
         cfg.slo.is_none() || cfg.classes.is_none(),
         "deadline classes supersede the single SLO — configure one or the other"
     );
-    // The prepared stream's format palette (an empty `formats` is the
-    // legacy single-format shape): every request must share it, and the
-    // fixed-format policy must name one of its columns.
-    let palette: Vec<ServeFormat> = match prepared.first() {
-        Some(p) if !p.formats.is_empty() => p.formats.clone(),
-        _ => vec![ServeFormat::Native],
-    };
-    for p in prepared {
-        let shared = if p.formats.is_empty() {
-            palette == [ServeFormat::Native]
-        } else {
-            p.formats == palette
-        };
-        assert!(
-            shared,
-            "every prepared request must share one format palette"
-        );
-    }
+    // The prepared stream's format palette: every request must share
+    // it, and the fixed-format policy must name one of its columns.
+    let palette = prepared
+        .first()
+        .map_or(&[ServeFormat::Native][..], PreparedRequest::palette);
+    assert!(
+        prepared.iter().all(|p| p.palette() == palette),
+        "every prepared request must share one format palette"
+    );
     let fixed_fmt = match cfg.format {
         FormatPolicy::Fixed(f) => Some(palette.iter().position(|&g| g == f).unwrap_or_else(|| {
             panic!(
@@ -3317,7 +3339,7 @@ pub fn simulate_queue(
         &drill_stats,
         &lab_stats,
         cfg,
-        &palette,
+        palette,
     );
     QueueOutcome {
         records,
@@ -4269,7 +4291,7 @@ mod tests {
     /// the stream per `(class, format)` cell.
     fn fit_per_cell(prepared: &[PreparedRequest], classes: usize) -> CostModel {
         let classes = classes.max(1);
-        let formats = prepared.first().map_or(1, PreparedRequest::format_count);
+        let formats = prepared.first().map_or(1, |p| p.palette().len());
         let cells = classes * formats;
         let cell_cycles = |p: &PreparedRequest, cell: usize| {
             p.class_reports.get(cell).unwrap_or(&p.report).cycles

@@ -348,7 +348,7 @@ impl Cache {
     ///
     /// A *cold* run — one that covers every set, under LRU or FIFO, with
     /// no line of it resident — is replayed per set instead of per line
-    /// (see [`Cache::probe_run_observed`]); a layer's weight stream
+    /// (see `Cache::probe_run_observed`); a layer's weight stream
     /// through a fresh hierarchy is the common case.
     #[inline]
     pub fn probe_run(

@@ -774,11 +774,6 @@ impl MemorySystem {
         self.dram.bandwidth_utilization(elapsed)
     }
 
-    /// Resets the DRAM service clocks (between layers/phases).
-    pub fn reset_dram_time(&mut self) {
-        self.dram.reset_time();
-    }
-
     /// Drops all cached lines (keeps statistics) and zeroes the row
     /// counters.
     pub fn flush_cache(&mut self) {

@@ -58,6 +58,7 @@ fn second_dataset_and_policies_are_bit_identical() {
 
 #[test]
 fn serving_requests_are_bit_identical() {
+    use sgcn::serving::queueing::prepare;
     use sgcn::serving::{ServingConfig, ServingContext};
     use sgcn_graph::sampling::Fanouts;
     let cfg = ExperimentConfig::quick();
@@ -70,13 +71,13 @@ fn serving_requests_are_bit_identical() {
     });
     let requests = ctx.request_stream(6);
     for model in [AccelModel::sgcn(), AccelModel::gcnax()] {
-        for req in &requests {
-            let flat = ctx.serve(req, &model, &cfg.hw().with_cache_engine(CacheEngine::Flat));
-            let list = ctx.serve(req, &model, &cfg.hw().with_cache_engine(CacheEngine::List));
+        let run = |engine| prepare(&ctx, &requests, &model, &cfg.hw().with_cache_engine(engine));
+        let (flat, list) = (run(CacheEngine::Flat), run(CacheEngine::List));
+        for (f, l) in flat.iter().zip(&list) {
             assert_eq!(
-                flat, list,
+                f, l,
                 "{} on request {}: Flat engine diverged from List",
-                model.name, req.index
+                model.name, f.request.index
             );
         }
     }

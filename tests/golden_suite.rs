@@ -124,6 +124,7 @@ fn quick_datasets() -> Vec<DatasetId> {
 /// from [`quick_suite_and_serving_match_goldens`].
 fn check_serve_summary_golden() {
     use sgcn::accel::AccelModel;
+    use sgcn::serving::queueing::prepare;
     use sgcn::serving::{ServeSummary, ServingConfig, ServingContext};
 
     let cfg = ExperimentConfig::quick();
@@ -135,7 +136,7 @@ fn check_serve_summary_golden() {
         seed: cfg.seed,
     });
     let stream = ctx.request_stream(100);
-    let batch = ctx.serve_batch(&stream, &AccelModel::sgcn(), &cfg.hw());
+    let batch = prepare(&ctx, &stream, &AccelModel::sgcn(), &cfg.hw());
     let json = ServeSummary::from_reports(&batch).to_json("PM fanout 10x5 SGCN");
     assert_matches_golden("serve_quick.json", &json);
 }

@@ -12,8 +12,9 @@ use proptest::prelude::*;
 use sgcn::accel::AccelModel;
 use sgcn::experiments::ExperimentConfig;
 use sgcn::serving::queueing::{
-    feature_row_bytes, prepare, run_queue, simulate_queue, ArrivalModel, ArrivalProcess,
-    PreparedRequest, QueueConfig, SchedPolicy,
+    feature_row_bytes, prepare, prepare_degraded, run_queue, simulate_queue, ArrivalModel,
+    ArrivalProcess, EngineLineup, PreparedRequest, QueueConfig, RequestStats, SchedPolicy,
+    ServeFormat,
 };
 use sgcn::serving::{Request, ServingConfig, ServingContext};
 use sgcn::{HwConfig, SimReport};
@@ -59,6 +60,63 @@ fn affinity_warm_hits_dominate_fifo_across_seeds() {
             "pool {pool}: affinity {} < fifo {}",
             aff.summary.warm_hits,
             fifo.summary.warm_hits
+        );
+    }
+}
+
+/// Deduplication is exact: `prepare_degraded` samples, builds and
+/// simulates each distinct seed vertex once and copies the result to
+/// every request naming it, which must equal preparing each request on
+/// its own — every `(class, format)` cell, the lite cells at halved
+/// fanouts, and the subgraph stats.
+#[test]
+fn deduplicated_prepare_matches_a_per_request_oracle() {
+    let ctx = quick_ctx();
+    let stream = ctx.hotspot_stream(8, 3);
+    let mut distinct: Vec<u32> = stream.iter().map(|r| r.seed_vertex).collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert!(distinct.len() < stream.len(), "the stream repeats a vertex");
+    let model = AccelModel::sgcn();
+    let lineup = EngineLineup::mixed(2, HwConfig::default());
+    let prepared = prepare_degraded(&ctx, &stream, &model, &lineup, &ServeFormat::PALETTE);
+    assert_eq!(prepared.len(), stream.len());
+    let halved = ctx.config().fanouts.caps().iter().map(|&c| (c / 2).max(1));
+    let lite_ctx = ctx.with_fanouts(Fanouts::new(halved.collect()));
+    for (p, req) in prepared.iter().zip(&stream) {
+        let sub = ctx.sample(req);
+        let vertices = sub.vertices.clone();
+        let wl = ctx.build_workload_from(req, sub);
+        let lsub = lite_ctx.sample(req);
+        let lite_vertices = lsub.vertices.clone();
+        let lwl = lite_ctx.build_workload_from(req, lsub);
+        let mut class_reports = Vec::new();
+        let mut lite_reports = Vec::new();
+        for class in &lineup.classes {
+            for f in ServeFormat::PALETTE {
+                class_reports.push(model.simulate_with_format(&wl, &class.hw, f.override_kind()));
+            }
+            lite_reports.push(model.simulate_with_format(&lwl, &class.hw, None));
+        }
+        let oracle = PreparedRequest {
+            request: *req,
+            stats: RequestStats {
+                vertices: vertices.len() as u64,
+                edges: wl.graph().num_edges() as u64,
+                sparsity: wl.trace.avg_intermediate_sparsity(),
+                feature_bytes: vertices.len() as u64 * feature_row_bytes(&ctx),
+            },
+            vertices,
+            report: class_reports[0].clone(),
+            class_reports,
+            formats: ServeFormat::PALETTE.to_vec(),
+            lite_reports,
+            lite_vertices,
+        };
+        assert_eq!(
+            *p, oracle,
+            "request {} (vertex {})",
+            req.index, req.seed_vertex
         );
     }
 }
@@ -215,7 +273,7 @@ fn zero_request_harness_path_renders() {
     // aggregators.
     let ctx = quick_ctx();
     let hw = HwConfig::default();
-    let batch = ctx.serve_batch(&[], &AccelModel::sgcn(), &hw);
+    let batch = prepare(&ctx, &[], &AccelModel::sgcn(), &hw);
     let serve = sgcn::ServeSummary::from_reports(&batch).to_json("empty");
     assert!(serve.contains("\"requests\": 0"), "{serve}");
     let out = run_queue(

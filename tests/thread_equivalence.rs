@@ -2,18 +2,20 @@
 //! `SGCN_THREADS` forces real multi-threading, even on a single-CPU
 //! host where the default driver degenerates to serial execution.
 //!
-//! The serving path is the probe because it memoizes nothing — every
-//! request simulation really re-runs under each thread count. The whole
+//! The serving path is the probe because it memoizes nothing across
+//! calls — every distinct request vertex really re-simulates under each
+//! thread count. The whole
 //! check lives in **one** test function: `SGCN_THREADS` is process
 //! state, and sibling tests in this binary would race the variable.
 
 use sgcn::accel::AccelModel;
 use sgcn::experiments::{serving_fanout_sweep, ExperimentConfig};
+use sgcn::serving::queueing::{prepare, PreparedRequest};
 use sgcn::serving::{ServeSummary, ServingConfig, ServingContext};
 use sgcn_graph::datasets::DatasetId;
 use sgcn_graph::sampling::Fanouts;
 
-fn serve_probe() -> (Vec<sgcn::serving::RequestReport>, String) {
+fn serve_probe() -> (Vec<PreparedRequest>, String) {
     let cfg = ExperimentConfig::quick();
     let ctx = ServingContext::new(ServingConfig {
         dataset: DatasetId::Cora,
@@ -23,7 +25,7 @@ fn serve_probe() -> (Vec<sgcn::serving::RequestReport>, String) {
         seed: cfg.seed,
     });
     let stream = ctx.request_stream(48);
-    let batch = ctx.serve_batch(&stream, &AccelModel::sgcn(), &cfg.hw());
+    let batch = prepare(&ctx, &stream, &AccelModel::sgcn(), &cfg.hw());
     let json = ServeSummary::from_reports(&batch).to_json("probe");
     (batch, json)
 }
