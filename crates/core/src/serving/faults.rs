@@ -17,7 +17,7 @@
 //! * [`FaultPlan`] — the materialized schedule: a time-sorted list of
 //!   [`Incident`]s the event loop injects as first-class events. A
 //!   crashed engine drops its in-flight request and its queue; a
-//!   recovered engine returns **cold** (its `MemorySystem` reset), so
+//!   recovered engine returns **cold** (its `RowCache` flushed), so
 //!   warm-hit rates honestly pay the recovery penalty.
 //! * [`RetryPolicy`] — bounded redrive of fault-killed requests:
 //!   a configurable attempt budget plus a fixed backoff (cycles)

@@ -21,14 +21,15 @@
 //!   time ([`SimReport`]) via `par_map` in stream order.
 //! * [`simulate_queue`] — the serial event loop: requests are dispatched
 //!   to one of N engines per a [`SchedPolicy`]. Every engine owns a
-//!   [`MemorySystem`] that stays **warm across requests**: the
-//!   input-feature rows of each served request (addressed by their
-//!   *global* vertex ids) are pulled through the engine's cache, so a
-//!   later request sharing sampled neighborhoods hits resident lines.
-//!   Warm hits shave the corresponding DRAM service time off the
-//!   request's cold latency. Engines may be heterogeneous (see below),
-//!   and idle engines can optionally **steal** queued work from
-//!   backlogged peers.
+//!   global cache ([`RowCache`]) that stays **warm across requests**:
+//!   the input-feature rows of each served request (addressed by their
+//!   *global* vertex ids) are read through it, so a later request
+//!   sharing sampled neighborhoods hits resident lines. The cache has
+//!   no DRAM model behind it: each warm hit line is priced as feature
+//!   bytes the request need not fetch at its class's effective
+//!   bandwidth, and that time comes off the request's cold latency.
+//!   Engines may be heterogeneous (see below), and idle engines can
+//!   optionally **steal** queued work from backlogged peers.
 //! * [`SloConfig`] — per-request deadlines: admission control *sheds*
 //!   requests predicted to miss their budget, completed requests that
 //!   still missed count as *violations*, and the `slo-aware` policy
@@ -40,8 +41,8 @@
 //!   the *failed* terminal state alongside completed/shed), and elastic
 //!   autoscaling with provisioning-delay and cold-cache penalties.
 //!   Crashed and freshly-provisioned engines return **cold**
-//!   ([`MemorySystem::reset_cold`]), so warm-hit rates honestly pay the
-//!   recovery warm-up.
+//!   ([`RowCache::flush`]), so warm-hit rates honestly pay the recovery
+//!   warm-up.
 //! * [`ArrivalTrace`] ([`super::trace`]) — record/replay: any run's
 //!   arrival timeline serializes to deterministic JSON and replays
 //!   bit-exactly through the same configuration.
@@ -89,8 +90,9 @@
 //!
 //! Every run prices service from one per-class hardware table: each
 //! engine belongs to a class, and the class's [`HwConfig`] sets the
-//! engine's warm [`MemorySystem`] and its warm-savings pricing
-//! (`effective_bw`, `line_bytes`). The table comes from the fleet knob:
+//! engine's warm cache (geometry and cache engine) and its warm-savings
+//! pricing (`effective_bw`, `line_bytes`). The table comes from the
+//! fleet knob:
 //!
 //! * [`EngineLineup`] — one class per [`EngineClass`], each with its own
 //!   hardware (cache geometry, DRAM generation, engine counts) and a
@@ -105,10 +107,10 @@
 //! row_stride / line_bytes` lines. When `k` divides the class cache's
 //! set count and its policy is LRU or FIFO, the engine runs the exact
 //! row-granular twin ([`CacheConfig::row_granular`]): one probe per row,
-//! with hits, evictions, DRAM bursts and clocks identical to the line
-//! cache once counts are scaled by `k` — PubMed's 32-line row on the
-//! 512-set Table III cache and the 64-set lineup cache, and every
-//! quick-scale row. Otherwise (BIP, or paper-scale Cora's 90-line row)
+//! with hits, evictions and contents identical to the line cache once
+//! counts are scaled by `k` — PubMed's 32-line row on the 512-set
+//! Table III cache and the 64-set lineup cache, and every quick-scale
+//! row. Otherwise (BIP, or paper-scale Cora's 90-line row)
 //! the engine keeps the line geometry through the same code.
 //!
 //! The `cost-aware` policy routes on a [`CostModel`]: per-cell linear
@@ -141,9 +143,9 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use sgcn_formats::{Bitmap, FormatKind, LineRun};
+use sgcn_formats::{Bitmap, FormatKind};
 use sgcn_graph::sampling::Fanouts;
-use sgcn_mem::{CacheConfig, MemorySystem, SpanCounts, Traffic};
+use sgcn_mem::{CacheConfig, RowCache, SpanCounts, Traffic};
 use sgcn_par::par_map;
 
 pub use crate::serving::faults::{
@@ -181,7 +183,7 @@ pub enum SchedPolicy {
     /// keeps a hot neighborhood from starving the fleet behind one
     /// engine while preserving reuse. The count is O(rows): one read of
     /// the engine's per-row resident-line counter
-    /// ([`MemorySystem::resident_lines`]) per sampled vertex, exact
+    /// ([`RowCache::resident_lines`]) per sampled vertex, exact
     /// because feature rows are line-aligned and engine caches hold
     /// only feature rows. On a row-granular engine cache (a row's line
     /// count divides the set count under LRU or FIFO) the counter reads
@@ -887,7 +889,7 @@ fn solve5(mut a: [[f64; 5]; 5], mut b: [f64; 5]) -> Option<[f64; 5]> {
 /// Knobs of one queueing run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueueConfig {
-    /// Number of serving engines (each owns a warm [`MemorySystem`]).
+    /// Number of serving engines (each owns a warm [`RowCache`]).
     pub engines: usize,
     /// Dispatch policy.
     pub policy: SchedPolicy,
@@ -1463,10 +1465,10 @@ struct InFlight {
     finish: u64,
 }
 
-/// Per-engine state: the warm memory hierarchy plus scheduling clocks
-/// and drill state (crash epoch, park/up flags, uptime accounting).
+/// Per-engine state: the warm cache plus scheduling clocks and drill
+/// state (crash epoch, park/up flags, uptime accounting).
 struct Engine {
-    mem: MemorySystem,
+    mem: RowCache,
     /// Completion time of all *started* work.
     next_free: u64,
     /// Sum of queued service estimates (backlog projection).
@@ -1635,32 +1637,34 @@ impl ClassPricing {
 
     /// Lines of the class's cache per line of `mem`: the row's line
     /// count when `mem` runs the row-granular twin, 1 on the line
-    /// geometry. Every count read off an engine hierarchy is scaled by
-    /// it back into the class's lines.
+    /// geometry. Every count read off an engine cache is scaled by it
+    /// back into the class's lines.
     #[inline]
-    fn granule(&self, mem: &MemorySystem) -> u64 {
+    fn granule(&self, mem: &RowCache) -> u64 {
         mem.line_bytes() / self.line_bytes
     }
 }
 
-/// A fresh engine hierarchy for one hardware class.
+/// A fresh engine cache for one hardware class: the class's cache
+/// geometry on its cache engine, with no DRAM behind it (warm hits are
+/// priced at the class's effective bandwidth, never by a device model).
 ///
 /// An engine cache only ever sees whole feature rows — `k =
 /// row_stride / line_bytes` lines from line `v·k` — so when `k` divides
 /// the set count under LRU or FIFO it runs the exact row-granular twin
 /// ([`CacheConfig::row_granular`]): one probe per row instead of `k`,
-/// with identical hits, evictions, DRAM bursts and clocks up to the
-/// `k`-fold [`ClassPricing::granule`]. Any other geometry or policy
-/// (BIP, or a line count that does not divide the set count) falls back
-/// to the class's line geometry through the same code. Cache-affinity routing
+/// with identical hits, evictions and contents up to the `k`-fold
+/// [`ClassPricing::granule`]. Any other geometry or policy (BIP, or a
+/// line count that does not divide the set count) falls back to the
+/// class's line geometry through the same code. Cache-affinity routing
 /// scores engines by resident lines per feature row, so only that
-/// policy arms the row counters; every other policy replays untracked.
-fn engine_memory(hw: &HwConfig, pricing: &ClassPricing, policy: SchedPolicy) -> MemorySystem {
+/// policy arms the row counters; every other policy reads untracked.
+fn engine_memory(hw: &HwConfig, pricing: &ClassPricing, policy: SchedPolicy) -> RowCache {
     let cache = hw
         .cache
         .row_granular(pricing.row_stride / pricing.line_bytes)
         .unwrap_or(hw.cache);
-    let mut mem = MemorySystem::with_engine(cache, hw.dram, hw.cache_engine);
+    let mut mem = RowCache::new(cache, hw.cache_engine);
     if policy == SchedPolicy::CacheAffinity {
         mem.track_rows(pricing.row_stride / cache.line_bytes);
     }
@@ -2068,22 +2072,16 @@ impl QueueSim<'_> {
             &p.vertices
         };
         let eng = &mut self.engines[e];
-        // Fresh per-request counters on a warm hierarchy (contents and
-        // open rows survive; see MemorySystem::reset_stats).
-        eng.mem.reset_stats();
         // Feature rows are line-aligned (`row_stride` pads to a line
-        // multiple), so each row is one pre-compacted line run — the
-        // same batched replay the dataflow simulator uses
-        // (`MemorySystem::access_lines`), bit-identical to the per-span
-        // path. On a row-granular hierarchy the run is one row-line.
+        // multiple), so each row is one run of lines through the warm
+        // cache — the same batched probe the dataflow simulator's
+        // `MemorySystem::access_lines` makes, minus its DRAM walk. On a
+        // row-granular cache the run is one row-line.
         let lines_per_row = pricing.row_stride / eng.mem.line_bytes();
         let mut warm = SpanCounts::default();
         for &v in vertices {
-            warm.add(eng.mem.access_lines(
-                0,
-                LineRun::contiguous(u64::from(v) * lines_per_row, lines_per_row),
-                Traffic::FeatureRead,
-            ));
+            let first = u64::from(v) * lines_per_row;
+            warm.add(eng.mem.read_lines(first, lines_per_row));
         }
         let warm = warm.scaled(pricing.granule(&eng.mem));
         // Reuse can only displace feature-read DRAM traffic the cold run
@@ -2687,14 +2685,14 @@ impl QueueSim<'_> {
         }
     }
 
-    /// Fault-up: the engine returns **cold** (its memory system
-    /// power-cycled) and immediately joins dispatch.
+    /// Fault-up: the engine returns **cold** (its cache power-cycled)
+    /// and immediately joins dispatch.
     fn recover(&mut self, e: usize, t: u64) {
         if self.engines[e].up {
             return; // merged overlapping outage already recovered
         }
         self.engines[e].up = true;
-        self.engines[e].mem.reset_cold();
+        self.engines[e].mem.flush();
         self.engines[e].next_free = t;
         self.open_uptime(e, t);
         self.update_peak();
@@ -2706,7 +2704,7 @@ impl QueueSim<'_> {
         let eng = &mut self.engines[e];
         eng.provisioning = false;
         eng.active = true;
-        eng.mem.reset_cold();
+        eng.mem.flush();
         eng.next_free = eng.next_free.max(t);
         self.open_uptime(e, t);
         self.update_peak();
@@ -3903,11 +3901,7 @@ mod tests {
             // Either way the armed counters, scaled by the granule, count
             // a resident row's class lines.
             let row_lines = pricing.row_stride / line_bytes;
-            mem.access_lines(
-                0,
-                LineRun::contiguous(3 * row_lines, row_lines),
-                Traffic::FeatureRead,
-            );
+            mem.read_lines(3 * row_lines, row_lines);
             assert_eq!(
                 mem.resident_lines(3) * pricing.granule(&mem),
                 pricing.row_stride / 64

@@ -175,9 +175,10 @@ impl CacheStats {
 use crate::fastdiv::FastDiv;
 
 /// Observer of line-residency changes during a probe: told of every line
-/// a miss fills and of every valid line that leaves the cache (evicted by
-/// a fill or invalidated by a streaming write). The row-residency
-/// counters behind [`crate::MemorySystem::track_rows`] implement it.
+/// a miss fills and of every valid line a fill evicts. The row-residency
+/// counters behind [`crate::RowCache::track_rows`] implement it; the
+/// simulator's [`crate::MemorySystem`] probes through the empty `()`
+/// sink.
 pub(crate) trait ResidencySink {
     /// `line` was filled into the cache.
     fn fill(&mut self, line: u64);
@@ -597,15 +598,9 @@ impl Cache {
 
     /// Invalidates `lines` consecutive lines starting at `first_line`
     /// (the streaming-write line-run replay), walking the consecutive
-    /// sets incrementally, and reports each dropped line to `sink`.
-    /// Identical state to calling [`Cache::invalidate_line`] per line in
-    /// ascending order.
-    pub(crate) fn invalidate_run(
-        &mut self,
-        first_line: u64,
-        lines: u64,
-        sink: &mut impl ResidencySink,
-    ) {
+    /// sets incrementally. Identical state to calling
+    /// [`Cache::invalidate_line`] per line in ascending order.
+    pub(crate) fn invalidate_run(&mut self, first_line: u64, lines: u64) {
         let ways = self.config.ways;
         let nsets = self.len.len();
         let mut set = self.set_div.rem(first_line) as usize;
@@ -616,7 +611,6 @@ impl Cache {
             if let Some(w) = set_tags[..n].iter().position(|&t| t == line) {
                 set_tags.copy_within(w + 1..n, w);
                 self.len[set] = (n - 1) as u8;
-                sink.evict(line);
             }
             set += 1;
             if set == nsets {
@@ -628,11 +622,6 @@ impl Cache {
     /// Invalidates all lines, keeping the statistics.
     pub fn flush(&mut self) {
         self.len.fill(0);
-    }
-
-    /// Resets the statistics, keeping cache contents.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 }
 
@@ -766,11 +755,6 @@ impl ListCache {
         for set in &mut self.lines {
             set.clear();
         }
-    }
-
-    /// Resets the statistics, keeping cache contents.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 }
 

@@ -291,7 +291,7 @@ impl Dram {
         }
         let channels = self.config.channels as u64;
         let banks = self.config.banks_per_channel as u64;
-        let bursts_per_row = (self.config.row_bytes / self.config.burst_bytes).max(1);
+        let bursts_per_row = self.row_div.divisor();
         let burst = self.burst_div.div(addr);
         let burst_cycles = self.burst_cycles;
         let miss_bank_cycles = self.config.row_miss_penalty as f64 + burst_cycles;
@@ -303,7 +303,7 @@ impl Dram {
             AddressMapping::ChannelInterleaved => {
                 let mut channel = self.channel_div.rem(burst);
                 let within = self.channel_div.div(burst);
-                let mut win_in_row = within % bursts_per_row;
+                let mut win_in_row = self.row_div.rem(within);
                 let row_global = self.row_div.div(within);
                 let mut bank = self.bank_div.rem(row_global);
                 let mut row = self.bank_div.div(row_global);
@@ -335,7 +335,7 @@ impl Dram {
                 }
             }
             AddressMapping::BankInterleaved => {
-                let mut win_in_row = burst % bursts_per_row;
+                let mut win_in_row = self.row_div.rem(burst);
                 let row_global = self.row_div.div(burst);
                 let mut bank = self.bank_div.rem(row_global);
                 let after_bank = self.bank_div.div(row_global);
@@ -449,30 +449,6 @@ impl Dram {
         }
         let moved = self.stats.total_bytes() as f64;
         (moved / (self.config.peak_bytes_per_cycle * elapsed as f64)).min(1.0)
-    }
-
-    /// Clears the per-channel and per-bank clocks (e.g. between layers),
-    /// keeping row state and counters.
-    pub fn reset_time(&mut self) {
-        self.busy.fill(0.0);
-        self.bank_busy.fill(0.0);
-    }
-
-    /// Zeroes the counters and clocks but keeps the open-row state — the
-    /// warm-reuse hook: a serving engine that survives across requests
-    /// starts each request with fresh statistics on a warm device.
-    pub fn reset_stats(&mut self) {
-        self.stats = DramStats::default();
-        self.reset_time();
-    }
-
-    /// Power-cycle reset: counters, clocks **and** the open-row state —
-    /// the failure-drill hook. A device coming back from a crash holds
-    /// nothing, so its first access to every bank pays the full
-    /// activation again.
-    pub fn reset_cold(&mut self) {
-        self.reset_stats();
-        self.open_rows.fill(NO_ROW);
     }
 }
 
@@ -589,14 +565,5 @@ mod tests {
         // is far below the serial activate time.
         let serial = 64.0 * (cfg.row_miss_penalty as f64 + cfg.burst_cycles());
         assert!((d.elapsed_cycles() as f64) < serial / 4.0);
-    }
-
-    #[test]
-    fn reset_time_keeps_counters() {
-        let mut d = Dram::new(DramConfig::hbm2());
-        d.access(0, false);
-        d.reset_time();
-        assert_eq!(d.elapsed_cycles(), 0);
-        assert_eq!(d.stats().read_bursts, 1);
     }
 }

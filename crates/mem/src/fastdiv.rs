@@ -21,6 +21,11 @@ impl FastDiv {
     }
 
     #[inline(always)]
+    pub(crate) fn divisor(self) -> u64 {
+        self.divisor
+    }
+
+    #[inline(always)]
     pub(crate) fn div(self, x: u64) -> u64 {
         match self.shift {
             Some(s) => x >> s,
@@ -48,6 +53,7 @@ mod tests {
             for x in [0u64, 1, 63, 64, 65, 1000, 123_456_789, u64::MAX / 2] {
                 assert_eq!(d.div(x), x / divisor, "{x} / {divisor}");
                 assert_eq!(d.rem(x), x % divisor, "{x} % {divisor}");
+                assert_eq!(d.divisor(), divisor);
             }
         }
     }

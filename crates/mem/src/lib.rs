@@ -10,6 +10,8 @@
 //!   drive, with per-traffic-class accounting (topology / feature input /
 //!   feature output / weights / partial sums — the paper's Fig. 14
 //!   categories),
+//! * [`RowCache`] — the same cache with no DRAM behind it: a serving
+//!   engine's warm cache, with optional per-row residency counters,
 //! * [`EnergyModel`] — per-event energy for the compute/cache/DRAM
 //!   breakdown of Fig. 13.
 //!
@@ -38,4 +40,4 @@ pub mod system;
 pub use cache::{Cache, CacheConfig, CacheEngine, CacheStats, ListCache, ReplacementPolicy};
 pub use dram::{AddressMapping, Dram, DramConfig, DramStats, HbmGeneration};
 pub use energy::{EnergyBreakdown, EnergyModel};
-pub use system::{MemReport, MemorySystem, SpanCounts, Traffic, TrafficStats};
+pub use system::{MemReport, MemorySystem, RowCache, SpanCounts, Traffic, TrafficStats};

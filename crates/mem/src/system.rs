@@ -21,6 +21,10 @@
 //! makes a [`CacheConfig::row_granular`] hierarchy exact: a missed
 //! row-line issues the same bursts, in the same order, as the run of
 //! missed lines it stands for.
+//!
+//! [`RowCache`] is the same cache with no DRAM behind it: a serving
+//! engine's warm cache, read a whole feature row at a time, with
+//! optional per-row residency counters.
 
 use crate::cache::{Cache, CacheConfig, CacheEngine, CacheStats, ListCache, ResidencySink};
 use crate::dram::{Dram, DramConfig, DramStats};
@@ -160,6 +164,13 @@ enum CacheImpl {
 }
 
 impl CacheImpl {
+    fn new(config: CacheConfig, engine: CacheEngine) -> Self {
+        match engine {
+            CacheEngine::Flat => CacheImpl::Flat(Cache::new(config)),
+            CacheEngine::List => CacheImpl::List(ListCache::new(config)),
+        }
+    }
+
     fn flush(&mut self) {
         match self {
             CacheImpl::Flat(c) => c.flush(),
@@ -181,24 +192,28 @@ impl CacheImpl {
         }
     }
 
+    /// How many of lines `first..=last` a read would hit right now (see
+    /// [`MemorySystem::peek_span`]).
+    fn peek_lines(&self, first: u64, last: u64) -> SpanCounts {
+        let lines = last - first + 1;
+        let hits = (first..=last).filter(|&line| self.peek_line(line)).count() as u64;
+        SpanCounts {
+            lines,
+            hits,
+            misses: lines - hits,
+        }
+    }
+
     fn occupancy(&self) -> u64 {
         match self {
             CacheImpl::Flat(c) => c.occupancy(),
             CacheImpl::List(c) => c.occupancy(),
         }
     }
-
-    fn reset_stats(&mut self) {
-        match self {
-            CacheImpl::Flat(c) => c.reset_stats(),
-            CacheImpl::List(c) => c.reset_stats(),
-        }
-    }
 }
 
-/// Exact per-row resident-line counters (see
-/// [`MemorySystem::track_rows`]): row `r` owns lines
-/// `r·lines_per_row .. (r+1)·lines_per_row`.
+/// Exact per-row resident-line counters (see [`RowCache::track_rows`]):
+/// row `r` owns lines `r·lines_per_row .. (r+1)·lines_per_row`.
 #[derive(Debug, Clone)]
 struct RowResidency {
     lines_per_row: FastDiv,
@@ -222,9 +237,9 @@ impl ResidencySink for RowResidency {
     }
 }
 
-/// The tracker slot as a sink: every replay path hands it to the cache,
-/// which reports only fills and evictions, so an untracked replay pays
-/// one predictable branch per miss. Dispatching on the slot once per run
+/// The tracker slot as a sink: [`RowCache`] hands it to the cache, which
+/// reports only fills and evictions, so an untracked read pays one
+/// predictable branch per miss. Dispatching on the slot once per run
 /// instead (a `()`-sink replay beside a tracked one) changed inlining
 /// and measured ~25 % slower on the untracked serving path (80k-request
 /// least-loaded `queue_sim`, one thread).
@@ -319,9 +334,6 @@ pub struct MemorySystem {
     /// Line-byte divider (shift when power-of-two) — every span/run call
     /// derives line indices through it.
     line_div: FastDiv,
-    /// Opt-in row-residency counters; `None` (the simulator's case)
-    /// keeps every replay unobserved.
-    rows: Option<RowResidency>,
 }
 
 impl MemorySystem {
@@ -343,61 +355,13 @@ impl MemorySystem {
     ) -> Self {
         let line_bytes = cache_config.line_bytes;
         MemorySystem {
-            cache: match engine {
-                CacheEngine::Flat => CacheImpl::Flat(Cache::new(cache_config)),
-                CacheEngine::List => CacheImpl::List(ListCache::new(cache_config)),
-            },
+            cache: CacheImpl::new(cache_config, engine),
             dram: Dram::new(dram_config),
             per_class: [TrafficStats::default(); 5],
             line_bytes,
             bursts: LineBursts::new(line_bytes, dram_config.burst_bytes),
             line_div: FastDiv::new(line_bytes),
-            rows: None,
         }
-    }
-
-    /// Arms exact per-row residency counting: from now on every fill,
-    /// eviction and invalidation updates a resident-line count for row
-    /// `line / lines_per_row`, read back by
-    /// [`MemorySystem::resident_lines`]. The counts equal
-    /// [`MemorySystem::peek_span`] over a row's byte range as long as
-    /// rows are line-aligned runs of `lines_per_row` lines from address
-    /// 0 — which is how a serving engine's cache holds feature rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lines_per_row` is zero or the cache already holds
-    /// lines (arm tracking on a cold hierarchy).
-    pub fn track_rows(&mut self, lines_per_row: u64) {
-        assert!(lines_per_row > 0, "a row spans at least one line");
-        assert_eq!(
-            self.cache.occupancy(),
-            0,
-            "arm row tracking on a cold cache"
-        );
-        self.rows = Some(RowResidency {
-            lines_per_row: FastDiv::new(lines_per_row),
-            counts: Vec::new(),
-        });
-    }
-
-    /// Whether [`MemorySystem::track_rows`] armed the row counters.
-    pub fn tracks_rows(&self) -> bool {
-        self.rows.is_some()
-    }
-
-    /// Lines of row `row` resident right now: one array read.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`MemorySystem::track_rows`] armed the counters.
-    #[inline]
-    pub fn resident_lines(&self, row: u64) -> u64 {
-        let rows = self.rows.as_ref().expect("row tracking is armed");
-        usize::try_from(row)
-            .ok()
-            .and_then(|r| rows.counts.get(r))
-            .map_or(0, |&c| u64::from(c))
     }
 
     /// Cache line size in bytes — what callers compact spans against
@@ -474,7 +438,7 @@ impl MemorySystem {
                     first,
                     lines,
                     |miss_first, miss_count| bursts.run(dram, miss_first, miss_count, false),
-                    &mut self.rows,
+                    &mut (),
                 );
                 c.count_repeat_hits(seam_hits);
                 let stats = &mut self.per_class[kind.index()];
@@ -488,7 +452,7 @@ impl MemorySystem {
                 for line in first..first + lines {
                     let line_addr = line * self.line_bytes;
                     self.per_class[kind.index()].bytes_requested += self.line_bytes;
-                    if c.access_observed(line_addr, &mut self.rows) {
+                    if c.access(line_addr) {
                         hits += 1;
                     } else {
                         for addr in self.bursts.addrs(line) {
@@ -516,46 +480,12 @@ impl MemorySystem {
 
     /// Non-mutating residency probe of a span: how many of its lines a
     /// read *would* hit right now. No fill, no promotion, no counters.
-    /// One set scan per line, so it is the oracle the O(1)-per-row
-    /// [`MemorySystem::resident_lines`] counters are tested against, not
-    /// the scheduler's path.
     pub fn peek_span(&self, addr: u64, bytes: u64) -> SpanCounts {
         if bytes == 0 {
             return SpanCounts::default();
         }
         let (first, last) = self.line_range(addr, bytes);
-        let lines = last - first + 1;
-        let hits = (first..=last)
-            .filter(|&line| self.cache.peek_line(line))
-            .count() as u64;
-        SpanCounts {
-            lines,
-            hits,
-            misses: lines - hits,
-        }
-    }
-
-    /// Zeroes every counter (cache, DRAM, per-class) and the DRAM service
-    /// clocks while keeping the cache contents and open-row state — the
-    /// reset half of the warm-reuse hooks: an engine serving a request
-    /// stream resets between requests so each request reads fresh
-    /// statistics off a warm hierarchy.
-    pub fn reset_stats(&mut self) {
-        self.cache.reset_stats();
-        self.dram.reset_stats();
-        self.per_class = [TrafficStats::default(); 5];
-    }
-
-    /// Power-cycle reset: statistics **and** contents — the
-    /// failure-drill hook. An engine recovering from a crash (or spun up
-    /// by an autoscaler) comes back *cold*: the cache holds no lines,
-    /// every DRAM bank's open row is closed, and all counters are zero,
-    /// so the first requests it serves honestly pay the warm-up again.
-    pub fn reset_cold(&mut self) {
-        self.flush_cache();
-        self.cache.reset_stats();
-        self.dram.reset_cold();
-        self.per_class = [TrafficStats::default(); 5];
+        self.cache.peek_lines(first, last)
     }
 
     /// Reads a span bypassing the cache — streaming accesses (e.g.
@@ -652,7 +582,7 @@ impl MemorySystem {
     ) -> SpanCounts {
         match &mut self.cache {
             CacheImpl::Flat(c) => {
-                c.invalidate_run(first, lines, &mut self.rows);
+                c.invalidate_run(first, lines);
                 self.bursts.run(&mut self.dram, first, lines, true);
                 let stats = &mut self.per_class[kind.index()];
                 stats.requests += spans;
@@ -664,9 +594,7 @@ impl MemorySystem {
                 self.per_class[kind.index()].requests += spans;
                 for line in first..first + lines {
                     let line_addr = line * self.line_bytes;
-                    if c.invalidate(line_addr) {
-                        self.rows.evict(line);
-                    }
+                    c.invalidate(line_addr);
                     for addr in self.bursts.addrs(line) {
                         self.dram.access_reference(addr, true);
                     }
@@ -714,7 +642,7 @@ impl MemorySystem {
                             }
                         }
                     },
-                    &mut self.rows,
+                    &mut (),
                 );
             }
             CacheImpl::List(c) => {
@@ -723,7 +651,7 @@ impl MemorySystem {
                 for line in first..=last {
                     let line_addr = line * self.line_bytes;
                     self.per_class[kind.index()].bytes_requested += self.line_bytes;
-                    if c.access_observed(line_addr, &mut self.rows) {
+                    if c.access(line_addr) {
                         hits += 1;
                     } else {
                         for addr in self.bursts.addrs(line) {
@@ -774,21 +702,141 @@ impl MemorySystem {
         self.dram.bandwidth_utilization(elapsed)
     }
 
-    /// Drops all cached lines (keeps statistics) and zeroes the row
-    /// counters.
-    pub fn flush_cache(&mut self) {
-        self.cache.flush();
-        if let Some(rows) = &mut self.rows {
-            rows.counts.clear();
-        }
-    }
-
     /// Counters snapshot.
     pub fn report(&self) -> MemReport {
         MemReport {
             cache: self.cache.stats(),
             dram: self.dram.stats(),
             per_class: self.per_class,
+        }
+    }
+}
+
+/// A global cache with no memory behind it: the hierarchy a serving
+/// engine keeps warm across requests. Reads probe the Flat or List cache
+/// engine exactly as [`MemorySystem::access_lines`] does, so contents,
+/// hits and evictions match it line for line, but a miss walks no DRAM
+/// and books no per-class traffic — an engine prices its warm hits at
+/// its class's effective bandwidth and never reads the device.
+///
+/// Optional per-row residency counters ([`RowCache::track_rows`]) turn
+/// "how many lines of this feature row are resident" into one array
+/// read, which is what cache-affinity routing scores engines by.
+#[derive(Debug, Clone)]
+pub struct RowCache {
+    cache: CacheImpl,
+    /// Line-byte divider (its divisor is the line size).
+    line_div: FastDiv,
+    /// Opt-in row-residency counters; `None` keeps every read
+    /// unobserved.
+    rows: Option<RowResidency>,
+}
+
+impl RowCache {
+    /// An empty cache on the given engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache geometry is degenerate.
+    pub fn new(config: CacheConfig, engine: CacheEngine) -> Self {
+        RowCache {
+            cache: CacheImpl::new(config, engine),
+            line_div: FastDiv::new(config.line_bytes),
+            rows: None,
+        }
+    }
+
+    /// Arms exact per-row residency counting: from now on every fill and
+    /// eviction updates a resident-line count for row
+    /// `line / lines_per_row`, read back by [`RowCache::resident_lines`].
+    /// The counts equal [`RowCache::peek_span`] over a row's byte range
+    /// as long as rows are line-aligned runs of `lines_per_row` lines
+    /// from address 0 — which is how a serving engine's cache holds
+    /// feature rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lines_per_row` is zero or the cache already holds
+    /// lines (arm tracking on a cold cache).
+    pub fn track_rows(&mut self, lines_per_row: u64) {
+        assert!(lines_per_row > 0, "a row spans at least one line");
+        assert_eq!(
+            self.cache.occupancy(),
+            0,
+            "arm row tracking on a cold cache"
+        );
+        self.rows = Some(RowResidency {
+            lines_per_row: FastDiv::new(lines_per_row),
+            counts: Vec::new(),
+        });
+    }
+
+    /// Whether [`RowCache::track_rows`] armed the row counters.
+    pub fn tracks_rows(&self) -> bool {
+        self.rows.is_some()
+    }
+
+    /// Lines of row `row` resident right now: one array read.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`RowCache::track_rows`] armed the counters.
+    #[inline]
+    pub fn resident_lines(&self, row: u64) -> u64 {
+        let rows = self.rows.as_ref().expect("row tracking is armed");
+        usize::try_from(row)
+            .ok()
+            .and_then(|r| rows.counts.get(r))
+            .map_or(0, |&c| u64::from(c))
+    }
+
+    /// Cache line size in bytes.
+    #[inline]
+    pub fn line_bytes(&self) -> u64 {
+        self.line_div.divisor()
+    }
+
+    /// Reads `lines` consecutive lines from line `first_line` — a whole
+    /// feature row, or a run of adjacent rows — filling every miss.
+    /// Returns the run's hits and misses.
+    #[inline]
+    pub fn read_lines(&mut self, first_line: u64, lines: u64) -> SpanCounts {
+        let (line_bytes, rows) = (self.line_bytes(), &mut self.rows);
+        let hits = match &mut self.cache {
+            CacheImpl::Flat(c) => c.probe_run_observed(first_line, lines, |_, _| {}, rows),
+            CacheImpl::List(c) => (first_line..first_line + lines)
+                .filter(|&line| c.access_observed(line * line_bytes, rows))
+                .count() as u64,
+        };
+        SpanCounts {
+            lines,
+            hits,
+            misses: lines - hits,
+        }
+    }
+
+    /// Non-mutating residency probe of a span: how many of its lines a
+    /// read *would* hit right now. No fill, no promotion. One set scan
+    /// per line, so it is the oracle the O(1)-per-row
+    /// [`RowCache::resident_lines`] counters are tested against, not the
+    /// scheduler's path.
+    pub fn peek_span(&self, addr: u64, bytes: u64) -> SpanCounts {
+        if bytes == 0 {
+            return SpanCounts::default();
+        }
+        let (first, last) = (self.line_div.div(addr), self.line_div.div(addr + bytes - 1));
+        self.cache.peek_lines(first, last)
+    }
+
+    /// Power-cycle flush — the failure-drill hook: an engine recovering
+    /// from a crash (or spun up by an autoscaler) comes back *cold*,
+    /// holding no lines, with every row counter at zero, so the first
+    /// requests it serves honestly pay the warm-up again. BIP's
+    /// insertion counter keeps ticking across the flush.
+    pub fn flush(&mut self) {
+        self.cache.flush();
+        if let Some(rows) = &mut self.rows {
+            rows.counts.clear();
         }
     }
 }
@@ -951,28 +999,32 @@ mod tests {
         assert_eq!(m.peek_span(0, 0), SpanCounts::default());
     }
 
+    /// A 4-set × 2-way cache of 64 B lines.
+    fn small_rows(engine: CacheEngine) -> RowCache {
+        RowCache::new(
+            CacheConfig {
+                capacity_bytes: 512,
+                ways: 2,
+                line_bytes: 64,
+                ..CacheConfig::default()
+            },
+            engine,
+        )
+    }
+
     #[test]
     fn row_counters_follow_fills_evictions_and_flushes() {
         for engine in [CacheEngine::Flat, CacheEngine::List] {
-            // 4 sets × 2 ways × 64 B: rows of 2 lines, so rows 0 and 2
-            // share sets 0–1 and row 4 evicts the older of them.
-            let mut m = MemorySystem::with_engine(
-                CacheConfig {
-                    capacity_bytes: 512,
-                    ways: 2,
-                    line_bytes: 64,
-                    ..CacheConfig::default()
-                },
-                DramConfig::hbm2(),
-                engine,
-            );
+            // Rows of 2 lines, so rows 0 and 2 share sets 0–1 and row 4
+            // evicts the older of them.
+            let mut m = small_rows(engine);
             m.track_rows(2);
             assert!(m.tracks_rows());
             assert_eq!(m.resident_lines(7), 0, "{engine:?}: untouched row");
-            m.read_span(0, 128, Traffic::FeatureRead); // row 0
-            m.read_span(512, 128, Traffic::FeatureRead); // row 4
+            m.read_lines(0, 2); // row 0
+            m.read_lines(8, 2); // row 4
             assert_eq!((m.resident_lines(0), m.resident_lines(4)), (2, 2));
-            m.read_span(1024, 128, Traffic::FeatureRead); // row 8 evicts row 0
+            m.read_lines(16, 2); // row 8 evicts row 0
             assert_eq!(
                 (
                     m.resident_lines(0),
@@ -982,14 +1034,11 @@ mod tests {
                 (0, 2, 2),
                 "{engine:?}"
             );
-            m.write_span(512, 64, Traffic::FeatureWrite); // invalidates one line
-            assert_eq!(m.resident_lines(4), 1, "{engine:?}");
-            m.reset_stats();
-            assert_eq!(m.resident_lines(8), 2, "{engine:?}: contents survive");
-            m.reset_cold();
+            m.flush();
             assert_eq!(m.resident_lines(8), 0, "{engine:?}");
-            m.read_span(0, 64, Traffic::FeatureRead);
-            m.flush_cache();
+            m.read_lines(0, 1);
+            assert_eq!(m.resident_lines(0), 1, "{engine:?}");
+            m.flush();
             assert_eq!(m.resident_lines(0), 0, "{engine:?}");
         }
     }
@@ -997,70 +1046,51 @@ mod tests {
     #[test]
     #[should_panic(expected = "cold cache")]
     fn row_tracking_arms_only_on_a_cold_cache() {
-        let mut m = sys();
-        m.read(0, 64, Traffic::FeatureRead);
+        let mut m = small_rows(CacheEngine::Flat);
+        m.read_lines(0, 1);
         m.track_rows(1);
     }
 
     #[test]
     #[should_panic(expected = "row tracking is armed")]
     fn resident_lines_needs_armed_tracking() {
-        let _ = sys().resident_lines(0);
+        let _ = small_rows(CacheEngine::Flat).resident_lines(0);
     }
 
     #[test]
-    fn reset_stats_keeps_cache_warm() {
-        let mut m = sys();
-        m.read(0, 256, Traffic::FeatureRead);
-        m.reset_stats();
-        let r = m.report();
-        assert_eq!(r.cache.accesses(), 0);
-        assert_eq!(r.dram_total_bytes(), 0);
-        assert_eq!(r.traffic(Traffic::FeatureRead).requests, 0);
-        assert_eq!(m.elapsed_dram_cycles(), 0);
-        // The lines survived the reset: a re-read is all hits.
-        let warm = m.read_span(0, 256, Traffic::FeatureRead);
-        assert_eq!(warm.hits, 4);
-        assert_eq!(m.report().dram_total_bytes(), 0);
-    }
-
-    #[test]
-    fn reset_cold_drops_contents_and_stats_on_both_engines() {
+    fn flush_drops_contents_on_both_engines() {
         for engine in [CacheEngine::Flat, CacheEngine::List] {
-            let mut m =
-                MemorySystem::with_engine(CacheConfig::default(), DramConfig::hbm2(), engine);
-            m.read(0, 256, Traffic::FeatureRead);
-            assert!(m.peek_span(0, 256).hits > 0, "{engine:?}: lines resident");
-            m.reset_cold();
-            let r = m.report();
-            assert_eq!(r.cache.accesses(), 0, "{engine:?}");
-            assert_eq!(r.dram_total_bytes(), 0, "{engine:?}");
-            assert_eq!(m.elapsed_dram_cycles(), 0, "{engine:?}");
+            let mut m = RowCache::new(CacheConfig::default(), engine);
+            m.read_lines(0, 4);
+            assert_eq!(m.peek_span(0, 256).hits, 4, "{engine:?}: lines resident");
+            m.flush();
             assert_eq!(m.peek_span(0, 256).hits, 0, "{engine:?}: contents gone");
-            // The re-read pays cold misses again, including row
-            // activations (open rows were closed by the power cycle).
-            let cold = m.read_span(0, 256, Traffic::FeatureRead);
+            // The re-read pays cold misses again.
+            let cold = m.read_lines(0, 4);
             assert_eq!(cold.hits, 0, "{engine:?}");
-            assert!(m.report().dram_total_bytes() > 0, "{engine:?}");
         }
     }
 
     #[test]
-    fn reset_cold_matches_a_fresh_system_bit_for_bit() {
+    fn flush_matches_a_fresh_cache() {
         // A recovered engine must be indistinguishable from a brand-new
-        // one: replaying the same trace on both yields identical reports
-        // and clocks — the honesty guarantee failure drills rest on.
-        let mut recovered = sys();
-        recovered.read(0, 4096, Traffic::FeatureRead);
-        recovered.write_span(512, 300, Traffic::FeatureWrite);
-        recovered.reset_cold();
-        let mut fresh = sys();
-        for m in [&mut recovered, &mut fresh] {
-            m.read(128, 700, Traffic::FeatureRead);
-            m.read(128, 700, Traffic::FeatureRead);
+        // one: replaying the same trace on both yields identical counts
+        // and residency — the honesty guarantee failure drills rest on.
+        for engine in [CacheEngine::Flat, CacheEngine::List] {
+            let mut recovered = RowCache::new(CacheConfig::default(), engine);
+            recovered.track_rows(4);
+            recovered.read_lines(0, 64);
+            recovered.flush();
+            let mut fresh = RowCache::new(CacheConfig::default(), engine);
+            fresh.track_rows(4);
+            for _ in 0..2 {
+                assert_eq!(recovered.read_lines(2, 11), fresh.read_lines(2, 11));
+            }
+            for row in 0..16 {
+                assert_eq!(recovered.resident_lines(row), fresh.resident_lines(row));
+            }
+            assert_eq!(recovered.peek_span(0, 4096), fresh.peek_span(0, 4096));
         }
-        assert_eq!(recovered.report(), fresh.report());
-        assert_eq!(recovered.elapsed_dram_cycles(), fresh.elapsed_dram_cycles());
     }
 
     #[test]

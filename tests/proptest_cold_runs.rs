@@ -8,21 +8,24 @@
 //! set 0, so only this test exercises the wrap — about half of them
 //! overlapping lines left resident by the previous run, interleaved
 //! with streaming writes and read-modify-writes. They run on a 16-set ×
-//! 4-way cache and a 1-set cache, under LRU, FIFO and BIP, each with
-//! and without row tracking (BIP and tracked hierarchies take the
-//! per-line walk, so they check the gate, not the closed form).
+//! 4-way cache and a 1-set cache, under LRU, FIFO and BIP, on the
+//! simulator's `MemorySystem` and on a serving engine's `RowCache` with
+//! and without row tracking (BIP and tracked caches take the per-line
+//! walk, so they check the gate, not the closed form).
 //!
-//! After every operation the two hierarchies must agree on `report()`,
-//! on the DRAM device's `Debug` rendering (counters, open rows, `f64`
-//! clocks), on a per-line `peek_span` residency fingerprint and, when
-//! tracked, on every row's `resident_lines`. `peek` cannot see recency
-//! order, so each case ends by replaying one common probe trace on both
-//! sides and comparing again.
+//! After every operation the two `MemorySystem`s must agree on
+//! `report()`, on the DRAM device's `Debug` rendering (counters, open
+//! rows, `f64` clocks) and on a per-line `peek_span` residency
+//! fingerprint; the two `RowCache`s must agree on every read's counts,
+//! on the fingerprint and, when tracked, on every row's
+//! `resident_lines`. `peek` cannot see recency order, so each case ends
+//! by replaying one common probe trace on both sides and comparing
+//! again.
 
 use proptest::prelude::*;
 use sgcn_formats::LineRun;
 use sgcn_mem::{
-    Cache, CacheConfig, CacheEngine, DramConfig, MemorySystem, ReplacementPolicy, Traffic,
+    Cache, CacheConfig, CacheEngine, DramConfig, MemorySystem, ReplacementPolicy, RowCache, Traffic,
 };
 
 const LINE: u64 = 64;
@@ -112,8 +115,8 @@ fn place(sets: u64, end: u64, overlap: bool, pos: u64, len: u64) -> (u64, u64) {
 }
 
 /// Asserts `flat` and `list` agree on everything a caller can observe
-/// without probing: counters, the DRAM device bit for bit, per-line
-/// residency over `lines` lines and, when tracked, per-row counts.
+/// without probing: counters, the DRAM device bit for bit and per-line
+/// residency over `lines` lines.
 fn assert_same(flat: &MemorySystem, list: &MemorySystem, lines: u64, what: &str) {
     assert_eq!(flat.report(), list.report(), "{what}: report");
     assert_eq!(
@@ -128,33 +131,19 @@ fn assert_same(flat: &MemorySystem, list: &MemorySystem, lines: u64, what: &str)
             "{what}: residency of line {line}"
         );
     }
-    if flat.tracks_rows() {
-        for row in 0..lines.div_ceil(ROW_LINES) {
-            assert_eq!(
-                flat.resident_lines(row),
-                list.resident_lines(row),
-                "{what}: resident lines of row {row}"
-            );
-        }
-    }
 }
 
 /// Replays `case` on a Flat and a List hierarchy of `sets` sets and
 /// compares them after every operation.
-fn drive(sets: u64, policy: ReplacementPolicy, tracked: bool, case: &Case) -> Coverage {
+fn drive(sets: u64, policy: ReplacementPolicy, case: &Case) -> Coverage {
     let (space, max_run) = space(sets);
     // Every line a run or a between-run op touches.
     let watched = space + max_run;
-    let build = |engine| {
-        let mut mem = MemorySystem::with_engine(config(sets, policy), DramConfig::hbm2(), engine);
-        if tracked {
-            mem.track_rows(ROW_LINES);
-        }
-        mem
-    };
+    let build =
+        |engine| MemorySystem::with_engine(config(sets, policy), DramConfig::hbm2(), engine);
     let mut flat = build(CacheEngine::Flat);
     let mut list = build(CacheEngine::List);
-    let tag = format!("{sets} sets, {policy:?}, tracked {tracked}");
+    let tag = format!("{sets} sets, {policy:?}");
 
     // Short spans (1..=4 lines) scatter residency before the long runs.
     let short = |mem: &mut MemorySystem, kind: u32, pos: u64, len: u64| {
@@ -224,6 +213,72 @@ fn drive(sets: u64, policy: ReplacementPolicy, tracked: bool, case: &Case) -> Co
     coverage
 }
 
+/// Reads `lines` lines from `first` on both engine caches and asserts
+/// they count the read alike, then hold the same lines over `watched`
+/// lines and, when tracked, the same per-row counts.
+fn read_both(pair: &mut [RowCache; 2], first: u64, lines: u64, watched: u64, what: &str) {
+    let [flat, list] = pair;
+    assert_eq!(
+        flat.read_lines(first, lines),
+        list.read_lines(first, lines),
+        "{what}: read {first}+{lines}"
+    );
+    for line in 0..watched {
+        assert_eq!(
+            flat.peek_span(line * LINE, LINE),
+            list.peek_span(line * LINE, LINE),
+            "{what}: residency of line {line}"
+        );
+    }
+    if flat.tracks_rows() {
+        for row in 0..watched.div_ceil(ROW_LINES) {
+            assert_eq!(
+                flat.resident_lines(row),
+                list.resident_lines(row),
+                "{what}: resident lines of row {row}"
+            );
+        }
+    }
+}
+
+/// [`drive`] on a Flat and a List engine cache: the same short reads,
+/// long runs and closing probes, with a power-cycle flush in place of
+/// the streaming write (an engine cache never sees writes).
+fn drive_rows(sets: u64, policy: ReplacementPolicy, tracked: bool, case: &Case) {
+    let (space, max_run) = space(sets);
+    let watched = space + max_run;
+    let mut pair = [CacheEngine::Flat, CacheEngine::List].map(|engine| {
+        let mut mem = RowCache::new(config(sets, policy), engine);
+        if tracked {
+            mem.track_rows(ROW_LINES);
+        }
+        mem
+    });
+    let tag = format!("engine cache, {sets} sets, {policy:?}, tracked {tracked}");
+    for (i, &(_, pos, len)) in case.warm.iter().enumerate() {
+        let what = format!("{tag}, warm-up {i}");
+        read_both(&mut pair, pos % space, 1 + len % 4, watched, &what);
+    }
+    let mut end = 0u64;
+    for (i, &(overlap, pos, len, between, bpos, blen)) in case.runs.iter().enumerate() {
+        let (first, lines) = place(sets, end, overlap, pos, len);
+        read_both(&mut pair, first, lines, watched, &format!("{tag}, run {i}"));
+        end = first + lines;
+        match between {
+            0 => pair.iter_mut().for_each(RowCache::flush),
+            1 => {
+                let what = format!("{tag}, after run {i}");
+                read_both(&mut pair, bpos % space, 1 + blen % max_run, watched, &what);
+            }
+            _ => {}
+        }
+    }
+    for (i, &(pos, len)) in case.probes.iter().enumerate() {
+        let what = format!("{tag}, probe {i}");
+        read_both(&mut pair, pos % watched, 1 + len % 4, watched, &what);
+    }
+}
+
 /// The miss sub-runs per-line probes produce, merged like
 /// `probe_run`'s callback.
 fn per_line_misses(cache: &mut Cache, first: u64, lines: u64) -> (u64, Vec<(u64, u64)>) {
@@ -247,8 +302,9 @@ proptest! {
     fn long_runs_replay_like_the_list_reference(case in case()) {
         for sets in [16u64, 1] {
             for policy in POLICIES {
+                drive(sets, policy, &case);
                 for tracked in [false, true] {
-                    drive(sets, policy, tracked, &case);
+                    drive_rows(sets, policy, tracked, &case);
                 }
             }
         }
@@ -310,7 +366,7 @@ fn generated_runs_cover_cold_overlapping_and_wrapped_starts() {
     for n in 0..proptest::cases() {
         let mut rng = proptest::test_rng(proptest::fnv("cold_run_coverage"), n);
         let case = strategy.generate(&mut rng);
-        let c = drive(16, ReplacementPolicy::Lru, false, &case);
+        let c = drive(16, ReplacementPolicy::Lru, &case);
         total.cold += c.cold;
         total.cold_wrapped += c.cold_wrapped;
         total.overlapping += c.overlapping;

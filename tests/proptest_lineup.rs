@@ -324,7 +324,7 @@ proptest! {
         down_at in 10_000u64..500_000,
         dur in 100_000u64..2_000_000,
     ) {
-        // `MemorySystem::reset_cold` under lineups: after a crash +
+        // `RowCache::flush` under lineups: after a crash +
         // recovery, an eco-class engine restarts with an empty cache and
         // must re-warm against its *own* class cold report — its first
         // post-recovery service is exactly the eco cell's cold cycles

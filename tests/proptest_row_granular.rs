@@ -1,19 +1,24 @@
 //! Property tests for the row-granular cache twin
-//! (`CacheConfig::row_granular`): a hierarchy that only ever sees whole
-//! rows of `k` lines must replay identically on the line geometry and
-//! on its twin of one `k`-line line per row. Random traces of whole-row
-//! runs, statistics resets, flushes and power-cycle resets drive both,
-//! on both cache engines, under every replacement policy the twin
-//! admits, for `k ∈ {1, 2, 4, 8}` on a small cache where nearly every
-//! fill evicts. After every operation the twin's span counts, cache
-//! counters and resident-row counts times `k` equal the line
-//! geometry's, and its DRAM device — counters, open rows and every
-//! `f64` clock — is bit-identical.
+//! (`CacheConfig::row_granular`): a cache that only ever sees whole rows
+//! of `k` lines must replay identically on the line geometry and on its
+//! twin of one `k`-line line per row. Random traces of whole-row runs
+//! drive both, on both cache engines, under every replacement policy
+//! the twin admits, for `k ∈ {1, 2, 4, 8}` on a small cache where
+//! nearly every fill evicts:
+//!
+//! * on the simulator's `MemorySystem`, after every run the twin's span
+//!   counts and cache counters times `k` equal the line geometry's, and
+//!   its DRAM device — counters, open rows and every `f64` clock — is
+//!   bit-identical;
+//! * on a serving engine's tracked `RowCache`, with power-cycle flushes
+//!   mixed in, the twin's read counts and resident-row counts times `k`
+//!   equal the line geometry's after every operation.
 
 use proptest::prelude::*;
 use sgcn_formats::LineRun;
 use sgcn_mem::{
-    CacheConfig, CacheEngine, DramConfig, MemReport, MemorySystem, ReplacementPolicy, Traffic,
+    CacheConfig, CacheEngine, DramConfig, MemReport, MemorySystem, ReplacementPolicy, RowCache,
+    Traffic,
 };
 
 /// 2 KiB, 2-way, 64 B lines: 16 sets × 2 ways = 32 lines.
@@ -29,8 +34,8 @@ fn line_config(policy: ReplacementPolicy) -> CacheConfig {
 /// Rows the traces aim at: more than the cache holds at every `k`.
 const ROWS: u64 = 48;
 
-fn tracked(config: CacheConfig, engine: CacheEngine, lines_per_row: u64) -> MemorySystem {
-    let mut mem = MemorySystem::with_engine(config, DramConfig::hbm2(), engine);
+fn tracked(config: CacheConfig, engine: CacheEngine, lines_per_row: u64) -> RowCache {
+    let mut mem = RowCache::new(config, engine);
     mem.track_rows(lines_per_row);
     mem
 }
@@ -54,42 +59,38 @@ proptest! {
                     let Some(row_config) = line_config(policy).row_granular(k) else {
                         continue;
                     };
-                    let mut line = tracked(line_config(policy), engine, k);
-                    let mut row = tracked(row_config, engine, 1);
+                    let mut line = MemorySystem::with_engine(line_config(policy), DramConfig::hbm2(), engine);
+                    let mut row = MemorySystem::with_engine(row_config, DramConfig::hbm2(), engine);
+                    let mut line_cache = tracked(line_config(policy), engine, k);
+                    let mut row_cache = tracked(row_config, engine, 1);
                     for (step, &(kind, first, n)) in ops.iter().enumerate() {
-                        match kind {
+                        if kind >= 88 {
+                            line_cache.flush();
+                            row_cache.flush();
+                        } else {
                             // `n` consecutive whole rows, one request
                             // each: adjacent missed rows share one DRAM
                             // walk.
-                            0..=87 => {
-                                let spans = n as u32;
-                                let by_line = line.access_lines(
-                                    0,
-                                    LineRun { first_line: first * k, lines: n * k, spans, seam_hits: 0 },
-                                    Traffic::FeatureRead,
-                                );
-                                let by_row = row.access_lines(
-                                    0,
-                                    LineRun { first_line: first, lines: n, spans, seam_hits: 0 },
-                                    Traffic::FeatureRead,
-                                );
-                                prop_assert_eq!(
-                                    by_line, by_row.scaled(k),
-                                    "{:?} {:?} k {} step {}", engine, policy, k, step
-                                );
-                            }
-                            88..=93 => {
-                                line.reset_stats();
-                                row.reset_stats();
-                            }
-                            94..=96 => {
-                                line.flush_cache();
-                                row.flush_cache();
-                            }
-                            _ => {
-                                line.reset_cold();
-                                row.reset_cold();
-                            }
+                            let spans = n as u32;
+                            let by_line = line.access_lines(
+                                0,
+                                LineRun { first_line: first * k, lines: n * k, spans, seam_hits: 0 },
+                                Traffic::FeatureRead,
+                            );
+                            let by_row = row.access_lines(
+                                0,
+                                LineRun { first_line: first, lines: n, spans, seam_hits: 0 },
+                                Traffic::FeatureRead,
+                            );
+                            prop_assert_eq!(
+                                by_line, by_row.scaled(k),
+                                "{:?} {:?} k {} step {}", engine, policy, k, step
+                            );
+                            prop_assert_eq!(
+                                line_cache.read_lines(first * k, n * k),
+                                row_cache.read_lines(first, n).scaled(k),
+                                "{:?} {:?} k {} step {}: engine cache", engine, policy, k, step
+                            );
                         }
                         prop_assert_eq!(
                             line.report(), in_lines(row.report(), k),
@@ -103,7 +104,7 @@ proptest! {
                         prop_assert_eq!(line.elapsed_dram_cycles(), row.elapsed_dram_cycles());
                         for v in 0..ROWS + 4 {
                             prop_assert_eq!(
-                                line.resident_lines(v), row.resident_lines(v) * k,
+                                line_cache.resident_lines(v), row_cache.resident_lines(v) * k,
                                 "{:?} {:?} k {} step {} row {}", engine, policy, k, step, v
                             );
                         }
