@@ -18,6 +18,7 @@
 pub mod sim;
 
 use sgcn_formats::BeicsrConfig;
+use sgcn_mem::{Cache, CacheModel};
 
 use crate::config::HwConfig;
 use crate::cooperation::DEFAULT_STRIP_HEIGHT;
@@ -285,7 +286,7 @@ impl AccelModel {
 
     /// Runs this model on a workload.
     pub fn simulate(&self, workload: &Workload, hw: &HwConfig) -> SimReport {
-        sim::run(self, workload, hw)
+        self.simulate_on::<Cache>(workload, hw, None)
     }
 
     /// Runs this model with the intermediate-feature storage overridden
@@ -298,7 +299,23 @@ impl AccelModel {
         hw: &HwConfig,
         kind: Option<sgcn_formats::FormatKind>,
     ) -> SimReport {
-        sim::run_with_format_override(self, workload, hw, kind)
+        self.simulate_on::<Cache>(workload, hw, kind)
+    }
+
+    /// Runs this model with every cache in the memory hierarchy (the
+    /// global cache and AWB-GCN's partial-sum banks) on cache model `C`,
+    /// with the storage overridden as in
+    /// [`AccelModel::simulate_with_format`]. The other entry points run
+    /// on [`Cache`]; the equivalence tests run
+    /// `simulate_on::<sgcn_mem::ListCache>` and demand a bit-identical
+    /// [`SimReport`].
+    pub fn simulate_on<C: CacheModel>(
+        &self,
+        workload: &Workload,
+        hw: &HwConfig,
+        format: Option<sgcn_formats::FormatKind>,
+    ) -> SimReport {
+        sim::run::<C>(self, workload, hw, format)
     }
 }
 

@@ -15,8 +15,7 @@ use sgcn_engines::{two_stage_pipeline, SystolicArray};
 use sgcn_formats::{Beicsr, ColRange, CsrFeatures, DenseMatrix, FeatureFormat, LineRun};
 use sgcn_graph::reorder::{islandize, top_degree_vertices};
 use sgcn_graph::{CsrGraph, Tiling};
-use sgcn_mem::CacheEngine;
-use sgcn_mem::{EnergyModel, MemorySystem, Traffic};
+use sgcn_mem::{Cache, CacheModel, EnergyModel, MemorySystem, Traffic};
 
 use crate::accel::{AccelModel, FeatureStorage, PhaseOrder, ReorderPolicy, TilingPolicy};
 use crate::config::HwConfig;
@@ -111,23 +110,22 @@ struct LayerTally {
     compute_cycles: u64,
 }
 
-pub(crate) fn run(model: &AccelModel, workload: &Workload, hw: &HwConfig) -> SimReport {
-    run_inner(model, workload, hw, None)
-}
-
-fn run_inner(
+/// Runs `model` on `workload` with the memory hierarchy on cache model
+/// `C` (see [`AccelModel::simulate_on`]), booking the host time to the
+/// simulate timer.
+pub(crate) fn run<C: CacheModel>(
     model: &AccelModel,
     workload: &Workload,
     hw: &HwConfig,
     format_override: Option<sgcn_formats::FormatKind>,
 ) -> SimReport {
     let t0 = std::time::Instant::now();
-    let report = run_untimed(model, workload, hw, format_override);
+    let report = run_untimed::<C>(model, workload, hw, format_override);
     crate::metrics::timing::add_simulate_nanos(t0.elapsed().as_nanos() as u64);
     report
 }
 
-fn run_untimed(
+fn run_untimed<C: CacheModel>(
     model: &AccelModel,
     workload: &Workload,
     hw: &HwConfig,
@@ -162,7 +160,7 @@ fn run_untimed(
         }
     }
 
-    let mut mem = MemorySystem::with_engine(cache_cfg, hw.dram, hw.cache_engine);
+    let mut mem = MemorySystem::<C>::new(cache_cfg, hw.dram);
     let systolic = SystolicArray::new(hw.systolic);
     let energy_model = EnergyModel::default();
 
@@ -416,7 +414,7 @@ pub fn run_format_study(
 ) -> SimReport {
     let mut model = AccelModel::gcnax();
     model.name = kind.label();
-    run_with_format_override(&model, workload, hw, Some(kind))
+    run::<Cache>(&model, workload, hw, Some(kind))
 }
 
 /// Pre-encodes one boundary matrix in a study format into the workload's
@@ -436,15 +434,6 @@ pub(crate) fn precache_boundary_kind(
         .get_or_build(FormatKey::Kind(b, kind), || {
             CachedFormat::Generic(encode_kind(kind, x))
         });
-}
-
-pub(crate) fn run_with_format_override(
-    model: &AccelModel,
-    workload: &Workload,
-    hw: &HwConfig,
-    format_override: Option<sgcn_formats::FormatKind>,
-) -> SimReport {
-    run_inner(model, workload, hw, format_override)
 }
 
 /// Builds the storage format of a boundary matrix — the matrix at trace
@@ -495,13 +484,13 @@ fn boundary_format<'a>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn simulate_layer(
+fn simulate_layer<C: CacheModel>(
     model: &AccelModel,
     workload: &Workload,
     hw: &HwConfig,
     graph: &CsrGraph,
     systolic: &SystolicArray,
-    mem: &mut MemorySystem,
+    mem: &mut MemorySystem<C>,
     pinned: &VertexSet,
     davc_hits: &mut u64,
     layer: usize,
@@ -601,48 +590,33 @@ fn simulate_layer(
     }
 }
 
-/// AWB-GCN's on-chip partial-sum accumulation banks, modelled with
-/// whichever cache implementation the run selects (both are
-/// stats-identical, so the `List` reference engine runs end to end).
-enum PsumBanks {
-    Flat(sgcn_mem::Cache),
-    List(sgcn_mem::ListCache),
-}
-
-impl PsumBanks {
-    /// Probes the `lines` 64-byte lines of one partial row at `addr`;
-    /// lines that spill (miss the banks) fetch and write back through
-    /// `mem`. The flat banks batch the probe walk ([`Cache::probe_run`])
-    /// when their line size matches the seed's fixed 64-byte stride *and*
-    /// the row base is 64-byte aligned (an unaligned base would change
-    /// which memory bytes the spill touches); otherwise the seed loop
-    /// replays per line. Both issue the identical mem-operation sequence
-    /// (ascending lines, read then write per spilled line).
-    #[inline]
-    fn scatter_row(&mut self, addr: u64, lines: u64, mem: &mut MemorySystem) {
-        let spill = |mem: &mut MemorySystem, line_addr: u64| {
-            mem.read_uncached(line_addr, 64, Traffic::PartialSum);
-            mem.write(line_addr, 64, Traffic::PartialSum);
-        };
-        match self {
-            PsumBanks::Flat(c) if c.config().line_bytes == 64 && addr.is_multiple_of(64) => {
-                c.probe_run(addr / 64, lines, |miss_first, miss_count| {
-                    for line in miss_first..miss_first + miss_count {
-                        spill(mem, line * 64);
-                    }
-                });
+/// Scatters one partial row into AWB-GCN's on-chip partial-sum
+/// accumulation banks (`banks`, a cache of the run's model): probes the
+/// `lines` 64-byte lines of the row at `addr`; lines that spill (miss
+/// the banks) fetch and write back through `mem`. The probe walk is
+/// batched ([`CacheModel::probe_run`]) when the banks' line size matches
+/// the seed's fixed 64-byte stride *and* the row base is 64-byte aligned
+/// (an unaligned base would change which memory bytes the spill
+/// touches); otherwise the seed loop replays per line. Both issue the
+/// identical mem-operation sequence (ascending lines, read then write
+/// per spilled line).
+#[inline]
+fn scatter_row<C: CacheModel>(banks: &mut C, addr: u64, lines: u64, mem: &mut MemorySystem<C>) {
+    let spill = |mem: &mut MemorySystem<C>, line_addr: u64| {
+        mem.read_uncached(line_addr, 64, Traffic::PartialSum);
+        mem.write(line_addr, 64, Traffic::PartialSum);
+    };
+    if banks.config().line_bytes == 64 && addr.is_multiple_of(64) {
+        banks.probe_run(addr / 64, lines, |miss_first, miss_count| {
+            for line in miss_first..miss_first + miss_count {
+                spill(mem, line * 64);
             }
-            _ => {
-                for i in 0..lines {
-                    let line_addr = addr + i * 64;
-                    let hit = match self {
-                        PsumBanks::Flat(c) => c.access(line_addr),
-                        PsumBanks::List(c) => c.access(line_addr),
-                    };
-                    if !hit {
-                        spill(mem, line_addr);
-                    }
-                }
+        });
+    } else {
+        for i in 0..lines {
+            let line_addr = addr + i * 64;
+            if !banks.access(line_addr) {
+                spill(mem, line_addr);
             }
         }
     }
@@ -732,9 +706,9 @@ impl RowSliceMemo {
 
     /// Replays the memoized read through the memory system (falling back
     /// to the visitor when the runs overflowed the inline array).
-    fn replay(
+    fn replay<C: CacheModel>(
         &self,
-        mem: &mut MemorySystem,
+        mem: &mut MemorySystem<C>,
         fmt: &LayerFormat<'_>,
         row: usize,
         range: ColRange,
@@ -774,11 +748,11 @@ fn sampled_prefix(neigh: &[u32], deg: usize, cap: Option<usize>) -> &[u32] {
 /// The aggregation sweep shared by the row-product paths: returns
 /// per-destination-tile SIMD cycles and total MACs.
 #[allow(clippy::too_many_arguments)]
-fn aggregation_sweep(
+fn aggregation_sweep<C: CacheModel>(
     model: &AccelModel,
     hw: &HwConfig,
     graph: &CsrGraph,
-    mem: &mut MemorySystem,
+    mem: &mut MemorySystem<C>,
     pinned: &VertexSet,
     davc_hits: &mut u64,
     fmt: &LayerFormat<'_>,
@@ -926,8 +900,8 @@ fn aggregation_sweep(
 /// `sgcn_formats::runs`), so every counter matches a per-span replay bit
 /// for bit.
 #[inline]
-fn read_row_spans(
-    mem: &mut MemorySystem,
+fn read_row_spans<C: CacheModel>(
+    mem: &mut MemorySystem<C>,
     fmt: &dyn FeatureFormat,
     row: usize,
     base: u64,
@@ -941,8 +915,8 @@ fn read_row_spans(
 /// Writes a row back (see [`read_row_spans`]; write runs merge only
 /// contiguous spans, keeping the streamed DRAM burst order intact).
 #[inline]
-fn write_row_spans(
-    mem: &mut MemorySystem,
+fn write_row_spans<C: CacheModel>(
+    mem: &mut MemorySystem<C>,
     fmt: &dyn FeatureFormat,
     row: usize,
     base: u64,
@@ -957,13 +931,13 @@ fn write_row_spans(
 /// `H = Ã·X` per destination tile feeds the systolic `H·W` directly; the
 /// activated output is written back (compressed for SGCN).
 #[allow(clippy::too_many_arguments)]
-fn agg_first_layer(
+fn agg_first_layer<C: CacheModel>(
     model: &AccelModel,
     workload: &Workload,
     hw: &HwConfig,
     graph: &CsrGraph,
     systolic: &SystolicArray,
-    mem: &mut MemorySystem,
+    mem: &mut MemorySystem<C>,
     pinned: &VertexSet,
     davc_hits: &mut u64,
     in_fmt: &LayerFormat<'_>,
@@ -1013,13 +987,13 @@ fn agg_first_layer(
 /// Combination-first layer (EnGN, I-GCN, and everyone's input layer):
 /// `Y = X·W` streams the inputs once, `Ã·Y` aggregates the scratch matrix.
 #[allow(clippy::too_many_arguments)]
-fn comb_first_layer(
+fn comb_first_layer<C: CacheModel>(
     model: &AccelModel,
     workload: &Workload,
     hw: &HwConfig,
     graph: &CsrGraph,
     systolic: &SystolicArray,
-    mem: &mut MemorySystem,
+    mem: &mut MemorySystem<C>,
     pinned: &VertexSet,
     davc_hits: &mut u64,
     in_fmt: &LayerFormat<'_>,
@@ -1101,13 +1075,13 @@ fn comb_first_layer(
 /// reads each input once, but partial-sum spills dominate traffic
 /// (Fig. 14).
 #[allow(clippy::too_many_arguments)]
-fn column_product_layer(
+fn column_product_layer<C: CacheModel>(
     model: &AccelModel,
     workload: &Workload,
     hw: &HwConfig,
     graph: &CsrGraph,
     systolic: &SystolicArray,
-    mem: &mut MemorySystem,
+    mem: &mut MemorySystem<C>,
     layer: usize,
     in_fmt: &LayerFormat<'_>,
     w_in: usize,
@@ -1152,10 +1126,7 @@ fn column_product_layer(
         capacity_bytes: hw.cache.capacity_bytes * 16,
         ..hw.cache
     };
-    let mut psum_banks = match hw.cache_engine {
-        CacheEngine::Flat => PsumBanks::Flat(sgcn_mem::Cache::new(psum_config)),
-        CacheEngine::List => PsumBanks::List(sgcn_mem::ListCache::new(psum_config)),
-    };
+    let mut psum_banks = C::new(psum_config);
     let lane_cycles_per_row = (LaneDiv::new(hw.simd_lanes).div_ceil(w_out) as u64).max(1);
     let mut lane_cycles = 0u64;
     let mut pairs: Vec<(u64, u64)> = Vec::new();
@@ -1168,7 +1139,7 @@ fn column_product_layer(
         // eventually write back).
         for &dst in graph.neighbors(src) {
             let addr = PARTIAL_BASE + dst as u64 * row_bytes;
-            psum_banks.scatter_row(addr, row_bytes.div_ceil(64), mem);
+            scatter_row(&mut psum_banks, addr, row_bytes.div_ceil(64), mem);
             macs += w_out as u64;
             chunk_lane += lane_cycles_per_row;
         }
@@ -1338,13 +1309,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn row_slice_memo_replays_like_direct_run_reads() {
-        let m = sparse_matrix(10, 29, 9);
-        let mut formats = planned_formats(&m);
-        formats.push(LayerFormat::Generic(Arc::new(GappedSpans { rows: 10 })));
-        let small = |engine| {
-            MemorySystem::with_engine(
+    /// Replays every row of `m` twice per window through a memoized and
+    /// a direct run read on cache model `C`; returns how many rows
+    /// overflowed the memo's inline run capacity.
+    fn memo_replays_like_direct<C: CacheModel>(
+        formats: &[LayerFormat<'_>],
+        m: &DenseMatrix,
+    ) -> usize {
+        let small = || {
+            MemorySystem::<C>::new(
                 CacheConfig {
                     capacity_bytes: 2 * 1024,
                     ways: 4,
@@ -1352,43 +1325,50 @@ mod tests {
                     ..CacheConfig::default()
                 },
                 DramConfig::hbm2(),
-                engine,
             )
         };
         let mut spilled = 0;
-        for fmt in &formats {
+        for fmt in formats {
             let name = fmt.as_format().format_name();
-            for engine in [CacheEngine::Flat, CacheEngine::List] {
-                let mut memoized = small(engine);
-                let mut direct = small(engine);
-                let line_bytes = memoized.line_bytes();
-                let mut gen = 0;
-                for range in [
-                    ColRange::new(0, 29),
-                    ColRange::new(3, 11),
-                    ColRange::new(8, 24),
-                ] {
-                    gen += 1;
-                    let plan = SlicePlan::new(fmt, range);
-                    let mut memo = vec![RowSliceMemo::default(); m.rows()];
-                    // Each row twice, so the second read replays the memo.
-                    for row in (0..m.rows()).chain((0..m.rows()).rev()) {
-                        let e = &mut memo[row];
-                        if e.gen != gen {
-                            e.fill(gen, fmt, row, range, line_bytes, &plan);
-                            assert_eq!(e.work as usize, fmt.lane_work(row, range), "{name}");
-                            spilled += usize::from(e.nruns == u8::MAX);
-                        }
-                        e.replay(&mut memoized, fmt, row, range, FEATURE_A_BASE);
-                        fmt.as_format()
-                            .for_each_slice_run(row, range, line_bytes, &mut |run| {
-                                direct.access_lines(FEATURE_A_BASE, run, Traffic::FeatureRead);
-                            });
+            let mut memoized = small();
+            let mut direct = small();
+            let line_bytes = memoized.line_bytes();
+            let mut gen = 0;
+            for range in [
+                ColRange::new(0, 29),
+                ColRange::new(3, 11),
+                ColRange::new(8, 24),
+            ] {
+                gen += 1;
+                let plan = SlicePlan::new(fmt, range);
+                let mut memo = vec![RowSliceMemo::default(); m.rows()];
+                // Each row twice, so the second read replays the memo.
+                for row in (0..m.rows()).chain((0..m.rows()).rev()) {
+                    let e = &mut memo[row];
+                    if e.gen != gen {
+                        e.fill(gen, fmt, row, range, line_bytes, &plan);
+                        assert_eq!(e.work as usize, fmt.lane_work(row, range), "{name}");
+                        spilled += usize::from(e.nruns == u8::MAX);
                     }
+                    e.replay(&mut memoized, fmt, row, range, FEATURE_A_BASE);
+                    fmt.as_format()
+                        .for_each_slice_run(row, range, line_bytes, &mut |run| {
+                            direct.access_lines(FEATURE_A_BASE, run, Traffic::FeatureRead);
+                        });
                 }
-                assert_eq!(memoized.report(), direct.report(), "{name} on {engine:?}");
             }
+            assert_eq!(memoized.report(), direct.report(), "{name}");
         }
+        spilled
+    }
+
+    #[test]
+    fn row_slice_memo_replays_like_direct_run_reads() {
+        let m = sparse_matrix(10, 29, 9);
+        let mut formats = planned_formats(&m);
+        formats.push(LayerFormat::Generic(Arc::new(GappedSpans { rows: 10 })));
+        let spilled = memo_replays_like_direct::<Cache>(&formats, &m)
+            + memo_replays_like_direct::<sgcn_mem::ListCache>(&formats, &m);
         assert!(spilled > 0, "no row overflowed the inline run capacity");
     }
 

@@ -1,7 +1,7 @@
 //! Hardware configuration (the paper's Table III).
 
 use sgcn_engines::SystolicConfig;
-use sgcn_mem::{CacheConfig, CacheEngine, DramConfig, HbmGeneration};
+use sgcn_mem::{CacheConfig, DramConfig, HbmGeneration};
 
 /// The evaluated accelerator platform.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,13 +21,6 @@ pub struct HwConfig {
     pub cache: CacheConfig,
     /// Off-chip memory (Table III: HBM2, 256 GB/s, 8 channels, 4×4 banks).
     pub dram: DramConfig,
-    /// Simulator implementation knob (not a hardware parameter): which
-    /// cache model the memory system drives. `Flat` is the allocation-free
-    /// default; `List` is the recency-list reference model the
-    /// equivalence tests compare against. Both yield bit-identical
-    /// [`crate::SimReport`]s. Set only through
-    /// [`HwConfig::with_cache_engine`].
-    pub cache_engine: CacheEngine,
 }
 
 impl Default for HwConfig {
@@ -40,7 +33,6 @@ impl Default for HwConfig {
             systolic: SystolicConfig::default(),
             cache: CacheConfig::default(),
             dram: DramConfig::hbm2(),
-            cache_engine: CacheEngine::Flat,
         }
     }
 }
@@ -70,13 +62,6 @@ impl HwConfig {
     /// Replaces the cache replacement policy (policy ablation).
     pub fn with_cache_policy(mut self, policy: sgcn_mem::ReplacementPolicy) -> Self {
         self.cache.policy = policy;
-        self
-    }
-
-    /// Selects the simulator's cache engine (the flat default vs the
-    /// recency-list reference; see [`CacheEngine`]).
-    pub fn with_cache_engine(mut self, engine: CacheEngine) -> Self {
-        self.cache_engine = engine;
         self
     }
 

@@ -1664,7 +1664,7 @@ fn engine_memory(hw: &HwConfig, pricing: &ClassPricing, policy: SchedPolicy) -> 
         .cache
         .row_granular(pricing.row_stride / pricing.line_bytes)
         .unwrap_or(hw.cache);
-    let mut mem = RowCache::new(cache, hw.cache_engine);
+    let mut mem: RowCache = RowCache::new(cache);
     if policy == SchedPolicy::CacheAffinity {
         mem.track_rows(pricing.row_stride / cache.line_bytes);
     }

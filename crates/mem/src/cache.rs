@@ -23,9 +23,15 @@
 //!   callbacks in probe order) keep the per-line walk.
 //! * [`ListCache`] — the original recency-list model (`Vec` per set,
 //!   `remove`/`insert` on every promotion). Kept as the executable
-//!   specification: the equivalence tests below drive both on randomized
-//!   traces and demand identical [`CacheStats`], and the simulator runs
-//!   it end to end when a config selects [`CacheEngine::List`].
+//!   specification: it implements only the per-line primitives of
+//!   [`CacheModel`], so every run replay it performs is the trait's
+//!   per-line default. The equivalence tests drive both on randomized
+//!   traces and demand identical [`CacheStats`], and run the whole
+//!   simulator on it through `AccelModel::simulate_on::<ListCache>`.
+//!
+//! The memory hierarchy is generic over [`CacheModel`]
+//! (`MemorySystem<C = Cache>`, `RowCache<C = Cache>`); production code
+//! instantiates only [`Cache`].
 
 /// Replacement policy for the global cache.
 ///
@@ -44,20 +50,6 @@ pub enum ReplacementPolicy {
     /// Bimodal insertion: new lines insert at LRU position except one in
     /// `1/32` inserted at MRU — thrash-resistant for cyclic working sets.
     Bip,
-}
-
-/// Selects which cache implementation a [`crate::MemorySystem`] drives.
-///
-/// Both produce bit-identical statistics; `List` exists as the reference
-/// model for the equivalence tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CacheEngine {
-    /// Flat recency-ordered tag array — the allocation-free fast path
-    /// (default).
-    #[default]
-    Flat,
-    /// Per-set recency `Vec`s — the original reference model.
-    List,
 }
 
 /// Cache geometry.
@@ -179,14 +171,14 @@ use crate::fastdiv::FastDiv;
 /// counters behind [`crate::RowCache::track_rows`] implement it; the
 /// simulator's [`crate::MemorySystem`] probes through the empty `()`
 /// sink.
-pub(crate) trait ResidencySink {
+pub trait ResidencySink {
     /// `line` was filled into the cache.
     fn fill(&mut self, line: u64);
     /// `line`, previously resident, left the cache.
     fn evict(&mut self, line: u64);
     /// Whether the hooks do anything. A sink that answers `false` lets
     /// the cache skip its per-line fill/evict reports, which is what
-    /// admits a run to [`Cache::probe_run_observed`]'s cold-run replay.
+    /// admits a run to [`Cache`]'s cold-run replay.
     fn observing(&self) -> bool {
         true
     }
@@ -202,6 +194,122 @@ impl ResidencySink for () {
     #[inline(always)]
     fn observing(&self) -> bool {
         false
+    }
+}
+
+/// A cache model the memory hierarchy drives: [`Cache`] in production,
+/// [`ListCache`] as the reference the equivalence tests run in its place.
+///
+/// A model implements the per-line primitives; the run methods default to
+/// the per-line seed loops over them, which a faster model overrides with
+/// a batched walk that must stay counter-for-counter and state-for-state
+/// identical (the equivalence tests check it).
+pub trait CacheModel: Clone + std::fmt::Debug {
+    /// Creates an empty cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry is degenerate (see [`CacheConfig::sets`]).
+    fn new(config: CacheConfig) -> Self;
+
+    /// Geometry.
+    fn config(&self) -> CacheConfig;
+
+    /// Counters so far.
+    fn stats(&self) -> CacheStats;
+
+    /// Probes the line containing `addr`, reporting the fill and the
+    /// evicted line of a miss to `sink`; fills on miss, evicting per the
+    /// configured policy. Returns `true` on hit.
+    fn access_observed<S: ResidencySink>(&mut self, addr: u64, sink: &mut S) -> bool;
+
+    /// Non-mutating presence probe by line index: no fill, no promotion,
+    /// no statistics.
+    fn peek_line(&self, line: u64) -> bool;
+
+    /// Invalidates the line containing `addr` if present (used by
+    /// streaming writes that bypass the cache, so later reads see fresh
+    /// data). Returns `true` if a line was dropped.
+    fn invalidate(&mut self, addr: u64) -> bool;
+
+    /// Books `n` additional hits without touching contents — the seam
+    /// accounting of the line-run replay: a compacted read run's seam
+    /// lines would each have re-probed the line touched immediately
+    /// before (a guaranteed hit that never moves replacement state), so
+    /// the replay skips the probe and records the hits here.
+    fn count_repeat_hits(&mut self, n: u64);
+
+    /// Valid lines currently held.
+    fn occupancy(&self) -> u64;
+
+    /// Invalidates all lines and restarts BIP's insertion count, keeping
+    /// the statistics: a flushed cache replays any trace exactly like a
+    /// fresh one.
+    fn flush(&mut self);
+
+    /// Probes the line containing `addr` (see
+    /// [`CacheModel::access_observed`]).
+    #[inline]
+    fn access(&mut self, addr: u64) -> bool {
+        self.access_observed(addr, &mut ())
+    }
+
+    /// Non-mutating presence probe of the line containing `addr`.
+    #[inline]
+    fn peek(&self, addr: u64) -> bool {
+        self.peek_line(addr / self.config().line_bytes)
+    }
+
+    /// Probes `lines` consecutive lines starting at `first_line` — the
+    /// line-run replay behind `MemorySystem::access_lines`. Every maximal
+    /// sub-run of consecutive *misses* is reported to `on_miss_run` as
+    /// `(first missed line, count)` so the caller can batch the DRAM
+    /// walk. Returns the hit count.
+    #[inline]
+    fn probe_run(&mut self, first_line: u64, lines: u64, on_miss_run: impl FnMut(u64, u64)) -> u64 {
+        self.probe_run_observed(first_line, lines, on_miss_run, &mut ())
+    }
+
+    /// [`CacheModel::probe_run`] reporting every fill and every eviction
+    /// to `sink`, in probe order. The default probes each line through
+    /// [`CacheModel::access_observed`] in ascending order.
+    fn probe_run_observed<S: ResidencySink>(
+        &mut self,
+        first_line: u64,
+        lines: u64,
+        mut on_miss_run: impl FnMut(u64, u64),
+        sink: &mut S,
+    ) -> u64 {
+        let line_bytes = self.config().line_bytes;
+        let (mut hits, mut miss_start, mut miss_len) = (0u64, 0u64, 0u64);
+        for line in first_line..first_line + lines {
+            if self.access_observed(line * line_bytes, sink) {
+                hits += 1;
+                if miss_len > 0 {
+                    on_miss_run(miss_start, miss_len);
+                    miss_len = 0;
+                }
+            } else {
+                if miss_len == 0 {
+                    miss_start = line;
+                }
+                miss_len += 1;
+            }
+        }
+        if miss_len > 0 {
+            on_miss_run(miss_start, miss_len);
+        }
+        hits
+    }
+
+    /// Invalidates `lines` consecutive lines starting at `first_line`
+    /// (the streaming-write line-run replay). The default invalidates
+    /// each line through [`CacheModel::invalidate`] in ascending order.
+    fn invalidate_run(&mut self, first_line: u64, lines: u64) {
+        let line_bytes = self.config().line_bytes;
+        for line in first_line..first_line + lines {
+            self.invalidate(line * line_bytes);
+        }
     }
 }
 
@@ -237,48 +345,8 @@ pub struct Cache {
 }
 
 impl Cache {
-    /// Creates an empty cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry is degenerate (see [`CacheConfig::sets`])
-    /// or the associativity exceeds 255.
-    pub fn new(config: CacheConfig) -> Self {
-        let sets = config.sets();
-        assert!(
-            config.ways <= u8::MAX as usize,
-            "associativity above 255 unsupported"
-        );
-        Cache {
-            config,
-            line_div: FastDiv::new(config.line_bytes),
-            set_div: FastDiv::new(sets as u64),
-            tags: vec![0; sets * config.ways].into_boxed_slice(),
-            len: vec![0; sets].into_boxed_slice(),
-            stats: CacheStats::default(),
-            bip_counter: 0,
-        }
-    }
-
-    /// Geometry.
-    pub fn config(&self) -> CacheConfig {
-        self.config
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Probes the line containing `addr`; fills on miss, evicting per the
-    /// configured policy. Returns `true` on hit.
-    #[inline]
-    pub fn access(&mut self, addr: u64) -> bool {
-        self.access_line(self.line_div.div(addr))
-    }
-
     /// Probes a line by index (the span fast path already has the line
-    /// number; see [`Cache::access`]).
+    /// number; see [`CacheModel::access`]).
     #[inline]
     pub fn access_line(&mut self, line: u64) -> bool {
         self.probe_at(self.set_div.rem(line) as usize, line)
@@ -338,33 +406,149 @@ impl Cache {
         false
     }
 
-    /// Probes `lines` consecutive lines starting at `first_line` — the
-    /// line-run replay behind `MemorySystem::access_lines`. One set-index
-    /// computation covers the whole run (consecutive lines map to
-    /// consecutive sets), and every maximal sub-run of consecutive
-    /// *misses* is reported to `on_miss_run` as `(first missed line,
-    /// count)` so the caller can batch the DRAM walk. Counter-for-counter
-    /// and state-for-state identical to probing each line through
-    /// [`Cache::access_line`] in ascending order. Returns the hit count.
-    ///
-    /// A *cold* run — one that covers every set, under LRU or FIFO, with
-    /// no line of it resident — is replayed per set instead of per line
-    /// (see `Cache::probe_run_observed`); a layer's weight stream
-    /// through a fresh hierarchy is the common case.
-    #[inline]
-    pub fn probe_run(
-        &mut self,
-        first_line: u64,
-        lines: u64,
-        on_miss_run: impl FnMut(u64, u64),
-    ) -> u64 {
-        self.probe_run_observed(first_line, lines, on_miss_run, &mut ())
+    /// Whether any valid tag lies in `[first_line, first_line + lines)`:
+    /// one pass over every set's valid slots.
+    fn holds_any(&self, first_line: u64, lines: u64) -> bool {
+        self.tags
+            .chunks_exact(self.config.ways)
+            .zip(self.len.iter())
+            .any(|(set_tags, &n)| {
+                set_tags[..usize::from(n)]
+                    .iter()
+                    .any(|&t| t.wrapping_sub(first_line) < lines)
+            })
     }
 
-    /// [`Cache::probe_run`] reporting every fill and every eviction to
-    /// `sink`, in probe order. The evicted line is always the set's last
-    /// slot (`ways - 1`): LRU and FIFO keep it as the least recent, and
-    /// BIP's cold insert overwrites exactly that slot.
+    /// The cold-run replay (see [`Cache::probe_run_observed`]): writes
+    /// each set's closed-form end state. The set `j` steps past the
+    /// run's start set receives lines `first_line + j + i·sets`.
+    fn fill_cold_run(&mut self, first_line: u64, lines: u64) {
+        let ways = self.config.ways;
+        let nsets = self.len.len();
+        let sets = nsets as u64;
+        let (per_set, extra) = (lines / sets, lines % sets);
+        let mut set = self.set_div.rem(first_line) as usize;
+        let mut evictions = 0u64;
+        for j in 0..sets {
+            let m = per_set + u64::from(j < extra);
+            let newest = first_line + j + (m - 1) * sets;
+            let n = usize::from(self.len[set]);
+            let fresh = m.min(ways as u64) as usize;
+            let set_tags = &mut self.tags[set * ways..(set + 1) * ways];
+            set_tags.copy_within(0..n.min(ways - fresh), fresh);
+            for (w, slot) in set_tags[..fresh].iter_mut().enumerate() {
+                *slot = newest - w as u64 * sets;
+            }
+            let total = n as u64 + m;
+            self.len[set] = total.min(ways as u64) as u8;
+            evictions += total.saturating_sub(ways as u64);
+            set += 1;
+            if set == nsets {
+                set = 0;
+            }
+        }
+        self.stats.misses += lines;
+        self.stats.evictions += evictions;
+    }
+
+    /// Invalidates a line by index (the span fast path already has the
+    /// line number; see [`Cache::access_line`]).
+    #[inline]
+    pub fn invalidate_line(&mut self, line: u64) -> bool {
+        let ways = self.config.ways;
+        let set = self.set_div.rem(line) as usize;
+        let base = set * ways;
+        let n = self.len[set] as usize;
+        let set_tags = &mut self.tags[base..base + ways];
+        match set_tags[..n].iter().position(|&t| t == line) {
+            Some(w) => {
+                set_tags.copy_within(w + 1..n, w);
+                self.len[set] = (n - 1) as u8;
+                true
+            }
+            None => false,
+        }
+    }
+}
+
+impl CacheModel for Cache {
+    /// Creates an empty cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry is degenerate (see [`CacheConfig::sets`])
+    /// or the associativity exceeds 255.
+    fn new(config: CacheConfig) -> Self {
+        let sets = config.sets();
+        assert!(
+            config.ways <= u8::MAX as usize,
+            "associativity above 255 unsupported"
+        );
+        Cache {
+            config,
+            line_div: FastDiv::new(config.line_bytes),
+            set_div: FastDiv::new(sets as u64),
+            tags: vec![0; sets * config.ways].into_boxed_slice(),
+            len: vec![0; sets].into_boxed_slice(),
+            stats: CacheStats::default(),
+            bip_counter: 0,
+        }
+    }
+
+    fn config(&self) -> CacheConfig {
+        self.config
+    }
+
+    fn stats(&self) -> CacheStats {
+        self.stats
+    }
+
+    /// A one-line run through [`Cache::probe_run_observed`].
+    fn access_observed<S: ResidencySink>(&mut self, addr: u64, sink: &mut S) -> bool {
+        self.probe_run_observed(self.line_div.div(addr), 1, |_, _| {}, sink) == 1
+    }
+
+    #[inline]
+    fn peek_line(&self, line: u64) -> bool {
+        let ways = self.config.ways;
+        let set = self.set_div.rem(line) as usize;
+        let base = set * ways;
+        let n = self.len[set] as usize;
+        self.tags[base..base + n].contains(&line)
+    }
+
+    fn invalidate(&mut self, addr: u64) -> bool {
+        self.invalidate_line(self.line_div.div(addr))
+    }
+
+    #[inline]
+    fn count_repeat_hits(&mut self, n: u64) {
+        self.stats.hits += n;
+    }
+
+    fn occupancy(&self) -> u64 {
+        self.len.iter().map(|&n| u64::from(n)).sum()
+    }
+
+    /// Also zeroes the (invisible) stale tags, so a flushed cache's
+    /// state is a fresh one's apart from the kept statistics.
+    fn flush(&mut self) {
+        self.tags.fill(0);
+        self.len.fill(0);
+        self.bip_counter = 0;
+    }
+
+    #[inline]
+    fn access(&mut self, addr: u64) -> bool {
+        self.access_line(self.line_div.div(addr))
+    }
+
+    /// One set-index computation covers the whole run (consecutive lines
+    /// map to consecutive sets). Counter-for-counter and state-for-state
+    /// identical to probing each line through [`Cache::access_line`] in
+    /// ascending order. The evicted line reported to `sink` is always the
+    /// set's last slot (`ways - 1`): LRU and FIFO keep it as the least
+    /// recent, and BIP's cold insert overwrites exactly that slot.
     ///
     /// # Cold runs
     ///
@@ -383,12 +567,13 @@ impl Cache {
     /// with `min(ways, n + m)` valid and `max(0, n + m − ways)` evicted.
     /// The replay writes that per set, books `lines` misses and makes
     /// the one `on_miss_run(first_line, lines)` call the per-line walk
-    /// would make. Every other run takes the per-line walk. BIP is
+    /// would make; a layer's weight stream through a fresh hierarchy is
+    /// the common case. Every other run takes the per-line walk. BIP is
     /// excluded because its bimodal counter is global and ticks per
     /// missed line in probe order across sets; an observing sink is
     /// excluded because it must hear each line's evict-then-fill in
     /// probe order.
-    pub(crate) fn probe_run_observed<S: ResidencySink>(
+    fn probe_run_observed<S: ResidencySink>(
         &mut self,
         first_line: u64,
         lines: u64,
@@ -493,114 +678,9 @@ impl Cache {
         hits
     }
 
-    /// Whether any valid tag lies in `[first_line, first_line + lines)`:
-    /// one pass over every set's valid slots.
-    fn holds_any(&self, first_line: u64, lines: u64) -> bool {
-        self.tags
-            .chunks_exact(self.config.ways)
-            .zip(self.len.iter())
-            .any(|(set_tags, &n)| {
-                set_tags[..usize::from(n)]
-                    .iter()
-                    .any(|&t| t.wrapping_sub(first_line) < lines)
-            })
-    }
-
-    /// The cold-run replay (see [`Cache::probe_run_observed`]): writes
-    /// each set's closed-form end state. The set `j` steps past the
-    /// run's start set receives lines `first_line + j + i·sets`.
-    fn fill_cold_run(&mut self, first_line: u64, lines: u64) {
-        let ways = self.config.ways;
-        let nsets = self.len.len();
-        let sets = nsets as u64;
-        let (per_set, extra) = (lines / sets, lines % sets);
-        let mut set = self.set_div.rem(first_line) as usize;
-        let mut evictions = 0u64;
-        for j in 0..sets {
-            let m = per_set + u64::from(j < extra);
-            let newest = first_line + j + (m - 1) * sets;
-            let n = usize::from(self.len[set]);
-            let fresh = m.min(ways as u64) as usize;
-            let set_tags = &mut self.tags[set * ways..(set + 1) * ways];
-            set_tags.copy_within(0..n.min(ways - fresh), fresh);
-            for (w, slot) in set_tags[..fresh].iter_mut().enumerate() {
-                *slot = newest - w as u64 * sets;
-            }
-            let total = n as u64 + m;
-            self.len[set] = total.min(ways as u64) as u8;
-            evictions += total.saturating_sub(ways as u64);
-            set += 1;
-            if set == nsets {
-                set = 0;
-            }
-        }
-        self.stats.misses += lines;
-        self.stats.evictions += evictions;
-    }
-
-    /// Books `n` additional hits without touching contents — the seam
-    /// accounting of the line-run replay: a compacted read run's seam
-    /// lines would each have re-probed the line touched immediately
-    /// before (a guaranteed hit that never moves replacement state), so
-    /// the replay skips the probe and records the hits here.
-    #[inline]
-    pub fn count_repeat_hits(&mut self, n: u64) {
-        self.stats.hits += n;
-    }
-
-    /// Valid lines currently held.
-    pub fn occupancy(&self) -> u64 {
-        self.len.iter().map(|&n| u64::from(n)).sum()
-    }
-
-    /// Non-mutating presence probe of the line containing `addr`: no
-    /// fill, no promotion, no statistics.
-    #[inline]
-    pub fn peek(&self, addr: u64) -> bool {
-        self.peek_line(self.line_div.div(addr))
-    }
-
-    /// Non-mutating presence probe by line index (see [`Cache::peek`]).
-    #[inline]
-    pub fn peek_line(&self, line: u64) -> bool {
-        let ways = self.config.ways;
-        let set = self.set_div.rem(line) as usize;
-        let base = set * ways;
-        let n = self.len[set] as usize;
-        self.tags[base..base + n].contains(&line)
-    }
-
-    /// Invalidates the line containing `addr` if present (used by streaming
-    /// writes that bypass the cache, so later reads see fresh data).
-    /// Returns `true` if a line was dropped.
-    pub fn invalidate(&mut self, addr: u64) -> bool {
-        self.invalidate_line(self.line_div.div(addr))
-    }
-
-    /// Invalidates a line by index (the span fast path already has the
-    /// line number; see [`Cache::access_line`]).
-    #[inline]
-    pub fn invalidate_line(&mut self, line: u64) -> bool {
-        let ways = self.config.ways;
-        let set = self.set_div.rem(line) as usize;
-        let base = set * ways;
-        let n = self.len[set] as usize;
-        let set_tags = &mut self.tags[base..base + ways];
-        match set_tags[..n].iter().position(|&t| t == line) {
-            Some(w) => {
-                set_tags.copy_within(w + 1..n, w);
-                self.len[set] = (n - 1) as u8;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Invalidates `lines` consecutive lines starting at `first_line`
-    /// (the streaming-write line-run replay), walking the consecutive
-    /// sets incrementally. Identical state to calling
+    /// Walks the consecutive sets incrementally; identical state to
     /// [`Cache::invalidate_line`] per line in ascending order.
-    pub(crate) fn invalidate_run(&mut self, first_line: u64, lines: u64) {
+    fn invalidate_run(&mut self, first_line: u64, lines: u64) {
         let ways = self.config.ways;
         let nsets = self.len.len();
         let mut set = self.set_div.rem(first_line) as usize;
@@ -618,17 +698,13 @@ impl Cache {
             }
         }
     }
-
-    /// Invalidates all lines, keeping the statistics.
-    pub fn flush(&mut self) {
-        self.len.fill(0);
-    }
 }
 
 /// The original recency-list cache: per set, a `Vec` of line tags kept in
 /// recency order (index 0 = MRU), with `remove`/`insert` on every
 /// promotion. Behaviourally identical to [`Cache`] — kept as the
-/// executable reference.
+/// executable reference. It implements only the per-line primitives, so
+/// its run replays are [`CacheModel`]'s per-line defaults.
 #[derive(Debug, Clone)]
 pub struct ListCache {
     config: CacheConfig,
@@ -638,13 +714,8 @@ pub struct ListCache {
     bip_counter: u64,
 }
 
-impl ListCache {
-    /// Creates an empty cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry is degenerate (see [`CacheConfig::sets`]).
-    pub fn new(config: CacheConfig) -> Self {
+impl CacheModel for ListCache {
+    fn new(config: CacheConfig) -> Self {
         let sets = config.sets();
         ListCache {
             config,
@@ -655,25 +726,16 @@ impl ListCache {
         }
     }
 
-    /// Geometry.
-    pub fn config(&self) -> CacheConfig {
+    fn config(&self) -> CacheConfig {
         self.config
     }
 
-    /// Counters so far.
-    pub fn stats(&self) -> CacheStats {
+    fn stats(&self) -> CacheStats {
         self.stats
     }
 
-    /// Probes the line containing `addr`; fills on miss, evicting per the
-    /// configured policy. Returns `true` on hit.
-    pub fn access(&mut self, addr: u64) -> bool {
-        self.access_observed(addr, &mut ())
-    }
-
-    /// [`ListCache::access`] reporting the fill and the popped (evicted)
-    /// tag to `sink` (see [`Cache::probe_run_observed`]).
-    pub(crate) fn access_observed(&mut self, addr: u64, sink: &mut impl ResidencySink) -> bool {
+    /// Reports the fill and the popped (evicted) tag to `sink`.
+    fn access_observed<S: ResidencySink>(&mut self, addr: u64, sink: &mut S) -> bool {
         let line = addr / self.config.line_bytes;
         let set = (line % self.sets as u64) as usize;
         let policy = self.config.policy;
@@ -711,34 +773,12 @@ impl ListCache {
         }
     }
 
-    /// Books `n` additional hits without touching contents (see
-    /// [`Cache::count_repeat_hits`] — both engines account seams
-    /// identically).
-    #[inline]
-    pub fn count_repeat_hits(&mut self, n: u64) {
-        self.stats.hits += n;
-    }
-
-    /// Valid lines currently held.
-    pub fn occupancy(&self) -> u64 {
-        self.lines.iter().map(|set| set.len() as u64).sum()
-    }
-
-    /// Non-mutating presence probe of the line containing `addr` (see
-    /// [`Cache::peek`] — both engines answer identically).
-    pub fn peek(&self, addr: u64) -> bool {
-        self.peek_line(addr / self.config.line_bytes)
-    }
-
-    /// Non-mutating presence probe by line index.
-    pub fn peek_line(&self, line: u64) -> bool {
+    fn peek_line(&self, line: u64) -> bool {
         let set = (line % self.sets as u64) as usize;
         self.lines[set].contains(&line)
     }
 
-    /// Invalidates the line containing `addr` if present. Returns `true`
-    /// if a line was dropped.
-    pub fn invalidate(&mut self, addr: u64) -> bool {
+    fn invalidate(&mut self, addr: u64) -> bool {
         let line = addr / self.config.line_bytes;
         let set = (line % self.sets as u64) as usize;
         let ways = &mut self.lines[set];
@@ -750,11 +790,19 @@ impl ListCache {
         }
     }
 
-    /// Invalidates all lines, keeping the statistics.
-    pub fn flush(&mut self) {
+    fn count_repeat_hits(&mut self, n: u64) {
+        self.stats.hits += n;
+    }
+
+    fn occupancy(&self) -> u64 {
+        self.lines.iter().map(|set| set.len() as u64).sum()
+    }
+
+    fn flush(&mut self) {
         for set in &mut self.lines {
             set.clear();
         }
+        self.bip_counter = 0;
     }
 }
 

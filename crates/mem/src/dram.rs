@@ -380,11 +380,11 @@ impl Dram {
         }
     }
 
-    /// The original burst-service routine, kept verbatim as the DRAM path
-    /// of the [`crate::CacheEngine::List`] reference engine: every address
-    /// split re-derives its divisors and `burst_cycles` re-divides on each
-    /// call. Produces bit-identical state and statistics to
-    /// [`Dram::access`].
+    /// The original burst-service routine, kept verbatim as the test
+    /// oracle of [`Dram::access`]: every address split re-derives its
+    /// divisors and `burst_cycles` re-divides on each call. Produces
+    /// bit-identical latencies, state and statistics to [`Dram::access`]
+    /// (`tests/proptest_lineruns.rs` checks it on both address mappings).
     pub fn access_reference(&mut self, addr: u64, is_write: bool) -> f64 {
         let burst = addr / self.config.burst_bytes;
         let bursts_per_row = (self.config.row_bytes / self.config.burst_bytes).max(1);

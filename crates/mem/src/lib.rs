@@ -4,7 +4,9 @@
 //! front of an HBM2 memory modelled with DRAMsim3 (Table III). This crate
 //! re-implements that stack:
 //!
-//! * [`Cache`] — set-associative, LRU, line-granular,
+//! * [`Cache`] — set-associative, LRU, line-granular; the hierarchy is
+//!   generic over [`CacheModel`], whose reference model [`ListCache`]
+//!   the equivalence tests run in its place,
 //! * [`Dram`] — HBM1/HBM2 channel/bank/row-buffer model with 64 B bursts,
 //! * [`MemorySystem`] — the cache + DRAM front-end the accelerator models
 //!   drive, with per-traffic-class accounting (topology / feature input /
@@ -20,7 +22,7 @@
 //! ```
 //! use sgcn_mem::{CacheConfig, DramConfig, MemorySystem, Traffic};
 //!
-//! let mut mem = MemorySystem::new(CacheConfig::default(), DramConfig::hbm2());
+//! let mut mem: MemorySystem = MemorySystem::new(CacheConfig::default(), DramConfig::hbm2());
 //! mem.read(0x0, 256, Traffic::FeatureRead);
 //! mem.read(0x0, 256, Traffic::FeatureRead); // hits in cache
 //! let r = mem.report();
@@ -37,7 +39,9 @@ pub mod energy;
 mod fastdiv;
 pub mod system;
 
-pub use cache::{Cache, CacheConfig, CacheEngine, CacheStats, ListCache, ReplacementPolicy};
+pub use cache::{
+    Cache, CacheConfig, CacheModel, CacheStats, ListCache, ReplacementPolicy, ResidencySink,
+};
 pub use dram::{AddressMapping, Dram, DramConfig, DramStats, HbmGeneration};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use system::{MemReport, MemorySystem, RowCache, SpanCounts, Traffic, TrafficStats};

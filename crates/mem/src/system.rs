@@ -26,7 +26,7 @@
 //! engine's warm cache, read a whole feature row at a time, with
 //! optional per-row residency counters.
 
-use crate::cache::{Cache, CacheConfig, CacheEngine, CacheStats, ListCache, ResidencySink};
+use crate::cache::{Cache, CacheConfig, CacheModel, CacheStats, ResidencySink};
 use crate::dram::{Dram, DramConfig, DramStats};
 use crate::fastdiv::FastDiv;
 use sgcn_formats::LineRun;
@@ -155,60 +155,15 @@ impl MemReport {
     }
 }
 
-/// Either cache implementation behind one probe interface (both produce
-/// bit-identical statistics; see [`CacheEngine`]).
-#[derive(Debug, Clone)]
-enum CacheImpl {
-    Flat(Cache),
-    List(ListCache),
-}
-
-impl CacheImpl {
-    fn new(config: CacheConfig, engine: CacheEngine) -> Self {
-        match engine {
-            CacheEngine::Flat => CacheImpl::Flat(Cache::new(config)),
-            CacheEngine::List => CacheImpl::List(ListCache::new(config)),
-        }
-    }
-
-    fn flush(&mut self) {
-        match self {
-            CacheImpl::Flat(c) => c.flush(),
-            CacheImpl::List(c) => c.flush(),
-        }
-    }
-
-    fn stats(&self) -> CacheStats {
-        match self {
-            CacheImpl::Flat(c) => c.stats(),
-            CacheImpl::List(c) => c.stats(),
-        }
-    }
-
-    fn peek_line(&self, line: u64) -> bool {
-        match self {
-            CacheImpl::Flat(c) => c.peek_line(line),
-            CacheImpl::List(c) => c.peek_line(line),
-        }
-    }
-
-    /// How many of lines `first..=last` a read would hit right now (see
-    /// [`MemorySystem::peek_span`]).
-    fn peek_lines(&self, first: u64, last: u64) -> SpanCounts {
-        let lines = last - first + 1;
-        let hits = (first..=last).filter(|&line| self.peek_line(line)).count() as u64;
-        SpanCounts {
-            lines,
-            hits,
-            misses: lines - hits,
-        }
-    }
-
-    fn occupancy(&self) -> u64 {
-        match self {
-            CacheImpl::Flat(c) => c.occupancy(),
-            CacheImpl::List(c) => c.occupancy(),
-        }
+/// How many of lines `first..=last` a read of `cache` would hit right
+/// now: one set scan per line, no fill, no promotion.
+fn peek_lines<C: CacheModel>(cache: &C, first: u64, last: u64) -> SpanCounts {
+    let lines = last - first + 1;
+    let hits = (first..=last).filter(|&line| cache.peek_line(line)).count() as u64;
+    SpanCounts {
+        lines,
+        hits,
+        misses: lines - hits,
     }
 }
 
@@ -314,18 +269,16 @@ impl LineBursts {
             is_write,
         );
     }
-
-    /// The burst addresses of one line, ascending.
-    #[inline]
-    fn addrs(self, line: u64) -> impl Iterator<Item = u64> {
-        (0..self.per_line).map(move |b| line * self.line_bytes + b * self.stride)
-    }
 }
 
 /// The memory hierarchy: global cache in front of HBM.
+///
+/// Generic over the cache model: production code uses the default
+/// [`Cache`]; the equivalence tests run the same hierarchy on
+/// [`crate::ListCache`].
 #[derive(Debug, Clone)]
-pub struct MemorySystem {
-    cache: CacheImpl,
+pub struct MemorySystem<C: CacheModel = Cache> {
+    cache: C,
     dram: Dram,
     per_class: [TrafficStats; 5],
     line_bytes: u64,
@@ -336,26 +289,17 @@ pub struct MemorySystem {
     line_div: FastDiv,
 }
 
-impl MemorySystem {
-    /// Builds the hierarchy on the flat cache engine ([`CacheEngine::Flat`]).
-    pub fn new(cache_config: CacheConfig, dram_config: DramConfig) -> Self {
-        Self::with_engine(cache_config, dram_config, CacheEngine::Flat)
-    }
-
-    /// Builds the hierarchy with an explicit cache engine.
+impl<C: CacheModel> MemorySystem<C> {
+    /// Builds the hierarchy.
     ///
     /// # Panics
     ///
     /// Panics if the cache or DRAM geometry is degenerate, or if a line
     /// larger than a DRAM burst is not a whole number of bursts.
-    pub fn with_engine(
-        cache_config: CacheConfig,
-        dram_config: DramConfig,
-        engine: CacheEngine,
-    ) -> Self {
+    pub fn new(cache_config: CacheConfig, dram_config: DramConfig) -> Self {
         let line_bytes = cache_config.line_bytes;
         MemorySystem {
-            cache: CacheImpl::new(cache_config, engine),
+            cache: C::new(cache_config),
             dram: Dram::new(dram_config),
             per_class: [TrafficStats::default(); 5],
             line_bytes,
@@ -425,46 +369,17 @@ impl MemorySystem {
         seam_hits: u64,
         kind: Traffic,
     ) -> SpanCounts {
-        let mut hits;
-        // One engine dispatch per run, not per line. The List arm is the
-        // preserved seed path: per-line class bookkeeping and the
-        // division-heavy DRAM reference routine.
-        match &mut self.cache {
-            CacheImpl::Flat(c) => {
-                let line_bytes = self.line_bytes;
-                let bursts = self.bursts;
-                let dram = &mut self.dram;
-                hits = c.probe_run_observed(
-                    first,
-                    lines,
-                    |miss_first, miss_count| bursts.run(dram, miss_first, miss_count, false),
-                    &mut (),
-                );
-                c.count_repeat_hits(seam_hits);
-                let stats = &mut self.per_class[kind.index()];
-                stats.requests += spans;
-                stats.bytes_requested += (lines + seam_hits) * line_bytes;
-                stats.dram_bytes += (lines - hits) * line_bytes;
-            }
-            CacheImpl::List(c) => {
-                hits = 0;
-                self.per_class[kind.index()].requests += spans;
-                for line in first..first + lines {
-                    let line_addr = line * self.line_bytes;
-                    self.per_class[kind.index()].bytes_requested += self.line_bytes;
-                    if c.access(line_addr) {
-                        hits += 1;
-                    } else {
-                        for addr in self.bursts.addrs(line) {
-                            self.dram.access_reference(addr, false);
-                        }
-                        self.per_class[kind.index()].dram_bytes += self.line_bytes;
-                    }
-                }
-                c.count_repeat_hits(seam_hits);
-                self.per_class[kind.index()].bytes_requested += seam_hits * self.line_bytes;
-            }
-        }
+        let (bursts, dram) = (self.bursts, &mut self.dram);
+        let hits = self
+            .cache
+            .probe_run(first, lines, |miss_first, miss_count| {
+                bursts.run(dram, miss_first, miss_count, false)
+            });
+        self.cache.count_repeat_hits(seam_hits);
+        let stats = &mut self.per_class[kind.index()];
+        stats.requests += spans;
+        stats.bytes_requested += (lines + seam_hits) * self.line_bytes;
+        stats.dram_bytes += (lines - hits) * self.line_bytes;
         let misses = lines - hits;
         SpanCounts {
             lines: lines + seam_hits,
@@ -485,7 +400,7 @@ impl MemorySystem {
             return SpanCounts::default();
         }
         let (first, last) = self.line_range(addr, bytes);
-        self.cache.peek_lines(first, last)
+        peek_lines(&self.cache, first, last)
     }
 
     /// Reads a span bypassing the cache — streaming accesses (e.g.
@@ -497,24 +412,6 @@ impl MemorySystem {
         }
         let (first, last) = self.line_range(addr, bytes);
         let lines = last - first + 1;
-        if matches!(self.cache, CacheImpl::List(_)) {
-            // Preserved seed path (per-line bookkeeping, reference DRAM).
-            let stats = &mut self.per_class[kind.index()];
-            stats.requests += 1;
-            for line in first..=last {
-                for addr in self.bursts.addrs(line) {
-                    self.dram.access_reference(addr, false);
-                }
-                let s = &mut self.per_class[kind.index()];
-                s.bytes_requested += self.line_bytes;
-                s.dram_bytes += self.line_bytes;
-            }
-            return SpanCounts {
-                lines,
-                hits: 0,
-                misses: lines,
-            };
-        }
         self.bursts.run(&mut self.dram, first, lines, false);
         let stats = &mut self.per_class[kind.index()];
         stats.requests += 1;
@@ -580,30 +477,12 @@ impl MemorySystem {
         spans: u64,
         kind: Traffic,
     ) -> SpanCounts {
-        match &mut self.cache {
-            CacheImpl::Flat(c) => {
-                c.invalidate_run(first, lines);
-                self.bursts.run(&mut self.dram, first, lines, true);
-                let stats = &mut self.per_class[kind.index()];
-                stats.requests += spans;
-                stats.bytes_requested += lines * self.line_bytes;
-                stats.dram_bytes += lines * self.line_bytes;
-            }
-            CacheImpl::List(c) => {
-                // Preserved seed path.
-                self.per_class[kind.index()].requests += spans;
-                for line in first..first + lines {
-                    let line_addr = line * self.line_bytes;
-                    c.invalidate(line_addr);
-                    for addr in self.bursts.addrs(line) {
-                        self.dram.access_reference(addr, true);
-                    }
-                    let s = &mut self.per_class[kind.index()];
-                    s.bytes_requested += self.line_bytes;
-                    s.dram_bytes += self.line_bytes;
-                }
-            }
-        }
+        self.cache.invalidate_run(first, lines);
+        self.bursts.run(&mut self.dram, first, lines, true);
+        let stats = &mut self.per_class[kind.index()];
+        stats.requests += spans;
+        stats.bytes_requested += lines * self.line_bytes;
+        stats.dram_bytes += lines * self.line_bytes;
         SpanCounts {
             lines,
             hits: 0,
@@ -615,74 +494,6 @@ impl MemorySystem {
     /// invalidating any stale cached lines.
     pub fn write(&mut self, addr: u64, bytes: u64, kind: Traffic) {
         self.write_span(addr, bytes, kind);
-    }
-
-    /// Read-modify-write of a span through the cache — accumulation
-    /// buffers (partial sums). Hits stay on chip; a miss fetches the line
-    /// and charges the eventual dirty write-back.
-    pub fn read_modify_write_span(&mut self, addr: u64, bytes: u64, kind: Traffic) -> SpanCounts {
-        if bytes == 0 {
-            return SpanCounts::default();
-        }
-        let (first, last) = self.line_range(addr, bytes);
-        let lines = last - first + 1;
-        let mut hits = 0u64;
-        match &mut self.cache {
-            CacheImpl::Flat(c) => {
-                let bursts = self.bursts;
-                let dram = &mut self.dram;
-                hits = c.probe_run_observed(
-                    first,
-                    lines,
-                    |miss_first, miss_count| {
-                        for line in miss_first..miss_first + miss_count {
-                            for addr in bursts.addrs(line) {
-                                dram.access(addr, false);
-                                dram.access(addr, true); // dirty write-back
-                            }
-                        }
-                    },
-                    &mut (),
-                );
-            }
-            CacheImpl::List(c) => {
-                // Preserved seed path.
-                self.per_class[kind.index()].requests += 1;
-                for line in first..=last {
-                    let line_addr = line * self.line_bytes;
-                    self.per_class[kind.index()].bytes_requested += self.line_bytes;
-                    if c.access(line_addr) {
-                        hits += 1;
-                    } else {
-                        for addr in self.bursts.addrs(line) {
-                            self.dram.access_reference(addr, false);
-                            self.dram.access_reference(addr, true); // dirty write-back
-                        }
-                        self.per_class[kind.index()].dram_bytes += 2 * self.line_bytes;
-                    }
-                }
-                return SpanCounts {
-                    lines,
-                    hits,
-                    misses: lines - hits,
-                };
-            }
-        }
-        let misses = lines - hits;
-        let stats = &mut self.per_class[kind.index()];
-        stats.requests += 1;
-        stats.bytes_requested += lines * self.line_bytes;
-        stats.dram_bytes += 2 * misses * self.line_bytes;
-        SpanCounts {
-            lines,
-            hits,
-            misses,
-        }
-    }
-
-    /// Read-modify-write of `bytes` at `addr` through the cache.
-    pub fn read_modify_write(&mut self, addr: u64, bytes: u64, kind: Traffic) {
-        self.read_modify_write_span(addr, bytes, kind);
     }
 
     /// The DRAM device, read-only: its `Debug` rendering carries every
@@ -697,11 +508,6 @@ impl MemorySystem {
         self.dram.elapsed_cycles()
     }
 
-    /// Achieved DRAM bandwidth utilization over `elapsed` cycles.
-    pub fn bandwidth_utilization(&self, elapsed: u64) -> f64 {
-        self.dram.bandwidth_utilization(elapsed)
-    }
-
     /// Counters snapshot.
     pub fn report(&self) -> MemReport {
         MemReport {
@@ -713,9 +519,10 @@ impl MemorySystem {
 }
 
 /// A global cache with no memory behind it: the hierarchy a serving
-/// engine keeps warm across requests. Reads probe the Flat or List cache
-/// engine exactly as [`MemorySystem::access_lines`] does, so contents,
-/// hits and evictions match it line for line, but a miss walks no DRAM
+/// engine keeps warm across requests. Reads probe the cache model
+/// exactly as [`MemorySystem::access_lines`] does on the same model, so
+/// contents, hits and evictions match it line for line (the
+/// `proptest_row_cache` oracle test checks it), but a miss walks no DRAM
 /// and books no per-class traffic — an engine prices its warm hits at
 /// its class's effective bandwidth and never reads the device.
 ///
@@ -723,8 +530,8 @@ impl MemorySystem {
 /// "how many lines of this feature row are resident" into one array
 /// read, which is what cache-affinity routing scores engines by.
 #[derive(Debug, Clone)]
-pub struct RowCache {
-    cache: CacheImpl,
+pub struct RowCache<C: CacheModel = Cache> {
+    cache: C,
     /// Line-byte divider (its divisor is the line size).
     line_div: FastDiv,
     /// Opt-in row-residency counters; `None` keeps every read
@@ -732,15 +539,15 @@ pub struct RowCache {
     rows: Option<RowResidency>,
 }
 
-impl RowCache {
-    /// An empty cache on the given engine.
+impl<C: CacheModel> RowCache<C> {
+    /// An empty cache.
     ///
     /// # Panics
     ///
     /// Panics if the cache geometry is degenerate.
-    pub fn new(config: CacheConfig, engine: CacheEngine) -> Self {
+    pub fn new(config: CacheConfig) -> Self {
         RowCache {
-            cache: CacheImpl::new(config, engine),
+            cache: C::new(config),
             line_div: FastDiv::new(config.line_bytes),
             rows: None,
         }
@@ -801,13 +608,9 @@ impl RowCache {
     /// Returns the run's hits and misses.
     #[inline]
     pub fn read_lines(&mut self, first_line: u64, lines: u64) -> SpanCounts {
-        let (line_bytes, rows) = (self.line_bytes(), &mut self.rows);
-        let hits = match &mut self.cache {
-            CacheImpl::Flat(c) => c.probe_run_observed(first_line, lines, |_, _| {}, rows),
-            CacheImpl::List(c) => (first_line..first_line + lines)
-                .filter(|&line| c.access_observed(line * line_bytes, rows))
-                .count() as u64,
-        };
+        let hits = self
+            .cache
+            .probe_run_observed(first_line, lines, |_, _| {}, &mut self.rows);
         SpanCounts {
             lines,
             hits,
@@ -825,14 +628,14 @@ impl RowCache {
             return SpanCounts::default();
         }
         let (first, last) = (self.line_div.div(addr), self.line_div.div(addr + bytes - 1));
-        self.cache.peek_lines(first, last)
+        peek_lines(&self.cache, first, last)
     }
 
     /// Power-cycle flush — the failure-drill hook: an engine recovering
     /// from a crash (or spun up by an autoscaler) comes back *cold*,
     /// holding no lines, with every row counter at zero, so the first
-    /// requests it serves honestly pay the warm-up again. BIP's
-    /// insertion counter keeps ticking across the flush.
+    /// requests it serves honestly pay the warm-up again. It then
+    /// replays any trace exactly like a fresh cache.
     pub fn flush(&mut self) {
         self.cache.flush();
         if let Some(rows) = &mut self.rows {
@@ -844,13 +647,10 @@ impl RowCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::ListCache;
 
     fn sys() -> MemorySystem {
-        MemorySystem::with_engine(
-            CacheConfig::default(),
-            DramConfig::hbm2(),
-            CacheEngine::Flat,
-        )
+        MemorySystem::new(CacheConfig::default(), DramConfig::hbm2())
     }
 
     #[test]
@@ -955,14 +755,6 @@ mod tests {
                 misses: 2
             }
         );
-        let rmw = m.read_modify_write_span(0, 256, Traffic::PartialSum);
-        assert_eq!(rmw.lines, 4);
-        assert_eq!(rmw.hits, 2, "two lines were invalidated by the write");
-        // RMW misses charge fetch + write-back.
-        assert_eq!(
-            m.report().traffic(Traffic::PartialSum).dram_bytes,
-            2 * 2 * 64
-        );
     }
 
     #[test]
@@ -1000,53 +792,52 @@ mod tests {
     }
 
     /// A 4-set × 2-way cache of 64 B lines.
-    fn small_rows(engine: CacheEngine) -> RowCache {
-        RowCache::new(
-            CacheConfig {
-                capacity_bytes: 512,
-                ways: 2,
-                line_bytes: 64,
-                ..CacheConfig::default()
-            },
-            engine,
-        )
+    fn small_rows<C: CacheModel>() -> RowCache<C> {
+        RowCache::new(CacheConfig {
+            capacity_bytes: 512,
+            ways: 2,
+            line_bytes: 64,
+            ..CacheConfig::default()
+        })
+    }
+
+    fn row_counters_follow<C: CacheModel>() {
+        // Rows of 2 lines, so rows 0 and 2 share sets 0–1 and row 4
+        // evicts the older of them.
+        let mut m = small_rows::<C>();
+        m.track_rows(2);
+        assert!(m.tracks_rows());
+        assert_eq!(m.resident_lines(7), 0, "untouched row");
+        m.read_lines(0, 2); // row 0
+        m.read_lines(8, 2); // row 4
+        assert_eq!((m.resident_lines(0), m.resident_lines(4)), (2, 2));
+        m.read_lines(16, 2); // row 8 evicts row 0
+        assert_eq!(
+            (
+                m.resident_lines(0),
+                m.resident_lines(4),
+                m.resident_lines(8)
+            ),
+            (0, 2, 2)
+        );
+        m.flush();
+        assert_eq!(m.resident_lines(8), 0);
+        m.read_lines(0, 1);
+        assert_eq!(m.resident_lines(0), 1);
+        m.flush();
+        assert_eq!(m.resident_lines(0), 0);
     }
 
     #[test]
     fn row_counters_follow_fills_evictions_and_flushes() {
-        for engine in [CacheEngine::Flat, CacheEngine::List] {
-            // Rows of 2 lines, so rows 0 and 2 share sets 0–1 and row 4
-            // evicts the older of them.
-            let mut m = small_rows(engine);
-            m.track_rows(2);
-            assert!(m.tracks_rows());
-            assert_eq!(m.resident_lines(7), 0, "{engine:?}: untouched row");
-            m.read_lines(0, 2); // row 0
-            m.read_lines(8, 2); // row 4
-            assert_eq!((m.resident_lines(0), m.resident_lines(4)), (2, 2));
-            m.read_lines(16, 2); // row 8 evicts row 0
-            assert_eq!(
-                (
-                    m.resident_lines(0),
-                    m.resident_lines(4),
-                    m.resident_lines(8)
-                ),
-                (0, 2, 2),
-                "{engine:?}"
-            );
-            m.flush();
-            assert_eq!(m.resident_lines(8), 0, "{engine:?}");
-            m.read_lines(0, 1);
-            assert_eq!(m.resident_lines(0), 1, "{engine:?}");
-            m.flush();
-            assert_eq!(m.resident_lines(0), 0, "{engine:?}");
-        }
+        row_counters_follow::<Cache>();
+        row_counters_follow::<ListCache>();
     }
 
     #[test]
     #[should_panic(expected = "cold cache")]
     fn row_tracking_arms_only_on_a_cold_cache() {
-        let mut m = small_rows(CacheEngine::Flat);
+        let mut m = small_rows::<Cache>();
         m.read_lines(0, 1);
         m.track_rows(1);
     }
@@ -1054,21 +845,40 @@ mod tests {
     #[test]
     #[should_panic(expected = "row tracking is armed")]
     fn resident_lines_needs_armed_tracking() {
-        let _ = small_rows(CacheEngine::Flat).resident_lines(0);
+        let _ = small_rows::<Cache>().resident_lines(0);
+    }
+
+    fn flush_drops_contents<C: CacheModel>() {
+        let mut m = RowCache::<C>::new(CacheConfig::default());
+        m.read_lines(0, 4);
+        assert_eq!(m.peek_span(0, 256).hits, 4, "lines resident");
+        m.flush();
+        assert_eq!(m.peek_span(0, 256).hits, 0, "contents gone");
+        // The re-read pays cold misses again.
+        let cold = m.read_lines(0, 4);
+        assert_eq!(cold.hits, 0);
     }
 
     #[test]
     fn flush_drops_contents_on_both_engines() {
-        for engine in [CacheEngine::Flat, CacheEngine::List] {
-            let mut m = RowCache::new(CacheConfig::default(), engine);
-            m.read_lines(0, 4);
-            assert_eq!(m.peek_span(0, 256).hits, 4, "{engine:?}: lines resident");
-            m.flush();
-            assert_eq!(m.peek_span(0, 256).hits, 0, "{engine:?}: contents gone");
-            // The re-read pays cold misses again.
-            let cold = m.read_lines(0, 4);
-            assert_eq!(cold.hits, 0, "{engine:?}");
+        flush_drops_contents::<Cache>();
+        flush_drops_contents::<ListCache>();
+    }
+
+    fn flush_matches_fresh<C: CacheModel>() {
+        let mut recovered = RowCache::<C>::new(CacheConfig::default());
+        recovered.track_rows(4);
+        recovered.read_lines(0, 64);
+        recovered.flush();
+        let mut fresh = RowCache::<C>::new(CacheConfig::default());
+        fresh.track_rows(4);
+        for _ in 0..2 {
+            assert_eq!(recovered.read_lines(2, 11), fresh.read_lines(2, 11));
         }
+        for row in 0..16 {
+            assert_eq!(recovered.resident_lines(row), fresh.resident_lines(row));
+        }
+        assert_eq!(recovered.peek_span(0, 4096), fresh.peek_span(0, 4096));
     }
 
     #[test]
@@ -1076,21 +886,8 @@ mod tests {
         // A recovered engine must be indistinguishable from a brand-new
         // one: replaying the same trace on both yields identical counts
         // and residency — the honesty guarantee failure drills rest on.
-        for engine in [CacheEngine::Flat, CacheEngine::List] {
-            let mut recovered = RowCache::new(CacheConfig::default(), engine);
-            recovered.track_rows(4);
-            recovered.read_lines(0, 64);
-            recovered.flush();
-            let mut fresh = RowCache::new(CacheConfig::default(), engine);
-            fresh.track_rows(4);
-            for _ in 0..2 {
-                assert_eq!(recovered.read_lines(2, 11), fresh.read_lines(2, 11));
-            }
-            for row in 0..16 {
-                assert_eq!(recovered.resident_lines(row), fresh.resident_lines(row));
-            }
-            assert_eq!(recovered.peek_span(0, 4096), fresh.peek_span(0, 4096));
-        }
+        flush_matches_fresh::<Cache>();
+        flush_matches_fresh::<ListCache>();
     }
 
     #[test]
@@ -1199,67 +996,61 @@ mod tests {
         assert_eq!(by_span.report(), by_run.report());
     }
 
+    fn multi_burst_lines<C: CacheModel>() {
+        let mut m = MemorySystem::<C>::new(
+            CacheConfig {
+                line_bytes: 128,
+                ..CacheConfig::default()
+            },
+            DramConfig::hbm2(),
+        );
+        m.read(0, 1000, Traffic::FeatureRead); // 8 missed lines
+        m.read(0, 1000, Traffic::FeatureRead); // all hits
+        m.read_uncached(1 << 20, 256, Traffic::Topology); // 2 lines
+        m.write(2 << 20, 384, Traffic::FeatureWrite); // 3 lines
+        let r = m.report();
+        assert_eq!(r.cache.misses, 8);
+        assert_eq!(r.dram.read_bursts, 2 * (8 + 2));
+        assert_eq!(r.dram.write_bursts, 2 * 3);
+        let per_class: u64 = r.per_class.iter().map(|t| t.dram_bytes).sum();
+        assert_eq!(r.dram_total_bytes(), per_class);
+    }
+
     #[test]
     fn multi_burst_lines_move_every_burst() {
         // 128 B lines over 64 B bursts: each missed or streamed line is
         // two DRAM bursts, so the DRAM byte totals equal the per-class
         // ones on every path.
-        for engine in [CacheEngine::Flat, CacheEngine::List] {
-            let mut m = MemorySystem::with_engine(
-                CacheConfig {
-                    line_bytes: 128,
-                    ..CacheConfig::default()
-                },
-                DramConfig::hbm2(),
-                engine,
-            );
-            m.read(0, 1000, Traffic::FeatureRead); // 8 missed lines
-            m.read(0, 1000, Traffic::FeatureRead); // all hits
-            m.read_uncached(1 << 20, 256, Traffic::Topology); // 2 lines
-            m.write(2 << 20, 384, Traffic::FeatureWrite); // 3 lines
-            m.read_modify_write(3 << 20, 128, Traffic::PartialSum); // 1 miss
-            let r = m.report();
-            assert_eq!(r.cache.misses, 8 + 1, "{engine:?}");
-            assert_eq!(r.dram.read_bursts, 2 * (8 + 2 + 1), "{engine:?}");
-            assert_eq!(r.dram.write_bursts, 2 * (3 + 1), "{engine:?}");
-            let per_class: u64 = r.per_class.iter().map(|t| t.dram_bytes).sum();
-            assert_eq!(r.dram_total_bytes(), per_class, "{engine:?}");
-        }
+        multi_burst_lines::<Cache>();
+        multi_burst_lines::<ListCache>();
     }
 
     #[test]
     #[should_panic(expected = "whole number")]
     fn lines_must_be_whole_bursts() {
-        MemorySystem::with_engine(
+        MemorySystem::<Cache>::new(
             CacheConfig {
                 capacity_bytes: 96 * 16 * 4,
                 line_bytes: 96,
                 ..CacheConfig::default()
             },
             DramConfig::hbm2(),
-            CacheEngine::Flat,
         );
     }
 
     #[test]
     fn engines_report_identical_counters() {
-        let mut flat = MemorySystem::with_engine(
-            CacheConfig::default(),
-            DramConfig::hbm2(),
-            CacheEngine::Flat,
-        );
-        let mut list = MemorySystem::with_engine(
-            CacheConfig::default(),
-            DramConfig::hbm2(),
-            CacheEngine::List,
-        );
-        for m in [&mut flat, &mut list] {
+        fn drive<C: CacheModel>() -> MemorySystem<C> {
+            let mut m = MemorySystem::<C>::new(CacheConfig::default(), DramConfig::hbm2());
             m.read(0, 300, Traffic::FeatureRead);
             m.read(128, 64, Traffic::FeatureRead);
             m.write(64, 256, Traffic::FeatureWrite);
-            m.read_modify_write(0, 512, Traffic::PartialSum);
+            m.read(0, 512, Traffic::PartialSum);
             m.read_uncached(4096, 128, Traffic::Topology);
+            m
         }
+        let (flat, list) = (drive::<Cache>(), drive::<ListCache>());
         assert_eq!(flat.report(), list.report());
+        assert_eq!(format!("{:?}", flat.dram()), format!("{:?}", list.dram()));
     }
 }

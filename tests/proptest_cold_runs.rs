@@ -1,13 +1,13 @@
 //! Property tests for the cold-run replay in `Cache::probe_run`: a run
 //! that covers every set, under LRU or FIFO, unobserved, with none of
 //! its lines resident, is written per set in closed form instead of
-//! probed per line. The flat engine must still replay every run exactly
-//! like the per-line `List` reference, so these traces aim long read
+//! probed per line. `Cache` must still replay every run exactly like
+//! the per-line `ListCache` reference, so these traces aim long read
 //! runs (at least one line per set, up to four times the capacity) at a
 //! random start set — the simulator's weight regions always start at
 //! set 0, so only this test exercises the wrap — about half of them
 //! overlapping lines left resident by the previous run, interleaved
-//! with streaming writes and read-modify-writes. They run on a 16-set ×
+//! with streaming writes and further long reads. They run on a 16-set ×
 //! 4-way cache and a 1-set cache, under LRU, FIFO and BIP, on the
 //! simulator's `MemorySystem` and on a serving engine's `RowCache` with
 //! and without row tracking (BIP and tracked caches take the per-line
@@ -25,7 +25,8 @@
 use proptest::prelude::*;
 use sgcn_formats::LineRun;
 use sgcn_mem::{
-    Cache, CacheConfig, CacheEngine, DramConfig, MemorySystem, ReplacementPolicy, RowCache, Traffic,
+    Cache, CacheConfig, CacheModel, DramConfig, ListCache, MemorySystem, ReplacementPolicy,
+    RowCache, Traffic,
 };
 
 const LINE: u64 = 64;
@@ -62,7 +63,7 @@ struct Case {
 
 fn case() -> impl Strategy<Value = Case> {
     (
-        proptest::collection::vec((0u32..3, 0u64..1 << 20, 0u64..1 << 20), 0..40),
+        proptest::collection::vec((0u32..2, 0u64..1 << 20, 0u64..1 << 20), 0..40),
         proptest::collection::vec(
             (
                 proptest::bool::ANY,
@@ -117,7 +118,7 @@ fn place(sets: u64, end: u64, overlap: bool, pos: u64, len: u64) -> (u64, u64) {
 /// Asserts `flat` and `list` agree on everything a caller can observe
 /// without probing: counters, the DRAM device bit for bit and per-line
 /// residency over `lines` lines.
-fn assert_same(flat: &MemorySystem, list: &MemorySystem, lines: u64, what: &str) {
+fn assert_same(flat: &MemorySystem, list: &MemorySystem<ListCache>, lines: u64, what: &str) {
     assert_eq!(flat.report(), list.report(), "{what}: report");
     assert_eq!(
         format!("{:?}", flat.dram()),
@@ -133,30 +134,58 @@ fn assert_same(flat: &MemorySystem, list: &MemorySystem, lines: u64, what: &str)
     }
 }
 
-/// Replays `case` on a Flat and a List hierarchy of `sets` sets and
-/// compares them after every operation.
+/// A short span (1..=4 lines) that scatters residency before the long
+/// runs: a read or a streaming write.
+fn short_op<C: CacheModel>(
+    mem: &mut MemorySystem<C>,
+    space: u64,
+    (kind, pos, len): (u32, u64, u64),
+) {
+    let (addr, bytes) = ((pos % space) * LINE, (1 + len % 4) * LINE);
+    if kind == 0 {
+        mem.read_span(addr, bytes, Traffic::FeatureRead);
+    } else {
+        mem.write_span(addr, bytes, Traffic::FeatureWrite);
+    }
+}
+
+/// A long run `(first line, lines)`, through `read_span` or
+/// `access_lines` by `by_span`.
+fn long_read<C: CacheModel>(mem: &mut MemorySystem<C>, first: u64, lines: u64, by_span: bool) {
+    if by_span {
+        mem.read_span(first * LINE, lines * LINE, Traffic::Weight);
+    } else {
+        mem.access_lines(0, LineRun::contiguous(first, lines), Traffic::Weight);
+    }
+}
+
+/// Between runs: a streaming write, a long partial-sum read (a cold run
+/// of its own when nothing it touches is resident), or nothing.
+fn between_op<C: CacheModel>(mem: &mut MemorySystem<C>, between: u32, addr: u64, bytes: u64) {
+    match between {
+        0 => {
+            mem.write_span(addr, bytes, Traffic::FeatureWrite);
+        }
+        1 => {
+            mem.read_span(addr, bytes, Traffic::PartialSum);
+        }
+        _ => {}
+    }
+}
+
+/// Replays `case` on a `Cache` and a `ListCache` hierarchy of `sets`
+/// sets and compares them after every operation.
 fn drive(sets: u64, policy: ReplacementPolicy, case: &Case) -> Coverage {
     let (space, max_run) = space(sets);
     // Every line a run or a between-run op touches.
     let watched = space + max_run;
-    let build =
-        |engine| MemorySystem::with_engine(config(sets, policy), DramConfig::hbm2(), engine);
-    let mut flat = build(CacheEngine::Flat);
-    let mut list = build(CacheEngine::List);
+    let mut flat = MemorySystem::<Cache>::new(config(sets, policy), DramConfig::hbm2());
+    let mut list = MemorySystem::<ListCache>::new(config(sets, policy), DramConfig::hbm2());
     let tag = format!("{sets} sets, {policy:?}");
 
-    // Short spans (1..=4 lines) scatter residency before the long runs.
-    let short = |mem: &mut MemorySystem, kind: u32, pos: u64, len: u64| {
-        let (addr, bytes) = ((pos % space) * LINE, (1 + len % 4) * LINE);
-        match kind {
-            0 => mem.read_span(addr, bytes, Traffic::FeatureRead),
-            1 => mem.write_span(addr, bytes, Traffic::FeatureWrite),
-            _ => mem.read_modify_write_span(addr, bytes, Traffic::PartialSum),
-        };
-    };
-    for &(kind, pos, len) in &case.warm {
-        short(&mut flat, kind, pos, len);
-        short(&mut list, kind, pos, len);
+    for &op in &case.warm {
+        short_op(&mut flat, space, op);
+        short_op(&mut list, space, op);
     }
     assert_same(&flat, &list, watched, &format!("{tag}, warm-up"));
 
@@ -170,32 +199,15 @@ fn drive(sets: u64, policy: ReplacementPolicy, case: &Case) -> Coverage {
         } else {
             coverage.overlapping += 1;
         }
-        for mem in [&mut flat, &mut list] {
-            if len % 2 == 0 {
-                mem.read_span(first * LINE, lines * LINE, Traffic::Weight);
-            } else {
-                mem.access_lines(0, LineRun::contiguous(first, lines), Traffic::Weight);
-            }
-        }
+        long_read(&mut flat, first, lines, len % 2 == 0);
+        long_read(&mut list, first, lines, len % 2 == 0);
         let what = format!("{tag}, run {i} ({first}+{lines})");
         assert_same(&flat, &list, watched, &what);
         end = first + lines;
 
-        // Between runs: a streaming write, a long read-modify-write (a
-        // cold run of its own when nothing it touches is resident), or
-        // nothing.
         let (addr, bytes) = ((bpos % space) * LINE, (1 + blen % max_run) * LINE);
-        for mem in [&mut flat, &mut list] {
-            match between {
-                0 => {
-                    mem.write_span(addr, bytes, Traffic::FeatureWrite);
-                }
-                1 => {
-                    mem.read_modify_write_span(addr, bytes, Traffic::PartialSum);
-                }
-                _ => {}
-            }
-        }
+        between_op(&mut flat, between, addr, bytes);
+        between_op(&mut list, between, addr, bytes);
         assert_same(&flat, &list, watched, &format!("{tag}, after run {i}"));
     }
 
@@ -213,11 +225,17 @@ fn drive(sets: u64, policy: ReplacementPolicy, case: &Case) -> Coverage {
     coverage
 }
 
+/// A `Cache` and a `ListCache` engine cache side by side.
+struct RowPair {
+    flat: RowCache,
+    list: RowCache<ListCache>,
+}
+
 /// Reads `lines` lines from `first` on both engine caches and asserts
 /// they count the read alike, then hold the same lines over `watched`
 /// lines and, when tracked, the same per-row counts.
-fn read_both(pair: &mut [RowCache; 2], first: u64, lines: u64, watched: u64, what: &str) {
-    let [flat, list] = pair;
+fn read_both(pair: &mut RowPair, first: u64, lines: u64, watched: u64, what: &str) {
+    let RowPair { flat, list } = pair;
     assert_eq!(
         flat.read_lines(first, lines),
         list.read_lines(first, lines),
@@ -241,19 +259,20 @@ fn read_both(pair: &mut [RowCache; 2], first: u64, lines: u64, watched: u64, wha
     }
 }
 
-/// [`drive`] on a Flat and a List engine cache: the same short reads,
-/// long runs and closing probes, with a power-cycle flush in place of
-/// the streaming write (an engine cache never sees writes).
+/// [`drive`] on a `Cache` and a `ListCache` engine cache: the same
+/// short reads, long runs and closing probes, with a power-cycle flush
+/// in place of the streaming write (an engine cache never sees writes).
 fn drive_rows(sets: u64, policy: ReplacementPolicy, tracked: bool, case: &Case) {
     let (space, max_run) = space(sets);
     let watched = space + max_run;
-    let mut pair = [CacheEngine::Flat, CacheEngine::List].map(|engine| {
-        let mut mem = RowCache::new(config(sets, policy), engine);
-        if tracked {
-            mem.track_rows(ROW_LINES);
-        }
-        mem
-    });
+    let mut pair = RowPair {
+        flat: RowCache::new(config(sets, policy)),
+        list: RowCache::new(config(sets, policy)),
+    };
+    if tracked {
+        pair.flat.track_rows(ROW_LINES);
+        pair.list.track_rows(ROW_LINES);
+    }
     let tag = format!("engine cache, {sets} sets, {policy:?}, tracked {tracked}");
     for (i, &(_, pos, len)) in case.warm.iter().enumerate() {
         let what = format!("{tag}, warm-up {i}");
@@ -265,7 +284,10 @@ fn drive_rows(sets: u64, policy: ReplacementPolicy, tracked: bool, case: &Case) 
         read_both(&mut pair, first, lines, watched, &format!("{tag}, run {i}"));
         end = first + lines;
         match between {
-            0 => pair.iter_mut().for_each(RowCache::flush),
+            0 => {
+                pair.flat.flush();
+                pair.list.flush();
+            }
             1 => {
                 let what = format!("{tag}, after run {i}");
                 read_both(&mut pair, bpos % space, 1 + blen % max_run, watched, &what);

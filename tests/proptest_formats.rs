@@ -8,7 +8,7 @@ use sgcn_formats::{
     Beicsr, BeicsrConfig, Bitmap, BlockedEllpack, BsrFeatures, ColRange, CooFeatures, CsrFeatures,
     DenseMatrix, FeatureFormat, PackedBeicsr, SeparateBitmapCsr, CACHELINE_BYTES,
 };
-use sgcn_mem::{CacheConfig, CacheEngine, DramConfig, MemorySystem, Traffic};
+use sgcn_mem::{Cache, CacheConfig, CacheModel, DramConfig, ListCache, MemorySystem, Traffic};
 
 /// Strategy: a small dense matrix with a mix of zeros and non-zeros.
 fn matrix_strategy() -> impl Strategy<Value = DenseMatrix> {
@@ -47,9 +47,9 @@ fn every_format(m: &DenseMatrix, slice: usize) -> Vec<Box<dyn FeatureFormat>> {
     ]
 }
 
-/// A small cache (frequent evictions) over HBM2 on `engine`.
-fn small_mem(engine: CacheEngine) -> MemorySystem {
-    MemorySystem::with_engine(
+/// A small cache (frequent evictions) over HBM2 on model `C`.
+fn small_mem<C: CacheModel>() -> MemorySystem<C> {
+    MemorySystem::new(
         CacheConfig {
             capacity_bytes: 2 * 1024,
             ways: 4,
@@ -57,8 +57,59 @@ fn small_mem(engine: CacheEngine) -> MemorySystem {
             ..CacheConfig::default()
         },
         DramConfig::hbm2(),
-        engine,
     )
+}
+
+/// Replays the `(row, window start, window length)` ops of
+/// `run_iterators_replay_like_their_spans` through `f`'s compacted runs
+/// and through its spans on model `C`, and demands identical counters
+/// and DRAM state.
+fn runs_replay_like_spans<C: CacheModel>(
+    model: &str,
+    f: &dyn FeatureFormat,
+    m: &DenseMatrix,
+    ops: &[(usize, usize, usize)],
+) {
+    const BASE: u64 = 1 << 20;
+    let mut by_run = small_mem::<C>();
+    let mut by_span = small_mem::<C>();
+    let line = by_run.line_bytes();
+    for &(row, start, len) in ops {
+        let row = row % m.rows();
+        // Full, partial, straddling and empty windows.
+        let start = start.min(m.cols());
+        let range = ColRange::new(start, (start + len).min(m.cols()));
+        f.for_each_row_run(row, line, &mut |r| {
+            by_run.access_lines(BASE, r, Traffic::FeatureRead);
+        });
+        f.for_each_slice_run(row, range, line, &mut |r| {
+            by_run.access_lines(BASE, r, Traffic::FeatureRead);
+        });
+        f.for_each_write_run(row, line, &mut |r| {
+            by_run.write_lines(BASE, r, Traffic::FeatureWrite);
+        });
+        for s in f
+            .row_spans(row)
+            .into_iter()
+            .chain(f.slice_spans(row, range))
+        {
+            by_span.read_span(BASE + s.offset, u64::from(s.bytes), Traffic::FeatureRead);
+        }
+        for s in f.write_spans(row) {
+            by_span.write_span(BASE + s.offset, u64::from(s.bytes), Traffic::FeatureWrite);
+        }
+    }
+    let name = f.format_name();
+    assert_eq!(
+        by_run.report(),
+        by_span.report(),
+        "{name} on {model}: run replay diverged from span replay"
+    );
+    assert_eq!(
+        format!("{:?}", by_run.dram()),
+        format!("{:?}", by_span.dram()),
+        "{name} on {model}: DRAM state diverged"
+    );
 }
 
 proptest! {
@@ -303,50 +354,11 @@ proptest! {
         // (`{row,slice,write}_spans` → `read_span` / `write_span`) are the
         // reference. Both replays of the same random row/window sequence
         // must leave identical counters and DRAM state on both cache
-        // engines — covering the formats' hand-written run overrides
+        // models — covering the formats' hand-written run overrides
         // (Dense's among them) as well as the compacting defaults.
-        const BASE: u64 = 1 << 20;
         for f in every_format(&m, slice) {
-            for engine in [CacheEngine::Flat, CacheEngine::List] {
-                let mut by_run = small_mem(engine);
-                let mut by_span = small_mem(engine);
-                let line = by_run.line_bytes();
-                for &(row, start, len) in &ops {
-                    let row = row % m.rows();
-                    // Full, partial, straddling and empty windows.
-                    let start = start.min(m.cols());
-                    let range = ColRange::new(start, (start + len).min(m.cols()));
-                    f.for_each_row_run(row, line, &mut |r| {
-                        by_run.access_lines(BASE, r, Traffic::FeatureRead);
-                    });
-                    f.for_each_slice_run(row, range, line, &mut |r| {
-                        by_run.access_lines(BASE, r, Traffic::FeatureRead);
-                    });
-                    f.for_each_write_run(row, line, &mut |r| {
-                        by_run.write_lines(BASE, r, Traffic::FeatureWrite);
-                    });
-                    for s in f.row_spans(row).into_iter().chain(f.slice_spans(row, range)) {
-                        by_span.read_span(BASE + s.offset, u64::from(s.bytes), Traffic::FeatureRead);
-                    }
-                    for s in f.write_spans(row) {
-                        by_span.write_span(BASE + s.offset, u64::from(s.bytes), Traffic::FeatureWrite);
-                    }
-                }
-                prop_assert_eq!(
-                    by_run.report(),
-                    by_span.report(),
-                    "{} on {:?}: run replay diverged from span replay",
-                    f.format_name(),
-                    engine
-                );
-                prop_assert_eq!(
-                    format!("{:?}", by_run.dram()),
-                    format!("{:?}", by_span.dram()),
-                    "{} on {:?}: DRAM state diverged",
-                    f.format_name(),
-                    engine
-                );
-            }
+            runs_replay_like_spans::<Cache>("Cache", f.as_ref(), &m, &ops);
+            runs_replay_like_spans::<ListCache>("ListCache", f.as_ref(), &m, &ops);
         }
     }
 }

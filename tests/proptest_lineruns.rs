@@ -1,7 +1,7 @@
 //! Property tests for the line-granular trace compaction: replaying a
 //! compacted run stream must be **bit-identical** — every counter, clock
 //! and the cache contents themselves — to replaying the original span
-//! sequence one span at a time, on both cache engines. This is the
+//! sequence one span at a time, on both cache models. This is the
 //! exactness contract of `sgcn_formats::runs` and
 //! `MemorySystem::{access_lines, write_lines}` (the optimization changes
 //! how counters are computed, never what they count).
@@ -9,7 +9,8 @@
 use proptest::prelude::*;
 use sgcn_formats::{LineRun, RunCompactor, Span};
 use sgcn_mem::{
-    AddressMapping, Cache, CacheConfig, CacheEngine, Dram, DramConfig, MemorySystem, Traffic,
+    AddressMapping, Cache, CacheConfig, CacheModel, Dram, DramConfig, ListCache, MemorySystem,
+    Traffic,
 };
 
 /// Builds a span sequence from `(backstep, bytes)` pairs: each span
@@ -29,9 +30,9 @@ fn spans_from(walk: &[(u64, u64)]) -> Vec<Span> {
     spans
 }
 
-fn small_mem(engine: CacheEngine) -> MemorySystem {
+fn small_mem<C: CacheModel>() -> MemorySystem<C> {
     // Small cache → frequent evictions; HBM2 timing model.
-    MemorySystem::with_engine(
+    MemorySystem::new(
         CacheConfig {
             capacity_bytes: 4 * 1024,
             ways: 4,
@@ -39,7 +40,6 @@ fn small_mem(engine: CacheEngine) -> MemorySystem {
             ..CacheConfig::default()
         },
         DramConfig::hbm2(),
-        engine,
     )
 }
 
@@ -55,114 +55,142 @@ fn compact(mode: fn(u64) -> RunCompactor, spans: &[Span]) -> Vec<LineRun> {
 }
 
 /// Residency fingerprint over the address region the spans touched.
-fn residency(mem: &MemorySystem, spans: &[Span]) -> Vec<u64> {
+fn residency<C: CacheModel>(mem: &MemorySystem<C>, spans: &[Span]) -> Vec<u64> {
     let end = spans.iter().map(Span::end).max().unwrap_or(0) + 64;
     (0..end / 64)
         .filter(|&line| mem.peek_span(line * 64, 64).hits == 1)
         .collect()
 }
 
+/// Replays `spans` one span at a time and as compacted read runs on
+/// model `C`; both must leave identical counters, clocks and contents.
+fn read_runs_replay<C: CacheModel>(spans: &[Span]) {
+    let runs = compact(RunCompactor::reads, spans);
+    let mut by_span = small_mem::<C>();
+    let mut span_counts = sgcn_mem::SpanCounts::default();
+    for &s in spans {
+        span_counts.add(by_span.read_span(s.offset, u64::from(s.bytes), Traffic::FeatureRead));
+    }
+    let mut by_run = small_mem::<C>();
+    let mut run_counts = sgcn_mem::SpanCounts::default();
+    for &r in &runs {
+        run_counts.add(by_run.access_lines(0, r, Traffic::FeatureRead));
+    }
+
+    // Counters, per-class traffic, DRAM stats and clocks, the returned
+    // counts, and the surviving cache contents all agree.
+    assert_eq!(by_span.report(), by_run.report());
+    assert_eq!(by_span.elapsed_dram_cycles(), by_run.elapsed_dram_cycles());
+    assert_eq!(span_counts, run_counts);
+    assert_eq!(residency(&by_span, spans), residency(&by_run, spans));
+    // The request count is preserved through merging: one per non-empty
+    // span.
+    let nonempty = spans.iter().filter(|s| !s.is_empty()).count() as u64;
+    assert_eq!(
+        by_run.report().traffic(Traffic::FeatureRead).requests,
+        nonempty
+    );
+}
+
+/// Streams `spans` one span at a time and as compacted write runs on
+/// model `C`, over a cache pre-warmed so invalidation has work to do.
+fn write_runs_replay<C: CacheModel>(spans: &[Span]) {
+    let runs = compact(RunCompactor::writes, spans);
+    for r in &runs {
+        assert_eq!(r.seam_hits, 0, "write runs never merge seams");
+    }
+    let mut by_span = small_mem::<C>();
+    let mut by_run = small_mem::<C>();
+    for m in [&mut by_span, &mut by_run] {
+        for &s in spans.iter().step_by(3) {
+            m.read_span(s.offset, u64::from(s.bytes.max(1)), Traffic::FeatureRead);
+        }
+    }
+    for &s in spans {
+        by_span.write_span(s.offset, u64::from(s.bytes), Traffic::FeatureWrite);
+    }
+    for &r in &runs {
+        by_run.write_lines(0, r, Traffic::FeatureWrite);
+    }
+
+    assert_eq!(by_span.report(), by_run.report());
+    assert_eq!(by_span.elapsed_dram_cycles(), by_run.elapsed_dram_cycles());
+    assert_eq!(residency(&by_span, spans), residency(&by_run, spans));
+}
+
+/// Alternating read/write visits, each compacted independently — the
+/// shape of a simulated layer (read sweeps interleaved with output
+/// write-backs) — replayed per span and per run on model `C`.
+fn interleaved_replay<C: CacheModel>(walk: &[(u64, u64, bool)]) {
+    let mut by_span = small_mem::<C>();
+    let mut by_run = small_mem::<C>();
+    let mut cursor = 0u64;
+    for &(back, bytes, is_write) in walk {
+        let offset = cursor.saturating_sub(back);
+        cursor = offset + bytes;
+        let spans = [
+            Span::new(offset, bytes as u32),
+            Span::new(offset + bytes, (bytes / 2) as u32),
+        ];
+        if is_write {
+            let runs = compact(RunCompactor::writes, &spans);
+            for &s in &spans {
+                by_span.write_span(s.offset, u64::from(s.bytes), Traffic::FeatureWrite);
+            }
+            for &r in &runs {
+                by_run.write_lines(0, r, Traffic::FeatureWrite);
+            }
+        } else {
+            let runs = compact(RunCompactor::reads, &spans);
+            for &s in &spans {
+                by_span.read_span(s.offset, u64::from(s.bytes), Traffic::FeatureRead);
+            }
+            for &r in &runs {
+                by_run.access_lines(0, r, Traffic::FeatureRead);
+            }
+        }
+    }
+    assert_eq!(by_span.report(), by_run.report());
+    assert_eq!(by_span.elapsed_dram_cycles(), by_run.elapsed_dram_cycles());
+}
+
+/// A DRAM configuration on one of the two address mappings.
+fn dram_config(bank_first: bool) -> DramConfig {
+    DramConfig {
+        mapping: if bank_first {
+            AddressMapping::BankInterleaved
+        } else {
+            AddressMapping::ChannelInterleaved
+        },
+        ..DramConfig::hbm2()
+    }
+}
+
 proptest! {
     #[test]
     fn read_runs_replay_bit_identically(
         walk in proptest::collection::vec((0u64..160, 1u64..400), 1..60),
-        engine_flat in proptest::bool::ANY,
     ) {
-        let engine = if engine_flat { CacheEngine::Flat } else { CacheEngine::List };
         let spans = spans_from(&walk);
-        let runs = compact(RunCompactor::reads, &spans);
-
-        let mut by_span = small_mem(engine);
-        let mut span_counts = sgcn_mem::SpanCounts::default();
-        for &s in &spans {
-            span_counts.add(by_span.read_span(s.offset, u64::from(s.bytes), Traffic::FeatureRead));
-        }
-        let mut by_run = small_mem(engine);
-        let mut run_counts = sgcn_mem::SpanCounts::default();
-        for &r in &runs {
-            run_counts.add(by_run.access_lines(0, r, Traffic::FeatureRead));
-        }
-
-        // Counters, per-class traffic, DRAM stats and clocks, the
-        // returned counts, and the surviving cache contents all agree.
-        prop_assert_eq!(by_span.report(), by_run.report());
-        prop_assert_eq!(by_span.elapsed_dram_cycles(), by_run.elapsed_dram_cycles());
-        prop_assert_eq!(span_counts, run_counts);
-        prop_assert_eq!(residency(&by_span, &spans), residency(&by_run, &spans));
-        // The request count is preserved through merging: one per
-        // non-empty span.
-        let nonempty = spans.iter().filter(|s| !s.is_empty()).count() as u64;
-        prop_assert_eq!(by_run.report().traffic(Traffic::FeatureRead).requests, nonempty);
+        read_runs_replay::<Cache>(&spans);
+        read_runs_replay::<ListCache>(&spans);
     }
 
     #[test]
     fn write_runs_replay_bit_identically(
         walk in proptest::collection::vec((0u64..160, 1u64..400), 1..60),
-        engine_flat in proptest::bool::ANY,
     ) {
-        let engine = if engine_flat { CacheEngine::Flat } else { CacheEngine::List };
         let spans = spans_from(&walk);
-        let runs = compact(RunCompactor::writes, &spans);
-        for r in &runs {
-            prop_assert_eq!(r.seam_hits, 0, "write runs never merge seams");
-        }
-
-        let mut by_span = small_mem(engine);
-        // Pre-warm some lines so invalidation has work to do.
-        let mut by_run = small_mem(engine);
-        for m in [&mut by_span, &mut by_run] {
-            for &s in spans.iter().step_by(3) {
-                m.read_span(s.offset, u64::from(s.bytes.max(1)), Traffic::FeatureRead);
-            }
-        }
-        for &s in &spans {
-            by_span.write_span(s.offset, u64::from(s.bytes), Traffic::FeatureWrite);
-        }
-        for &r in &runs {
-            by_run.write_lines(0, r, Traffic::FeatureWrite);
-        }
-
-        prop_assert_eq!(by_span.report(), by_run.report());
-        prop_assert_eq!(by_span.elapsed_dram_cycles(), by_run.elapsed_dram_cycles());
-        prop_assert_eq!(residency(&by_span, &spans), residency(&by_run, &spans));
+        write_runs_replay::<Cache>(&spans);
+        write_runs_replay::<ListCache>(&spans);
     }
 
     #[test]
     fn interleaved_reads_and_writes_replay_bit_identically(
         walk in proptest::collection::vec((0u64..120, 1u64..300, proptest::bool::ANY), 1..50),
     ) {
-        // Alternating read/write visits, each compacted independently —
-        // the shape of a simulated layer (read sweeps interleaved with
-        // output write-backs).
-        for engine in [CacheEngine::Flat, CacheEngine::List] {
-            let mut by_span = small_mem(engine);
-            let mut by_run = small_mem(engine);
-            let mut cursor = 0u64;
-            for &(back, bytes, is_write) in &walk {
-                let offset = cursor.saturating_sub(back);
-                cursor = offset + bytes;
-                let spans = [Span::new(offset, bytes as u32), Span::new(offset + bytes, (bytes / 2) as u32)];
-                if is_write {
-                    let runs = compact(RunCompactor::writes, &spans);
-                    for &s in &spans {
-                        by_span.write_span(s.offset, u64::from(s.bytes), Traffic::FeatureWrite);
-                    }
-                    for &r in &runs {
-                        by_run.write_lines(0, r, Traffic::FeatureWrite);
-                    }
-                } else {
-                    let runs = compact(RunCompactor::reads, &spans);
-                    for &s in &spans {
-                        by_span.read_span(s.offset, u64::from(s.bytes), Traffic::FeatureRead);
-                    }
-                    for &r in &runs {
-                        by_run.access_lines(0, r, Traffic::FeatureRead);
-                    }
-                }
-            }
-            prop_assert_eq!(by_span.report(), by_run.report());
-            prop_assert_eq!(by_span.elapsed_dram_cycles(), by_run.elapsed_dram_cycles());
-        }
+        interleaved_replay::<Cache>(&walk);
+        interleaved_replay::<ListCache>(&walk);
     }
 
     #[test]
@@ -212,14 +240,7 @@ proptest! {
         runs in proptest::collection::vec((0u64..(1 << 22), 1u64..300, proptest::bool::ANY), 1..30),
         bank_first in proptest::bool::ANY,
     ) {
-        let config = DramConfig {
-            mapping: if bank_first {
-                AddressMapping::BankInterleaved
-            } else {
-                AddressMapping::ChannelInterleaved
-            },
-            ..DramConfig::hbm2()
-        };
+        let config = dram_config(bank_first);
         let mut batched = Dram::new(config);
         let mut per_burst = Dram::new(config);
         for &(addr, count, is_write) in &runs {
@@ -232,6 +253,31 @@ proptest! {
             // The f64 channel/bank clocks accumulate in the same order,
             // so even the rounded elapsed time matches exactly.
             prop_assert_eq!(batched.elapsed_cycles(), per_burst.elapsed_cycles());
+        }
+    }
+
+    #[test]
+    fn dram_access_reference_matches_access(
+        ops in proptest::collection::vec((0u64..(1 << 24), proptest::bool::ANY, 1u64..6), 1..120),
+    ) {
+        // The seed's per-burst routine stays as the oracle of the
+        // precomputed-divisor `access` (and, through the property
+        // above, of `access_run`): every returned latency, every
+        // counter, every open row and every `f64` clock must agree. The
+        // addresses mix random jumps with short same-row bursts, on
+        // both address mappings.
+        for bank_first in [false, true] {
+            let config = dram_config(bank_first);
+            let mut fast = Dram::new(config);
+            let mut reference = Dram::new(config);
+            for (i, &(addr, is_write, repeats)) in ops.iter().enumerate() {
+                for r in 0..repeats {
+                    let addr = (addr & !63) + r * 64;
+                    let (a, b) = (fast.access(addr, is_write), reference.access_reference(addr, is_write));
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "{:?} op {} burst {}: latency", config.mapping, i, r);
+                }
+                prop_assert_eq!(format!("{:?}", fast), format!("{:?}", reference), "{:?} op {}", config.mapping, i);
+            }
         }
     }
 }

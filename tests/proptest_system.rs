@@ -6,7 +6,64 @@ use sgcn::cooperation::{conventional_split, merge_round_robin, sac_split, tile_o
 use sgcn_graph::builder::{GraphBuilder, Normalization};
 use sgcn_graph::reorder::islandize;
 use sgcn_graph::VertexRange;
-use sgcn_mem::{Cache, CacheConfig, MemorySystem, Traffic};
+use sgcn_mem::{
+    Cache, CacheConfig, CacheModel, ListCache, MemorySystem, ReplacementPolicy, Traffic,
+};
+
+/// `Debug` of a cache with its `stats: CacheStats { .. }` field cut
+/// out: a flush keeps the statistics, everything else must match a
+/// fresh cache.
+fn debug_without_stats(cache: &impl CacheModel) -> String {
+    let debug = format!("{cache:?}");
+    let start = debug
+        .find("stats: CacheStats {")
+        .expect("caches carry their stats");
+    let end = start + debug[start..].find('}').expect("stats close");
+    format!("{}{}", &debug[..start], &debug[end + 1..])
+}
+
+/// Drives a cache on model `C` through `before`, flushes it, then
+/// drives it and a fresh cache through `after`: every probe must hit
+/// alike, and the two must end in the same state and with the same
+/// statistics since the flush.
+fn flush_equals_fresh<C: CacheModel>(policy: ReplacementPolicy, before: &[u64], after: &[u64]) {
+    // 8 sets × 4 ways over 64 B lines, traces over 4× its capacity.
+    let config = CacheConfig {
+        capacity_bytes: 2048,
+        ways: 4,
+        line_bytes: 64,
+        policy,
+    };
+    let mut flushed = C::new(config);
+    for &line in before {
+        flushed.access(line * 64);
+    }
+    flushed.flush();
+    let carried = flushed.stats();
+    let mut fresh = C::new(config);
+    for (i, &line) in after.iter().enumerate() {
+        assert_eq!(
+            flushed.access(line * 64),
+            fresh.access(line * 64),
+            "{policy:?} probe {i}"
+        );
+    }
+    let (s, f) = (flushed.stats(), fresh.stats());
+    assert_eq!(
+        (
+            s.hits - carried.hits,
+            s.misses - carried.misses,
+            s.evictions - carried.evictions
+        ),
+        (f.hits, f.misses, f.evictions),
+        "{policy:?}: stats since the flush"
+    );
+    assert_eq!(
+        debug_without_stats(&flushed),
+        debug_without_stats(&fresh),
+        "{policy:?}: state"
+    );
+}
 
 proptest! {
     #[test]
@@ -30,10 +87,23 @@ proptest! {
     }
 
     #[test]
+    fn flushed_cache_replays_like_a_fresh_one(
+        before in proptest::collection::vec(0u64..128, 0..200),
+        after in proptest::collection::vec(0u64..128, 1..200),
+    ) {
+        // A crashed or newly provisioned engine must equal a fresh one,
+        // BIP's insertion count included.
+        for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Fifo, ReplacementPolicy::Bip] {
+            flush_equals_fresh::<Cache>(policy, &before, &after);
+            flush_equals_fresh::<ListCache>(policy, &before, &after);
+        }
+    }
+
+    #[test]
     fn memory_system_conserves_bytes(reqs in proptest::collection::vec((0u64..1_000_000, 1u64..512), 1..100)) {
         // Requested bytes (cacheline-granular) ≥ DRAM bytes for reads, and
         // every write byte reaches DRAM.
-        let mut mem = MemorySystem::new(CacheConfig::default(), sgcn_mem::DramConfig::hbm2());
+        let mut mem: MemorySystem = MemorySystem::new(CacheConfig::default(), sgcn_mem::DramConfig::hbm2());
         for &(addr, bytes) in &reqs {
             mem.read(addr, bytes, Traffic::FeatureRead);
             mem.write(addr + (1 << 30), bytes, Traffic::FeatureWrite);
