@@ -8,6 +8,29 @@
 //! two-stage pipeline across destination tiles; each layer's latency is
 //! the maximum of its pipelined compute time and its DRAM service time
 //! (the paper's aggregation phase is "extremely memory intensive", §IV).
+//!
+//! # Steady-state layer replay
+//!
+//! From layer 3 on, every dense design (GCNAX, HyGCN, AWB-GCN, EnGN,
+//! I-GCN) makes the same global-cache ops, with the same hits, as the
+//! layer two before it: the feature regions alternate by parity and
+//! only the weights move. In a net of four layers or more, every layer
+//! from 1 on therefore runs in a [`MemorySystem`] epoch keyed by layer
+//! parity, opened right after the layer's weight read and closed when
+//! the layer ends. Opening it declares the weights of layers `0..=l`
+//! dead; the memory system panics if a later op touches them. An epoch
+//! whose entry cache state equals its key's template, with dead tags
+//! compared as anonymous, answers each cache op from the template's log
+//! after checking it is the template's op; anything else falls back to
+//! the cache exactly (see `MemorySystem`'s epoch memo). DRAM walks,
+//! per-class accounting, uncached reads, AWB-GCN's layer-local
+//! partial-sum banks and every line of simulator logic still run, so
+//! reports stay bit-identical and the `ListCache` reference, which
+//! never replays, checks it. The memo does not engage on SGCN, whose
+//! per-layer BEICSR streams differ, under BIP, whose insertion counter
+//! grows with every miss, or on nets of fewer than four layers, which
+//! open no epoch. Simulate cost then grows with the number of distinct
+//! layers, not with depth.
 
 use std::sync::Arc;
 
@@ -33,6 +56,8 @@ const WEIGHT_BASE: u64 = 3 * REGION;
 const PARTIAL_BASE: u64 = 4 * REGION;
 const INPUT_BASE: u64 = 5 * REGION;
 const SCRATCH_BASE: u64 = 6 * REGION;
+/// Distance between consecutive layers' weights in the weight region.
+const WEIGHT_STRIDE: u64 = REGION / 64;
 
 /// Destination-tile height (rows buffered on chip for combination).
 const DST_TILE_ROWS: usize = 1024;
@@ -180,6 +205,10 @@ fn run_untimed<C: CacheModel>(
         .map(|b| boundary_format(model, workload, b, format_override))
         .collect();
 
+    // Layers from 1 on run in memory-system epochs keyed by parity (see
+    // the module doc); a net of fewer than four layers has no layer to
+    // replay and opens none.
+    let memo = layers >= 4;
     for l in 0..layers {
         let x_in = workload.trace.layer_features(l);
         let x_out = workload.trace.layer_features(l + 1);
@@ -197,6 +226,18 @@ fn run_untimed<C: CacheModel>(
         };
 
         let mem_before = mem.elapsed_dram_cycles();
+        // Weights stream once per layer (they fit on chip / in cache).
+        let weights = WEIGHT_BASE + l as u64 * WEIGHT_STRIDE;
+        mem.read(
+            weights,
+            (x_in.cols() * x_out.cols() * 4) as u64,
+            Traffic::Weight,
+        );
+        let epoch = memo && l >= 1;
+        if epoch {
+            // No later op reads the weights of layers 0..=l.
+            mem.open_epoch(l % 2, WEIGHT_BASE..weights + WEIGHT_STRIDE);
+        }
         let tally = simulate_layer(
             model,
             workload,
@@ -214,6 +255,9 @@ fn run_untimed<C: CacheModel>(
             format_override,
             &boundary_formats,
         );
+        if epoch {
+            crate::metrics::memo::add(mem.close_epoch());
+        }
         let mem_delta = mem.elapsed_dram_cycles() - mem_before;
 
         total_cycles += tally.compute_cycles.max(mem_delta);
@@ -503,13 +547,6 @@ fn simulate_layer<C: CacheModel>(
 ) -> LayerTally {
     let w_in = x_in.cols();
     let w_out = x_out.cols();
-
-    // Weights stream once per layer (they fit on chip / in cache).
-    mem.read(
-        WEIGHT_BASE + (layer as u64) * REGION / 64,
-        (w_in * w_out * 4) as u64,
-        Traffic::Weight,
-    );
 
     // Storage formats for this layer's input and output. Boundary
     // matrices come precomputed (see `run_untimed`); the layer-0 input is
@@ -1497,5 +1534,65 @@ mod tests {
         // The fraction is well-defined.
         let f = r.memory_bound_fraction();
         assert!((0.0..=1.0).contains(&f));
+    }
+
+    /// The epoch tally this thread's `run` adds.
+    fn tally(run: impl FnOnce()) -> crate::metrics::memo::EpochCounts {
+        let before = crate::metrics::memo::counts();
+        run();
+        let after = crate::metrics::memo::counts();
+        crate::metrics::memo::EpochCounts {
+            recorded: after.recorded - before.recorded,
+            replayed: after.replayed - before.replayed,
+            diverged: after.diverged - before.diverged,
+        }
+    }
+
+    #[test]
+    fn layer_epochs_replay_dense_layers_and_diverge_on_sgcn() {
+        use crate::experiments::ExperimentConfig;
+        use crate::metrics::memo::EpochCounts;
+        // Six layers open epochs at layers 1–5: layers 1 and 2 record,
+        // and layers 3–5 replay the layer two before on every dense
+        // design. SGCN enters them in the same state but its BEICSR
+        // streams differ per layer, so it falls back each time.
+        let cfg = ExperimentConfig::quick();
+        assert_eq!(cfg.layers, 6);
+        let wl = Workload::build(DatasetId::Cora, cfg.scale, cfg.network(), cfg.seed);
+        let hw = cfg.hw();
+        for model in AccelModel::fig11_lineup() {
+            let mut report = None;
+            let counts = tally(|| report = Some(model.simulate(&wl, &hw)));
+            let (replayed, diverged) = if model.name == "SGCN" { (0, 3) } else { (3, 0) };
+            assert_eq!(
+                counts,
+                EpochCounts {
+                    recorded: 2,
+                    replayed,
+                    diverged
+                },
+                "{}",
+                model.name
+            );
+            let mut oracle = None;
+            let counts =
+                tally(|| oracle = Some(model.simulate_on::<sgcn_mem::ListCache>(&wl, &hw, None)));
+            assert_eq!(counts.replayed, 0, "the ListCache oracle never replays");
+            assert_eq!(report, oracle, "{}", model.name);
+        }
+    }
+
+    #[test]
+    fn nets_under_four_layers_open_no_epoch() {
+        let wl = Workload::build(
+            DatasetId::Cora,
+            SynthScale::tiny(),
+            NetworkConfig::deep_residual(3, 64),
+            11,
+        );
+        let counts = tally(|| {
+            AccelModel::gcnax().simulate(&wl, &HwConfig::default());
+        });
+        assert_eq!(counts, crate::metrics::memo::EpochCounts::default());
     }
 }

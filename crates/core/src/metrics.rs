@@ -27,6 +27,51 @@ pub mod timing {
     }
 }
 
+/// Per-thread tally of how the simulator's layer epochs ran (see the
+/// epoch memo of [`sgcn_mem::MemorySystem`]). A simulation runs on its
+/// caller's thread, so a test reads exactly its own simulations' tally
+/// while other tests simulate beside it. The tally never influences
+/// results and stays out of [`SimReport`], whose `Debug` feeds the
+/// benchmark digests.
+pub(crate) mod memo {
+    use std::cell::Cell;
+
+    use sgcn_mem::EpochOutcome;
+
+    /// Epochs per outcome.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub(crate) struct EpochCounts {
+        pub(crate) recorded: u64,
+        pub(crate) replayed: u64,
+        pub(crate) diverged: u64,
+    }
+
+    thread_local! {
+        static COUNTS: Cell<EpochCounts> = const {
+            Cell::new(EpochCounts { recorded: 0, replayed: 0, diverged: 0 })
+        };
+    }
+
+    /// Books one closed epoch.
+    pub(crate) fn add(outcome: EpochOutcome) {
+        COUNTS.with(|c| {
+            let mut n = c.get();
+            match outcome {
+                EpochOutcome::Recorded => n.recorded += 1,
+                EpochOutcome::Replayed => n.replayed += 1,
+                EpochOutcome::Diverged => n.diverged += 1,
+            }
+            c.set(n);
+        });
+    }
+
+    /// This thread's tally so far.
+    #[cfg(test)]
+    pub(crate) fn counts() -> EpochCounts {
+        COUNTS.with(Cell::get)
+    }
+}
+
 /// Per-layer slice of a simulation (layers are the natural unit of the
 /// paper's pipeline: Fig. 10 shows one layer's flow end to end).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -31,7 +31,10 @@
 //!
 //! The memory hierarchy is generic over [`CacheModel`]
 //! (`MemorySystem<C = Cache>`, `RowCache<C = Cache>`); production code
-//! instantiates only [`Cache`].
+//! instantiates only [`Cache`]. Only [`Cache`] implements
+//! [`CacheModel::same_state`], the entry check of `MemorySystem`'s
+//! epoch memo, so the memo replays layers on [`Cache`] alone and a
+//! [`ListCache`] run is the memo-free oracle of it.
 
 /// Replacement policy for the global cache.
 ///
@@ -164,6 +167,8 @@ impl CacheStats {
     }
 }
 
+use std::ops::Range;
+
 use crate::fastdiv::FastDiv;
 
 /// Observer of line-residency changes during a probe: told of every line
@@ -203,7 +208,9 @@ impl ResidencySink for () {
 /// A model implements the per-line primitives; the run methods default to
 /// the per-line seed loops over them, which a faster model overrides with
 /// a batched walk that must stay counter-for-counter and state-for-state
-/// identical (the equivalence tests check it).
+/// identical (the equivalence tests check it). The epoch-memo hooks
+/// ([`CacheModel::same_state`], [`CacheModel::adopt_state`]) default to
+/// "never replay".
 pub trait CacheModel: Clone + std::fmt::Debug {
     /// Creates an empty cache.
     ///
@@ -310,6 +317,29 @@ pub trait CacheModel: Clone + std::fmt::Debug {
         for line in first_line..first_line + lines {
             self.invalidate(line * line_bytes);
         }
+    }
+
+    /// Whether `self` and `other` are in the same replacement state once
+    /// every tag in `dead` is made anonymous: slot by slot the same valid
+    /// tags, or dead tags on both sides, and the same BIP counter.
+    /// Statistics are not state. Two such caches answer every op that
+    /// touches no dead line identically, and end again in the same state
+    /// up to dead tags. [`crate::MemorySystem`]'s epoch memo replays a
+    /// recorded epoch only when this holds at the epoch's entry.
+    ///
+    /// The default never matches, so a model that keeps it never replays:
+    /// [`ListCache`] stays a memo-free oracle.
+    fn same_state(&self, _other: &Self, _dead: &Range<u64>) -> bool {
+        false
+    }
+
+    /// Ends a replayed epoch: takes `exit`'s contents and replacement
+    /// state, and adds the counters `exit` gained over `entry` to this
+    /// cache's. Called only after [`CacheModel::same_state`] matched
+    /// `entry`, so the default, for models that never match, is
+    /// unreachable.
+    fn adopt_state(&mut self, _entry: &Self, _exit: &Self) {
+        unreachable!("a model whose same_state never matches never replays")
     }
 }
 
@@ -697,6 +727,36 @@ impl CacheModel for Cache {
                 set = 0;
             }
         }
+    }
+
+    /// Compares the valid slots of every set; the stale slots past a
+    /// set's `len` are invisible and ignored.
+    fn same_state(&self, other: &Self, dead: &Range<u64>) -> bool {
+        let ways = self.config.ways;
+        self.config == other.config
+            && self.bip_counter == other.bip_counter
+            && self.len == other.len
+            && self
+                .tags
+                .chunks_exact(ways)
+                .zip(other.tags.chunks_exact(ways))
+                .zip(self.len.iter())
+                .all(|((a, b), &n)| {
+                    let n = usize::from(n);
+                    a[..n]
+                        .iter()
+                        .zip(&b[..n])
+                        .all(|(x, y)| x == y || (dead.contains(x) && dead.contains(y)))
+                })
+    }
+
+    fn adopt_state(&mut self, entry: &Self, exit: &Self) {
+        self.tags.copy_from_slice(&exit.tags);
+        self.len.copy_from_slice(&exit.len);
+        self.bip_counter = exit.bip_counter;
+        self.stats.hits += exit.stats.hits - entry.stats.hits;
+        self.stats.misses += exit.stats.misses - entry.stats.misses;
+        self.stats.evictions += exit.stats.evictions - entry.stats.evictions;
     }
 }
 

@@ -440,16 +440,6 @@ impl Dram {
         let bank = self.bank_busy.iter().copied().fold(0.0f64, f64::max);
         chan.max(bank).ceil() as u64
     }
-
-    /// Achieved bandwidth utilization in `[0, 1]` over `elapsed` cycles
-    /// (caller supplies the overall execution time).
-    pub fn bandwidth_utilization(&self, elapsed: u64) -> f64 {
-        if elapsed == 0 {
-            return 0.0;
-        }
-        let moved = self.stats.total_bytes() as f64;
-        (moved / (self.config.peak_bytes_per_cycle * elapsed as f64)).min(1.0)
-    }
 }
 
 #[cfg(test)]
@@ -515,18 +505,6 @@ mod tests {
             d.access(i * 64 * 8, false); // all map to channel 0
         }
         assert!(d.elapsed_cycles() as f64 >= cfg.burst_cycles() * 8.0);
-    }
-
-    #[test]
-    fn utilization_bounded() {
-        let mut d = Dram::new(DramConfig::hbm2());
-        for i in 0..64u64 {
-            d.access(i * 64, true);
-        }
-        let e = d.elapsed_cycles();
-        let u = d.bandwidth_utilization(e);
-        assert!(u > 0.0 && u <= 1.0);
-        assert_eq!(d.stats().bytes_written, 64 * 64);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! * [`MemorySystem`] — the cache + DRAM front-end the accelerator models
 //!   drive, with per-traffic-class accounting (topology / feature input /
 //!   feature output / weights / partial sums — the paper's Fig. 14
-//!   categories),
+//!   categories) and an epoch memo that replays a repeating op stream
+//!   (a deep net's steady-state layers) from a verified log,
 //! * [`RowCache`] — the same cache with no DRAM behind it: a serving
 //!   engine's warm cache, with optional per-row residency counters,
 //! * [`EnergyModel`] — per-event energy for the compute/cache/DRAM
@@ -44,4 +45,6 @@ pub use cache::{
 };
 pub use dram::{AddressMapping, Dram, DramConfig, DramStats, HbmGeneration};
 pub use energy::{EnergyBreakdown, EnergyModel};
-pub use system::{MemReport, MemorySystem, RowCache, SpanCounts, Traffic, TrafficStats};
+pub use system::{
+    EpochOutcome, MemReport, MemorySystem, RowCache, SpanCounts, Traffic, TrafficStats,
+};

@@ -30,6 +30,7 @@ use crate::cache::{Cache, CacheConfig, CacheModel, CacheStats, ResidencySink};
 use crate::dram::{Dram, DramConfig, DramStats};
 use crate::fastdiv::FastDiv;
 use sgcn_formats::LineRun;
+use std::ops::Range;
 
 /// Traffic classes of the paper's memory-access breakdown (Fig. 14).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -271,11 +272,152 @@ impl LineBursts {
     }
 }
 
+/// How a closed epoch ran (see [`MemorySystem::open_epoch`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EpochOutcome {
+    /// The cache ran every op, and the epoch's log became its key's
+    /// template: there was no template, or the cache's entry state did
+    /// not match it.
+    Recorded,
+    /// Every cache op was answered from the template's log.
+    Replayed,
+    /// The epoch began replaying, then made an op the template did not
+    /// (or ended before the template did); it fell back to the cache and
+    /// became the new template.
+    Diverged,
+}
+
+/// Marks an invalidate run in [`LoggedOp::lines`]; probes leave it clear.
+const INVALIDATE: u32 = 1 << 31;
+
+/// One cache op of a recorded epoch and its outcome: 24 bytes. The op is
+/// `first`, `lines` and `seam_hits`; a replaying epoch must make the
+/// same op to be answered from `hits` and the miss runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LoggedOp {
+    first: u64,
+    /// Line count, with [`INVALIDATE`] set for an invalidate run.
+    lines: u32,
+    /// Booked seam hits of a probe (zero for an invalidate).
+    seam_hits: u32,
+    /// Lines of the probe that hit. A probe with no hit missed as one
+    /// run; only a probe that both hit and missed stores its miss runs.
+    hits: u32,
+    /// End of this op's miss runs in [`Template::runs`].
+    runs_end: u32,
+}
+
+impl LoggedOp {
+    /// The op part of a log entry; its outcome is filled in by the caller.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the op spans 2^31 lines or more.
+    fn new(first: u64, lines: u64, seam_hits: u32, invalidate: bool) -> Self {
+        let lines = u32::try_from(lines)
+            .ok()
+            .filter(|&n| n < INVALIDATE)
+            .expect("an epoch op spans fewer than 2^31 lines");
+        LoggedOp {
+            first,
+            lines: if invalidate {
+                lines | INVALIDATE
+            } else {
+                lines
+            },
+            seam_hits,
+            hits: 0,
+            runs_end: 0,
+        }
+    }
+
+    fn same_op(&self, other: &LoggedOp) -> bool {
+        (self.first, self.lines, self.seam_hits) == (other.first, other.lines, other.seam_hits)
+    }
+}
+
+/// A recorded epoch: the cache at its entry and exit, and its op log.
+#[derive(Debug, Clone)]
+struct Template<C> {
+    entry: C,
+    exit: C,
+    ops: Vec<LoggedOp>,
+    /// Miss runs `(lines past the op's first line, lines)` of the probes
+    /// that both hit and missed, in op order.
+    runs: Vec<(u32, u32)>,
+}
+
+impl<C> Template<C> {
+    /// Where op `i`'s miss runs start in [`Template::runs`].
+    fn runs_start(&self, i: usize) -> usize {
+        i.checked_sub(1)
+            .map_or(0, |p| self.ops[p].runs_end as usize)
+    }
+}
+
+/// The open epoch, if any.
+#[derive(Debug, Clone, Copy)]
+enum Epoch {
+    Closed,
+    /// Logging into `key`'s template; `diverged` if it began replaying.
+    Recording {
+        key: usize,
+        diverged: bool,
+    },
+    /// Answering from `key`'s template, whose first `next` ops matched.
+    Replaying {
+        key: usize,
+        next: usize,
+    },
+}
+
 /// The memory hierarchy: global cache in front of HBM.
 ///
 /// Generic over the cache model: production code uses the default
 /// [`Cache`]; the equivalence tests run the same hierarchy on
 /// [`crate::ListCache`].
+///
+/// # Epoch memo
+///
+/// A caller whose op stream repeats can bracket each repeat in an
+/// *epoch* ([`MemorySystem::open_epoch`] / [`MemorySystem::close_epoch`])
+/// so that the cache model answers it from a log instead of probing
+/// again. The simulator opens one per layer of a net of four layers or
+/// more, from layer 1 on, keyed by layer parity. A dense layer then
+/// makes the same cache ops, with the same hits, as the layer two before
+/// it.
+///
+/// * **Dead lines.** Opening an epoch declares a line range dead (the
+///   weights of the layers so far): no later op may touch it, and every
+///   probe and invalidate panics if one does. Dead tags therefore never
+///   hit again, and two caches equal up to the identity of their dead
+///   tags answer every later op identically.
+/// * **Recording.** An epoch with no matching template runs on the
+///   cache and logs each op with its outcome (hits and miss runs, 24
+///   bytes per op), plus the cache at entry and exit.
+/// * **Replay.** An epoch replays when the cache at its entry equals
+///   the key's template entry ([`CacheModel::same_state`]: slot by slot,
+///   `len` per set and the BIP counter, dead tags compared as
+///   anonymous). Each op must then equal the template's next op; it is
+///   answered from the log without touching the cache. DRAM walks,
+///   per-class accounting and uncached reads still run for real, so
+///   the `f64` DRAM clocks stay bit-exact. At the end the cache takes
+///   the template's exit state and its counter delta: it differs from a
+///   full simulation only in which dead tags it holds.
+/// * **Divergence.** The first op that differs from the template (or an
+///   end before the template's) falls back: the cache, untouched since
+///   the epoch opened, runs the matched prefix for real without DRAM
+///   (those walks already ran), and the epoch records on as the key's
+///   new template.
+///
+/// The memo does not engage where the stream or state does not repeat:
+/// SGCN's per-layer BEICSR encodings differ, BIP's insertion counter
+/// grows with every miss, nets of fewer than four layers open no epoch,
+/// and [`RowCache`] has none. A model that keeps
+/// [`CacheModel::same_state`]'s default (the [`crate::ListCache`]
+/// reference) records but never replays, so it stays a memo-free oracle.
+/// Inside a replaying epoch the cache is stale, so [`MemorySystem::report`]
+/// and [`MemorySystem::peek_span`] panic there.
 #[derive(Debug, Clone)]
 pub struct MemorySystem<C: CacheModel = Cache> {
     cache: C,
@@ -287,6 +429,11 @@ pub struct MemorySystem<C: CacheModel = Cache> {
     /// Line-byte divider (shift when power-of-two) — every span/run call
     /// derives line indices through it.
     line_div: FastDiv,
+    /// Declared-dead lines: no cache op may touch them.
+    dead: Range<u64>,
+    /// One recorded epoch per key.
+    templates: Vec<Option<Template<C>>>,
+    epoch: Epoch,
 }
 
 impl<C: CacheModel> MemorySystem<C> {
@@ -305,6 +452,9 @@ impl<C: CacheModel> MemorySystem<C> {
             line_bytes,
             bursts: LineBursts::new(line_bytes, dram_config.burst_bytes),
             line_div: FastDiv::new(line_bytes),
+            dead: 0..0,
+            templates: Vec::new(),
+            epoch: Epoch::Closed,
         }
     }
 
@@ -353,7 +503,7 @@ impl<C: CacheModel> MemorySystem<C> {
             self.line_div.div(base) + run.first_line,
             run.lines,
             u64::from(run.spans),
-            u64::from(run.seam_hits),
+            run.seam_hits,
             kind,
         )
     }
@@ -366,16 +516,11 @@ impl<C: CacheModel> MemorySystem<C> {
         first: u64,
         lines: u64,
         spans: u64,
-        seam_hits: u64,
+        seam_hits: u32,
         kind: Traffic,
     ) -> SpanCounts {
-        let (bursts, dram) = (self.bursts, &mut self.dram);
-        let hits = self
-            .cache
-            .probe_run(first, lines, |miss_first, miss_count| {
-                bursts.run(dram, miss_first, miss_count, false)
-            });
-        self.cache.count_repeat_hits(seam_hits);
+        let hits = self.cache_op(first, lines, seam_hits, false);
+        let seam_hits = u64::from(seam_hits);
         let stats = &mut self.per_class[kind.index()];
         stats.requests += spans;
         stats.bytes_requested += (lines + seam_hits) * self.line_bytes;
@@ -388,6 +533,242 @@ impl<C: CacheModel> MemorySystem<C> {
         }
     }
 
+    /// One cache op — a probe of `lines` lines from `first` (missed runs
+    /// walk DRAM, `seam_hits` repeat hits are booked) or, with
+    /// `invalidate`, an invalidate run — through the open epoch, if any.
+    /// Returns the probe's hits (zero for an invalidate).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the op touches a declared-dead line.
+    #[inline]
+    fn cache_op(&mut self, first: u64, lines: u64, seam_hits: u32, invalidate: bool) -> u64 {
+        assert!(
+            first >= self.dead.end || first + lines <= self.dead.start,
+            "cache op on lines {first}..{} touches declared-dead lines {:?}",
+            first + lines,
+            self.dead
+        );
+        match self.epoch {
+            Epoch::Closed => self.run_op(first, lines, seam_hits, invalidate, None),
+            Epoch::Recording { key, .. } => {
+                self.run_op(first, lines, seam_hits, invalidate, Some(key))
+            }
+            Epoch::Replaying { key, next } => {
+                match self.replay_op(key, next, first, lines, seam_hits, invalidate) {
+                    Some(hits) => hits,
+                    None => {
+                        self.diverge(key, next);
+                        self.run_op(first, lines, seam_hits, invalidate, Some(key))
+                    }
+                }
+            }
+        }
+    }
+
+    /// Answers a cache op from op `next` of `key`'s template if it is
+    /// the same op: walks the logged miss runs through DRAM and returns
+    /// the logged hits, leaving the cache untouched. `None` if the op
+    /// differs or the template has ended.
+    fn replay_op(
+        &mut self,
+        key: usize,
+        next: usize,
+        first: u64,
+        lines: u64,
+        seam_hits: u32,
+        invalidate: bool,
+    ) -> Option<u64> {
+        let op = LoggedOp::new(first, lines, seam_hits, invalidate);
+        let tpl = self.templates[key].as_ref().expect("replaying a template");
+        let logged = tpl.ops.get(next).filter(|logged| logged.same_op(&op))?;
+        let hits = u64::from(logged.hits);
+        if !invalidate && hits == 0 {
+            self.bursts.run(&mut self.dram, first, lines, false);
+        } else {
+            // Empty for an invalidate and for a probe that only hit.
+            for &(offset, count) in &tpl.runs[tpl.runs_start(next)..logged.runs_end as usize] {
+                let (offset, count) = (u64::from(offset), u64::from(count));
+                self.bursts
+                    .run(&mut self.dram, first + offset, count, false);
+            }
+        }
+        self.epoch = Epoch::Replaying {
+            key,
+            next: next + 1,
+        };
+        Some(hits)
+    }
+
+    /// Runs a cache op on the cache (see [`MemorySystem::cache_op`]),
+    /// logging it and its outcome into `log`'s template when given.
+    fn run_op(
+        &mut self,
+        first: u64,
+        lines: u64,
+        seam_hits: u32,
+        invalidate: bool,
+        log: Option<usize>,
+    ) -> u64 {
+        let mut tpl = log.map(|key| self.templates[key].as_mut().expect("recording a template"));
+        let hits = if invalidate {
+            self.cache.invalidate_run(first, lines);
+            0
+        } else {
+            let (bursts, dram) = (self.bursts, &mut self.dram);
+            let mut runs = tpl.as_mut().map(|t| &mut t.runs);
+            let mark = runs.as_ref().map_or(0, |r| r.len());
+            let hits = self
+                .cache
+                .probe_run(first, lines, |miss_first, miss_count| {
+                    bursts.run(dram, miss_first, miss_count, false);
+                    if let Some(runs) = runs.as_mut() {
+                        runs.push(((miss_first - first) as u32, miss_count as u32));
+                    }
+                });
+            if hits == 0 {
+                // A probe with no hit is its own one miss run.
+                if let Some(runs) = runs {
+                    runs.truncate(mark);
+                }
+            }
+            self.cache.count_repeat_hits(u64::from(seam_hits));
+            hits
+        };
+        if let Some(tpl) = tpl {
+            tpl.ops.push(LoggedOp {
+                hits: hits as u32,
+                runs_end: u32::try_from(tpl.runs.len()).expect("under 2^32 logged miss runs"),
+                ..LoggedOp::new(first, lines, seam_hits, invalidate)
+            });
+        }
+        hits
+    }
+
+    /// Falls back from replaying `key`'s template after its first `next`
+    /// ops matched. The cache, untouched since the epoch opened, becomes
+    /// the template's entry and runs those ops for real without DRAM
+    /// (their walks already ran); the template is cut to them and the
+    /// epoch records on.
+    fn diverge(&mut self, key: usize, next: usize) {
+        let tpl = self.templates[key].as_mut().expect("replaying a template");
+        tpl.entry.clone_from(&self.cache);
+        for op in &tpl.ops[..next] {
+            let lines = u64::from(op.lines & !INVALIDATE);
+            if op.lines & INVALIDATE != 0 {
+                self.cache.invalidate_run(op.first, lines);
+            } else {
+                let hits = self.cache.probe_run(op.first, lines, |_, _| {});
+                assert_eq!(
+                    hits,
+                    u64::from(op.hits),
+                    "replayed op {op:?} changed outcome"
+                );
+                self.cache.count_repeat_hits(u64::from(op.seam_hits));
+            }
+        }
+        let runs_start = tpl.runs_start(next);
+        tpl.ops.truncate(next);
+        tpl.runs.truncate(runs_start);
+        self.epoch = Epoch::Recording {
+            key,
+            diverged: true,
+        };
+    }
+
+    /// Opens an epoch keyed `key` and declares the lines of byte range
+    /// `dead` dead (see the [epoch memo](MemorySystem#epoch-memo)). The
+    /// epoch replays `key`'s template if the cache's state matches the
+    /// template's entry, and records otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an epoch is open, or if `dead` does not cover the lines
+    /// declared dead before (dead lines stay dead). An op inside the
+    /// epoch that spans 2^31 lines or more panics too.
+    pub fn open_epoch(&mut self, key: usize, dead: Range<u64>) {
+        assert!(
+            matches!(self.epoch, Epoch::Closed),
+            "an epoch is already open"
+        );
+        let dead = if dead.is_empty() {
+            0..0
+        } else {
+            self.line_div.div(dead.start)..self.line_div.div(dead.end - 1) + 1
+        };
+        assert!(
+            self.dead.is_empty() || (dead.start <= self.dead.start && dead.end >= self.dead.end),
+            "dead lines {:?} must stay dead, not shrink to {dead:?}",
+            self.dead
+        );
+        self.dead = dead;
+        if self.templates.len() <= key {
+            self.templates.resize_with(key + 1, || None);
+        }
+        let slot = &mut self.templates[key];
+        if slot
+            .as_ref()
+            .is_some_and(|tpl| self.cache.same_state(&tpl.entry, &self.dead))
+        {
+            self.epoch = Epoch::Replaying { key, next: 0 };
+            return;
+        }
+        let tpl = slot.get_or_insert_with(|| Template {
+            entry: self.cache.clone(),
+            exit: self.cache.clone(),
+            ops: Vec::new(),
+            runs: Vec::new(),
+        });
+        tpl.entry.clone_from(&self.cache);
+        tpl.ops.clear();
+        tpl.runs.clear();
+        self.epoch = Epoch::Recording {
+            key,
+            diverged: false,
+        };
+    }
+
+    /// Closes the open epoch and says how it ran.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no epoch is open.
+    pub fn close_epoch(&mut self) -> EpochOutcome {
+        let (key, outcome) = match self.epoch {
+            Epoch::Closed => panic!("no epoch is open"),
+            Epoch::Replaying { key, next } => {
+                let tpl = self.templates[key].as_ref().expect("replaying a template");
+                if next == tpl.ops.len() {
+                    self.cache.adopt_state(&tpl.entry, &tpl.exit);
+                    self.epoch = Epoch::Closed;
+                    return EpochOutcome::Replayed;
+                }
+                self.diverge(key, next);
+                (key, EpochOutcome::Diverged)
+            }
+            Epoch::Recording { key, diverged } => (
+                key,
+                if diverged {
+                    EpochOutcome::Diverged
+                } else {
+                    EpochOutcome::Recorded
+                },
+            ),
+        };
+        let tpl = self.templates[key].as_mut().expect("recording a template");
+        tpl.exit.clone_from(&self.cache);
+        self.epoch = Epoch::Closed;
+        outcome
+    }
+
+    /// Panics inside a replaying epoch, where the cache is stale.
+    fn assert_cache_current(&self, what: &str) {
+        assert!(
+            !matches!(self.epoch, Epoch::Replaying { .. }),
+            "{what} inside a replaying epoch, whose cache is stale"
+        );
+    }
+
     /// Reads `bytes` bytes at `addr` through the cache; misses go to DRAM.
     pub fn read(&mut self, addr: u64, bytes: u64, kind: Traffic) {
         self.read_span(addr, bytes, kind);
@@ -395,7 +776,12 @@ impl<C: CacheModel> MemorySystem<C> {
 
     /// Non-mutating residency probe of a span: how many of its lines a
     /// read *would* hit right now. No fill, no promotion, no counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics inside a replaying epoch.
     pub fn peek_span(&self, addr: u64, bytes: u64) -> SpanCounts {
+        self.assert_cache_current("peek_span");
         if bytes == 0 {
             return SpanCounts::default();
         }
@@ -477,7 +863,7 @@ impl<C: CacheModel> MemorySystem<C> {
         spans: u64,
         kind: Traffic,
     ) -> SpanCounts {
-        self.cache.invalidate_run(first, lines);
+        self.cache_op(first, lines, 0, true);
         self.bursts.run(&mut self.dram, first, lines, true);
         let stats = &mut self.per_class[kind.index()];
         stats.requests += spans;
@@ -509,7 +895,12 @@ impl<C: CacheModel> MemorySystem<C> {
     }
 
     /// Counters snapshot.
+    ///
+    /// # Panics
+    ///
+    /// Panics inside a replaying epoch.
     pub fn report(&self) -> MemReport {
+        self.assert_cache_current("report");
         MemReport {
             cache: self.cache.stats(),
             dram: self.dram.stats(),
@@ -647,7 +1038,7 @@ impl<C: CacheModel> RowCache<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::ListCache;
+    use crate::cache::{ListCache, ReplacementPolicy};
 
     fn sys() -> MemorySystem {
         MemorySystem::new(CacheConfig::default(), DramConfig::hbm2())
@@ -1052,5 +1443,195 @@ mod tests {
         let (flat, list) = (drive::<Cache>(), drive::<ListCache>());
         assert_eq!(flat.report(), list.report());
         assert_eq!(format!("{:?}", flat.dram()), format!("{:?}", list.dram()));
+    }
+
+    /// Byte base of the synthetic weight region: layer `l`'s one weight
+    /// line sits `l` strides above it, always in set 0 of the 4-set epoch
+    /// cache, so the last two layers' weights stay resident as dead tags.
+    const WEIGHTS: u64 = 1 << 20;
+    const WEIGHT_STRIDE: u64 = 4096;
+    /// Steps of one synthetic layer.
+    const STEPS: usize = 11;
+    /// Layers [`drive_epochs`] runs; epochs open from layer 1 on.
+    const LAYERS: usize = 8;
+
+    /// How [`drive_epochs`] departs from the repeating stream.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Twist {
+        None,
+        /// An extra read before step `.1` of layer `.0`.
+        Extra(usize, usize),
+        /// Layer `.0` ends after `.1` steps.
+        Stop(usize, usize),
+    }
+
+    /// One step of the synthetic layer stream over the feature region at
+    /// `base`. It touches sets 1–3 only, so set 0 keeps the weights; it
+    /// covers all-miss, all-hit and mixed probes, seam hits, an
+    /// invalidate and an uncached read.
+    fn stream_step<C: CacheModel>(m: &mut MemorySystem<C>, base: u64, step: usize) {
+        let group = |g: u64| LineRun::contiguous(4 * g + 1, 3);
+        match step {
+            0..=5 => m.access_lines(base, group(step as u64), Traffic::FeatureRead),
+            6 | 7 => m.access_lines(base, group(step as u64 - 2), Traffic::FeatureRead),
+            8 => m.write_span(base + 22 * 64, 64, Traffic::FeatureWrite),
+            9 => m.read_uncached_span(base + (1 << 16), 128, Traffic::Topology),
+            _ => m.access_lines(
+                base,
+                LineRun {
+                    first_line: 21,
+                    lines: 3,
+                    spans: 2,
+                    seam_hits: 1,
+                },
+                Traffic::FeatureRead,
+            ),
+        };
+    }
+
+    /// Runs [`LAYERS`] synthetic layers through a 4-set × 2-way hierarchy
+    /// the way the simulator does: a weight read, then (from layer 1 on)
+    /// an epoch keyed by parity that declares the weights so far dead,
+    /// around a stream that repeats every two layers. Returns the
+    /// hierarchy and every epoch's outcome.
+    fn drive_epochs<C: CacheModel>(
+        policy: ReplacementPolicy,
+        twist: Twist,
+    ) -> (MemorySystem<C>, Vec<EpochOutcome>) {
+        let mut m = MemorySystem::<C>::new(
+            CacheConfig {
+                capacity_bytes: 512,
+                ways: 2,
+                line_bytes: 64,
+                policy,
+            },
+            DramConfig::hbm2(),
+        );
+        let mut outcomes = Vec::new();
+        for l in 0..LAYERS {
+            let weights = WEIGHTS + l as u64 * WEIGHT_STRIDE;
+            m.read(weights, 64, Traffic::Weight);
+            if l >= 1 {
+                m.open_epoch(l % 2, WEIGHTS..weights + WEIGHT_STRIDE);
+            }
+            let base = (2 + (l % 2) as u64) << 24;
+            for step in 0..=STEPS {
+                if twist == Twist::Extra(l, step) {
+                    m.read(base + 4097 * 64, 64, Traffic::FeatureRead);
+                }
+                if twist == Twist::Stop(l, step) || step == STEPS {
+                    break;
+                }
+                stream_step(&mut m, base, step);
+            }
+            if l >= 1 {
+                outcomes.push(m.close_epoch());
+            }
+        }
+        (m, outcomes)
+    }
+
+    /// Drives both cache models and demands equal reports and DRAM state;
+    /// returns the `Cache` run's epoch outcomes.
+    fn epochs_match_the_list_reference(
+        policy: ReplacementPolicy,
+        twist: Twist,
+    ) -> Vec<EpochOutcome> {
+        let (flat, outcomes) = drive_epochs::<Cache>(policy, twist);
+        let (list, list_outcomes) = drive_epochs::<ListCache>(policy, twist);
+        assert_eq!(flat.report(), list.report(), "{policy:?}");
+        assert_eq!(format!("{:?}", flat.dram()), format!("{:?}", list.dram()));
+        assert!(
+            !list_outcomes.contains(&EpochOutcome::Replayed),
+            "the reference never replays"
+        );
+        outcomes
+    }
+
+    #[test]
+    fn repeating_epochs_replay_like_the_list_reference() {
+        use EpochOutcome::{Recorded, Replayed};
+        for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Fifo] {
+            let outcomes = epochs_match_the_list_reference(policy, Twist::None);
+            assert_eq!(
+                outcomes,
+                [Recorded, Recorded, Replayed, Replayed, Replayed, Replayed, Replayed],
+                "{policy:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn diverging_epochs_fall_back_exactly() {
+        // Layer 5 replays layer 3's template until it makes an op the
+        // template did not: at its first op, mid-stream, past the
+        // template's end, or by ending early.
+        for twist in [
+            Twist::Extra(5, 0),
+            Twist::Extra(5, 4),
+            Twist::Extra(5, STEPS),
+            Twist::Stop(5, 7),
+        ] {
+            let outcomes = epochs_match_the_list_reference(ReplacementPolicy::Lru, twist);
+            assert_eq!(
+                outcomes[..4],
+                [
+                    EpochOutcome::Recorded,
+                    EpochOutcome::Recorded,
+                    EpochOutcome::Replayed,
+                    EpochOutcome::Replayed
+                ]
+            );
+            assert_eq!(outcomes[4], EpochOutcome::Diverged);
+        }
+    }
+
+    #[test]
+    fn bip_counter_mismatch_refuses_replay() {
+        // BIP's insertion counter ticks with every miss, so no epoch
+        // enters with its template's counter.
+        let outcomes = epochs_match_the_list_reference(ReplacementPolicy::Bip, Twist::None);
+        assert!(!outcomes.contains(&EpochOutcome::Replayed), "{outcomes:?}");
+        // The same tags under another counter do not match.
+        let mut a = Cache::new(CacheConfig {
+            capacity_bytes: 512,
+            ways: 2,
+            line_bytes: 64,
+            policy: ReplacementPolicy::Bip,
+        });
+        a.access(0);
+        a.access(64);
+        let mut b = a.clone();
+        assert!(a.same_state(&b, &(0..0)));
+        b.access(128); // a miss into an empty set ticks the counter...
+        b.invalidate(128); // ...and leaves the tags as they were.
+        assert_eq!(b.occupancy(), a.occupancy());
+        assert!(!a.same_state(&b, &(0..0)));
+    }
+
+    #[test]
+    fn same_state_anonymises_dead_tags_only() {
+        let mut a = Cache::new(CacheConfig {
+            capacity_bytes: 512,
+            ways: 2,
+            line_bytes: 64,
+            ..CacheConfig::default()
+        });
+        let mut b = a.clone();
+        a.access(4 * 64); // line 4, set 0
+        b.access(8 * 64); // line 8, set 0
+        assert!(a.same_state(&b, &(4..12)), "both tags dead");
+        assert!(!a.same_state(&b, &(4..8)), "line 8 is live");
+        assert!(!a.same_state(&b, &(0..0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "declared-dead")]
+    fn ops_on_dead_lines_panic() {
+        let mut m = sys();
+        m.read(WEIGHTS, 64, Traffic::Weight);
+        m.open_epoch(0, WEIGHTS..WEIGHTS + WEIGHT_STRIDE);
+        m.close_epoch();
+        m.read(WEIGHTS + 64, 64, Traffic::Weight);
     }
 }

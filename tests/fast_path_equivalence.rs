@@ -6,6 +6,11 @@
 //! default of [`sgcn_mem::CacheModel`]) — same cycles, hits, misses,
 //! evictions, DRAM bytes, energy, everything.
 //!
+//! On `Cache` every dense design replays its deep layers from
+//! `MemorySystem`'s epoch memo, while `ListCache` never replays, so the
+//! comparison also checks the memo against a full simulation; the
+//! paper-depth case covers 25 replayed layers per dense design.
+//!
 //! Serving has no cache-model choice: its engine caches are
 //! `RowCache<Cache>`, and `RowCache<ListCache>` is checked against the
 //! simulator's hierarchy in `proptest_row_cache`.
@@ -52,6 +57,19 @@ fn fig11_lineup_is_bit_identical_on_quick_config() {
     let (wl, hw) = quick(DatasetId::Cora);
     for model in AccelModel::fig11_lineup() {
         assert_models_agree(&model, &wl, &hw, None);
+    }
+}
+
+#[test]
+#[ignore = "paper depth takes seconds in release; CI's harness job runs it"]
+fn fig11_lineup_is_bit_identical_at_paper_depth() {
+    // 28 layers: every dense design replays layers 3–27 from the epoch
+    // memo (EnGN on its 48-set cache beside the DAVC), SGCN falls back
+    // every layer, and the memo-free ListCache runs them all.
+    let cfg = ExperimentConfig::paper();
+    let wl = Workload::build(DatasetId::Cora, cfg.scale, cfg.network(), cfg.seed);
+    for model in AccelModel::fig11_lineup() {
+        assert_models_agree(&model, &wl, &cfg.hw(), None);
     }
 }
 
