@@ -22,12 +22,16 @@
 //! whose entry cache state equals its key's template, with dead tags
 //! compared as anonymous, answers each cache op from the template's log
 //! after checking it is the template's op; anything else falls back to
-//! the cache exactly (see `MemorySystem`'s epoch memo). DRAM walks,
+//! the cache exactly (see `MemorySystem`'s epoch memo). Only layers
+//! whose weights lie inside the weight region open epochs: from layer 64
+//! on they spill into the partial-sum region, whose lines stay live, so
+//! deeper layers run without one. DRAM walks,
 //! per-class accounting, uncached reads, AWB-GCN's layer-local
 //! partial-sum banks and every line of simulator logic still run, so
 //! reports stay bit-identical and the `ListCache` reference, which
 //! never replays, checks it. The memo does not engage on SGCN, whose
-//! per-layer BEICSR streams differ, under BIP, whose insertion counter
+//! per-layer BEICSR streams differ (each parity's first replay diverges
+//! at once and stops its recording), under BIP, whose insertion counter
 //! grows with every miss, or on nets of fewer than four layers, which
 //! open no epoch. Simulate cost then grows with the number of distinct
 //! layers, not with depth.
@@ -233,9 +237,10 @@ fn run_untimed<C: CacheModel>(
             (x_in.cols() * x_out.cols() * 4) as u64,
             Traffic::Weight,
         );
-        let epoch = memo && l >= 1;
+        // No later op touches the weights of layers 0..=l while they stay
+        // below the partial-sum region.
+        let epoch = memo && l >= 1 && weights + WEIGHT_STRIDE <= PARTIAL_BASE;
         if epoch {
-            // No later op reads the weights of layers 0..=l.
             mem.open_epoch(l % 2, WEIGHT_BASE..weights + WEIGHT_STRIDE);
         }
         let tally = simulate_layer(
@@ -1545,6 +1550,7 @@ mod tests {
             recorded: after.recorded - before.recorded,
             replayed: after.replayed - before.replayed,
             diverged: after.diverged - before.diverged,
+            unrecorded: after.unrecorded - before.unrecorded,
         }
     }
 
@@ -1555,7 +1561,8 @@ mod tests {
         // Six layers open epochs at layers 1–5: layers 1 and 2 record,
         // and layers 3–5 replay the layer two before on every dense
         // design. SGCN enters them in the same state but its BEICSR
-        // streams differ per layer, so it falls back each time.
+        // streams differ per layer: layers 3 and 4 diverge at once,
+        // which retires both keys, and layer 5 runs unlogged.
         let cfg = ExperimentConfig::quick();
         assert_eq!(cfg.layers, 6);
         let wl = Workload::build(DatasetId::Cora, cfg.scale, cfg.network(), cfg.seed);
@@ -1563,13 +1570,18 @@ mod tests {
         for model in AccelModel::fig11_lineup() {
             let mut report = None;
             let counts = tally(|| report = Some(model.simulate(&wl, &hw)));
-            let (replayed, diverged) = if model.name == "SGCN" { (0, 3) } else { (3, 0) };
+            let (replayed, diverged, unrecorded) = if model.name == "SGCN" {
+                (0, 2, 1)
+            } else {
+                (3, 0, 0)
+            };
             assert_eq!(
                 counts,
                 EpochCounts {
                     recorded: 2,
                     replayed,
-                    diverged
+                    diverged,
+                    unrecorded
                 },
                 "{}",
                 model.name
@@ -1577,8 +1589,39 @@ mod tests {
             let mut oracle = None;
             let counts =
                 tally(|| oracle = Some(model.simulate_on::<sgcn_mem::ListCache>(&wl, &hw, None)));
-            assert_eq!(counts.replayed, 0, "the ListCache oracle never replays");
+            assert_eq!(
+                counts,
+                EpochCounts {
+                    unrecorded: 5,
+                    ..EpochCounts::default()
+                },
+                "the ListCache oracle runs every epoch unlogged"
+            );
             assert_eq!(report, oracle, "{}", model.name);
+        }
+    }
+
+    #[test]
+    fn layers_past_the_weight_region_open_no_epoch() {
+        // From layer 64 on the weights lie in the partial-sum region and
+        // from layer 192 on in the scratch region, both of which AWB-GCN
+        // and the column-product designs still write: only layers 1–63
+        // open epochs, and the deep layers match the oracle.
+        let layers = 194;
+        let wl = Workload::build(
+            DatasetId::Cora,
+            SynthScale::tiny(),
+            NetworkConfig::deep_residual(layers, 16),
+            11,
+        );
+        let hw = HwConfig::default();
+        for model in AccelModel::fig11_lineup() {
+            let mut report = None;
+            let counts = tally(|| report = Some(model.simulate(&wl, &hw)));
+            let opened = counts.recorded + counts.replayed + counts.diverged + counts.unrecorded;
+            assert_eq!(opened, 63, "{}", model.name);
+            let oracle = model.simulate_on::<sgcn_mem::ListCache>(&wl, &hw, None);
+            assert_eq!(report, Some(oracle), "{}", model.name);
         }
     }
 

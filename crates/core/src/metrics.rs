@@ -44,11 +44,12 @@ pub(crate) mod memo {
         pub(crate) recorded: u64,
         pub(crate) replayed: u64,
         pub(crate) diverged: u64,
+        pub(crate) unrecorded: u64,
     }
 
     thread_local! {
         static COUNTS: Cell<EpochCounts> = const {
-            Cell::new(EpochCounts { recorded: 0, replayed: 0, diverged: 0 })
+            Cell::new(EpochCounts { recorded: 0, replayed: 0, diverged: 0, unrecorded: 0 })
         };
     }
 
@@ -60,6 +61,7 @@ pub(crate) mod memo {
                 EpochOutcome::Recorded => n.recorded += 1,
                 EpochOutcome::Replayed => n.replayed += 1,
                 EpochOutcome::Diverged => n.diverged += 1,
+                EpochOutcome::Unrecorded => n.unrecorded += 1,
             }
             c.set(n);
         });

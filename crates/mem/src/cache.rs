@@ -32,6 +32,7 @@
 //! The memory hierarchy is generic over [`CacheModel`]
 //! (`MemorySystem<C = Cache>`, `RowCache<C = Cache>`); production code
 //! instantiates only [`Cache`]. Only [`Cache`] implements
+//! [`CacheModel::can_replay`] (for LRU and FIFO) and
 //! [`CacheModel::same_state`], the entry check of `MemorySystem`'s
 //! epoch memo, so the memo replays layers on [`Cache`] alone and a
 //! [`ListCache`] run is the memo-free oracle of it.
@@ -209,8 +210,8 @@ impl ResidencySink for () {
 /// the per-line seed loops over them, which a faster model overrides with
 /// a batched walk that must stay counter-for-counter and state-for-state
 /// identical (the equivalence tests check it). The epoch-memo hooks
-/// ([`CacheModel::same_state`], [`CacheModel::adopt_state`]) default to
-/// "never replay".
+/// ([`CacheModel::can_replay`], [`CacheModel::same_state`],
+/// [`CacheModel::adopt_state`]) default to "never replay".
 pub trait CacheModel: Clone + std::fmt::Debug {
     /// Creates an empty cache.
     ///
@@ -319,6 +320,14 @@ pub trait CacheModel: Clone + std::fmt::Debug {
         }
     }
 
+    /// Whether [`CacheModel::same_state`] can match a later state of this
+    /// cache against an earlier one, so that [`crate::MemorySystem`]'s
+    /// epoch memo is worth recording. The default is false, like
+    /// `same_state`'s, and the memo then runs every epoch unlogged.
+    fn can_replay(&self) -> bool {
+        false
+    }
+
     /// Whether `self` and `other` are in the same replacement state once
     /// every tag in `dead` is made anonymous: slot by slot the same valid
     /// tags, or dead tags on both sides, and the same BIP counter.
@@ -327,8 +336,9 @@ pub trait CacheModel: Clone + std::fmt::Debug {
     /// up to dead tags. [`crate::MemorySystem`]'s epoch memo replays a
     /// recorded epoch only when this holds at the epoch's entry.
     ///
-    /// The default never matches, so a model that keeps it never replays:
-    /// [`ListCache`] stays a memo-free oracle.
+    /// The default never matches. The memo asks only models whose
+    /// [`CacheModel::can_replay`] holds, so [`ListCache`], which keeps
+    /// both defaults, stays a memo-free oracle.
     fn same_state(&self, _other: &Self, _dead: &Range<u64>) -> bool {
         false
     }
@@ -727,6 +737,13 @@ impl CacheModel for Cache {
                 set = 0;
             }
         }
+    }
+
+    /// BIP's insertion counter ticks on every miss and is part of the
+    /// state, so a BIP cache that missed since a template's entry can
+    /// never match it.
+    fn can_replay(&self) -> bool {
+        self.config.policy != ReplacementPolicy::Bip
     }
 
     /// Compares the valid slots of every set; the stale slots past a

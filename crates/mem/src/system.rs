@@ -283,9 +283,18 @@ pub enum EpochOutcome {
     Replayed,
     /// The epoch began replaying, then made an op the template did not
     /// (or ended before the template did); it fell back to the cache and
-    /// became the new template.
+    /// became the new template, or, if it diverged early, retired its
+    /// key.
     Diverged,
+    /// The cache ran every op without a log: the cache model can never
+    /// replay ([`CacheModel::can_replay`]), or the key retired.
+    Unrecorded,
 }
+
+/// An epoch that diverges before matching `1 / EARLY_DIVERGENCE` of its
+/// template's ops retires its key: a stream that differs that soon does
+/// not repeat, and recording it again would only cost time.
+const EARLY_DIVERGENCE: usize = 16;
 
 /// Marks an invalidate run in [`LoggedOp::lines`]; probes leave it clear.
 const INVALIDATE: u32 = 1 << 31;
@@ -355,6 +364,32 @@ impl<C> Template<C> {
     }
 }
 
+/// What one epoch key holds.
+#[derive(Debug, Clone)]
+enum KeyMemo<C> {
+    /// No epoch has opened under the key.
+    Fresh,
+    Template(Template<C>),
+    /// An epoch under the key diverged early; its epochs run unlogged.
+    Retired,
+}
+
+impl<C> KeyMemo<C> {
+    fn template(&self) -> &Template<C> {
+        match self {
+            KeyMemo::Template(tpl) => tpl,
+            _ => unreachable!("the key holds a template"),
+        }
+    }
+
+    fn template_mut(&mut self) -> &mut Template<C> {
+        match self {
+            KeyMemo::Template(tpl) => tpl,
+            _ => unreachable!("the key holds a template"),
+        }
+    }
+}
+
 /// The open epoch, if any.
 #[derive(Debug, Clone, Copy)]
 enum Epoch {
@@ -368,6 +403,11 @@ enum Epoch {
     Replaying {
         key: usize,
         next: usize,
+    },
+    /// Running on the cache without a log; `diverged` if it began
+    /// replaying.
+    Unlogged {
+        diverged: bool,
     },
 }
 
@@ -408,14 +448,18 @@ enum Epoch {
 ///   end before the template's) falls back: the cache, untouched since
 ///   the epoch opened, runs the matched prefix for real without DRAM
 ///   (those walks already ran), and the epoch records on as the key's
-///   new template.
+///   new template. An epoch that diverges within the first sixteenth of
+///   its template instead retires its key: it and every later epoch
+///   under the key run on the cache without a log.
 ///
 /// The memo does not engage where the stream or state does not repeat:
-/// SGCN's per-layer BEICSR encodings differ, BIP's insertion counter
-/// grows with every miss, nets of fewer than four layers open no epoch,
-/// and [`RowCache`] has none. A model that keeps
-/// [`CacheModel::same_state`]'s default (the [`crate::ListCache`]
-/// reference) records but never replays, so it stays a memo-free oracle.
+/// SGCN's per-layer BEICSR encodings differ (its epochs diverge at their
+/// first ops, so both keys retire after one attempt each), BIP's
+/// insertion counter grows with every miss, nets of fewer than four
+/// layers open no epoch, and [`RowCache`] has none. A model whose
+/// [`CacheModel::can_replay`] is false (BIP, and the
+/// [`crate::ListCache`] reference, which keeps the default) runs every
+/// epoch unlogged, so `ListCache` stays a memo-free oracle.
 /// Inside a replaying epoch the cache is stale, so [`MemorySystem::report`]
 /// and [`MemorySystem::peek_span`] panic there.
 #[derive(Debug, Clone)]
@@ -431,8 +475,8 @@ pub struct MemorySystem<C: CacheModel = Cache> {
     line_div: FastDiv,
     /// Declared-dead lines: no cache op may touch them.
     dead: Range<u64>,
-    /// One recorded epoch per key.
-    templates: Vec<Option<Template<C>>>,
+    /// What each epoch key holds.
+    memos: Vec<KeyMemo<C>>,
     epoch: Epoch,
 }
 
@@ -453,7 +497,7 @@ impl<C: CacheModel> MemorySystem<C> {
             bursts: LineBursts::new(line_bytes, dram_config.burst_bytes),
             line_div: FastDiv::new(line_bytes),
             dead: 0..0,
-            templates: Vec::new(),
+            memos: Vec::new(),
             epoch: Epoch::Closed,
         }
     }
@@ -549,21 +593,17 @@ impl<C: CacheModel> MemorySystem<C> {
             first + lines,
             self.dead
         );
-        match self.epoch {
-            Epoch::Closed => self.run_op(first, lines, seam_hits, invalidate, None),
-            Epoch::Recording { key, .. } => {
-                self.run_op(first, lines, seam_hits, invalidate, Some(key))
-            }
-            Epoch::Replaying { key, next } => {
-                match self.replay_op(key, next, first, lines, seam_hits, invalidate) {
-                    Some(hits) => hits,
-                    None => {
-                        self.diverge(key, next);
-                        self.run_op(first, lines, seam_hits, invalidate, Some(key))
-                    }
-                }
+        if let Epoch::Replaying { key, next } = self.epoch {
+            match self.replay_op(key, next, first, lines, seam_hits, invalidate) {
+                Some(hits) => return hits,
+                None => self.diverge(key, next),
             }
         }
+        let log = match self.epoch {
+            Epoch::Recording { key, .. } => Some(key),
+            _ => None,
+        };
+        self.run_op(first, lines, seam_hits, invalidate, log)
     }
 
     /// Answers a cache op from op `next` of `key`'s template if it is
@@ -580,7 +620,7 @@ impl<C: CacheModel> MemorySystem<C> {
         invalidate: bool,
     ) -> Option<u64> {
         let op = LoggedOp::new(first, lines, seam_hits, invalidate);
-        let tpl = self.templates[key].as_ref().expect("replaying a template");
+        let tpl = self.memos[key].template();
         let logged = tpl.ops.get(next).filter(|logged| logged.same_op(&op))?;
         let hits = u64::from(logged.hits);
         if !invalidate && hits == 0 {
@@ -610,7 +650,7 @@ impl<C: CacheModel> MemorySystem<C> {
         invalidate: bool,
         log: Option<usize>,
     ) -> u64 {
-        let mut tpl = log.map(|key| self.templates[key].as_mut().expect("recording a template"));
+        let mut tpl = log.map(|key| self.memos[key].template_mut());
         let hits = if invalidate {
             self.cache.invalidate_run(first, lines);
             0
@@ -646,13 +686,18 @@ impl<C: CacheModel> MemorySystem<C> {
     }
 
     /// Falls back from replaying `key`'s template after its first `next`
-    /// ops matched. The cache, untouched since the epoch opened, becomes
-    /// the template's entry and runs those ops for real without DRAM
-    /// (their walks already ran); the template is cut to them and the
-    /// epoch records on.
+    /// ops matched. The cache, untouched since the epoch opened, runs
+    /// those ops for real without DRAM (their walks already ran). If they
+    /// are a sixteenth of the template or more, the cache at entry
+    /// becomes the template's entry, the template is cut to them and the
+    /// epoch records on; otherwise the key retires and the epoch runs on
+    /// unlogged.
     fn diverge(&mut self, key: usize, next: usize) {
-        let tpl = self.templates[key].as_mut().expect("replaying a template");
-        tpl.entry.clone_from(&self.cache);
+        let tpl = self.memos[key].template_mut();
+        let retire = next * EARLY_DIVERGENCE < tpl.ops.len();
+        if !retire {
+            tpl.entry.clone_from(&self.cache);
+        }
         for op in &tpl.ops[..next] {
             let lines = u64::from(op.lines & !INVALIDATE);
             if op.lines & INVALIDATE != 0 {
@@ -667,6 +712,11 @@ impl<C: CacheModel> MemorySystem<C> {
                 self.cache.count_repeat_hits(u64::from(op.seam_hits));
             }
         }
+        if retire {
+            self.memos[key] = KeyMemo::Retired;
+            self.epoch = Epoch::Unlogged { diverged: true };
+            return;
+        }
         let runs_start = tpl.runs_start(next);
         tpl.ops.truncate(next);
         tpl.runs.truncate(runs_start);
@@ -679,7 +729,8 @@ impl<C: CacheModel> MemorySystem<C> {
     /// Opens an epoch keyed `key` and declares the lines of byte range
     /// `dead` dead (see the [epoch memo](MemorySystem#epoch-memo)). The
     /// epoch replays `key`'s template if the cache's state matches the
-    /// template's entry, and records otherwise.
+    /// template's entry, runs unlogged if the cache model cannot replay
+    /// or the key retired, and records otherwise.
     ///
     /// # Panics
     ///
@@ -702,26 +753,30 @@ impl<C: CacheModel> MemorySystem<C> {
             self.dead
         );
         self.dead = dead;
-        if self.templates.len() <= key {
-            self.templates.resize_with(key + 1, || None);
+        if self.memos.len() <= key {
+            self.memos.resize_with(key + 1, || KeyMemo::Fresh);
         }
-        let slot = &mut self.templates[key];
-        if slot
-            .as_ref()
-            .is_some_and(|tpl| self.cache.same_state(&tpl.entry, &self.dead))
-        {
-            self.epoch = Epoch::Replaying { key, next: 0 };
+        let memo = &mut self.memos[key];
+        if !self.cache.can_replay() || matches!(memo, KeyMemo::Retired) {
+            self.epoch = Epoch::Unlogged { diverged: false };
             return;
         }
-        let tpl = slot.get_or_insert_with(|| Template {
-            entry: self.cache.clone(),
-            exit: self.cache.clone(),
-            ops: Vec::new(),
-            runs: Vec::new(),
-        });
-        tpl.entry.clone_from(&self.cache);
-        tpl.ops.clear();
-        tpl.runs.clear();
+        if let KeyMemo::Template(tpl) = memo {
+            if self.cache.same_state(&tpl.entry, &self.dead) {
+                self.epoch = Epoch::Replaying { key, next: 0 };
+                return;
+            }
+            tpl.entry.clone_from(&self.cache);
+            tpl.ops.clear();
+            tpl.runs.clear();
+        } else {
+            *memo = KeyMemo::Template(Template {
+                entry: self.cache.clone(),
+                exit: self.cache.clone(),
+                ops: Vec::new(),
+                runs: Vec::new(),
+            });
+        }
         self.epoch = Epoch::Recording {
             key,
             diverged: false,
@@ -734,31 +789,29 @@ impl<C: CacheModel> MemorySystem<C> {
     ///
     /// Panics if no epoch is open.
     pub fn close_epoch(&mut self) -> EpochOutcome {
-        let (key, outcome) = match self.epoch {
-            Epoch::Closed => panic!("no epoch is open"),
-            Epoch::Replaying { key, next } => {
-                let tpl = self.templates[key].as_ref().expect("replaying a template");
-                if next == tpl.ops.len() {
-                    self.cache.adopt_state(&tpl.entry, &tpl.exit);
-                    self.epoch = Epoch::Closed;
-                    return EpochOutcome::Replayed;
-                }
-                self.diverge(key, next);
-                (key, EpochOutcome::Diverged)
+        if let Epoch::Replaying { key, next } = self.epoch {
+            let tpl = self.memos[key].template();
+            if next == tpl.ops.len() {
+                self.cache.adopt_state(&tpl.entry, &tpl.exit);
+                self.epoch = Epoch::Closed;
+                return EpochOutcome::Replayed;
             }
-            Epoch::Recording { key, diverged } => (
-                key,
+            self.diverge(key, next);
+        }
+        match std::mem::replace(&mut self.epoch, Epoch::Closed) {
+            Epoch::Closed => panic!("no epoch is open"),
+            Epoch::Replaying { .. } => unreachable!("a divergence ended the replay"),
+            Epoch::Recording { key, diverged } => {
+                self.memos[key].template_mut().exit.clone_from(&self.cache);
                 if diverged {
                     EpochOutcome::Diverged
                 } else {
                     EpochOutcome::Recorded
-                },
-            ),
-        };
-        let tpl = self.templates[key].as_mut().expect("recording a template");
-        tpl.exit.clone_from(&self.cache);
-        self.epoch = Epoch::Closed;
-        outcome
+                }
+            }
+            Epoch::Unlogged { diverged: true } => EpochOutcome::Diverged,
+            Epoch::Unlogged { diverged: false } => EpochOutcome::Unrecorded,
+        }
     }
 
     /// Panics inside a replaying epoch, where the cache is stale.
@@ -1542,8 +1595,8 @@ mod tests {
         assert_eq!(flat.report(), list.report(), "{policy:?}");
         assert_eq!(format!("{:?}", flat.dram()), format!("{:?}", list.dram()));
         assert!(
-            !list_outcomes.contains(&EpochOutcome::Replayed),
-            "the reference never replays"
+            list_outcomes.iter().all(|&o| o == EpochOutcome::Unrecorded),
+            "the reference runs every epoch unlogged: {list_outcomes:?}"
         );
         outcomes
     }
@@ -1559,6 +1612,26 @@ mod tests {
                 "{policy:?}"
             );
         }
+    }
+
+    #[test]
+    fn early_divergence_retires_its_key() {
+        use EpochOutcome::{Diverged, Recorded, Replayed, Unrecorded};
+        // Layer 5 departs from layer 3's template at its first op, so
+        // layer 7, under the same key, runs unlogged; layer 6's key
+        // still replays.
+        let outcomes = epochs_match_the_list_reference(ReplacementPolicy::Lru, Twist::Extra(5, 0));
+        assert_eq!(
+            outcomes,
+            [Recorded, Recorded, Replayed, Replayed, Diverged, Replayed, Unrecorded]
+        );
+        // Departing after four of the template's ten ops keeps the key
+        // recording: layer 7 replays layer 5's log and diverges again.
+        let outcomes = epochs_match_the_list_reference(ReplacementPolicy::Lru, Twist::Extra(5, 4));
+        assert_eq!(
+            outcomes,
+            [Recorded, Recorded, Replayed, Replayed, Diverged, Replayed, Diverged]
+        );
     }
 
     #[test]
@@ -1589,9 +1662,12 @@ mod tests {
     #[test]
     fn bip_counter_mismatch_refuses_replay() {
         // BIP's insertion counter ticks with every miss, so no epoch
-        // enters with its template's counter.
+        // would enter with its template's counter: BIP records nothing.
         let outcomes = epochs_match_the_list_reference(ReplacementPolicy::Bip, Twist::None);
-        assert!(!outcomes.contains(&EpochOutcome::Replayed), "{outcomes:?}");
+        assert!(
+            outcomes.iter().all(|&o| o == EpochOutcome::Unrecorded),
+            "{outcomes:?}"
+        );
         // The same tags under another counter do not match.
         let mut a = Cache::new(CacheConfig {
             capacity_bytes: 512,
@@ -1599,6 +1675,7 @@ mod tests {
             line_bytes: 64,
             policy: ReplacementPolicy::Bip,
         });
+        assert!(!a.can_replay());
         a.access(0);
         a.access(64);
         let mut b = a.clone();
