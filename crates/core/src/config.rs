@@ -64,16 +64,6 @@ impl HwConfig {
         self.cache.policy = policy;
         self
     }
-
-    /// Peak aggregation MACs per cycle across engines.
-    pub fn peak_agg_macs(&self) -> u64 {
-        (self.aggregation_engines * self.simd_lanes) as u64
-    }
-
-    /// Peak combination MACs per cycle across engines.
-    pub fn peak_comb_macs(&self) -> u64 {
-        (self.combination_engines * self.systolic.rows * self.systolic.cols) as u64
-    }
 }
 
 #[cfg(test)]
@@ -89,8 +79,12 @@ mod tests {
         assert_eq!(c.systolic.rows, 32);
         assert_eq!(c.cache.capacity_bytes, 512 * 1024);
         assert_eq!(c.dram.channels, 8);
-        assert_eq!(c.peak_agg_macs(), 128);
-        assert_eq!(c.peak_comb_macs(), 8 * 1024);
+        // Peak MACs per cycle across engines.
+        assert_eq!(c.aggregation_engines * c.simd_lanes, 128);
+        assert_eq!(
+            c.combination_engines * c.systolic.rows * c.systolic.cols,
+            8 * 1024
+        );
     }
 
     #[test]

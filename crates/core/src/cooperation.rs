@@ -26,13 +26,6 @@ pub struct EngineSchedule {
     rows: Vec<u32>,
 }
 
-impl EngineSchedule {
-    /// The destination rows, in processing order.
-    pub fn rows(&self) -> &[u32] {
-        &self.rows
-    }
-}
-
 /// Splits `range` among `engines` in the conventional way: contiguous
 /// equal blocks (Fig. 7a).
 pub fn conventional_split(range: VertexRange, engines: usize) -> Vec<EngineSchedule> {
@@ -109,15 +102,15 @@ mod tests {
     #[test]
     fn conventional_blocks_are_contiguous() {
         let s = conventional_split(VertexRange::new(0, 8), 2);
-        assert_eq!(s[0].rows(), &[0, 1, 2, 3]);
-        assert_eq!(s[1].rows(), &[4, 5, 6, 7]);
+        assert_eq!(s[0].rows, [0, 1, 2, 3]);
+        assert_eq!(s[1].rows, [4, 5, 6, 7]);
     }
 
     #[test]
     fn sac_strips_interleave() {
         let s = sac_split(VertexRange::new(0, 8), 2, 2);
-        assert_eq!(s[0].rows(), &[0, 1, 4, 5]);
-        assert_eq!(s[1].rows(), &[2, 3, 6, 7]);
+        assert_eq!(s[0].rows, [0, 1, 4, 5]);
+        assert_eq!(s[1].rows, [2, 3, 6, 7]);
     }
 
     #[test]

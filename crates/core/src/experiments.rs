@@ -22,7 +22,7 @@ use sgcn_par::par_map;
 
 use crate::accel::AccelModel;
 use crate::config::HwConfig;
-use crate::metrics::{GeoMean, SimReport};
+use crate::metrics::GeoMean;
 use crate::serving::queueing::{
     feature_row_bytes, prepare, prepare_degraded, prepare_for, simulate_queue, ArrivalTrace,
     ClassPolicy, DegradePolicy, EngineLineup, FailureModel, FleetSpec, FormatPolicy,
@@ -30,7 +30,6 @@ use crate::serving::queueing::{
     SchedPolicy, ServeFormat, ShardPlan, SloConfig, TrafficModel,
 };
 use crate::serving::{Request, ServingConfig, ServingContext};
-use crate::workload::Workload;
 
 /// Scale knobs shared by all experiment drivers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -846,12 +845,6 @@ pub fn table02_datasets(cfg: &ExperimentConfig) -> Grid {
         grid.set(id.abbrev(), "Scale", ds.vertex_scale);
     }
     grid
-}
-
-/// Convenience: simulate the full Fig. 11 lineup on one workload (one
-/// parallel job per accelerator).
-pub fn lineup_reports(wl: &Workload, hw: &HwConfig) -> Vec<SimReport> {
-    par_map(AccelModel::fig11_lineup().to_vec(), |m| m.simulate(wl, hw))
 }
 
 /// Design ablation (DESIGN.md): BEICSR's two structural choices measured

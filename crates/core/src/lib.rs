@@ -47,7 +47,6 @@ pub mod config;
 pub mod cooperation;
 pub mod experiments;
 pub mod metrics;
-pub mod report;
 pub mod serving;
 pub mod workload;
 

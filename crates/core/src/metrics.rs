@@ -170,17 +170,6 @@ impl SimReport {
     pub fn time_ms(&self) -> f64 {
         self.cycles as f64 / 1e6
     }
-
-    /// Fraction of layers that were memory-bound — the quantity the
-    /// paper's §IV design goals hinge on ("the primary bottleneck of GCN
-    /// execution is known to be the aggregation phase, which is extremely
-    /// memory intensive").
-    pub fn memory_bound_fraction(&self) -> f64 {
-        if self.layers.is_empty() {
-            return 0.0;
-        }
-        self.layers.iter().filter(|l| l.is_memory_bound()).count() as f64 / self.layers.len() as f64
-    }
 }
 
 /// Running geometric mean (the paper reports geomean speedups).
@@ -215,26 +204,6 @@ impl GeoMean {
             (self.log_sum / self.count as f64).exp()
         }
     }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// Whether no samples were added.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-}
-
-impl FromIterator<f64> for GeoMean {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        let mut g = GeoMean::new();
-        for v in iter {
-            g.push(v);
-        }
-        g
-    }
 }
 
 #[cfg(test)]
@@ -267,15 +236,17 @@ mod tests {
 
     #[test]
     fn geomean_of_known_values() {
-        let g: GeoMean = [1.0, 4.0].into_iter().collect();
+        let mut g = GeoMean::new();
+        g.push(1.0);
+        g.push(4.0);
         assert!((g.value() - 2.0).abs() < 1e-12);
-        assert_eq!(g.len(), 2);
+        assert_eq!(g.count, 2);
     }
 
     #[test]
     fn geomean_empty_is_one() {
         assert_eq!(GeoMean::new().value(), 1.0);
-        assert!(GeoMean::new().is_empty());
+        assert_eq!(GeoMean::new().count, 0);
     }
 
     #[test]

@@ -62,20 +62,6 @@ pub struct ServingConfig {
     pub seed: u64,
 }
 
-impl ServingConfig {
-    /// The default quick-scale serving setup: a 2-hop 10×5 fanout on
-    /// PubMed, matching the test-scale experiment config.
-    pub fn quick() -> Self {
-        ServingConfig {
-            dataset: DatasetId::PubMed,
-            scale: SynthScale::tiny(),
-            fanouts: Fanouts::new(vec![10, 5]),
-            width: 128,
-            seed: 2023,
-        }
-    }
-}
-
 /// One inference request: a position in the stream plus the vertex whose
 /// representation is queried.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -230,11 +230,6 @@ impl FaultPlan {
     pub fn incidents(&self) -> &[Incident] {
         &self.incidents
     }
-
-    /// Whether the plan schedules no outage at all.
-    pub fn is_empty(&self) -> bool {
-        self.incidents.is_empty()
-    }
 }
 
 /// Bounded retry/redrive of fault-killed requests — the `SGCN_RETRIES`
@@ -405,15 +400,6 @@ pub enum DegradeMode {
 impl DegradeMode {
     /// Number of rungs (the length of the mode-residency array).
     pub const COUNT: usize = 3;
-
-    /// Stable report label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            DegradeMode::Full => "full",
-            DegradeMode::CheapFixed => "cheap-fixed",
-            DegradeMode::Lite => "lite",
-        }
-    }
 
     /// The rung index.
     pub fn idx(&self) -> usize {
@@ -607,7 +593,10 @@ mod tests {
         // A different seed re-rolls the schedule.
         assert_ne!(model.materialize(8, 3, 5000.0), a);
         // The no-fault model materializes empty.
-        assert!(FailureModel::None.materialize(7, 3, 5000.0).is_empty());
+        assert!(FailureModel::None
+            .materialize(7, 3, 5000.0)
+            .incidents()
+            .is_empty());
     }
 
     #[test]
@@ -717,15 +706,6 @@ mod tests {
         assert_eq!(DegradeMode::Full.up(), DegradeMode::Full);
         assert_eq!(DegradeMode::Full.idx(), 0);
         assert_eq!(DegradeMode::Lite.idx(), DegradeMode::COUNT - 1);
-        assert_eq!(
-            [
-                DegradeMode::Full,
-                DegradeMode::CheapFixed,
-                DegradeMode::Lite
-            ]
-            .map(|m| m.label()),
-            ["full", "cheap-fixed", "lite"]
-        );
     }
 
     #[test]

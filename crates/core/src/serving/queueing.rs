@@ -153,7 +153,7 @@ pub use crate::serving::faults::{
 };
 pub use crate::serving::sharding::{NetCost, NetworkModel, ShardPlan};
 pub use crate::serving::slo::{ClassPolicy, ClassSlo, RequestClass, SloConfig, SloStats};
-pub use crate::serving::trace::{ArrivalTrace, TraceArrivals, TIMESTAMP_LOG_FORMAT};
+pub use crate::serving::trace::{ArrivalTrace, TIMESTAMP_LOG_FORMAT};
 pub use crate::serving::traffic::{
     ArrivalModel, ArrivalProcess, BurstyArrivals, DiurnalArrivals, ThinkTimes, TrafficModel,
 };
@@ -675,9 +675,9 @@ enum ClassFit {
 /// lookup over the training stats (requests whose stats were seen
 /// during fitting predict their measured per-cell cold cycles) backed
 /// by a ridge-regularized linear regression per cell for unseen stats.
-/// Cells are row-major by class (`class * formats() + format`), matching
+/// Cells are row-major by class (`class * formats + format`), matching
 /// [`PreparedRequest::class_reports`]; the legacy single-format fit is
-/// the `formats() == 1` case where a cell *is* a class. Predictions are
+/// the `formats == 1` case where a cell *is* a class. Predictions are
 /// pure in `(RequestStats, cell)` — fitting is a serial fold in stream
 /// order with no floating-point reassociation, so the same stream
 /// always yields the same model.
@@ -812,14 +812,8 @@ impl CostModel {
         self.fits.len() / self.formats
     }
 
-    /// Palette width the `(class, format)` cells are strided by (1 for
-    /// a legacy single-format fit).
-    pub fn formats(&self) -> usize {
-        self.formats
-    }
-
     /// Predicted cold service cycles of a request on the given
-    /// `(class, format)` cell — `class * formats() + format`; a legacy
+    /// `(class, format)` cell — `class * formats + format`; a legacy
     /// single-format fit's cell index *is* its class index. Clamped to
     /// ≥ 1; out-of-range cells fall back (the memo clamps to its last
     /// cell, the regression to cell 0). The exact training-point lookup

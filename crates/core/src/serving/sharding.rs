@@ -146,11 +146,6 @@ impl ShardPlan {
         self.ranges.len()
     }
 
-    /// The interconnect model.
-    pub fn network(&self) -> NetworkModel {
-        self.net
-    }
-
     /// The replicated hub vertices, highest degree first.
     pub fn hubs(&self) -> &[u32] {
         &self.hubs
@@ -184,15 +179,6 @@ impl ShardPlan {
     /// shards round-robin, so any fleet width covers every shard.
     pub fn engine_shard(&self, e: usize) -> usize {
         e % self.ranges.len()
-    }
-
-    /// Shard `s`'s residency bitmap (home range + replicated hubs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is out of range.
-    pub fn residency(&self, s: usize) -> &Bitmap {
-        &self.residency[s]
     }
 
     /// Whether shard `s` holds vertex `v`'s feature row.

@@ -134,14 +134,6 @@ impl RequestClass {
     /// Number of classes (the length of every per-class summary array).
     pub const COUNT: usize = 2;
 
-    /// Stable report label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            RequestClass::Interactive => "interactive",
-            RequestClass::Batch => "batch",
-        }
-    }
-
     /// Index into per-class arrays.
     pub fn idx(&self) -> usize {
         *self as usize

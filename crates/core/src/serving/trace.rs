@@ -16,15 +16,15 @@
 //! * rendered to JSON with the same fixed-format discipline as
 //!   `BENCH_queue.json` (so traces are diffable and committable);
 //! * parsed back without any JSON dependency (the format is our own);
-//! * replayed through [`TraceArrivals`] — an [`ArrivalModel`] whose
-//!   timeline *is* the recording — yielding a bit-identical
+//! * replayed through [`super::queueing::QueueConfig::with_trace`]:
+//!   `simulate_queue` takes the recorded `times` as the arrival timeline
+//!   verbatim, yielding a bit-identical
 //!   [`super::queueing::QueueSummary`] when the rest of the
 //!   configuration is unchanged. This is the regression seam for
-//!   failure drills and the future seam for real production logs.
+//!   failure drills and for real production logs
+//!   ([`ArrivalTrace::from_timestamp_log`]).
 
 use std::fmt::Write as _;
-
-use crate::serving::traffic::ArrivalModel;
 
 /// A recorded arrival timeline: the traffic label it came from (kept so
 /// a replayed run renders the identical summary) and the absolute
@@ -117,13 +117,6 @@ impl ArrivalTrace {
             return None;
         }
         Some(ArrivalTrace { traffic, times })
-    }
-
-    /// The replay model over this trace.
-    pub fn arrivals(&self) -> TraceArrivals {
-        TraceArrivals {
-            times: self.times.clone(),
-        }
     }
 
     /// Ingests a plain timestamp-per-line production log into an
@@ -275,26 +268,6 @@ fn field_value<'t>(text: &'t str, key: &str) -> Option<&'t str> {
     Some(rest.trim_start())
 }
 
-/// An [`ArrivalModel`] that replays a recorded timeline verbatim. Gaps
-/// are the recorded first differences, so `timeline(n)` reproduces the
-/// recording exactly for `n ≤` the recorded length (and saturates at
-/// the last recorded instant beyond it — a replay never invents
-/// arrivals the recording does not contain).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceArrivals {
-    times: Vec<u64>,
-}
-
-impl ArrivalModel for TraceArrivals {
-    fn gap_cycles(&self, index: usize) -> u64 {
-        match index {
-            0 => self.times.first().copied().unwrap_or(0),
-            i if i < self.times.len() => self.times[i] - self.times[i - 1],
-            _ => 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,18 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_model_reproduces_the_recording() {
-        let times = vec![4u64, 4, 9, 30, 31];
-        let trace = ArrivalTrace::new("diurnal", times.clone());
-        let model = trace.arrivals();
-        assert_eq!(model.timeline(5), times);
-        assert_eq!(model.timeline(3), times[..3]);
-        // Beyond the recording the timeline saturates (no invented
-        // arrivals).
-        assert_eq!(model.timeline(7), vec![4, 4, 9, 30, 31, 31, 31]);
-    }
-
-    #[test]
     fn timestamp_log_ingests_normalizes_and_rescales() {
         // Seconds-unit log with comments/blanks: gaps 1, 3, 0, 2 (mean
         // 1.5 s). Rescaling to a 3000-cycle mean gap doubles into
@@ -374,8 +335,6 @@ mod tests {
         assert_eq!(trace.traffic, "log:5");
         // The rescaled mean gap hits the target exactly.
         assert_eq!(trace.times.last().unwrap() / (trace.len() as u64 - 1), 3000);
-        // Replays through the standard seam.
-        assert_eq!(trace.arrivals().timeline(5), trace.times);
     }
 
     #[test]

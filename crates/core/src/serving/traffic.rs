@@ -354,11 +354,6 @@ impl TrafficModel {
         }
     }
 
-    /// Whether this model feeds arrivals back from completions.
-    pub fn is_closed_loop(&self) -> bool {
-        matches!(self, TrafficModel::ClosedLoop { .. })
-    }
-
     /// The open-loop generator for this model at `(seed, mean gap)`, or
     /// `None` for the closed-loop model (whose timeline is produced by
     /// the event loop itself).
@@ -519,8 +514,6 @@ mod tests {
         assert!(TrafficModel::ClosedLoop { clients: 2 }
             .open_loop(1, 10.0)
             .is_none());
-        assert!(TrafficModel::ClosedLoop { clients: 2 }.is_closed_loop());
-        assert!(!TrafficModel::bursty_default().is_closed_loop());
     }
 
     #[test]

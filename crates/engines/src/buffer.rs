@@ -53,16 +53,6 @@ impl StreamBuffer {
         self.capacity
     }
 
-    /// Current occupancy.
-    pub fn occupancy(&self) -> usize {
-        self.occupancy
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> BufferStats {
-        self.stats
-    }
-
     /// One producer cycle attempting to push `items`; returns how many
     /// were accepted (the rest is backpressure).
     pub fn produce(&mut self, items: usize) -> usize {
@@ -87,35 +77,32 @@ impl StreamBuffer {
         self.stats.items += delivered as u64;
         delivered
     }
-
-    /// Runs a closed-loop simulation for `cycles` cycles with constant
-    /// producer and consumer rates (items per cycle) and returns the
-    /// stats. Useful for sizing: with `produce_rate ≥ consume_rate` and a
-    /// buffer deep enough to cover the initial fill, the consumer never
-    /// stalls after warm-up.
-    pub fn simulate_rates(
-        &mut self,
-        produce_rate: usize,
-        consume_rate: usize,
-        cycles: u64,
-    ) -> BufferStats {
-        for _ in 0..cycles {
-            self.produce(produce_rate);
-            self.consume(consume_rate);
-        }
-        self.stats
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Runs `cycles` closed-loop cycles at constant producer and consumer
+    /// rates (items per cycle) and returns the counters.
+    fn run_rates(
+        b: &mut StreamBuffer,
+        produce_rate: usize,
+        consume_rate: usize,
+        cycles: u64,
+    ) -> BufferStats {
+        for _ in 0..cycles {
+            b.produce(produce_rate);
+            b.consume(consume_rate);
+        }
+        b.stats
+    }
+
     #[test]
     fn balanced_rates_never_stall_after_warmup() {
         let mut b = StreamBuffer::new(8);
         b.produce(4); // warm-up fill
-        let stats = b.simulate_rates(2, 2, 1000);
+        let stats = run_rates(&mut b, 2, 2, 1000);
         assert_eq!(stats.consumer_stalls, 0);
         assert_eq!(stats.items, 2 * 1000);
     }
@@ -123,14 +110,14 @@ mod tests {
     #[test]
     fn slow_producer_starves_consumer() {
         let mut b = StreamBuffer::new(8);
-        let stats = b.simulate_rates(1, 2, 100);
+        let stats = run_rates(&mut b, 1, 2, 100);
         assert!(stats.consumer_stalls > 50, "{stats:?}");
     }
 
     #[test]
     fn fast_producer_hits_backpressure() {
         let mut b = StreamBuffer::new(4);
-        let stats = b.simulate_rates(3, 1, 100);
+        let stats = run_rates(&mut b, 3, 1, 100);
         assert!(stats.producer_stalls > 50, "{stats:?}");
         assert_eq!(stats.peak_occupancy, 4);
     }
@@ -139,11 +126,11 @@ mod tests {
     fn produce_consume_accounting() {
         let mut b = StreamBuffer::new(2);
         assert_eq!(b.produce(5), 2);
-        assert_eq!(b.occupancy(), 2);
+        assert_eq!(b.occupancy, 2);
         assert_eq!(b.consume(1), 1);
         assert_eq!(b.consume(5), 1);
-        assert_eq!(b.stats().items, 2);
-        assert_eq!(b.stats().consumer_stalls, 1);
+        assert_eq!(b.stats.items, 2);
+        assert_eq!(b.stats.consumer_stalls, 1);
     }
 
     #[test]

@@ -23,26 +23,6 @@ pub struct CompressStats {
     pub flushes: u64,
 }
 
-impl CompressStats {
-    /// Accumulates another row's counters.
-    pub fn add(&mut self, other: CompressStats) {
-        self.nonzeros += other.nonzeros;
-        self.zeros += other.zeros;
-        self.cycles += other.cycles;
-        self.flushes += other.flushes;
-    }
-
-    /// Output sparsity in `[0, 1]`.
-    pub fn sparsity(&self) -> f64 {
-        let total = self.nonzeros + self.zeros;
-        if total == 0 {
-            0.0
-        } else {
-            self.zeros as f64 / total as f64
-        }
-    }
-}
-
 /// The ReLU + compressor unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Compressor;
@@ -71,20 +51,6 @@ impl Compressor {
             flushes: out.num_slices() as u64,
         }
     }
-
-    /// ReLU without compression — what a baseline accelerator's activation
-    /// unit does before writing a dense row.
-    pub fn relu_dense(&self, pre: &[f32]) -> (Vec<f32>, CompressStats) {
-        let activated: Vec<f32> = pre.iter().map(|&v| v.max(0.0)).collect();
-        let nonzeros = activated.iter().filter(|&&v| v != 0.0).count() as u64;
-        let stats = CompressStats {
-            nonzeros,
-            zeros: pre.len() as u64 - nonzeros,
-            cycles: pre.len() as u64,
-            flushes: 0,
-        };
-        (activated, stats)
-    }
 }
 
 #[cfg(test)]
@@ -99,7 +65,7 @@ mod tests {
         let stats = c.relu_compress_row(&[1.0, -2.0, 0.0, 3.0, -0.5, 2.0], &mut out, 0);
         assert_eq!(stats.nonzeros, 3);
         assert_eq!(stats.zeros, 3);
-        assert_eq!(stats.sparsity(), 0.5);
+        assert_eq!(stats.zeros, 3);
         assert_eq!(out.decode_row(0), vec![1.0, 0.0, 0.0, 3.0, 0.0, 2.0]);
     }
 
@@ -122,33 +88,5 @@ mod tests {
         let stats = Compressor::new().relu_compress_row(&vec![1.0; 256], &mut out, 0);
         assert_eq!(stats.flushes, 3);
         assert_eq!(stats.cycles, 256);
-    }
-
-    #[test]
-    fn dense_relu_matches() {
-        let (v, stats) = Compressor::new().relu_dense(&[-1.0, 2.0]);
-        assert_eq!(v, vec![0.0, 2.0]);
-        assert_eq!(stats.nonzeros, 1);
-        assert_eq!(stats.flushes, 0);
-    }
-
-    #[test]
-    fn stats_add() {
-        let mut a = CompressStats {
-            nonzeros: 1,
-            zeros: 2,
-            cycles: 3,
-            flushes: 1,
-        };
-        a.add(CompressStats {
-            nonzeros: 10,
-            zeros: 20,
-            cycles: 30,
-            flushes: 2,
-        });
-        assert_eq!(a.nonzeros, 11);
-        assert_eq!(a.zeros, 22);
-        assert_eq!(a.cycles, 33);
-        assert_eq!(a.flushes, 3);
     }
 }

@@ -26,16 +26,6 @@ impl PrefixSumUnit {
         PrefixSumUnit { width }
     }
 
-    /// Unit width in bits.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Number of scan stages (combinational depth) — `ceil(log2(width))`.
-    pub fn stages(&self) -> u32 {
-        (self.width.max(2) - 1).ilog2() + 1
-    }
-
     /// Exclusive scan over the first `width` bits of `bitmap`: `out[i]` is
     /// the packed-value index of element `i` (valid where the bit is set).
     /// Implemented as the hardware's Kogge–Stone network would compute it.
@@ -80,14 +70,6 @@ mod tests {
         assert_eq!(scan[0], 0);
         assert_eq!(scan[2], 1);
         assert_eq!(scan[3], 2);
-    }
-
-    #[test]
-    fn stage_depth_is_logarithmic() {
-        assert_eq!(PrefixSumUnit::new(2).stages(), 1);
-        assert_eq!(PrefixSumUnit::new(16).stages(), 4);
-        assert_eq!(PrefixSumUnit::new(17).stages(), 5);
-        assert_eq!(PrefixSumUnit::new(96).stages(), 7);
     }
 
     #[test]

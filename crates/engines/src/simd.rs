@@ -19,21 +19,6 @@ impl Default for SimdMacs {
 }
 
 impl SimdMacs {
-    /// Creates a bank with `lanes` multipliers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero.
-    pub fn new(lanes: usize) -> Self {
-        assert!(lanes > 0, "lanes must be non-zero");
-        SimdMacs { lanes }
-    }
-
-    /// Lane count.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
     /// Cycles to stream `elements` MACs through the lanes.
     pub fn cycles_for(&self, elements: usize) -> u64 {
         elements.div_ceil(self.lanes) as u64

@@ -46,11 +46,6 @@ impl SystolicArray {
         SystolicArray { config }
     }
 
-    /// Geometry.
-    pub fn config(&self) -> SystolicConfig {
-        self.config
-    }
-
     /// Cycles to compute an `M×K · K×N` GeMM, output-stationary.
     ///
     /// SCALE-Sim's OS timing per output fold is `2·R + C + K - 2` (skewed
@@ -98,11 +93,6 @@ impl SystolicArray {
         }
         out
     }
-
-    /// Peak MACs per cycle of the array.
-    pub fn peak_macs_per_cycle(&self) -> u64 {
-        (self.config.rows * self.config.cols) as u64
-    }
 }
 
 #[cfg(test)]
@@ -134,7 +124,7 @@ mod tests {
     #[test]
     fn table3_array_peak() {
         let sa = SystolicArray::new(SystolicConfig::default());
-        assert_eq!(sa.peak_macs_per_cycle(), 1024);
+        assert_eq!(sa.config.rows * sa.config.cols, 1024);
     }
 
     #[test]
@@ -142,10 +132,9 @@ mod tests {
         let sa = SystolicArray::new(SystolicConfig::default());
         let short = sa.gemm_cycles(32, 8, 32);
         let long = sa.gemm_cycles(32, 256, 32);
-        let eff_short = SystolicArray::gemm_macs(32, 8, 32) as f64
-            / (short as f64 * sa.peak_macs_per_cycle() as f64);
-        let eff_long = SystolicArray::gemm_macs(32, 256, 32) as f64
-            / (long as f64 * sa.peak_macs_per_cycle() as f64);
+        let peak = (sa.config.rows * sa.config.cols) as f64;
+        let eff_short = SystolicArray::gemm_macs(32, 8, 32) as f64 / (short as f64 * peak);
+        let eff_long = SystolicArray::gemm_macs(32, 256, 32) as f64 / (long as f64 * peak);
         assert!(eff_long > eff_short, "{eff_long} vs {eff_short}");
     }
 

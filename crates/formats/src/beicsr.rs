@@ -216,11 +216,6 @@ impl Beicsr {
         self.slice_elems
     }
 
-    /// Whether this is the sliced variant.
-    pub fn is_sliced(&self) -> bool {
-        self.sliced
-    }
-
     /// Reserved bytes per slice slot (bitmap + dense value capacity, aligned).
     pub fn slot_bytes(&self) -> u64 {
         self.slot_bytes

@@ -69,12 +69,6 @@ impl Bitmap {
         self.len == 0
     }
 
-    /// Bytes needed to store this bitmap in memory (rounded up to whole
-    /// bytes, as laid out at the head of a BEICSR slice).
-    pub fn storage_bytes(&self) -> u64 {
-        (self.len as u64).div_ceil(8)
-    }
-
     /// Sets bit `idx` to `value`.
     ///
     /// # Panics
@@ -136,13 +130,6 @@ impl Bitmap {
             word_idx: 0,
             current: self.words.first().copied().unwrap_or(0),
         }
-    }
-
-    /// The packed 64-bit words backing the bitmap, least-significant bit
-    /// first. Bits at positions `>= len` are always zero, so word-level
-    /// consumers (population counts, intersections) need no masking.
-    pub fn words(&self) -> &[u64] {
-        &self.words
     }
 
     /// Number of positions set in **both** bitmaps — a word-at-a-time
@@ -295,15 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn storage_bytes_rounds_up() {
-        assert_eq!(Bitmap::new(1).storage_bytes(), 1);
-        assert_eq!(Bitmap::new(8).storage_bytes(), 1);
-        assert_eq!(Bitmap::new(9).storage_bytes(), 2);
-        assert_eq!(Bitmap::new(96).storage_bytes(), 12);
-        assert_eq!(Bitmap::new(256).storage_bytes(), 32);
-    }
-
-    #[test]
     fn empty_bitmap() {
         let bm = Bitmap::new(0);
         assert!(bm.is_empty());
@@ -324,7 +302,7 @@ mod tests {
         bm.set(0, true);
         bm.set(64, true);
         bm.set(129, true);
-        assert_eq!(bm.words(), &[1, 1, 2]);
+        assert_eq!(bm.words, [1, 1, 2]);
     }
 
     #[test]

@@ -93,11 +93,6 @@ impl BsrFeatures {
         self.block_cols.len()
     }
 
-    /// Block dimensions `(br, bc)`.
-    pub fn block_dims(&self) -> (usize, usize) {
-        (self.br, self.bc)
-    }
-
     fn block_bytes(&self) -> u64 {
         (self.br * self.bc) as u64 * ELEM_BYTES
     }
@@ -247,7 +242,7 @@ mod tests {
     fn stores_only_nonempty_blocks() {
         let (_, bsr) = sample();
         assert_eq!(bsr.stored_blocks(), 3);
-        assert_eq!(bsr.block_dims(), (2, 2));
+        assert_eq!((bsr.br, bsr.bc), (2, 2));
     }
 
     #[test]

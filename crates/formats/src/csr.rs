@@ -55,12 +55,6 @@ impl CsrFeatures {
         self.values.len()
     }
 
-    /// Non-zeros in `row`.
-    pub fn row_nnz(&self, row: usize) -> usize {
-        let (s, e) = self.row_bounds(row);
-        e - s
-    }
-
     /// Column indices of `row`.
     pub fn row_cols(&self, row: usize) -> &[u32] {
         let (s, e) = self.row_bounds(row);
@@ -212,7 +206,7 @@ mod tests {
     fn nnz_counts() {
         let (_, csr) = sample();
         assert_eq!(csr.nnz(), 12);
-        assert_eq!(csr.row_nnz(0), 3);
+        assert_eq!(csr.row_cols(0).len(), 3);
         assert_eq!(csr.row_cols(1), &[2, 6, 7]);
     }
 

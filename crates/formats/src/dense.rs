@@ -113,15 +113,6 @@ impl DenseMatrix {
         }
         1.0 - self.count_nonzeros() as f64 / self.data.len() as f64
     }
-
-    /// Non-zero count within `range` of row `r`.
-    pub fn row_range_nnz(&self, r: usize, range: ColRange) -> usize {
-        let row = self.row_slice(r);
-        row[range.clamp_to(self.cols)]
-            .iter()
-            .filter(|&&v| v != 0.0)
-            .count()
-    }
 }
 
 impl FeatureFormat for DenseMatrix {
@@ -285,12 +276,5 @@ mod tests {
         let bytes: u64 = m.row_spans(0).iter().map(Span::cacheline_bytes).sum();
         assert_eq!(bytes, 64 * 4);
         assert_eq!(bytes % CACHELINE_BYTES, 0);
-    }
-
-    #[test]
-    fn row_range_nnz_counts_window() {
-        let m = sample();
-        assert_eq!(m.row_range_nnz(1, ColRange::new(0, 8)), 0);
-        assert_eq!(m.row_range_nnz(1, ColRange::new(8, 16)), 1);
     }
 }

@@ -101,11 +101,6 @@ impl BlockedEllpack {
         }
     }
 
-    /// Uniform slot count per block-row.
-    pub fn slots_per_block_row(&self) -> usize {
-        self.k
-    }
-
     fn slot_bytes(&self) -> u64 {
         4 + (self.br * self.bc) as u64 * ELEM_BYTES
     }
@@ -217,7 +212,7 @@ mod tests {
     #[test]
     fn padded_to_max_row() {
         let (_, ell) = sample();
-        assert_eq!(ell.slots_per_block_row(), 3);
+        assert_eq!(ell.k, 3);
         // Block row 1 has one real block but pays for 3.
         let spans = ell.row_spans(2);
         assert_eq!(spans[0].bytes as u64, 3 * (4 + 16));
@@ -235,7 +230,7 @@ mod tests {
     fn empty_matrix_has_zero_slots() {
         let m = DenseMatrix::zeros(4, 4);
         let ell = BlockedEllpack::encode(&m);
-        assert_eq!(ell.slots_per_block_row(), 0);
+        assert_eq!(ell.k, 0);
         assert_eq!(ell.capacity_bytes(), 0);
         assert!(ell.row_spans(0).is_empty());
         assert_eq!(ell.decode_row(3), vec![0.0; 4]);

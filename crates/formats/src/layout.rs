@@ -6,8 +6,6 @@
 //! on cachelines that are never touched. This module centralises the
 //! alignment math so every format and the memory simulator agree on it.
 
-use std::fmt;
-
 /// Cacheline size in bytes, matching the 64 B line assumed throughout the
 /// paper (§V-A uses "64B cachelines"; HBM2 bursts are modelled at the same
 /// granularity).
@@ -62,12 +60,6 @@ impl Span {
     }
 }
 
-impl fmt::Display for Span {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{:#x}..{:#x})", self.offset, self.end())
-    }
-}
-
 /// Rounds `value` up to the next multiple of `align`.
 ///
 /// # Panics
@@ -76,19 +68,6 @@ impl fmt::Display for Span {
 pub fn align_up(value: u64, align: u64) -> u64 {
     assert!(align > 0, "alignment must be non-zero");
     value.div_ceil(align) * align
-}
-
-/// Number of whole cachelines needed to hold `bytes` bytes starting at an
-/// aligned address.
-pub fn cachelines(bytes: u64) -> u64 {
-    bytes.div_ceil(CACHELINE_BYTES)
-}
-
-/// Total cacheline-rounded traffic for a set of spans, counting a line once
-/// per span that touches it (the memory system deduplicates via the cache;
-/// this helper is for format-level accounting).
-pub fn cacheline_bytes_covering(spans: &[Span]) -> u64 {
-    spans.iter().map(Span::cacheline_bytes).sum()
 }
 
 #[cfg(test)]
@@ -131,16 +110,5 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.cachelines(), 0);
         assert_eq!(s.cacheline_bytes(), 0);
-    }
-
-    #[test]
-    fn covering_sums_per_span() {
-        let spans = [Span::new(0, 64), Span::new(60, 8)];
-        assert_eq!(cacheline_bytes_covering(&spans), 64 + 128);
-    }
-
-    #[test]
-    fn span_display() {
-        assert_eq!(Span::new(64, 64).to_string(), "[0x40..0x80)");
     }
 }

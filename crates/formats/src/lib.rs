@@ -56,8 +56,6 @@ pub use coo::CooFeatures;
 pub use csr::CsrFeatures;
 pub use dense::DenseMatrix;
 pub use ellpack::BlockedEllpack;
-pub use layout::{
-    align_up, cacheline_bytes_covering, cachelines, Span, CACHELINE_BYTES, ELEM_BYTES,
-};
+pub use layout::{align_up, Span, CACHELINE_BYTES, ELEM_BYTES};
 pub use runs::{LineRun, RunCompactor};
 pub use traits::{ColRange, FeatureFormat, FormatKind};

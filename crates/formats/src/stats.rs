@@ -63,19 +63,9 @@ impl SliceStats {
         }
     }
 
-    /// Number of slots measured.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
     /// Mean non-zeros per slot.
     pub fn mean(&self) -> f64 {
         self.mean
-    }
-
-    /// Variance of non-zeros per slot.
-    pub fn variance(&self) -> f64 {
-        self.variance
     }
 
     /// Standard deviation of non-zeros per slot.
@@ -91,16 +81,6 @@ impl SliceStats {
         } else {
             self.std_dev() / self.mean
         }
-    }
-
-    /// Minimum / maximum slot occupancy.
-    pub fn min_max(&self) -> (usize, usize) {
-        (self.min, self.max)
-    }
-
-    /// Occupancy-decile histogram (bin 10 = 100% full).
-    pub fn histogram(&self) -> &[u64; 11] {
-        &self.histogram
     }
 
     /// Fraction of slots whose occupancy exceeds `fraction` of the slice
@@ -142,10 +122,10 @@ mod tests {
     fn uniform_pattern_has_zero_variance() {
         let b = Beicsr::encode(&uniform_half(16, 96), BeicsrConfig::sliced(96));
         let s = SliceStats::measure(&b);
-        assert_eq!(s.count(), 16);
+        assert_eq!(s.count, 16);
         assert!((s.mean() - 48.0).abs() < 1e-9);
-        assert!(s.variance() < 1e-9);
-        assert_eq!(s.min_max(), (48, 48));
+        assert!(s.variance < 1e-9);
+        assert_eq!((s.min, s.max), (48, 48));
         assert!(s.coefficient_of_variation() < 1e-6);
     }
 
@@ -170,7 +150,7 @@ mod tests {
         let b = Beicsr::encode(&DenseMatrix::zeros(4, 32), BeicsrConfig::default());
         let s = SliceStats::measure(&b);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.histogram()[0], 4);
+        assert_eq!(s.histogram[0], 4);
         assert_eq!(s.outlier_fraction(0.5), 0.0);
     }
 

@@ -26,14 +26,6 @@ impl ColRange {
         ColRange { start, end }
     }
 
-    /// Full-width range for a matrix with `cols` columns.
-    pub fn full(cols: usize) -> Self {
-        ColRange {
-            start: 0,
-            end: cols,
-        }
-    }
-
     /// Number of columns covered.
     pub fn len(&self) -> usize {
         self.end - self.start
@@ -53,12 +45,6 @@ impl ColRange {
 impl fmt::Display for ColRange {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}..{}", self.start, self.end)
-    }
-}
-
-impl From<Range<usize>> for ColRange {
-    fn from(r: Range<usize>) -> Self {
-        ColRange::new(r.start, r.end)
     }
 }
 
@@ -175,22 +161,6 @@ pub trait FeatureFormat {
     fn row_read_bytes(&self, row: usize) -> u64 {
         self.row_spans(row).iter().map(Span::cacheline_bytes).sum()
     }
-
-    /// Cacheline-rounded bytes to read `range` of `row`.
-    fn slice_read_bytes(&self, row: usize, range: ColRange) -> u64 {
-        self.slice_spans(row, range)
-            .iter()
-            .map(Span::cacheline_bytes)
-            .sum()
-    }
-
-    /// Cacheline-rounded bytes to write `row`.
-    fn row_write_bytes(&self, row: usize) -> u64 {
-        self.write_spans(row)
-            .iter()
-            .map(Span::cacheline_bytes)
-            .sum()
-    }
 }
 
 /// Identifies one of the formats compared in the paper's Fig. 3.
@@ -246,12 +216,6 @@ impl FormatKind {
     }
 }
 
-impl fmt::Display for FormatKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,7 +226,6 @@ mod tests {
         assert_eq!(r.len(), 8);
         assert!(!r.is_empty());
         assert_eq!(r.clamp_to(10), 4..10);
-        assert_eq!(ColRange::full(96), ColRange::new(0, 96));
         assert_eq!(r.to_string(), "4..12");
     }
 
@@ -279,11 +242,5 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), labels.len());
-    }
-
-    #[test]
-    fn col_range_from_std_range() {
-        let r: ColRange = (3..7).into();
-        assert_eq!(r, ColRange::new(3, 7));
     }
 }

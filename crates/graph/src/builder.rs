@@ -70,11 +70,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of distinct directed edges collected so far.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     fn push_edge(&mut self, dst: usize, src: usize) {
         assert!(
             dst < self.num_vertices && src < self.num_vertices,

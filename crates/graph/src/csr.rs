@@ -99,13 +99,6 @@ impl CsrGraph {
         }
     }
 
-    /// Topology footprint in bytes when stored as CSR with 32-bit column
-    /// indices, 32-bit weights and a row-pointer array — what the graph
-    /// reader streams from DRAM.
-    pub fn topology_bytes(&self) -> u64 {
-        (self.row_ptr.len() as u64) * 4 + (self.num_edges() as u64) * 8
-    }
-
     /// Neighbors of `v` restricted to sources within `range`
     /// (a column tile), via binary search on the sorted neighbor list.
     ///
@@ -118,16 +111,6 @@ impl CsrGraph {
         let lo = cols.partition_point(|&c| (c as usize) < range.start);
         let hi = cols.partition_point(|&c| (c as usize) < range.end);
         (&cols[lo..hi], &self.weights[s + lo..s + hi])
-    }
-
-    /// Iterates `(dst, src, weight)` over all edges.
-    pub fn iter_edges(&self) -> impl Iterator<Item = (u32, u32, f32)> + '_ {
-        (0..self.num_vertices()).flat_map(move |v| {
-            self.neighbors(v)
-                .iter()
-                .zip(self.edge_weights(v))
-                .map(move |(&src, &w)| (v as u32, src, w))
-        })
     }
 
     fn row_bounds(&self, v: usize) -> (usize, usize) {
@@ -169,20 +152,6 @@ mod tests {
         assert_eq!(n, &[2]);
         let (n, _) = g.neighbors_in(1, VertexRange::new(1, 2));
         assert!(n.is_empty());
-    }
-
-    #[test]
-    fn iter_edges_yields_all() {
-        let g = path3();
-        let edges: Vec<(u32, u32, f32)> = g.iter_edges().collect();
-        assert_eq!(edges.len(), 4);
-        assert_eq!(edges[0], (0, 1, 1.0));
-    }
-
-    #[test]
-    fn topology_bytes_counts_csr_arrays() {
-        let g = path3();
-        assert_eq!(g.topology_bytes(), 4 * 4 + 4 * 8);
     }
 
     #[test]

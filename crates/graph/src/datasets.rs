@@ -178,11 +178,6 @@ impl DatasetId {
             },
         }
     }
-
-    /// Deterministic per-dataset RNG seed (derived from Table II order).
-    pub fn seed(&self) -> u64 {
-        dataset_seed(*self)
-    }
 }
 
 /// Full-scale dataset statistics from the paper's Table II, plus the
@@ -333,6 +328,39 @@ fn dataset_seed(id: DatasetId) -> u64 {
 mod tests {
     use super::*;
     use crate::stats::GraphStats;
+
+    /// Vertex count of the largest connected component, by depth-first
+    /// search over the (symmetric) adjacency.
+    fn largest_component_size(g: &CsrGraph) -> usize {
+        let mut seen = vec![false; g.num_vertices()];
+        let mut largest = 0;
+        for root in 0..g.num_vertices() {
+            if std::mem::replace(&mut seen[root], true) {
+                continue;
+            }
+            let (mut stack, mut size) = (vec![root], 0);
+            while let Some(v) = stack.pop() {
+                size += 1;
+                for &u in g.neighbors(v) {
+                    if !std::mem::replace(&mut seen[u as usize], true) {
+                        stack.push(u as usize);
+                    }
+                }
+            }
+            largest = largest.max(size);
+        }
+        largest
+    }
+
+    #[test]
+    fn synthesized_datasets_are_mostly_connected() {
+        let ds = Dataset::synthesize(DatasetId::PubMed, SynthScale::tiny(), Normalization::Unit);
+        let n = ds.graph.num_vertices();
+        assert!(
+            largest_component_size(&ds.graph) > n * 8 / 10,
+            "giant component should dominate"
+        );
+    }
 
     #[test]
     fn catalog_matches_table2_headlines() {

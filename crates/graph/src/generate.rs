@@ -4,9 +4,9 @@
 //! sparsity-aware cooperation exploits (§V-C, Fig. 7b): *community
 //! clustering* (dense diagonal blocks in the adjacency matrix) and
 //! *neighbor similarity* (adjacent rows share neighbors). The
-//! [`clustered`] generator reproduces both; [`rmat`] adds the heavy-tailed
-//! degree skew of web-scale graphs; [`erdos_renyi`] is the structure-free
-//! control.
+//! [`clustered`] generator reproduces both; [`power_law`] adds the
+//! heavy-tailed degree skew of web-scale graphs; [`erdos_renyi`] is the
+//! structure-free control.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -104,76 +104,6 @@ pub fn erdos_renyi(vertices: usize, avg_degree: f64, seed: u64, norm: Normalizat
     GraphBuilder::new(vertices)
         .undirected_edges(edges.collect::<Vec<_>>())
         .build(norm)
-}
-
-/// R-MAT parameters `(a, b, c, d)`; `a + b + c + d` must be ≈ 1.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RmatParams {
-    /// Top-left quadrant probability (hub-to-hub).
-    pub a: f64,
-    /// Top-right quadrant probability.
-    pub b: f64,
-    /// Bottom-left quadrant probability.
-    pub c: f64,
-    /// Bottom-right quadrant probability.
-    pub d: f64,
-}
-
-impl Default for RmatParams {
-    /// The classic Graph500-style skew.
-    fn default() -> Self {
-        RmatParams {
-            a: 0.57,
-            b: 0.19,
-            c: 0.19,
-            d: 0.05,
-        }
-    }
-}
-
-/// Generates an R-MAT graph with `2^scale` vertices and roughly
-/// `edge_factor · 2^scale` undirected edges.
-///
-/// # Panics
-///
-/// Panics if the quadrant probabilities do not sum to ≈ 1.
-pub fn rmat(
-    scale: u32,
-    edge_factor: f64,
-    params: RmatParams,
-    seed: u64,
-    norm: Normalization,
-) -> CsrGraph {
-    let sum = params.a + params.b + params.c + params.d;
-    assert!(
-        (sum - 1.0).abs() < 1e-6,
-        "rmat params must sum to 1, got {sum}"
-    );
-    let n = 1usize << scale;
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let target = (edge_factor * n as f64).round() as usize;
-    let mut edges = Vec::with_capacity(target);
-    for _ in 0..target {
-        let (mut u, mut v) = (0usize, 0usize);
-        for _ in 0..scale {
-            let r: f64 = rng.gen();
-            let (du, dv) = if r < params.a {
-                (0, 0)
-            } else if r < params.a + params.b {
-                (0, 1)
-            } else if r < params.a + params.b + params.c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
-            u = (u << 1) | du;
-            v = (v << 1) | dv;
-        }
-        if u != v {
-            edges.push((u, v));
-        }
-    }
-    GraphBuilder::new(n).undirected_edges(edges).build(norm)
 }
 
 /// Generates a power-law graph over `vertices` vertices with roughly
@@ -279,26 +209,6 @@ mod tests {
             sc < se * 0.7,
             "clustered mean ID distance {sc} should be well below ER's {se}"
         );
-    }
-
-    #[test]
-    fn rmat_is_skewed() {
-        let g = rmat(10, 8.0, RmatParams::default(), 11, Normalization::Unit);
-        let stats = GraphStats::compute(&g);
-        // Heavy tail: max degree far above average.
-        assert!(stats.max_degree as f64 > 6.0 * stats.avg_degree);
-    }
-
-    #[test]
-    #[should_panic(expected = "sum to 1")]
-    fn rmat_bad_params_panic() {
-        let p = RmatParams {
-            a: 0.9,
-            b: 0.9,
-            c: 0.0,
-            d: 0.0,
-        };
-        let _ = rmat(4, 2.0, p, 0, Normalization::Unit);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! * [`CsrGraph`] — the normalized adjacency structure,
 //! * [`GraphBuilder`] — edge-list ingestion with dedup, self-loops and the
 //!   normalizations used by the GCN variants of the paper's Fig. 16,
-//! * [`generate`] — synthetic topology generators (Erdős–Rényi, R-MAT, and
-//!   a clustered stochastic block model reproducing the neighbor-similarity
-//!   and diagonal-clustering structure of the paper's Fig. 7b),
+//! * [`generate`] — synthetic topology generators (Erdős–Rényi, Chung–Lu
+//!   power law, and a clustered stochastic block model reproducing the
+//!   neighbor-similarity and diagonal-clustering structure of the paper's
+//!   Fig. 7b),
 //! * [`datasets`] — the nine-dataset catalog of Table II with scaled
 //!   synthetic instantiation,
 //! * [`partition`] — 2-D adjacency tiling used by GCNAX-style dataflows,
@@ -39,12 +40,10 @@ pub mod builder;
 pub mod csr;
 pub mod datasets;
 pub mod generate;
-pub mod io;
 pub mod partition;
 pub mod reorder;
 pub mod sampling;
 pub mod stats;
-pub mod traversal;
 
 pub use builder::{GraphBuilder, Normalization};
 pub use csr::CsrGraph;

@@ -6,10 +6,6 @@
 //! engines sweep inside a tile* (sparsity-aware cooperation, implemented in
 //! the core crate).
 
-use std::fmt;
-
-use crate::csr::CsrGraph;
-
 /// A half-open vertex ID range `[start, end)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct VertexRange {
@@ -51,12 +47,6 @@ impl VertexRange {
     }
 }
 
-impl fmt::Display for VertexRange {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}..{}", self.start, self.end)
-    }
-}
-
 /// One tile of the 2-D partition: a destination-range × source-range block
 /// of `Ã`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -91,11 +81,6 @@ impl Tiling {
             dst_tile,
             src_tile,
         }
-    }
-
-    /// A single tile spanning the whole matrix (no tiling, as in HyGCN).
-    pub fn whole(vertices: usize) -> Self {
-        Tiling::new(vertices, vertices.max(1), vertices.max(1))
     }
 
     /// Number of destination (row) tiles.
@@ -144,14 +129,6 @@ impl Tiling {
             })
         })
     }
-
-    /// Count of edges falling inside `tile`.
-    pub fn edges_in_tile(&self, graph: &CsrGraph, tile: Tile) -> usize {
-        tile.dst
-            .iter()
-            .map(|v| graph.neighbors_in(v, tile.src).0.len())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -171,6 +148,22 @@ mod tests {
     }
 
     #[test]
+    fn edges_in_tiles_partition_edge_set() {
+        let g = GraphBuilder::new(6)
+            .undirected_edge(0, 5)
+            .undirected_edge(1, 2)
+            .undirected_edge(3, 4)
+            .build(Normalization::Unit);
+        let t = Tiling::new(6, 2, 3);
+        let sum: usize = t
+            .iter_row_major()
+            .flat_map(|tile| tile.dst.iter().map(move |v| (v, tile.src)))
+            .map(|(v, src)| g.neighbors_in(v, src).0.len())
+            .sum();
+        assert_eq!(sum, g.num_edges());
+    }
+
+    #[test]
     fn row_major_iteration_order() {
         let t = Tiling::new(4, 2, 2);
         let tiles: Vec<Tile> = t.iter_row_major().collect();
@@ -182,33 +175,9 @@ mod tests {
     }
 
     #[test]
-    fn edges_in_tiles_partition_edge_set() {
-        let g = GraphBuilder::new(6)
-            .undirected_edge(0, 5)
-            .undirected_edge(1, 2)
-            .undirected_edge(3, 4)
-            .build(Normalization::Unit);
-        let t = Tiling::new(6, 2, 3);
-        let sum: usize = t
-            .iter_row_major()
-            .map(|tile| t.edges_in_tile(&g, tile))
-            .sum();
-        assert_eq!(sum, g.num_edges());
-    }
-
-    #[test]
-    fn whole_tiling_is_one_tile() {
-        let t = Tiling::whole(100);
-        assert_eq!(t.dst_tiles(), 1);
-        assert_eq!(t.src_tiles(), 1);
-        assert_eq!(t.iter_row_major().count(), 1);
-    }
-
-    #[test]
     fn vertex_range_helpers() {
         let r = VertexRange::new(3, 7);
         assert_eq!(r.len(), 4);
         assert!(r.contains(3) && r.contains(6) && !r.contains(7));
-        assert_eq!(r.to_string(), "3..7");
     }
 }

@@ -36,11 +36,6 @@ impl Permutation {
         Permutation { forward, inverse }
     }
 
-    /// Identity permutation over `n` vertices.
-    pub fn identity(n: usize) -> Self {
-        Permutation::from_forward((0..n as u32).collect())
-    }
-
     /// Number of vertices.
     pub fn len(&self) -> usize {
         self.forward.len()
@@ -189,7 +184,7 @@ mod tests {
     #[test]
     fn identity_apply_is_noop() {
         let g = two_islands();
-        let g2 = Permutation::identity(6).apply(&g);
+        let g2 = Permutation::from_forward((0..6).collect()).apply(&g);
         assert_eq!(g, g2);
     }
 

@@ -88,11 +88,6 @@ impl SampledSubgraph {
         self.vertices.len()
     }
 
-    /// Sampled edges in the subgraph.
-    pub fn num_edges(&self) -> usize {
-        self.graph.num_edges()
-    }
-
     /// Original id of local vertex `v`.
     ///
     /// # Panics

@@ -262,12 +262,6 @@ pub trait CacheModel: Clone + std::fmt::Debug {
         self.access_observed(addr, &mut ())
     }
 
-    /// Non-mutating presence probe of the line containing `addr`.
-    #[inline]
-    fn peek(&self, addr: u64) -> bool {
-        self.peek_line(addr / self.config().line_bytes)
-    }
-
     /// Probes `lines` consecutive lines starting at `first_line` — the
     /// line-run replay behind `MemorySystem::access_lines`. Every maximal
     /// sub-run of consecutive *misses* is reported to `on_miss_run` as
@@ -967,20 +961,20 @@ mod tests {
     #[test]
     fn peek_reports_presence_without_touching_state() {
         let mut c = tiny();
-        assert!(!c.peek(0), "cold cache holds nothing");
+        assert!(!c.peek_line(0), "cold cache holds nothing");
         c.access(0);
-        c.access(256); // same set as line 0 (4 sets, stride 256 B)
+        c.access(256); // line 4: same set as line 0 (4 sets, stride 256 B)
         let before = c.stats();
-        assert!(c.peek(0));
-        assert!(c.peek(256));
-        assert!(!c.peek(512));
+        assert!(c.peek_line(0));
+        assert!(c.peek_line(4));
+        assert!(!c.peek_line(8));
         assert_eq!(c.stats(), before, "peek must not count as an access");
         // Peek must not promote: line 0 is still LRU, so inserting a third
         // line into the set evicts it.
-        c.peek(0);
+        c.peek_line(0);
         c.access(512);
-        assert!(!c.peek(0), "peek promoted the LRU line");
-        assert!(c.peek(256));
+        assert!(!c.peek_line(0), "peek promoted the LRU line");
+        assert!(c.peek_line(4));
     }
 
     #[test]
@@ -1110,7 +1104,8 @@ mod tests {
                         assert_eq!(i1, i2, "{policy:?} op {op}: invalidate({addr}) diverged");
                     }
                     98 => {
-                        let (p1, p2) = (flat.peek(addr), list.peek(addr));
+                        let line = addr / 64;
+                        let (p1, p2) = (flat.peek_line(line), list.peek_line(line));
                         assert_eq!(p1, p2, "{policy:?} op {op}: peek({addr}) diverged");
                     }
                     _ => {

@@ -104,12 +104,6 @@ impl DramConfig {
     }
 }
 
-impl Default for DramConfig {
-    fn default() -> Self {
-        DramConfig::hbm2()
-    }
-}
-
 /// Access counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DramStats {
@@ -203,11 +197,6 @@ impl Dram {
             burst_cycles: config.burst_cycles(),
             config,
         }
-    }
-
-    /// Geometry/timing.
-    pub fn config(&self) -> DramConfig {
-        self.config
     }
 
     /// Counters so far.

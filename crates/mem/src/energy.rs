@@ -77,14 +77,6 @@ impl EnergyModel {
             static_pj: self.static_watts * cycles as f64 * 1000.0,
         }
     }
-
-    /// Average power in watts over `cycles` at 1 GHz.
-    pub fn average_watts(&self, breakdown: &EnergyBreakdown, cycles: u64) -> f64 {
-        if cycles == 0 {
-            return 0.0;
-        }
-        breakdown.total_pj() / (cycles as f64 * 1000.0)
-    }
 }
 
 #[cfg(test)]
@@ -120,21 +112,5 @@ mod tests {
         let b = m.breakdown(0, 0, 0, 1_000_000);
         // 0.8 W × 1 ms = 0.8 mJ.
         assert!((b.total_mj() - 0.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn average_watts() {
-        let m = EnergyModel::default();
-        let b = m.breakdown(0, 0, 1_000_000, 1_000_000);
-        // 32 pJ/B × 1e6 B = 32 µJ over 1 ms → 0.032 W dynamic + 0.8 static.
-        let w = m.average_watts(&b, 1_000_000);
-        assert!((w - 0.832).abs() < 1e-6, "{w}");
-    }
-
-    #[test]
-    fn zero_cycles_power_is_zero() {
-        let m = EnergyModel::default();
-        let b = m.breakdown(10, 10, 10, 0);
-        assert_eq!(m.average_watts(&b, 0), 0.0);
     }
 }

@@ -79,12 +79,6 @@ impl Traffic {
     }
 }
 
-impl std::fmt::Display for Traffic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 /// Per-class counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TrafficStats {

@@ -121,7 +121,45 @@ fn axpy(acc: &mut [f32], row: &[f32], w: f32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sgcn_graph::{GraphBuilder, Normalization};
+    use crate::features::synthesize_features;
+    use sgcn_graph::{generate, GraphBuilder, Normalization};
+
+    /// Mean cosine similarity over all row pairs of `m` (1.0 = every row
+    /// parallel, i.e. fully over-smoothed; zero rows count as 0).
+    fn mean_pairwise_cosine(m: &DenseMatrix) -> f64 {
+        let norm = |v: &[f32]| v.iter().map(|&x| f64::from(x).powi(2)).sum::<f64>().sqrt();
+        let (mut sum, mut pairs) = (0.0, 0usize);
+        for i in 0..m.rows() {
+            for j in i + 1..m.rows() {
+                let (a, b) = (m.row_slice(i), m.row_slice(j));
+                let dot: f64 = a
+                    .iter()
+                    .zip(b)
+                    .map(|(&x, &y)| f64::from(x) * f64::from(y))
+                    .sum();
+                let denom = norm(a) * norm(b);
+                if denom > 0.0 {
+                    sum += dot / denom;
+                }
+                pairs += 1;
+            }
+        }
+        sum / pairs as f64
+    }
+
+    #[test]
+    fn aggregation_increases_smoothing() {
+        // Repeated symmetric aggregation without nonlinearity smooths
+        // features — the over-smoothing mechanism itself.
+        let g = generate::erdos_renyi(80, 8.0, 2, Normalization::Symmetric);
+        let mut x = synthesize_features(80, 32, 0.3, 5);
+        let before = mean_pairwise_cosine(&x);
+        for _ in 0..6 {
+            x = aggregate(&g, &x, GcnVariant::Gcn, 0);
+        }
+        let after = mean_pairwise_cosine(&x);
+        assert!(after > before + 0.1, "before {before} after {after}");
+    }
 
     fn line_graph(norm: Normalization) -> CsrGraph {
         GraphBuilder::new(3)

@@ -35,7 +35,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod features;
 pub mod layer;
 pub mod network;

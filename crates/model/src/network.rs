@@ -123,16 +123,6 @@ impl GcnNetwork {
         }
     }
 
-    /// Shape configuration.
-    pub fn config(&self) -> NetworkConfig {
-        self.config
-    }
-
-    /// Input feature width.
-    pub fn input_width(&self) -> usize {
-        self.input_width
-    }
-
     /// Weight matrix of layer `l` (0-based).
     ///
     /// # Panics
@@ -140,15 +130,6 @@ impl GcnNetwork {
     /// Panics if `l` is out of range.
     pub fn weight(&self, l: usize) -> &DenseMatrix {
         &self.weights[l]
-    }
-
-    /// Total weight bytes across all layers — the combination engine's
-    /// weight traffic per full pass.
-    pub fn weight_bytes(&self) -> u64 {
-        self.weights
-            .iter()
-            .map(|w| (w.rows() * w.cols() * 4) as u64)
-            .sum()
     }
 }
 
@@ -172,12 +153,6 @@ mod tests {
         assert_eq!(n.weight(0).cols(), 16);
         assert_eq!(n.weight(1).rows(), 16);
         assert_eq!(n.weight(2).cols(), 16);
-    }
-
-    #[test]
-    fn weight_bytes_sum() {
-        let n = GcnNetwork::new(NetworkConfig::deep_residual(2, 8), 4, 1);
-        assert_eq!(n.weight_bytes(), (4 * 8 + 8 * 8) * 4);
     }
 
     #[test]

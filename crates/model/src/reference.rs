@@ -87,11 +87,6 @@ impl<'g> ReferenceExecutor<'g> {
         }
     }
 
-    /// The network configuration.
-    pub fn config(&self) -> NetworkConfig {
-        self.config
-    }
-
     /// Full-precision inference with per-layer calibrated activation
     /// sparsity. `targets[l]` is the sparsity target for layer `l`'s
     /// output (`targets.len()` must equal `config.layers`).

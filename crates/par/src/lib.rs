@@ -107,15 +107,6 @@ where
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Convenience: parallel map over `0..n` by index.
-pub fn par_map_indices<R, F>(n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    par_map((0..n).collect(), f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,11 +129,6 @@ mod tests {
     fn empty_and_single() {
         assert_eq!(par_map(Vec::<u32>::new(), |x| x), Vec::<u32>::new());
         assert_eq!(par_map(vec![7u32], |x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn indices_helper() {
-        assert_eq!(par_map_indices(4, |i| i * i), vec![0, 1, 4, 9]);
     }
 
     #[test]

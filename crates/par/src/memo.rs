@@ -16,7 +16,7 @@
 //!   value (large entries where the early, cross-driver keys are the
 //!   hot ones, e.g. workloads).
 //!
-//! Either way `len() <= cap()` always holds.
+//! Either way the map never holds more than `cap` entries.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -41,21 +41,6 @@ impl<V: Clone> BoundedMemo<V> {
             cap,
             map: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// The entry cap.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
-    /// Entries currently cached (always `<= cap()`).
-    pub fn len(&self) -> usize {
-        self.map.lock().expect("memo poisoned").len()
-    }
-
-    /// Whether the memo is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Clones the cached value for `key`, if any.
@@ -105,6 +90,11 @@ mod tests {
         x.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xABCD
     }
 
+    /// Entries currently cached.
+    fn entries(memo: &BoundedMemo<u64>) -> usize {
+        memo.map.lock().expect("memo poisoned").len()
+    }
+
     #[test]
     fn recalls_cached_value_without_rebuilding() {
         let memo = BoundedMemo::new(8);
@@ -126,10 +116,14 @@ mod tests {
         let memo = BoundedMemo::new(4);
         for x in 0..13u64 {
             memo.get_or_insert(format!("{x}"), || f(x));
-            assert!(memo.len() <= memo.cap(), "len {} at x={x}", memo.len());
+            assert!(
+                entries(&memo) <= memo.cap,
+                "len {} at x={x}",
+                entries(&memo)
+            );
         }
         // 13 inserts through cap 4: cleared at x=4, 8, 12 → one survivor.
-        assert_eq!(memo.len(), 1);
+        assert_eq!(entries(&memo), 1);
         assert_eq!(memo.get("12"), Some(f(12)));
         assert_eq!(memo.get("3"), None, "pre-eviction entries are gone");
     }
@@ -160,7 +154,7 @@ mod tests {
         assert!(memo.insert_if_room("a".into(), 99));
         assert_eq!(memo.get("a"), Some(1), "existing entry not overwritten");
         assert_eq!(memo.get("c"), None);
-        assert_eq!(memo.len(), 2);
+        assert_eq!(entries(&memo), 2);
     }
 
     #[test]
