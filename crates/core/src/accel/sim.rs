@@ -243,7 +243,7 @@ fn run_untimed<C: CacheModel>(
             weight_bytes <= stride,
             "layer {l}'s {weight_bytes} weight bytes overflow the {stride}-byte weight stride"
         );
-        mem.read(weights, weight_bytes, Traffic::Weight);
+        mem.read_span(weights, weight_bytes, Traffic::Weight);
         // No later op touches the weights of layers 0..=l.
         let epoch = memo && l >= 1;
         if epoch {
@@ -651,8 +651,8 @@ fn simulate_layer<C: CacheModel>(
 #[inline]
 fn scatter_row<C: CacheModel>(banks: &mut C, addr: u64, lines: u64, mem: &mut MemorySystem<C>) {
     let spill = |mem: &mut MemorySystem<C>, line_addr: u64| {
-        mem.read_uncached(line_addr, 64, Traffic::PartialSum);
-        mem.write(line_addr, 64, Traffic::PartialSum);
+        mem.read_uncached_span(line_addr, 64, Traffic::PartialSum);
+        mem.write_span(line_addr, 64, Traffic::PartialSum);
     };
     if banks.config().line_bytes == 64 && addr.is_multiple_of(64) {
         banks.probe_run(addr / 64, lines, |miss_first, miss_count| {
@@ -901,7 +901,7 @@ fn aggregation_sweep<C: CacheModel>(
                     .sum()
             };
             let topo_bytes = tile_edges as u64 * 8 + dst_range.len() as u64 * 4;
-            mem.read_uncached(TOPOLOGY_BASE + topo_offset, topo_bytes, Traffic::Topology);
+            mem.read_uncached_span(TOPOLOGY_BASE + topo_offset, topo_bytes, Traffic::Topology);
             topo_offset += topo_bytes.div_ceil(64) * 64;
 
             for s in 0..nslices {
@@ -1142,7 +1142,7 @@ fn column_product_layer<C: CacheModel>(
     let mut macs = 0u64;
 
     // Topology streams once.
-    mem.read_uncached(
+    mem.read_uncached_span(
         TOPOLOGY_BASE,
         workload.topology_bytes_per_layer(),
         Traffic::Topology,
@@ -1201,7 +1201,7 @@ fn column_product_layer<C: CacheModel>(
 
     // Final activated output (dense) — the partial rows become X^(l+1).
     for r in 0..vertices {
-        mem.write(
+        mem.write_span(
             out_base + r as u64 * row_bytes,
             row_bytes,
             Traffic::FeatureWrite,
@@ -1321,15 +1321,6 @@ mod tests {
         rows: usize,
     }
 
-    impl GappedSpans {
-        fn spans(&self, row: usize) -> Vec<Span> {
-            let base = row as u64 * 4096;
-            (0..=row as u64)
-                .map(|k| Span::new(base + k * 192 + 8, 40))
-                .collect()
-        }
-    }
-
     impl FeatureFormat for GappedSpans {
         fn format_name(&self) -> &'static str {
             "gapped"
@@ -1343,17 +1334,17 @@ mod tests {
         fn capacity_bytes(&self) -> u64 {
             self.rows as u64 * 4096
         }
-        fn row_spans(&self, row: usize) -> Vec<Span> {
-            self.spans(row)
-        }
-        fn slice_spans(&self, row: usize, _range: ColRange) -> Vec<Span> {
-            self.spans(row)
-        }
-        fn write_spans(&self, row: usize) -> Vec<Span> {
-            self.spans(row)
-        }
         fn decode_row(&self, _row: usize) -> Vec<f32> {
             vec![0.0; 16]
+        }
+        fn for_each_row_span(&self, row: usize, f: &mut dyn FnMut(Span)) {
+            let base = row as u64 * 4096;
+            for k in 0..=row as u64 {
+                f(Span::new(base + k * 192 + 8, 40));
+            }
+        }
+        fn for_each_slice_span(&self, row: usize, _range: ColRange, f: &mut dyn FnMut(Span)) {
+            self.for_each_row_span(row, f);
         }
     }
 

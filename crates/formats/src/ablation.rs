@@ -106,24 +106,6 @@ impl FeatureFormat for SeparateBitmapCsr {
         self.values_base() + self.rows as u64 * self.slot_bytes
     }
 
-    // The allocating span methods collect from the visitors below, so the
-    // span arithmetic has a single source of truth.
-    fn row_spans(&self, row: usize) -> Vec<Span> {
-        let mut spans = Vec::with_capacity(2);
-        self.for_each_row_span(row, &mut |s| spans.push(s));
-        spans
-    }
-
-    fn slice_spans(&self, row: usize, range: ColRange) -> Vec<Span> {
-        let mut spans = Vec::with_capacity(2);
-        self.for_each_slice_span(row, range, &mut |s| spans.push(s));
-        spans
-    }
-
-    fn write_spans(&self, row: usize) -> Vec<Span> {
-        self.row_spans(row)
-    }
-
     fn for_each_row_span(&self, row: usize, f: &mut dyn FnMut(Span)) {
         assert!(row < self.rows, "row {row} out of range {}", self.rows);
         f(Span::new(
@@ -154,10 +136,6 @@ impl FeatureFormat for SeparateBitmapCsr {
                 ((hi - lo) as u64 * ELEM_BYTES) as u32,
             ));
         }
-    }
-
-    fn for_each_write_span(&self, row: usize, f: &mut dyn FnMut(Span)) {
-        self.for_each_row_span(row, f);
     }
 
     fn decode_row(&self, row: usize) -> Vec<f32> {
@@ -246,27 +224,6 @@ impl FeatureFormat for PackedBeicsr {
         self.indirection_base() + (self.rows as u64 + 1) * 8
     }
 
-    // The allocating span methods collect from the visitors below, so the
-    // span arithmetic has a single source of truth.
-    fn row_spans(&self, row: usize) -> Vec<Span> {
-        let mut spans = Vec::with_capacity(2);
-        self.for_each_row_span(row, &mut |s| spans.push(s));
-        spans
-    }
-
-    fn slice_spans(&self, row: usize, range: ColRange) -> Vec<Span> {
-        let mut spans = Vec::with_capacity(3);
-        self.for_each_slice_span(row, range, &mut |s| spans.push(s));
-        spans
-    }
-
-    fn write_spans(&self, row: usize) -> Vec<Span> {
-        // Writing a packed row requires knowing every predecessor's length
-        // — this is the serialization the paper rejects; traffic-wise the
-        // record plus the updated row pointer is charged.
-        self.row_spans(row)
-    }
-
     fn for_each_row_span(&self, row: usize, f: &mut dyn FnMut(Span)) {
         assert!(row < self.rows, "row {row} out of range {}", self.rows);
         // Indirection lookup first (two row pointers), then the unaligned
@@ -295,10 +252,6 @@ impl FeatureFormat for PackedBeicsr {
                 ((hi - lo) as u64 * ELEM_BYTES) as u32,
             ));
         }
-    }
-
-    fn for_each_write_span(&self, row: usize, f: &mut dyn FnMut(Span)) {
-        self.for_each_row_span(row, f);
     }
 
     fn decode_row(&self, row: usize) -> Vec<f32> {

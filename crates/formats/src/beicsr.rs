@@ -302,26 +302,6 @@ impl FeatureFormat for Beicsr {
         (self.rows * self.nslices) as u64 * self.slot_bytes
     }
 
-    // The allocating span methods collect from the visitors below, so the
-    // span arithmetic has a single source of truth.
-    fn row_spans(&self, row: usize) -> Vec<Span> {
-        let mut spans = Vec::with_capacity(self.nslices);
-        self.for_each_row_span(row, &mut |s| spans.push(s));
-        spans
-    }
-
-    fn slice_spans(&self, row: usize, range: ColRange) -> Vec<Span> {
-        let mut spans = Vec::with_capacity(2);
-        self.for_each_slice_span(row, range, &mut |s| spans.push(s));
-        spans
-    }
-
-    fn write_spans(&self, row: usize) -> Vec<Span> {
-        // In-place write of bitmap + packed values per slice; identical
-        // footprint to a full-row read at current occupancy.
-        self.row_spans(row)
-    }
-
     fn for_each_row_span(&self, row: usize, f: &mut dyn FnMut(Span)) {
         for s in 0..self.nslices {
             f(self.slot_read_span(row, s));
@@ -356,10 +336,6 @@ impl FeatureFormat for Beicsr {
                 ));
             }
         }
-    }
-
-    fn for_each_write_span(&self, row: usize, f: &mut dyn FnMut(Span)) {
-        self.for_each_row_span(row, f);
     }
 
     fn decode_row(&self, row: usize) -> Vec<f32> {

@@ -135,24 +135,6 @@ impl FeatureFormat for BsrFeatures {
         self.vals_base() + self.stored_blocks() as u64 * self.block_bytes()
     }
 
-    // The allocating span methods collect from the visitors below, so the
-    // span arithmetic has a single source of truth.
-    fn row_spans(&self, row: usize) -> Vec<Span> {
-        let mut spans = Vec::with_capacity(3);
-        self.for_each_row_span(row, &mut |s| spans.push(s));
-        spans
-    }
-
-    fn slice_spans(&self, row: usize, range: ColRange) -> Vec<Span> {
-        let mut spans = Vec::with_capacity(3);
-        self.for_each_slice_span(row, range, &mut |s| spans.push(s));
-        spans
-    }
-
-    fn write_spans(&self, row: usize) -> Vec<Span> {
-        self.row_spans(row)
-    }
-
     fn for_each_row_span(&self, row: usize, f: &mut dyn FnMut(Span)) {
         // A row passes through every stored block of its block-row, and each
         // block is fetched whole (the zero rows of the block ride along —
@@ -192,10 +174,6 @@ impl FeatureFormat for BsrFeatures {
                 ((hi - lo) as u64 * self.block_bytes()) as u32,
             ));
         }
-    }
-
-    fn for_each_write_span(&self, row: usize, f: &mut dyn FnMut(Span)) {
-        self.for_each_row_span(row, f);
     }
 
     fn decode_row(&self, row: usize) -> Vec<f32> {

@@ -91,24 +91,6 @@ impl FeatureFormat for CooFeatures {
         self.directory_base() + (self.rows as u64 + 1) * 4
     }
 
-    // The allocating span methods collect from the visitors below, so the
-    // span arithmetic has a single source of truth.
-    fn row_spans(&self, row: usize) -> Vec<Span> {
-        let mut spans = Vec::with_capacity(2);
-        self.for_each_row_span(row, &mut |s| spans.push(s));
-        spans
-    }
-
-    fn slice_spans(&self, row: usize, range: ColRange) -> Vec<Span> {
-        let mut spans = Vec::with_capacity(2);
-        self.for_each_slice_span(row, range, &mut |s| spans.push(s));
-        spans
-    }
-
-    fn write_spans(&self, row: usize) -> Vec<Span> {
-        self.row_spans(row)
-    }
-
     fn for_each_row_span(&self, row: usize, f: &mut dyn FnMut(Span)) {
         let (s, e) = self.row_bounds(row);
         f(Span::new(self.directory_base() + row as u64 * 4, 8));
@@ -123,10 +105,6 @@ impl FeatureFormat for CooFeatures {
     fn for_each_slice_span(&self, row: usize, _range: ColRange, f: &mut dyn FnMut(Span)) {
         // Column information is interleaved with the payload, so a column
         // window still fetches the row's full triple run.
-        self.for_each_row_span(row, f);
-    }
-
-    fn for_each_write_span(&self, row: usize, f: &mut dyn FnMut(Span)) {
         self.for_each_row_span(row, f);
     }
 

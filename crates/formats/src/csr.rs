@@ -98,26 +98,6 @@ impl FeatureFormat for CsrFeatures {
         self.values_base() + self.nnz() as u64 * ELEM_BYTES
     }
 
-    // The allocating span methods collect from the visitors below, so the
-    // span arithmetic has a single source of truth.
-    fn row_spans(&self, row: usize) -> Vec<Span> {
-        let mut spans = Vec::with_capacity(3);
-        self.for_each_row_span(row, &mut |s| spans.push(s));
-        spans
-    }
-
-    fn slice_spans(&self, row: usize, range: ColRange) -> Vec<Span> {
-        let mut spans = Vec::with_capacity(3);
-        self.for_each_slice_span(row, range, &mut |s| spans.push(s));
-        spans
-    }
-
-    fn write_spans(&self, row: usize) -> Vec<Span> {
-        // Writing appends the row's indices and values and updates the row
-        // pointer; same footprint as a full-row read.
-        self.row_spans(row)
-    }
-
     fn for_each_row_span(&self, row: usize, f: &mut dyn FnMut(Span)) {
         let (s, e) = self.row_bounds(row);
         let nnz = (e - s) as u64;
@@ -152,10 +132,6 @@ impl FeatureFormat for CsrFeatures {
                 ((hi - lo) * 4) as u32,
             ));
         }
-    }
-
-    fn for_each_write_span(&self, row: usize, f: &mut dyn FnMut(Span)) {
-        self.for_each_row_span(row, f);
     }
 
     fn decode_row(&self, row: usize) -> Vec<f32> {

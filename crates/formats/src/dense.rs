@@ -132,24 +132,6 @@ impl FeatureFormat for DenseMatrix {
         self.rows as u64 * self.cols as u64 * ELEM_BYTES
     }
 
-    // The allocating span methods collect from the visitors below, so the
-    // span arithmetic has a single source of truth.
-    fn row_spans(&self, row: usize) -> Vec<Span> {
-        let mut spans = Vec::with_capacity(1);
-        self.for_each_row_span(row, &mut |s| spans.push(s));
-        spans
-    }
-
-    fn slice_spans(&self, row: usize, range: ColRange) -> Vec<Span> {
-        let mut spans = Vec::with_capacity(1);
-        self.for_each_slice_span(row, range, &mut |s| spans.push(s));
-        spans
-    }
-
-    fn write_spans(&self, row: usize) -> Vec<Span> {
-        self.row_spans(row)
-    }
-
     fn decode_row(&self, row: usize) -> Vec<f32> {
         self.row(row)
     }
@@ -167,10 +149,6 @@ impl FeatureFormat for DenseMatrix {
         let offset = row_base + range.start as u64 * ELEM_BYTES;
         let bytes = (range.end - range.start) as u64 * ELEM_BYTES;
         f(Span::new(offset, bytes as u32));
-    }
-
-    fn for_each_write_span(&self, row: usize, f: &mut dyn FnMut(Span)) {
-        self.for_each_row_span(row, f);
     }
 
     // Dense reads/writes are a single contiguous span, so the line run is

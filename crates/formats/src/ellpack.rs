@@ -128,24 +128,6 @@ impl FeatureFormat for BlockedEllpack {
         (self.rows.div_ceil(self.br) * self.k) as u64 * self.slot_bytes()
     }
 
-    // The allocating span methods collect from the visitors below, so the
-    // span arithmetic has a single source of truth.
-    fn row_spans(&self, row: usize) -> Vec<Span> {
-        let mut spans = Vec::with_capacity(1);
-        self.for_each_row_span(row, &mut |s| spans.push(s));
-        spans
-    }
-
-    fn slice_spans(&self, row: usize, range: ColRange) -> Vec<Span> {
-        let mut spans = Vec::with_capacity(1);
-        self.for_each_slice_span(row, range, &mut |s| spans.push(s));
-        spans
-    }
-
-    fn write_spans(&self, row: usize) -> Vec<Span> {
-        self.row_spans(row)
-    }
-
     fn for_each_row_span(&self, row: usize, f: &mut dyn FnMut(Span)) {
         // Uniform width: the whole K-slot block-row is fetched. No row
         // pointer is needed — that is ELLPACK's one saving.
@@ -160,10 +142,6 @@ impl FeatureFormat for BlockedEllpack {
     fn for_each_slice_span(&self, row: usize, _range: ColRange, f: &mut dyn FnMut(Span)) {
         // Slots are not column-sorted after padding; the hardware scans the
         // fixed-width row. Same cost as a full-row read.
-        self.for_each_row_span(row, f);
-    }
-
-    fn for_each_write_span(&self, row: usize, f: &mut dyn FnMut(Span)) {
         self.for_each_row_span(row, f);
     }
 

@@ -12,10 +12,15 @@
 //!   its non-sliced (§V-A) and sliced (§V-B) variants.
 //!
 //! Every format implements [`FeatureFormat`], which exposes the *memory
-//! spans* an accelerator touches when reading or writing a row (or a column
-//! slice of a row). The SGCN simulator feeds those spans through its cache
-//! and DRAM models, so the formats are the source of truth for the off-chip
-//! traffic comparison of the paper's Fig. 3, Fig. 17 and Fig. 19.
+//! spans* an accelerator touches when reading a row or a column slice of a
+//! row; a row write-back touches the spans of a row read. A format writes
+//! only two span visitors, [`FeatureFormat::for_each_row_span`] and
+//! [`FeatureFormat::for_each_slice_span`]: the allocating
+//! [`FeatureFormat::row_spans`] / [`FeatureFormat::slice_spans`] and the
+//! compacted line-run visitors the simulator replays all derive from them.
+//! The SGCN simulator feeds those spans through its cache and DRAM models,
+//! so the formats are the source of truth for the off-chip traffic
+//! comparison of the paper's Fig. 3, Fig. 17 and Fig. 19.
 //!
 //! # Example
 //!

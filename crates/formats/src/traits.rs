@@ -52,11 +52,12 @@ impl fmt::Display for ColRange {
 /// observe.
 ///
 /// Implementations report the byte spans (in a private, zero-based address
-/// space) that the accelerator must transfer to read a row, read a column
-/// slice of a row, or write a row back. The memory simulator rebases those
-/// spans onto physical addresses and runs them through the cache and DRAM
-/// models, so a format's compression quality and alignment behaviour —
-/// the crux of the SGCN paper's §V-A — fall directly out of these methods.
+/// space) that the accelerator must transfer to read a row or a column
+/// slice of a row; a row write-back touches the spans of a row read. The
+/// memory simulator rebases those spans onto physical addresses and runs
+/// them through the cache and DRAM models, so a format's compression
+/// quality and alignment behaviour — the crux of the SGCN paper's §V-A —
+/// fall directly out of these methods.
 pub trait FeatureFormat {
     /// Human-readable name used in reports ("Dense", "CSR", "BEICSR", …).
     fn format_name(&self) -> &'static str;
@@ -70,50 +71,39 @@ pub trait FeatureFormat {
     /// Total reserved memory footprint in bytes.
     fn capacity_bytes(&self) -> u64;
 
-    /// Byte spans touched to read the whole of `row`.
-    fn row_spans(&self, row: usize) -> Vec<Span>;
-
-    /// Byte spans touched to read columns `range` of `row`.
-    fn slice_spans(&self, row: usize, range: ColRange) -> Vec<Span>;
-
-    /// Byte spans touched to write `row` back (in its current occupancy).
-    fn write_spans(&self, row: usize) -> Vec<Span>;
-
     /// Reconstructs the dense contents of `row` (round-trip check and
     /// functional reads).
     fn decode_row(&self, row: usize) -> Vec<f32>;
 
-    /// Visits the byte spans of a full-row read without allocating — the
-    /// simulator's hot path. The default delegates to [`row_spans`];
-    /// formats on the hot path override it to enumerate spans in place.
+    /// Visits the byte spans touched to read the whole of `row`, without
+    /// allocating. This and [`for_each_slice_span`] are a format's only
+    /// span code: every other span and run method derives from them.
     ///
-    /// [`row_spans`]: FeatureFormat::row_spans
-    fn for_each_row_span(&self, row: usize, f: &mut dyn FnMut(Span)) {
-        for span in self.row_spans(row) {
-            f(span);
-        }
-    }
+    /// [`for_each_slice_span`]: FeatureFormat::for_each_slice_span
+    fn for_each_row_span(&self, row: usize, f: &mut dyn FnMut(Span));
 
-    /// Visits the byte spans of a column-window read without allocating
-    /// (see [`for_each_row_span`]; default delegates to [`slice_spans`]).
+    /// Visits the byte spans touched to read columns `range` of `row`,
+    /// without allocating.
+    fn for_each_slice_span(&self, row: usize, range: ColRange, f: &mut dyn FnMut(Span));
+
+    /// Byte spans touched to read the whole of `row`, collected from
+    /// [`for_each_row_span`].
     ///
     /// [`for_each_row_span`]: FeatureFormat::for_each_row_span
-    /// [`slice_spans`]: FeatureFormat::slice_spans
-    fn for_each_slice_span(&self, row: usize, range: ColRange, f: &mut dyn FnMut(Span)) {
-        for span in self.slice_spans(row, range) {
-            f(span);
-        }
+    fn row_spans(&self, row: usize) -> Vec<Span> {
+        let mut spans = Vec::new();
+        self.for_each_row_span(row, &mut |s| spans.push(s));
+        spans
     }
 
-    /// Visits the byte spans of a row write-back without allocating
-    /// (see [`for_each_row_span`]; default delegates to [`write_spans`]).
+    /// Byte spans touched to read columns `range` of `row`, collected from
+    /// [`for_each_slice_span`].
     ///
-    /// [`for_each_row_span`]: FeatureFormat::for_each_row_span
-    /// [`write_spans`]: FeatureFormat::write_spans
-    fn for_each_write_span(&self, row: usize, f: &mut dyn FnMut(Span)) {
-        for span in self.write_spans(row) {
-            f(span);
-        }
+    /// [`for_each_slice_span`]: FeatureFormat::for_each_slice_span
+    fn slice_spans(&self, row: usize, range: ColRange) -> Vec<Span> {
+        let mut spans = Vec::new();
+        self.for_each_slice_span(row, range, &mut |s| spans.push(s));
+        spans
     }
 
     /// Visits the compacted line runs of a full-row read: the spans of
@@ -146,20 +136,26 @@ pub trait FeatureFormat {
         c.finish(f);
     }
 
-    /// Visits the compacted line runs of a row write-back. Write runs
+    /// Visits the compacted line runs of a row write-back. A write touches
+    /// the spans of a full-row read at the row's current occupancy: CSR
+    /// appends its indices and values, BEICSR rewrites its slots in place,
+    /// and Packed BEICSR charges the record plus its row pointer (the
+    /// serialisation of §V-A is not modelled as extra traffic). Write runs
     /// merge only strictly contiguous spans (no seam merging — see
     /// [`crate::runs`]), so the streaming-write DRAM clock accumulates in
     /// the original burst order.
     fn for_each_write_run(&self, row: usize, line_bytes: u64, f: &mut dyn FnMut(LineRun)) {
         let mut c = RunCompactor::writes(line_bytes);
-        self.for_each_write_span(row, &mut |s| c.push(s, f));
+        self.for_each_row_span(row, &mut |s| c.push(s, f));
         c.finish(f);
     }
 
     /// Cacheline-rounded bytes to read the whole of `row` — convenience
     /// accounting used by analytic traffic reports.
     fn row_read_bytes(&self, row: usize) -> u64 {
-        self.row_spans(row).iter().map(Span::cacheline_bytes).sum()
+        let mut bytes = 0;
+        self.for_each_row_span(row, &mut |s| bytes += s.cacheline_bytes());
+        bytes
     }
 }
 

@@ -327,7 +327,7 @@ fn dataset_seed(id: DatasetId) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::GraphStats;
+    use crate::stats::id_distance_and_max_degree;
 
     /// Vertex count of the largest connected component, by depth-first
     /// search over the (symmetric) adjacency.
@@ -413,10 +413,10 @@ mod tests {
     fn clustered_datasets_show_more_locality() {
         let db = Dataset::synthesize(DatasetId::Dblp, SynthScale::tiny(), Normalization::Unit);
         let fk = Dataset::synthesize(DatasetId::Flickr, SynthScale::tiny(), Normalization::Unit);
-        let s_db = GraphStats::compute(&db.graph);
-        let s_fk = GraphStats::compute(&fk.graph);
-        let norm_db = s_db.neighbor_id_distance / db.graph.num_vertices() as f64;
-        let norm_fk = s_fk.neighbor_id_distance / fk.graph.num_vertices() as f64;
+        let (d_db, _) = id_distance_and_max_degree(&db.graph);
+        let (d_fk, _) = id_distance_and_max_degree(&fk.graph);
+        let norm_db = d_db / db.graph.num_vertices() as f64;
+        let norm_fk = d_fk / fk.graph.num_vertices() as f64;
         assert!(norm_db < norm_fk, "DBLP {norm_db} vs Flickr {norm_fk}");
     }
 

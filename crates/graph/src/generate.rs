@@ -168,7 +168,7 @@ pub fn power_law(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::GraphStats;
+    use crate::stats::id_distance_and_max_degree;
 
     #[test]
     fn clustered_hits_degree_target() {
@@ -203,8 +203,8 @@ mod tests {
         };
         let gc = clustered(cfg, 3, Normalization::Unit);
         let ge = erdos_renyi(1500, 12.0, 3, Normalization::Unit);
-        let sc = GraphStats::compute(&gc).neighbor_id_distance;
-        let se = GraphStats::compute(&ge).neighbor_id_distance;
+        let (sc, _) = id_distance_and_max_degree(&gc);
+        let (se, _) = id_distance_and_max_degree(&ge);
         assert!(
             sc < se * 0.7,
             "clustered mean ID distance {sc} should be well below ER's {se}"
@@ -217,7 +217,6 @@ mod tests {
         let g2 = power_law(4096, 8.0, 2.1, 9, Normalization::Unit);
         assert_eq!(g1, g2);
         assert_ne!(g1, power_law(4096, 8.0, 2.1, 10, Normalization::Unit));
-        let stats = GraphStats::compute(&g1);
         assert_eq!(g1.num_vertices(), 4096);
         // Dedup and self-loop losses must stay modest: the endpoint
         // weights are Chung-Lu (∝ k^(-1/(α-1))), not raw Zipf, so the
@@ -225,20 +224,16 @@ mod tests {
         let d = g1.avg_degree();
         assert!(d > 5.0 && d < 9.0, "avg degree {d}");
         // Heavy tail: the biggest hub dwarfs the mean.
-        assert!(
-            stats.max_degree as f64 > 8.0 * stats.avg_degree,
-            "max {} vs avg {}",
-            stats.max_degree,
-            stats.avg_degree
-        );
+        let (_, max) = id_distance_and_max_degree(&g1);
+        assert!(max as f64 > 8.0 * d, "max {max} vs avg {d}");
     }
 
     #[test]
     fn power_law_heavier_alpha_means_bigger_hubs() {
         let heavy = power_law(4096, 8.0, 1.8, 5, Normalization::Unit);
         let light = power_law(4096, 8.0, 3.5, 5, Normalization::Unit);
-        let h = GraphStats::compute(&heavy).max_degree;
-        let l = GraphStats::compute(&light).max_degree;
+        let (_, h) = id_distance_and_max_degree(&heavy);
+        let (_, l) = id_distance_and_max_degree(&light);
         assert!(h > l, "alpha 1.8 max degree {h} should exceed 3.5's {l}");
     }
 

@@ -15,8 +15,7 @@
 //! * [`partition`] — 2-D adjacency tiling used by GCNAX-style dataflows,
 //! * [`reorder`] — BFS islandization (I-GCN) and degree ordering (EnGN),
 //! * [`sampling`] — GraphSAGE-style per-request neighbor sampling with
-//!   deterministic subgraph extraction (the serving subsystem's front end),
-//! * [`stats`] — degree and locality statistics.
+//!   deterministic subgraph extraction (the serving subsystem's front end).
 //!
 //! # Example
 //!
@@ -43,11 +42,11 @@ pub mod generate;
 pub mod partition;
 pub mod reorder;
 pub mod sampling;
-pub mod stats;
+#[cfg(test)]
+mod stats;
 
 pub use builder::{GraphBuilder, Normalization};
 pub use csr::CsrGraph;
 pub use datasets::{Dataset, DatasetId, DatasetSpec};
 pub use partition::{Tile, Tiling, VertexRange};
 pub use sampling::{sample_neighborhood, Fanouts, SampledSubgraph};
-pub use stats::GraphStats;

@@ -133,7 +133,7 @@ pub fn top_degree_vertices(graph: &CsrGraph, k: usize) -> Vec<u32> {
 mod tests {
     use super::*;
     use crate::builder::{GraphBuilder, Normalization};
-    use crate::stats::GraphStats;
+    use crate::stats::id_distance_and_max_degree;
 
     fn two_islands() -> CsrGraph {
         // Vertices interleaved across two cliques {0,2,4} and {1,3,5}.
@@ -175,9 +175,9 @@ mod tests {
     #[test]
     fn islandize_reduces_id_distance() {
         let g = two_islands();
-        let before = GraphStats::compute(&g).neighbor_id_distance;
+        let (before, _) = id_distance_and_max_degree(&g);
         let g2 = islandize(&g).apply(&g);
-        let after = GraphStats::compute(&g2).neighbor_id_distance;
+        let (after, _) = id_distance_and_max_degree(&g2);
         assert!(after < before, "islandized {after} vs original {before}");
     }
 

@@ -1,88 +1,27 @@
-//! Degree and locality statistics.
+//! Locality and skew measures shared by the generator, reordering and
+//! dataset tests.
 
 use crate::csr::CsrGraph;
 
-/// Summary statistics of a topology, used by tests and the Table II report.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct GraphStats {
-    /// Number of vertices.
-    pub vertices: usize,
-    /// Number of directed edges.
-    pub edges: usize,
-    /// Mean in-degree.
-    pub avg_degree: f64,
-    /// Maximum in-degree.
-    pub max_degree: usize,
-    /// Mean |dst - src| over edges — a proxy for diagonal clustering
-    /// (small = clustered, as in the paper's Fig. 7b heatmaps).
-    pub neighbor_id_distance: f64,
-    /// Mean Jaccard similarity of the neighbor lists of ID-adjacent vertex
-    /// pairs (v, v+1) — the paper's "neighbor similarity" (§V-C).
-    pub adjacent_jaccard: f64,
-}
-
-impl GraphStats {
-    /// Computes statistics for `graph`.
-    pub fn compute(graph: &CsrGraph) -> Self {
-        let n = graph.num_vertices();
-        let mut max_degree = 0usize;
-        let mut dist_sum = 0f64;
-        for v in 0..n {
-            max_degree = max_degree.max(graph.degree(v));
-            for &src in graph.neighbors(v) {
-                dist_sum += (v as f64 - src as f64).abs();
-            }
-        }
-        let edges = graph.num_edges();
-        let mut jaccard_sum = 0f64;
-        let mut jaccard_cnt = 0usize;
-        for v in 0..n.saturating_sub(1) {
-            let a = graph.neighbors(v);
-            let b = graph.neighbors(v + 1);
-            if a.is_empty() && b.is_empty() {
-                continue;
-            }
-            jaccard_sum += jaccard_sorted(a, b);
-            jaccard_cnt += 1;
-        }
-        GraphStats {
-            vertices: n,
-            edges,
-            avg_degree: graph.avg_degree(),
-            max_degree,
-            neighbor_id_distance: if edges == 0 {
-                0.0
-            } else {
-                dist_sum / edges as f64
-            },
-            adjacent_jaccard: if jaccard_cnt == 0 {
-                0.0
-            } else {
-                jaccard_sum / jaccard_cnt as f64
-            },
+/// Mean `|dst - src|` over the edges of `graph` — a proxy for diagonal
+/// clustering (small = clustered, as in the paper's Fig. 7b heatmaps) —
+/// and its maximum in-degree.
+pub(crate) fn id_distance_and_max_degree(graph: &CsrGraph) -> (f64, usize) {
+    let mut max_degree = 0usize;
+    let mut dist_sum = 0f64;
+    for v in 0..graph.num_vertices() {
+        max_degree = max_degree.max(graph.degree(v));
+        for &src in graph.neighbors(v) {
+            dist_sum += (v as f64 - src as f64).abs();
         }
     }
-}
-
-/// Jaccard similarity of two ascending-sorted sets.
-fn jaccard_sorted(a: &[u32], b: &[u32]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 0.0;
-    }
-    let (mut i, mut j, mut inter) = (0usize, 0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                inter += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    let union = a.len() + b.len() - inter;
-    inter as f64 / union as f64
+    let edges = graph.num_edges();
+    let distance = if edges == 0 {
+        0.0
+    } else {
+        dist_sum / edges as f64
+    };
+    (distance, max_degree)
 }
 
 #[cfg(test)]
@@ -91,37 +30,15 @@ mod tests {
     use crate::builder::{GraphBuilder, Normalization};
 
     #[test]
-    fn jaccard_basics() {
-        assert_eq!(jaccard_sorted(&[1, 2, 3], &[2, 3, 4]), 0.5);
-        assert_eq!(jaccard_sorted(&[1], &[1]), 1.0);
-        assert_eq!(jaccard_sorted(&[1], &[2]), 0.0);
-        assert_eq!(jaccard_sorted(&[], &[]), 0.0);
-    }
-
-    #[test]
     fn stats_on_small_graph() {
         let g = GraphBuilder::new(4)
             .undirected_edge(0, 1)
             .undirected_edge(1, 2)
             .undirected_edge(2, 3)
             .build(Normalization::Unit);
-        let s = GraphStats::compute(&g);
-        assert_eq!(s.vertices, 4);
-        assert_eq!(s.edges, 6);
-        assert_eq!(s.max_degree, 2);
-        assert!((s.neighbor_id_distance - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clique_has_high_adjacent_jaccard() {
-        let mut b = GraphBuilder::new(5);
-        for u in 0..5 {
-            for v in (u + 1)..5 {
-                b = b.undirected_edge(u, v);
-            }
-        }
-        let s = GraphStats::compute(&b.build(Normalization::Unit));
-        // Neighborhoods of adjacent IDs in a clique overlap in 3 of 5.
-        assert!(s.adjacent_jaccard > 0.4, "{}", s.adjacent_jaccard);
+        assert_eq!(g.num_edges(), 6);
+        let (distance, max_degree) = id_distance_and_max_degree(&g);
+        assert_eq!(max_degree, 2);
+        assert!((distance - 1.0).abs() < 1e-12);
     }
 }

@@ -24,8 +24,8 @@
 //! use sgcn_mem::{CacheConfig, DramConfig, MemorySystem, Traffic};
 //!
 //! let mut mem: MemorySystem = MemorySystem::new(CacheConfig::default(), DramConfig::hbm2());
-//! mem.read(0x0, 256, Traffic::FeatureRead);
-//! mem.read(0x0, 256, Traffic::FeatureRead); // hits in cache
+//! mem.read_span(0x0, 256, Traffic::FeatureRead);
+//! mem.read_span(0x0, 256, Traffic::FeatureRead); // hits in cache
 //! let r = mem.report();
 //! assert_eq!(r.cache.hits, 4);
 //! assert_eq!(r.dram_bytes_read(), 256);

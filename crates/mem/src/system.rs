@@ -7,12 +7,13 @@
 //! (§III-B). Every request is tagged with a [`Traffic`] class so reports
 //! can reproduce the breakdown of Fig. 14.
 //!
-//! The span methods ([`MemorySystem::read_span`] and friends) are the
-//! allocation-free fast path: one call walks a whole byte span line by
-//! line inside the crate (coalescing the per-line bookkeeping and letting
-//! the cache short-circuit repeated probes) and returns the per-span
-//! [`SpanCounts`]. The legacy single-shot methods (`read`, `write`, …)
-//! delegate to them, so every caller sees identical counters.
+//! The span methods ([`MemorySystem::read_span`],
+//! [`MemorySystem::read_uncached_span`] and [`MemorySystem::write_span`])
+//! each walk a whole byte span line by line inside the crate in one call
+//! (coalescing the per-line bookkeeping and letting the cache
+//! short-circuit repeated probes) and return the per-span
+//! [`SpanCounts`]; callers that only need the accumulated report ignore
+//! it.
 //!
 //! DRAM moves whole lines: a missed, streamed or written-back line
 //! larger than a DRAM burst reaches DRAM as its `line_bytes /
@@ -816,11 +817,6 @@ impl<C: CacheModel> MemorySystem<C> {
         );
     }
 
-    /// Reads `bytes` bytes at `addr` through the cache; misses go to DRAM.
-    pub fn read(&mut self, addr: u64, bytes: u64, kind: Traffic) {
-        self.read_span(addr, bytes, kind);
-    }
-
     /// Non-mutating residency probe of a span: how many of its lines a
     /// read *would* hit right now. No fill, no promotion, no counters.
     ///
@@ -855,12 +851,6 @@ impl<C: CacheModel> MemorySystem<C> {
             hits: 0,
             misses: lines,
         }
-    }
-
-    /// Reads bypassing the cache — streaming accesses (e.g. topology in
-    /// accelerators that do not cache it).
-    pub fn read_uncached(&mut self, addr: u64, bytes: u64, kind: Traffic) {
-        self.read_uncached_span(addr, bytes, kind);
     }
 
     /// Streams a span to DRAM (write-no-allocate), invalidating any stale
@@ -921,12 +911,6 @@ impl<C: CacheModel> MemorySystem<C> {
             hits: 0,
             misses: lines,
         }
-    }
-
-    /// Streams `bytes` bytes at `addr` to DRAM (write-no-allocate),
-    /// invalidating any stale cached lines.
-    pub fn write(&mut self, addr: u64, bytes: u64, kind: Traffic) {
-        self.write_span(addr, bytes, kind);
     }
 
     /// The DRAM device, read-only: its `Debug` rendering carries every
@@ -1094,8 +1078,8 @@ mod tests {
     #[test]
     fn read_hits_second_time() {
         let mut m = sys();
-        m.read(0, 256, Traffic::FeatureRead);
-        m.read(0, 256, Traffic::FeatureRead);
+        m.read_span(0, 256, Traffic::FeatureRead);
+        m.read_span(0, 256, Traffic::FeatureRead);
         let r = m.report();
         assert_eq!(r.cache.misses, 4);
         assert_eq!(r.cache.hits, 4);
@@ -1107,17 +1091,17 @@ mod tests {
     #[test]
     fn unaligned_read_touches_extra_line() {
         let mut m = sys();
-        m.read(60, 8, Traffic::FeatureRead); // straddles two lines
+        m.read_span(60, 8, Traffic::FeatureRead); // straddles two lines
         assert_eq!(m.report().dram_bytes_read(), 128);
     }
 
     #[test]
     fn write_streams_and_invalidates() {
         let mut m = sys();
-        m.read(0, 64, Traffic::FeatureRead);
-        m.write(0, 64, Traffic::FeatureWrite);
+        m.read_span(0, 64, Traffic::FeatureRead);
+        m.write_span(0, 64, Traffic::FeatureWrite);
         // The line was invalidated: next read misses again.
-        m.read(0, 64, Traffic::FeatureRead);
+        m.read_span(0, 64, Traffic::FeatureRead);
         let r = m.report();
         assert_eq!(r.cache.hits, 0);
         assert_eq!(r.dram.bytes_written, 64);
@@ -1128,8 +1112,8 @@ mod tests {
     #[test]
     fn uncached_read_never_fills() {
         let mut m = sys();
-        m.read_uncached(0, 128, Traffic::Topology);
-        m.read(0, 128, Traffic::Topology);
+        m.read_uncached_span(0, 128, Traffic::Topology);
+        m.read_span(0, 128, Traffic::Topology);
         let r = m.report();
         // The cached read still misses: the uncached one did not fill.
         assert_eq!(r.cache.misses, 2);
@@ -1139,9 +1123,9 @@ mod tests {
     #[test]
     fn traffic_classes_are_separate() {
         let mut m = sys();
-        m.read(0, 64, Traffic::Topology);
-        m.read(1 << 20, 64, Traffic::Weight);
-        m.write(2 << 20, 64, Traffic::PartialSum);
+        m.read_span(0, 64, Traffic::Topology);
+        m.read_span(1 << 20, 64, Traffic::Weight);
+        m.write_span(2 << 20, 64, Traffic::PartialSum);
         let r = m.report();
         assert_eq!(r.traffic(Traffic::Topology).requests, 1);
         assert_eq!(r.traffic(Traffic::Weight).requests, 1);
@@ -1152,8 +1136,8 @@ mod tests {
     #[test]
     fn zero_byte_ops_are_noops() {
         let mut m = sys();
-        m.read(0, 0, Traffic::FeatureRead);
-        m.write(0, 0, Traffic::FeatureWrite);
+        m.read_span(0, 0, Traffic::FeatureRead);
+        m.write_span(0, 0, Traffic::FeatureWrite);
         assert_eq!(
             m.read_span(0, 0, Traffic::FeatureRead),
             SpanCounts::default()
@@ -1214,7 +1198,7 @@ mod tests {
                 misses: 4
             }
         );
-        m.read(0, 128, Traffic::FeatureRead);
+        m.read_span(0, 128, Traffic::FeatureRead);
         let before = m.report();
         let p = m.peek_span(0, 256);
         assert_eq!(
@@ -1374,7 +1358,7 @@ mod tests {
         let mut by_span = sys();
         let mut by_run = sys();
         for m in [&mut by_span, &mut by_run] {
-            m.read(0, 256, Traffic::FeatureRead); // lines to invalidate
+            m.read_span(0, 256, Traffic::FeatureRead); // lines to invalidate
         }
         by_span.write_span(64, 192, Traffic::FeatureWrite);
         by_run.write_lines(
@@ -1442,10 +1426,10 @@ mod tests {
             },
             DramConfig::hbm2(),
         );
-        m.read(0, 1000, Traffic::FeatureRead); // 8 missed lines
-        m.read(0, 1000, Traffic::FeatureRead); // all hits
-        m.read_uncached(1 << 20, 256, Traffic::Topology); // 2 lines
-        m.write(2 << 20, 384, Traffic::FeatureWrite); // 3 lines
+        m.read_span(0, 1000, Traffic::FeatureRead); // 8 missed lines
+        m.read_span(0, 1000, Traffic::FeatureRead); // all hits
+        m.read_uncached_span(1 << 20, 256, Traffic::Topology); // 2 lines
+        m.write_span(2 << 20, 384, Traffic::FeatureWrite); // 3 lines
         let r = m.report();
         assert_eq!(r.cache.misses, 8);
         assert_eq!(r.dram.read_bursts, 2 * (8 + 2));
@@ -1480,11 +1464,11 @@ mod tests {
     fn engines_report_identical_counters() {
         fn drive<C: CacheModel>() -> MemorySystem<C> {
             let mut m = MemorySystem::<C>::new(CacheConfig::default(), DramConfig::hbm2());
-            m.read(0, 300, Traffic::FeatureRead);
-            m.read(128, 64, Traffic::FeatureRead);
-            m.write(64, 256, Traffic::FeatureWrite);
-            m.read(0, 512, Traffic::PartialSum);
-            m.read_uncached(4096, 128, Traffic::Topology);
+            m.read_span(0, 300, Traffic::FeatureRead);
+            m.read_span(128, 64, Traffic::FeatureRead);
+            m.write_span(64, 256, Traffic::FeatureWrite);
+            m.read_span(0, 512, Traffic::PartialSum);
+            m.read_uncached_span(4096, 128, Traffic::Topology);
             m
         }
         let (flat, list) = (drive::<Cache>(), drive::<ListCache>());
@@ -1557,14 +1541,14 @@ mod tests {
         let mut outcomes = Vec::new();
         for l in 0..LAYERS {
             let weights = WEIGHTS + l as u64 * WEIGHT_STRIDE;
-            m.read(weights, 64, Traffic::Weight);
+            m.read_span(weights, 64, Traffic::Weight);
             if l >= 1 {
                 m.open_epoch(l % 2, WEIGHTS..weights + WEIGHT_STRIDE);
             }
             let base = (2 + (l % 2) as u64) << 24;
             for step in 0..=STEPS {
                 if twist == Twist::Extra(l, step) {
-                    m.read(base + 4097 * 64, 64, Traffic::FeatureRead);
+                    m.read_span(base + 4097 * 64, 64, Traffic::FeatureRead);
                 }
                 if twist == Twist::Stop(l, step) || step == STEPS {
                     break;
@@ -1700,9 +1684,9 @@ mod tests {
     #[should_panic(expected = "declared-dead")]
     fn ops_on_dead_lines_panic() {
         let mut m = sys();
-        m.read(WEIGHTS, 64, Traffic::Weight);
+        m.read_span(WEIGHTS, 64, Traffic::Weight);
         m.open_epoch(0, WEIGHTS..WEIGHTS + WEIGHT_STRIDE);
         m.close_epoch();
-        m.read(WEIGHTS + 64, 64, Traffic::Weight);
+        m.read_span(WEIGHTS + 64, 64, Traffic::Weight);
     }
 }

@@ -95,7 +95,7 @@ fn runs_replay_like_spans<C: CacheModel>(
         {
             by_span.read_span(BASE + s.offset, u64::from(s.bytes), Traffic::FeatureRead);
         }
-        for s in f.write_spans(row) {
+        for s in f.row_spans(row) {
             by_span.write_span(BASE + s.offset, u64::from(s.bytes), Traffic::FeatureWrite);
         }
     }
@@ -246,14 +246,6 @@ proptest! {
     }
 
     #[test]
-    fn write_spans_equal_read_footprint_for_beicsr(m in matrix_strategy()) {
-        let f = Beicsr::encode(&m, BeicsrConfig::default());
-        for r in 0..m.rows() {
-            prop_assert_eq!(f.write_spans(r), f.row_spans(r));
-        }
-    }
-
-    #[test]
     fn word_level_iter_ones_matches_naive_bit_loop(values in proptest::collection::vec(
         prop_oneof![2 => Just(0.0f32), 1 => -4.0f32..4.0],
         0..300,
@@ -303,46 +295,6 @@ proptest! {
     }
 
     #[test]
-    fn for_each_spans_match_allocating_spans(
-        m in matrix_strategy(),
-        slice in 1usize..20,
-        window in (0usize..30, 1usize..30),
-    ) {
-        // The allocation-free visitors must emit exactly the spans the
-        // Vec-returning methods produce, for every format the simulator
-        // can drive — the hot-path overrides and the default-impl
-        // formats (BSR, ELLPACK, the ablation variants) alike.
-        let formats: Vec<Box<dyn FeatureFormat>> = vec![
-            Box::new(m.clone()),
-            Box::new(CsrFeatures::encode(&m)),
-            Box::new(Beicsr::encode(&m, BeicsrConfig::sliced(slice))),
-            Box::new(Beicsr::encode(&m, BeicsrConfig::non_sliced())),
-            Box::new(CooFeatures::encode(&m)),
-            Box::new(BsrFeatures::encode(&m)),
-            Box::new(BlockedEllpack::encode(&m)),
-            Box::new(SeparateBitmapCsr::encode(&m)),
-            Box::new(PackedBeicsr::encode(&m)),
-        ];
-        // Windows with non-zero starts exercise the rank()/partition_point
-        // paths the aggregation sweep hits for every slice after the first.
-        let start = window.0.min(m.cols().saturating_sub(1));
-        let range = ColRange::new(start, (start + window.1).min(m.cols()));
-        for f in formats {
-            for r in 0..m.rows() {
-                let mut visited = Vec::new();
-                f.for_each_row_span(r, &mut |s| visited.push(s));
-                prop_assert_eq!(&visited, &f.row_spans(r), "{} row {}", f.format_name(), r);
-                visited.clear();
-                f.for_each_slice_span(r, range, &mut |s| visited.push(s));
-                prop_assert_eq!(&visited, &f.slice_spans(r, range), "{} slice {}", f.format_name(), r);
-                visited.clear();
-                f.for_each_write_span(r, &mut |s| visited.push(s));
-                prop_assert_eq!(&visited, &f.write_spans(r), "{} write {}", f.format_name(), r);
-            }
-        }
-    }
-
-    #[test]
     fn run_iterators_replay_like_their_spans(
         m in matrix_strategy(),
         slice in 1usize..20,
@@ -351,8 +303,8 @@ proptest! {
         // The simulator replays each format's compacted line runs
         // (`for_each_{row,slice,write}_run` → `access_lines` /
         // `write_lines`); the spans the runs were compacted from
-        // (`{row,slice,write}_spans` → `read_span` / `write_span`) are the
-        // reference. Both replays of the same random row/window sequence
+        // (`row_spans` / `slice_spans` → `read_span`, and `row_spans` →
+        // `write_span` for the write-back) are the reference. Both replays of the same random row/window sequence
         // must leave identical counters and DRAM state on both cache
         // models — covering the formats' hand-written run overrides
         // (Dense's among them) as well as the compacting defaults.

@@ -105,8 +105,8 @@ proptest! {
         // every write byte reaches DRAM.
         let mut mem: MemorySystem = MemorySystem::new(CacheConfig::default(), sgcn_mem::DramConfig::hbm2());
         for &(addr, bytes) in &reqs {
-            mem.read(addr, bytes, Traffic::FeatureRead);
-            mem.write(addr + (1 << 30), bytes, Traffic::FeatureWrite);
+            mem.read_span(addr, bytes, Traffic::FeatureRead);
+            mem.write_span(addr + (1 << 30), bytes, Traffic::FeatureWrite);
         }
         let r = mem.report();
         let fr = r.traffic(Traffic::FeatureRead);
