@@ -474,7 +474,7 @@ pub fn run_format_study(
 
 /// Pre-encodes one boundary matrix in a study format into the workload's
 /// shared [`FormatCache`], so later per-class × per-format simulations
-/// (and their parallel `prepare_matrix` callers) hit the cache instead
+/// (and the parallel prepare phase that runs them) hit the cache instead
 /// of re-encoding. Dense borrows the trace matrix directly and never
 /// needs caching; callers skip it.
 pub(crate) fn precache_boundary_kind(

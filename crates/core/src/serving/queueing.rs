@@ -96,7 +96,7 @@
 //!
 //! * [`EngineLineup`] — one class per [`EngineClass`], each with its own
 //!   hardware (cache geometry, DRAM generation, engine counts) and a
-//!   relative cost-units price. [`prepare_matrix`] simulates every
+//!   relative cost-units price. [`prepare_for`] simulates every
 //!   request's cold service **per class** in the parallel phase.
 //! * [`FleetSpec`] — the scalar fleet: one class on the run's platform,
 //!   scaled per engine. It serves the reference cold report, scaled by
@@ -113,18 +113,18 @@
 //! row. Otherwise (BIP, or paper-scale Cora's 90-line row)
 //! the engine keeps the line geometry through the same code.
 //!
-//! The `cost-aware` policy routes on a [`CostModel`]: per-cell linear
-//!   predictors of service cycles from subgraph stats
-//!   ([`RequestStats`]: vertices, edges, sparsity, feature bytes),
-//!   fitted deterministically from the prepared cold reports. The
-//!   dispatcher picks the engine minimizing predicted completion
-//!   (projected wait + predicted service), falling back to
-//!   least-loaded order (then engine id) on ties.
+//! The `cost-aware` policy routes on a [`CostModel`]: a table of
+//! per-class mean cold service cycles keyed by subgraph stats
+//! ([`RequestStats`]: vertices, edges, sparsity, feature bytes), built
+//! in stream order from the prepared cold reports. The dispatcher picks
+//! the engine minimizing predicted completion (projected wait +
+//! predicted service), falling back to least-loaded order (then engine
+//! id) on ties.
 //!
 //! # Per-request format dispatch
 //!
 //! The unit of dispatch is a **`(hardware class, format)` pair**:
-//! [`prepare_matrix`] simulates every request's cold service over the
+//! [`prepare_for`] simulates every request's cold service over the
 //! full class × [`ServeFormat`] palette (one workload build per distinct
 //! vertex; boundary encodings are built once and shared across every
 //! cell through the workload's format cache), and a [`FormatPolicy`]
@@ -133,15 +133,16 @@
 //! request in the format minimizing its predicted service on the engine
 //! the scheduling policy picked (under `cost-aware`, engines × formats
 //! are minimized jointly). The [`CostModel`] is keyed by the same
-//! `(class, format)` cells: exact training-point memo first, per-cell
-//! ridge regression for unseen stats. The chosen format is recorded per
-//! request ([`RequestTiming::format`]) and summarized as per-format
-//! dispatch counts plus the routing prediction's relative error. The
-//! default `fixed:native` palette-of-one reproduces the single-format
-//! pipeline byte for byte.
+//! `(class, format)` cells. It is fitted on the stream it prices, so
+//! every query finds the request's stats; requests whose distinct seed
+//! vertices sampled equal stats share their per-cell mean. The chosen
+//! format is recorded per request ([`RequestTiming::format`]) and
+//! summarized as per-format dispatch counts plus the routing
+//! prediction's relative error. The default `fixed:native`
+//! palette-of-one reproduces the single-format pipeline byte for byte.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use sgcn_formats::{Bitmap, FormatKind};
 use sgcn_graph::sampling::Fanouts;
@@ -395,7 +396,7 @@ pub struct EngineClass {
 /// A heterogeneous engine lineup: the hardware classes in play and each
 /// engine's class assignment. The real-hardware successor of the scalar
 /// [`FleetSpec`] — every engine simulates on its own [`HwConfig`], with
-/// per-class cold [`SimReport`]s from [`prepare_matrix`] and per-class
+/// per-class cold [`SimReport`]s from [`prepare_for`] and per-class
 /// warm-savings pricing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineLineup {
@@ -535,8 +536,9 @@ pub enum ServeFormat {
 
 impl ServeFormat {
     /// The standard serving palette, native first (palette index 0 —
-    /// the calibration column): the formats [`prepare_matrix`]
-    /// simulates by default and [`FormatPolicy::parse`] accepts.
+    /// the calibration column): the formats [`prepare_for`]
+    /// simulates for a non-native format policy and
+    /// [`FormatPolicy::parse`] accepts.
     pub const PALETTE: [ServeFormat; 6] = [
         ServeFormat::Native,
         ServeFormat::Kind(FormatKind::Dense),
@@ -633,8 +635,8 @@ impl FormatPolicy {
     }
 }
 
-/// Subgraph statistics of one prepared request — the feature vector the
-/// [`CostModel`] predicts service time from.
+/// Subgraph statistics of one prepared request — the key the
+/// [`CostModel`] table prices service by.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RequestStats {
     /// Sampled subgraph vertex count.
@@ -647,54 +649,25 @@ pub struct RequestStats {
     pub feature_bytes: u64,
 }
 
-/// The regression features of one request: intercept, vertices, edges,
-/// sparsity, feature bytes.
-fn cost_features(stats: &RequestStats) -> [f64; 5] {
-    [
-        1.0,
-        stats.vertices as f64,
-        stats.edges as f64,
-        stats.sparsity,
-        stats.feature_bytes as f64,
-    ]
-}
-
-/// One `(class, format)` cell's fitted predictor.
-#[derive(Debug, Clone, PartialEq)]
-enum ClassFit {
-    /// Ridge-regularized least squares over column-normalized
-    /// [`cost_features`].
-    Linear { scale: [f64; 5], w: [f64; 5] },
-    /// Degenerate fit (empty stream or singular system): predict the
-    /// cell's mean cold service.
-    Mean(f64),
-}
-
-/// Per-`(class, format)` service-time predictors fitted
-/// deterministically from a prepared stream's cold reports: an exact
-/// lookup over the training stats (requests whose stats were seen
-/// during fitting predict their measured per-cell cold cycles) backed
-/// by a ridge-regularized linear regression per cell for unseen stats.
-/// Cells are row-major by class (`class * formats + format`), matching
+/// Per-`(class, format)` mean cold service cycles of every stats
+/// vector in a prepared stream: the table `cost-aware` and `adaptive`
+/// dispatch price from. The event loop only queries the stream the
+/// model was fitted on, so every query hits it. Distinct seed vertices
+/// can sample subgraphs with equal stats but different cycles; such
+/// requests share one entry, their per-cell mean. Cells are row-major
+/// by class (`class * formats + format`), matching
 /// [`PreparedRequest::class_reports`]; the legacy single-format fit is
-/// the `formats == 1` case where a cell *is* a class. Predictions are
-/// pure in `(RequestStats, cell)` — fitting is a serial fold in stream
-/// order with no floating-point reassociation, so the same stream
-/// always yields the same model.
+/// the `formats == 1` case where a cell *is* a class. Fitting is one
+/// integer fold in stream order, so the same stream always yields the
+/// same model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
-    fits: Vec<ClassFit>,
-    /// Palette width the cells are strided by.
-    formats: usize,
-    /// Exact per-cell cold cycles keyed by the training stats (mean
-    /// over colliding stats, accumulated in stream order). Routing on
-    /// the serving stream itself — the common case, since the model is
-    /// fitted from the very stream it prices — hits this table and
-    /// pays no regression error.
-    memo: std::collections::BTreeMap<[u64; 4], Vec<u64>>,
+    /// Mean cold cycles per cell (at least 1), keyed by the stats'
+    /// exact bit pattern.
+    table: BTreeMap<[u64; 4], Vec<u64>>,
 }
 
-/// The memo key of a stats vector: its exact bit pattern.
+/// The table key of a stats vector: its exact bit pattern.
 fn stats_key(stats: &RequestStats) -> [u64; 4] {
     [
         stats.vertices,
@@ -705,179 +678,40 @@ fn stats_key(stats: &RequestStats) -> [u64; 4] {
 }
 
 impl CostModel {
-    /// Fits one predictor per `(class, format)` cell from the prepared
-    /// cold reports (`class_reports[cell]` when present, the reference
-    /// report otherwise; the palette width comes from the prepared
-    /// stream — 1 for legacy single-format streams). Ridge
-    /// regularization keeps the normal equations solvable despite
-    /// collinear features (feature bytes are an exact multiple of
-    /// vertices); a singular system falls back to the cell mean.
+    /// Fits the table from the prepared cold reports
+    /// (`class_reports[cell]` when present, the reference report
+    /// otherwise; the palette width comes from the prepared stream — 1
+    /// for legacy single-format streams).
     pub fn fit(prepared: &[PreparedRequest], classes: usize) -> CostModel {
-        let classes = classes.max(1);
-        let formats = prepared.first().map_or(1, |p| p.palette().len());
-        let cells = classes * formats;
-        let Some(first) = prepared.first() else {
-            return CostModel {
-                fits: vec![ClassFit::Mean(1.0); cells],
-                formats,
-                memo: std::collections::BTreeMap::new(),
-            };
-        };
-        // Column normalization keeps the ridge penalty meaningful across
-        // features spanning ten orders of magnitude.
-        let mut scale = [1.0f64; 5];
+        let cells = classes.max(1) * prepared.first().map_or(1, |p| p.palette().len());
+        let mut acc: BTreeMap<[u64; 4], (Vec<u64>, u64)> = BTreeMap::new();
         for p in prepared {
-            for (s, v) in scale.iter_mut().zip(cost_features(&p.stats)) {
-                if v.abs() > *s {
-                    *s = v.abs();
-                }
-            }
-        }
-        // A constant feature column (every request sharing one sparsity
-        // is the common case in fabricated streams) carries no signal
-        // and is collinear with the intercept: normalized it is either
-        // all-zero or a duplicate of the all-ones column, leaving the
-        // normal equations singular up to the ridge and the solved
-        // weights ill-conditioned. Drop such columns — zero their
-        // entries so their weight solves to exactly 0 (the intercept
-        // absorbs the constant contribution) and an unseen stats
-        // vector's value in a dead column cannot perturb predictions.
-        // The intercept (index 0) is the one constant column that stays.
-        let first = cost_features(&first.stats);
-        let mut dead = [false; 5];
-        for (j, dead_j) in dead.iter_mut().enumerate().skip(1) {
-            *dead_j = prepared
-                .iter()
-                .all(|p| cost_features(&p.stats)[j] == first[j]);
-        }
-        // One stream-order walk fills every cell. The normal matrix
-        // depends on the stats alone, so all cells share it; each cell
-        // keeps its own target sum and right-hand side. The exact
-        // training-point lookup accumulates, per key, every colliding
-        // request's cold cycles and their count.
-        let mut a = [[0.0f64; 5]; 5];
-        let mut sums = vec![0.0f64; cells];
-        let mut b = vec![[0.0f64; 5]; cells];
-        let mut acc: std::collections::BTreeMap<[u64; 4], (Vec<u64>, u64)> =
-            std::collections::BTreeMap::new();
-        for p in prepared {
-            let mut x = cost_features(&p.stats);
-            for ((v, s), kill) in x.iter_mut().zip(scale).zip(dead) {
-                *v = if kill { 0.0 } else { *v / s };
-            }
-            for (row, xi) in a.iter_mut().zip(x) {
-                for (aij, xj) in row.iter_mut().zip(x) {
-                    *aij += xi * xj;
-                }
-            }
-            let memo = acc
+            let (sums, n) = acc
                 .entry(stats_key(&p.stats))
                 .or_insert_with(|| (vec![0; cells], 0));
-            for cell in 0..cells {
-                let cycles = p.class_reports.get(cell).unwrap_or(&p.report).cycles;
-                let t = cycles as f64;
-                sums[cell] += t;
-                for (bi, xi) in b[cell].iter_mut().zip(x) {
-                    *bi += xi * t;
-                }
-                memo.0[cell] += cycles;
+            for (cell, sum) in sums.iter_mut().enumerate() {
+                *sum += p.class_reports.get(cell).unwrap_or(&p.report).cycles;
             }
-            memo.1 += 1;
+            *n += 1;
         }
-        let ridge = 1e-6 * (a[0][0] + a[1][1] + a[2][2] + a[3][3] + a[4][4]).max(1e-12) / 5.0;
-        for (i, row) in a.iter_mut().enumerate() {
-            row[i] += ridge;
-        }
-        let fits = b
-            .into_iter()
-            .zip(sums)
-            .map(|(b, sum)| match solve5(a, b) {
-                Some(w) if w.iter().all(|v| v.is_finite()) => ClassFit::Linear { scale, w },
-                _ => ClassFit::Mean(sum / prepared.len() as f64),
-            })
-            .collect();
-        let memo = acc
+        let table = acc
             .into_iter()
             .map(|(key, (sums, n))| (key, sums.iter().map(|s| (s / n).max(1)).collect()))
             .collect();
-        CostModel {
-            fits,
-            formats,
-            memo,
-        }
-    }
-
-    /// Number of fitted hardware classes.
-    pub fn classes(&self) -> usize {
-        self.fits.len() / self.formats
+        CostModel { table }
     }
 
     /// Predicted cold service cycles of a request on the given
-    /// `(class, format)` cell — `class * formats + format`; a legacy
-    /// single-format fit's cell index *is* its class index. Clamped to
-    /// ≥ 1; out-of-range cells fall back (the memo clamps to its last
-    /// cell, the regression to cell 0). The exact training-point lookup
-    /// answers when the stats were seen during fitting, the cell
-    /// regression otherwise.
-    pub fn predict_cycles(&self, cell: usize, stats: &RequestStats) -> u64 {
-        if let Some(cycles) = self.memo.get(&stats_key(stats)) {
-            return cycles[cell.min(cycles.len() - 1)];
-        }
-        let fit = self.fits.get(cell).unwrap_or(&self.fits[0]);
-        let y = match fit {
-            ClassFit::Linear { scale, w } => {
-                let x = cost_features(stats);
-                x.iter()
-                    .zip(scale)
-                    .zip(w)
-                    .map(|((v, s), w)| v / s * w)
-                    .sum::<f64>()
-            }
-            ClassFit::Mean(m) => *m,
-        };
-        if y.is_finite() {
-            y.round().max(1.0) as u64
-        } else {
-            1
-        }
+    /// `(class, format)` cell — `class * formats + format`: the mean
+    /// over the fitted requests with these stats. `None` for stats the
+    /// fitted stream never had.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell` is outside the fitted classes × formats.
+    pub fn predict_cycles(&self, cell: usize, stats: &RequestStats) -> Option<u64> {
+        self.table.get(&stats_key(stats)).map(|cycles| cycles[cell])
     }
-}
-
-/// Solves a 5×5 linear system by Gaussian elimination with partial
-/// pivoting (deterministic tie-breaking: the first maximal pivot wins).
-/// `None` when the system is numerically singular.
-fn solve5(mut a: [[f64; 5]; 5], mut b: [f64; 5]) -> Option<[f64; 5]> {
-    for col in 0..5 {
-        let pivot = (col..5).reduce(|best, r| {
-            if a[r][col].abs() > a[best][col].abs() {
-                r
-            } else {
-                best
-            }
-        })?;
-        if a[pivot][col].abs() < 1e-12 {
-            return None;
-        }
-        a.swap(col, pivot);
-        b.swap(col, pivot);
-        let prow = a[col];
-        for r in col + 1..5 {
-            let f = a[r][col] / prow[col];
-            for (v, p) in a[r].iter_mut().zip(prow).skip(col) {
-                *v -= f * p;
-            }
-            b[r] -= f * b[col];
-        }
-    }
-    let mut w = [0.0f64; 5];
-    for col in (0..5).rev() {
-        let mut acc = b[col];
-        for c in col + 1..5 {
-            acc -= a[col][c] * w[c];
-        }
-        w[col] = acc / a[col][col];
-    }
-    Some(w)
 }
 
 /// Knobs of one queueing run.
@@ -905,7 +739,7 @@ pub struct QueueConfig {
     /// Heterogeneous hardware lineup. When set it supersedes `fleet`:
     /// every engine runs its assigned class's [`HwConfig`] (cache
     /// geometry, DRAM bandwidth, cold service) and the prepared stream
-    /// must come from [`prepare_matrix`] with the same classes.
+    /// must come from [`prepare_for`] under the same lineup.
     pub lineup: Option<EngineLineup>,
     /// Failure drill: how engines crash and recover (default: never).
     pub faults: FailureModel,
@@ -923,7 +757,7 @@ pub struct QueueConfig {
     /// Per-request serving-format policy (default: `fixed:native`, the
     /// single-format pipeline). Non-native fixed formats and adaptive
     /// dispatch need a stream prepared over a palette covering the
-    /// formats in play ([`prepare_matrix`]).
+    /// formats in play ([`prepare_for`]).
     pub format: FormatPolicy,
     /// Deadline classes: a seeded interactive/batch mix where each
     /// class carries its own deadline, shed switch and retry budget,
@@ -1133,14 +967,14 @@ pub struct PreparedRequest {
     /// Cold service simulation of the request's workload on the
     /// reference platform.
     pub report: SimReport,
-    /// Subgraph statistics: the [`CostModel`]'s features (the event
-    /// loop's `cost-aware` and `adaptive` dispatch predict service from
+    /// Subgraph statistics: the [`CostModel`]'s table key (the event
+    /// loop's `cost-aware` and `adaptive` dispatch price service by
     /// them) and the batch view's subgraph sizes
     /// ([`crate::serving::ServeSummary`]). [`Default`] in fabricated
     /// test streams that never reach the cost model.
     pub stats: RequestStats,
     /// Cold reports over the prepared `(class, format)` matrix from
-    /// [`prepare_matrix`], row-major by class
+    /// [`prepare_for`], row-major by class
     /// (`class_reports[class * formats.len() + format]`); empty on the
     /// legacy scalar path.
     pub class_reports: Vec<SimReport>,
@@ -1197,35 +1031,12 @@ pub fn prepare(
     )
 }
 
-/// [`prepare`] over the full `(hardware class, format)` dispatch
-/// matrix: simulates every request's cold service once per lineup
-/// class × palette format inside the same parallel, stream-ordered
-/// phase, filling [`PreparedRequest::class_reports`] row-major by class.
-/// Each distinct vertex builds its workload **once** — with every
-/// non-native palette encoding pre-built through the workload's shared
-/// format cache — so widening the palette adds simulations per cell but
-/// never re-encodes a boundary per class. The reference report
-/// (`report`) is class 0 in the palette's first format (native first in
-/// [`ServeFormat::PALETTE`]), so arrival calibration is unchanged.
-///
-/// # Panics
-///
-/// Panics if `formats` is empty or repeats an entry.
-pub fn prepare_matrix(
-    ctx: &ServingContext,
-    requests: &[Request],
-    model: &AccelModel,
-    lineup: &EngineLineup,
-    formats: &[ServeFormat],
-) -> Vec<PreparedRequest> {
-    let hws: Vec<HwConfig> = lineup.classes.iter().map(|c| c.hw).collect();
-    prepare_cells(ctx, requests, model, &hws, formats, true, false)
-}
-
-/// [`prepare_matrix`] plus the brownout ladder's bottom rung: every
-/// distinct vertex is **also** sampled at half fanouts (each hop's cap
-/// halved, floor 1) and cold-simulated once per lineup class in the
-/// native format, filling [`PreparedRequest::lite_reports`] and
+/// [`prepare`] over a lineup's full `(hardware class, format)` dispatch
+/// matrix ([`PreparedRequest::class_reports`], row-major by class) plus
+/// the brownout ladder's bottom rung: every distinct vertex is **also**
+/// sampled at half fanouts (each hop's cap halved, floor 1) and
+/// cold-simulated once per lineup class in the native format, filling
+/// [`PreparedRequest::lite_reports`] and
 /// [`PreparedRequest::lite_vertices`]. The lite context shares the
 /// synthesized graph and input features, so the extra cost is one small
 /// workload build + one simulation per class per distinct vertex.
@@ -1721,6 +1532,11 @@ struct QueueSim<'a> {
     /// (deferred closed-loop feedback, availability bookkeeping), so it
     /// is only armed when the configuration actually drills.
     drills: bool,
+    /// Whether a started request can still be rolled back (a drill
+    /// kills it, or a preempting class re-queues it): its closed-loop
+    /// client is then released at the completion event, once, instead
+    /// of at each start.
+    hold_clients: bool,
     /// Crash/recovery schedule: `(time, 0=up|1=down, engine)`, sorted.
     /// Recoveries sort before crashes at equal instants so chained
     /// incidents (`up_at == next down_at`) hand over cleanly.
@@ -2001,9 +1817,9 @@ impl QueueSim<'_> {
     fn predicted_service(&self, e: usize, f: usize, p: &PreparedRequest) -> u64 {
         let class = self.engines[e].class;
         let cycles = match &self.cost {
-            Some(model) if !self.is_lite(f) => {
-                model.predict_cycles(class * self.palette.len() + f, &p.stats)
-            }
+            Some(model) if !self.is_lite(f) => model
+                .predict_cycles(class * self.palette.len() + f, &p.stats)
+                .expect("the cost model is fitted on the stream it prices"),
             _ => self.cell_report(p, class, f).cycles,
         };
         scale_service(cycles, self.engines[e].scale)
@@ -2328,9 +2144,9 @@ impl QueueSim<'_> {
                                 self.engines[e].in_flight = None;
                             }
                         }
-                        if self.drills {
-                            // Under drills the closed-loop client was
-                            // held until the outcome was known.
+                        if self.hold_clients {
+                            // The closed-loop client was held until the
+                            // outcome was known.
                             self.schedule_next_client(id, t);
                         }
                     }
@@ -2549,7 +2365,7 @@ impl QueueSim<'_> {
         let q = self.unqueue(id);
         self.assign_format(ve, id);
         let finish = self.start_service(ve, id, q.arrival, t, None);
-        if !self.drills {
+        if !self.hold_clients {
             self.schedule_next_client(id, finish);
         }
     }
@@ -2573,10 +2389,10 @@ impl QueueSim<'_> {
                 }
                 let start = t.max(self.engines[e].next_free);
                 let finish = self.start_service(e, q.id, q.arrival, start, q.exact);
-                // Under drills the closed-loop client is released at the
-                // completion *event* instead (the request may yet be
-                // killed and redriven — its outcome is not known here).
-                if !self.drills {
+                // A request that may yet be killed or preempted releases
+                // its closed-loop client at the completion *event*
+                // instead (its outcome is not known here).
+                if !self.hold_clients {
                     self.schedule_next_client(q.id, finish);
                 }
                 break;
@@ -2879,7 +2695,7 @@ impl QueueSim<'_> {
 ///
 /// `feature_row_bytes` is the byte size of one input-feature row (the
 /// unit pulled through an engine's warm cache per sampled vertex);
-/// [`run_queue`] derives it from the serving context.
+/// [`feature_row_bytes`] derives it from the serving context.
 ///
 /// # Panics
 ///
@@ -2933,8 +2749,8 @@ pub fn simulate_queue(
     let fixed_fmt = match cfg.format {
         FormatPolicy::Fixed(f) => Some(palette.iter().position(|&g| g == f).unwrap_or_else(|| {
             panic!(
-                "format {:?} is not in the prepared palette {:?} — prepare with prepare_matrix \
-                 over a palette containing it",
+                "format {:?} is not in the prepared palette {:?} — prepare with prepare_for \
+                 under this format policy",
                 f.label(),
                 palette.iter().map(ServeFormat::label).collect::<Vec<_>>()
             )
@@ -2984,7 +2800,7 @@ pub fn simulate_queue(
                 p.class_reports.len(),
                 class_hw.len() * palette.len(),
                 "a lineup run needs per-(class, format) cold reports — prepare with \
-                 prepare_matrix"
+                 prepare_for under this lineup"
             );
         }
     }
@@ -3233,6 +3049,7 @@ pub fn simulate_queue(
         exact_est,
         affinity_slack,
         drills,
+        hold_clients: drills || cfg.classes.is_some_and(|c| c.preempt),
         drill_events,
         drill_ptr: 0,
         provisions: BinaryHeap::new(),
@@ -3346,9 +3163,18 @@ pub fn simulate_queue(
 }
 
 /// Prepares `requests` the way `cfg` needs them: [`prepare`] on `hw`
-/// without a lineup; with one, [`prepare_matrix`] over the native column
-/// — widened to the full [`ServeFormat::PALETTE`] when the format policy
-/// needs more — or [`prepare_degraded`] when a brownout ladder is armed.
+/// without a lineup. With one, every request's cold service is
+/// simulated once per lineup class × palette format inside the same
+/// parallel, stream-ordered phase, filling
+/// [`PreparedRequest::class_reports`] row-major by class: the native
+/// column under `fixed:native`, the full [`ServeFormat::PALETTE`] under
+/// any other format policy, and [`prepare_degraded`]'s lite reports on
+/// top when a brownout ladder is armed. Each distinct vertex builds its
+/// workload **once** — with every non-native palette encoding pre-built
+/// through the workload's shared format cache — so widening the palette
+/// adds simulations per cell but never re-encodes a boundary per class.
+/// The reference report (`report`) is class 0 in native, so arrival
+/// calibration does not depend on the palette.
 pub fn prepare_for(
     ctx: &ServingContext,
     requests: &[Request],
@@ -3356,28 +3182,19 @@ pub fn prepare_for(
     hw: &HwConfig,
     cfg: &QueueConfig,
 ) -> Vec<PreparedRequest> {
-    match (&cfg.lineup, cfg.format) {
-        (Some(lineup), _) if cfg.degrade.is_some() => {
-            prepare_degraded(ctx, requests, model, lineup, &ServeFormat::PALETTE)
-        }
-        (Some(lineup), FormatPolicy::Fixed(ServeFormat::Native)) => {
-            prepare_matrix(ctx, requests, model, lineup, &[ServeFormat::Native])
-        }
-        (Some(lineup), _) => prepare_matrix(ctx, requests, model, lineup, &ServeFormat::PALETTE),
-        (None, _) => prepare(ctx, requests, model, hw),
+    let Some(lineup) = &cfg.lineup else {
+        return prepare(ctx, requests, model, hw);
+    };
+    if cfg.degrade.is_some() {
+        return prepare_degraded(ctx, requests, model, lineup, &ServeFormat::PALETTE);
     }
-}
-
-/// Convenience wrapper: [`prepare_for`] + [`simulate_queue`] in one call.
-pub fn run_queue(
-    ctx: &ServingContext,
-    requests: &[Request],
-    model: &AccelModel,
-    hw: &HwConfig,
-    cfg: &QueueConfig,
-) -> QueueOutcome {
-    let prepared = prepare_for(ctx, requests, model, hw, cfg);
-    simulate_queue(&prepared, cfg, hw, feature_row_bytes(ctx))
+    let formats: &[ServeFormat] = if cfg.format == FormatPolicy::Fixed(ServeFormat::Native) {
+        &[ServeFormat::Native]
+    } else {
+        &ServeFormat::PALETTE
+    };
+    let hws: Vec<HwConfig> = lineup.classes.iter().map(|c| c.hw).collect();
+    prepare_cells(ctx, requests, model, &hws, formats, true, false)
 }
 
 /// Byte size of one input-feature row of the context's dataset (f32
@@ -3835,6 +3652,28 @@ mod tests {
         (ctx, prepared, row)
     }
 
+    /// Prepares `stream` for `lineup` the way `format` needs it: the
+    /// native column under `fixed:native`, the full palette otherwise.
+    fn prepare_lineup(
+        ctx: &ServingContext,
+        stream: &[Request],
+        lineup: &EngineLineup,
+        format: FormatPolicy,
+    ) -> Vec<PreparedRequest> {
+        let cfg = qcfg(lineup.engines(), SchedPolicy::LeastLoaded)
+            .with_lineup(lineup.clone())
+            .with_format(format);
+        prepare_for(ctx, stream, &AccelModel::sgcn(), &HwConfig::default(), &cfg)
+    }
+
+    /// Prepares `stream` the way `cfg` needs it on the default hardware
+    /// and runs it.
+    fn run(ctx: &ServingContext, stream: &[Request], cfg: &QueueConfig) -> QueueOutcome {
+        let hw = HwConfig::default();
+        let prepared = prepare_for(ctx, stream, &AccelModel::sgcn(), &hw, cfg);
+        simulate_queue(&prepared, cfg, &hw, feature_row_bytes(ctx))
+    }
+
     #[test]
     fn policy_labels_and_parse_round_trip() {
         for p in SchedPolicy::ALL {
@@ -3996,12 +3835,11 @@ mod tests {
         let ctx = tiny_ctx();
         let hw = HwConfig::default();
         let stream = ctx.hotspot_stream(4, 2);
-        let prepared = prepare_matrix(
+        let prepared = prepare_lineup(
             &ctx,
             &stream,
-            &AccelModel::sgcn(),
             &EngineLineup::uniform(2, hw),
-            &ServeFormat::PALETTE,
+            FormatPolicy::Adaptive,
         );
         let cfg = qcfg(2, SchedPolicy::LeastLoaded)
             .with_format(FormatPolicy::Fixed(ServeFormat::Kind(FormatKind::Csr)));
@@ -4011,13 +3849,7 @@ mod tests {
     #[test]
     fn empty_stream_yields_zero_summary_and_finite_json() {
         let ctx = tiny_ctx();
-        let out = run_queue(
-            &ctx,
-            &[],
-            &AccelModel::sgcn(),
-            &HwConfig::default(),
-            &qcfg(2, SchedPolicy::LeastLoaded),
-        );
+        let out = run(&ctx, &[], &qcfg(2, SchedPolicy::LeastLoaded));
         assert!(out.records.is_empty());
         assert!(out.shed.is_empty());
         let s = &out.summary;
@@ -4040,9 +3872,8 @@ mod tests {
     fn event_loop_invariants_hold_for_every_policy() {
         let ctx = tiny_ctx();
         let stream = ctx.request_stream(24);
-        let hw = HwConfig::default();
         for policy in SchedPolicy::ALL {
-            let out = run_queue(&ctx, &stream, &AccelModel::sgcn(), &hw, &qcfg(3, policy));
+            let out = run(&ctx, &stream, &qcfg(3, policy));
             assert_eq!(out.records.len(), 24, "{policy:?}");
             assert_eq!(out.engine_served.iter().sum::<u64>(), 24);
             let s = &out.summary;
@@ -4074,13 +3905,7 @@ mod tests {
     fn fifo_round_robin_rotates_engines() {
         let ctx = tiny_ctx();
         let stream = ctx.request_stream(12);
-        let out = run_queue(
-            &ctx,
-            &stream,
-            &AccelModel::sgcn(),
-            &HwConfig::default(),
-            &qcfg(4, SchedPolicy::FifoRoundRobin),
-        );
+        let out = run(&ctx, &stream, &qcfg(4, SchedPolicy::FifoRoundRobin));
         for r in &out.records {
             assert_eq!(r.engine, r.index % 4);
         }
@@ -4090,13 +3915,7 @@ mod tests {
     fn least_loaded_never_queues_while_an_engine_idles() {
         let ctx = tiny_ctx();
         let stream = ctx.request_stream(20);
-        let out = run_queue(
-            &ctx,
-            &stream,
-            &AccelModel::sgcn(),
-            &HwConfig::default(),
-            &qcfg(2, SchedPolicy::LeastLoaded),
-        );
+        let out = run(&ctx, &stream, &qcfg(2, SchedPolicy::LeastLoaded));
         // Reconstruct: when a request waited, every engine must have been
         // busy at its arrival.
         let mut free_at = [0u64; 2];
@@ -4239,9 +4058,9 @@ mod tests {
         assert_eq!(FormatPolicy::parse("bogus"), None);
     }
 
-    /// Fabricates a prepared request whose cold service is exactly
-    /// linear in its vertex count, with a *constant* sparsity column.
-    fn fab_const_sparsity(index: usize, vertices: u64) -> PreparedRequest {
+    /// Fabricates a prepared request of `vertices` sampled vertices
+    /// whose cold service is 1,000 cycles per vertex.
+    fn fab_request(index: usize, vertices: u64) -> PreparedRequest {
         let report = SimReport {
             accelerator: "fab",
             workload: "FAB",
@@ -4275,171 +4094,40 @@ mod tests {
         }
     }
 
-    /// The per-cell reference for [`CostModel::fit`]: one walk over
-    /// the stream per `(class, format)` cell.
-    fn fit_per_cell(prepared: &[PreparedRequest], classes: usize) -> CostModel {
-        let classes = classes.max(1);
-        let formats = prepared.first().map_or(1, |p| p.palette().len());
-        let cells = classes * formats;
-        let cell_cycles = |p: &PreparedRequest, cell: usize| {
-            p.class_reports.get(cell).unwrap_or(&p.report).cycles
-        };
-        let fits = (0..cells)
-            .map(|cell| {
-                let targets: Vec<f64> = prepared
-                    .iter()
-                    .map(|p| cell_cycles(p, cell) as f64)
+    #[test]
+    fn cost_model_averages_colliding_stats_per_cell() {
+        // Two classes × two formats; request 7 repeats request 3's
+        // stats with other cycles, as two distinct seed vertices can.
+        let prepared: Vec<PreparedRequest> = (0..10)
+            .map(|i| {
+                let mut p = fab_request(i, 20 + 13 * (if i == 7 { 3 } else { i }) as u64);
+                p.formats = ServeFormat::PALETTE[..2].to_vec();
+                p.class_reports = (0..4u64)
+                    .map(|c| SimReport {
+                        cycles: p.report.cycles * (c + 1) + 7 * i as u64,
+                        ..p.report.clone()
+                    })
                     .collect();
-                fit_class(prepared, &targets)
+                p
             })
             .collect();
-        let mut acc: std::collections::BTreeMap<[u64; 4], (Vec<u64>, u64)> =
-            std::collections::BTreeMap::new();
-        for p in prepared {
-            let e = acc
-                .entry(stats_key(&p.stats))
-                .or_insert_with(|| (vec![0; cells], 0));
-            for (sum, cell) in e.0.iter_mut().zip(0..cells) {
-                *sum += cell_cycles(p, cell);
-            }
-            e.1 += 1;
-        }
-        let memo = acc
-            .into_iter()
-            .map(|(key, (sums, n))| (key, sums.iter().map(|s| (s / n).max(1)).collect()))
-            .collect();
-        CostModel {
-            fits,
-            formats,
-            memo,
-        }
-    }
-
-    fn fit_class(prepared: &[PreparedRequest], targets: &[f64]) -> ClassFit {
-        if prepared.is_empty() {
-            return ClassFit::Mean(1.0);
-        }
-        let mean = targets.iter().sum::<f64>() / targets.len() as f64;
-        let mut scale = [1.0f64; 5];
-        for p in prepared {
-            let x = cost_features(&p.stats);
-            for (s, v) in scale.iter_mut().zip(x) {
-                if v.abs() > *s {
-                    *s = v.abs();
-                }
-            }
-        }
-        let first = cost_features(&prepared[0].stats);
-        let mut dead = [false; 5];
-        for (j, dead_j) in dead.iter_mut().enumerate().skip(1) {
-            *dead_j = prepared
-                .iter()
-                .all(|p| cost_features(&p.stats)[j] == first[j]);
-        }
-        let mut a = [[0.0f64; 5]; 5];
-        let mut b = [0.0f64; 5];
-        for (p, &t) in prepared.iter().zip(targets) {
-            let mut x = cost_features(&p.stats);
-            for ((v, s), kill) in x.iter_mut().zip(scale).zip(dead) {
-                *v = if kill { 0.0 } else { *v / s };
-            }
-            for i in 0..5 {
-                for j in 0..5 {
-                    a[i][j] += x[i] * x[j];
-                }
-                b[i] += x[i] * t;
-            }
-        }
-        let ridge = 1e-6 * (a[0][0] + a[1][1] + a[2][2] + a[3][3] + a[4][4]).max(1e-12) / 5.0;
-        for (i, row) in a.iter_mut().enumerate() {
-            row[i] += ridge;
-        }
-        match solve5(a, b) {
-            Some(w) if w.iter().all(|v| v.is_finite()) => ClassFit::Linear { scale, w },
-            _ => ClassFit::Mean(mean),
-        }
-    }
-
-    #[test]
-    fn single_pass_fit_matches_the_per_cell_reference() {
-        // Two classes × two formats. Sparsity is constant (a dead
-        // column), and request 7 repeats request 3's stats with other
-        // cycles (a memo collision).
-        let stream = |sparsity: fn(usize) -> f64| -> Vec<PreparedRequest> {
-            (0..10)
-                .map(|i| {
-                    let mut p =
-                        fab_const_sparsity(i, 20 + 13 * (if i == 7 { 3 } else { i }) as u64);
-                    p.stats.sparsity = sparsity(i);
-                    p.formats = ServeFormat::PALETTE[..2].to_vec();
-                    p.class_reports = (0..4u64)
-                        .map(|c| SimReport {
-                            cycles: p.report.cycles * (c + 1) + 7 * i as u64,
-                            ..p.report.clone()
-                        })
-                        .collect();
-                    p
-                })
-                .collect()
-        };
-        let same = |prepared: &[PreparedRequest]| {
-            let fit = CostModel::fit(prepared, 2);
+        let model = CostModel::fit(&prepared, 2);
+        for cell in 0..4 {
+            let cycles = |i: usize| prepared[i].class_reports[cell].cycles;
+            assert_ne!(cycles(3), cycles(7));
+            let mean = Some((cycles(3) + cycles(7)) / 2);
+            assert_eq!(model.predict_cycles(cell, &prepared[3].stats), mean);
+            assert_eq!(model.predict_cycles(cell, &prepared[7].stats), mean);
             assert_eq!(
-                format!("{fit:?}"),
-                format!("{:?}", fit_per_cell(prepared, 2))
+                model.predict_cycles(cell, &prepared[5].stats),
+                Some(cycles(5))
             );
-            fit
-        };
-        let live = same(&stream(|_| 0.5));
-        assert_eq!(live.memo.len(), 9, "requests 3 and 7 share one key");
-        for fit in &live.fits {
-            let ClassFit::Linear { w, .. } = fit else {
-                panic!("a live stream fits a regression: {fit:?}");
-            };
-            assert_eq!(w[3], 0.0, "the dead sparsity column weighs nothing");
         }
-        // A NaN stat poisons the shared normal equations: every cell
-        // falls back to its own mean.
-        let singular = same(&stream(|i| if i == 4 { f64::NAN } else { 0.5 }));
-        assert!(singular.fits.iter().all(|f| matches!(f, ClassFit::Mean(_))));
-        assert_ne!(singular.fits[0], singular.fits[3]);
-        same(&[]);
-    }
-
-    #[test]
-    fn cost_model_survives_constant_feature_columns() {
-        // Regression (degenerate-column fix): every request sharing one
-        // sparsity used to leave the normalized sparsity column constant
-        // — collinear with the intercept, so the ridge-solved weights
-        // were ill-conditioned and an unseen sparsity value could swing
-        // predictions. Post-fix, dead columns are dropped from the
-        // normal equations: their weight is exactly 0 and predictions
-        // are invariant to the unseen value in that column.
-        let prepared: Vec<PreparedRequest> = (0..12)
-            .map(|i| fab_const_sparsity(i, 20 + 13 * i as u64))
-            .collect();
-        let model = CostModel::fit(&prepared, 1);
-        // Novel stats (not a training point — misses the exact memo)
-        // differing only in the dead sparsity column predict the same.
-        let a = RequestStats {
+        let unseen = RequestStats {
             vertices: 777,
-            edges: 777 * 3,
-            sparsity: 0.5,
-            feature_bytes: 777 * 256,
+            ..prepared[0].stats
         };
-        let b = RequestStats { sparsity: 0.9, ..a };
-        assert_eq!(model.predict_cycles(0, &a), model.predict_cycles(0, &b));
-        // The fit survived as a genuine regression, not the mean
-        // fallback: predictions still track the live columns.
-        let small = model.predict_cycles(0, &fab_const_sparsity(0, 10).stats);
-        let large = model.predict_cycles(0, &fab_const_sparsity(0, 10_000).stats);
-        assert!(
-            large > small * 100,
-            "fit collapsed to the mean: {small} vs {large}"
-        );
-        // And it is tight on the (linear) ground truth.
-        let rel = (model.predict_cycles(0, &a) as f64 - 777_000.0).abs() / 777_000.0;
-        assert!(rel < 0.05, "prediction off by {rel:.3}");
+        assert_eq!(model.predict_cycles(0, &unseen), None);
     }
 
     #[test]
@@ -4453,13 +4141,7 @@ mod tests {
         let row = feature_row_bytes(&ctx);
         let native_prep = prepare(&ctx, &stream, &AccelModel::sgcn(), &base);
         let lineup = EngineLineup::uniform(3, base);
-        let lineup_prep = prepare_matrix(
-            &ctx,
-            &stream,
-            &AccelModel::sgcn(),
-            &lineup,
-            &[ServeFormat::Native],
-        );
+        let lineup_prep = prepare_lineup(&ctx, &stream, &lineup, FormatPolicy::default());
         for policy in [SchedPolicy::LeastLoaded, SchedPolicy::CacheAffinity] {
             let legacy = simulate_queue(&native_prep, &qcfg(3, policy), &base, row);
             let lin = simulate_queue(
@@ -4482,13 +4164,7 @@ mod tests {
         let stream = ctx.hotspot_stream(12, 3);
         let base = HwConfig::default();
         let lineup = EngineLineup::mixed(2, base);
-        let prepared = prepare_matrix(
-            &ctx,
-            &stream,
-            &AccelModel::sgcn(),
-            &lineup,
-            &[ServeFormat::Native],
-        );
+        let prepared = prepare_lineup(&ctx, &stream, &lineup, FormatPolicy::default());
         for p in &prepared {
             assert_eq!(p.class_reports.len(), 2);
             assert_eq!(p.class_reports[0], p.report);
@@ -4507,36 +4183,22 @@ mod tests {
         let stream = ctx.hotspot_stream(20, 5);
         let base = HwConfig::default();
         let lineup = EngineLineup::mixed(2, base);
-        let prepared = prepare_matrix(
-            &ctx,
-            &stream,
-            &AccelModel::sgcn(),
-            &lineup,
-            &[ServeFormat::Native],
-        );
+        let prepared = prepare_lineup(&ctx, &stream, &lineup, FormatPolicy::default());
         let model = CostModel::fit(&prepared, 2);
-        assert_eq!(model.classes(), 2);
-        // Refitting the same stream yields the same model, bit for bit
-        // the per-cell reference's, and predictions are pure in
-        // (stats, class).
+        // Refitting the same stream yields the same model, and each
+        // request predicts the per-cell mean cold cycles of the requests
+        // sharing its stats (itself included).
         assert_eq!(model, CostModel::fit(&prepared, 2));
-        assert_eq!(
-            format!("{model:?}"),
-            format!("{:?}", fit_per_cell(&prepared, 2))
-        );
         for p in &prepared {
-            let ref_pred = model.predict_cycles(0, &p.stats);
-            let eco_pred = model.predict_cycles(1, &p.stats);
-            assert_eq!(ref_pred, model.predict_cycles(0, &p.stats));
-            assert!(ref_pred >= 1 && eco_pred >= 1);
-            // The fit should be tight on its own training points: these
-            // are near-linear functions of (vertices, edges).
-            let rel = (ref_pred as f64 - p.report.cycles as f64).abs() / p.report.cycles as f64;
-            assert!(
-                rel < 0.25,
-                "prediction {ref_pred} is {rel:.2} off cold {}",
-                p.report.cycles
-            );
+            for cell in 0..2 {
+                let same: Vec<u64> = prepared
+                    .iter()
+                    .filter(|q| q.stats == p.stats)
+                    .map(|q| q.class_reports[cell].cycles)
+                    .collect();
+                let mean = same.iter().sum::<u64>() / same.len() as u64;
+                assert_eq!(model.predict_cycles(cell, &p.stats), Some(mean.max(1)));
+            }
         }
         // The fitted eco predictions track the real ordering on average.
         let (mut eco_more, mut total) = (0usize, 0usize);
@@ -4561,13 +4223,7 @@ mod tests {
         let stream = ctx.hotspot_stream(48, 6);
         let base = HwConfig::default();
         let lineup = EngineLineup::mixed(4, base);
-        let prepared = prepare_matrix(
-            &ctx,
-            &stream,
-            &AccelModel::sgcn(),
-            &lineup,
-            &[ServeFormat::Native],
-        );
+        let prepared = prepare_lineup(&ctx, &stream, &lineup, FormatPolicy::default());
         let row = feature_row_bytes(&ctx);
         let run = |policy| {
             let cfg = QueueConfig::new(4, policy, 0.9, 7)
@@ -4596,13 +4252,7 @@ mod tests {
         let stream = ctx.hotspot_stream(36, 5);
         let base = HwConfig::default();
         let lineup = EngineLineup::mixed(3, base);
-        let prepared = prepare_matrix(
-            &ctx,
-            &stream,
-            &AccelModel::sgcn(),
-            &lineup,
-            &ServeFormat::PALETTE,
-        );
+        let prepared = prepare_lineup(&ctx, &stream, &lineup, FormatPolicy::Adaptive);
         let row = feature_row_bytes(&ctx);
         for p in &prepared {
             assert_eq!(p.formats, ServeFormat::PALETTE.to_vec());
@@ -4679,11 +4329,9 @@ mod tests {
         // balance (the bounded-load fallback under pressure is exercised
         // by the policy-sweep grids).
         let stream = ctx.hotspot_stream(6, 1);
-        let out = run_queue(
+        let out = run(
             &ctx,
             &stream,
-            &AccelModel::sgcn(),
-            &HwConfig::default(),
             &QueueConfig::new(2, SchedPolicy::CacheAffinity, 0.3, 7),
         );
         // The identical working set fits the 512 KB warm cache at tiny
@@ -4737,6 +4385,33 @@ mod tests {
                     assert!(w[1].arrival >= w[0].finish, "serial client overlapped");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn closed_loop_preemption_releases_each_client_once() {
+        // A preempted batch request re-queues and later restarts. Its
+        // client must come back once, when the request finishes — not
+        // at each start, or every preemption adds a client to the loop.
+        let (_ctx, prepared, row) = prepared_tiny(60, 6);
+        let clients = 4;
+        let cfg = qcfg(2, SchedPolicy::LeastLoaded)
+            .with_traffic(TrafficModel::ClosedLoop { clients })
+            .with_classes(ClassPolicy::mix(0.3).with_preemption());
+        let out = simulate_queue(&prepared, &cfg, &HwConfig::default(), row);
+        assert!(out.summary.preemptions > 0, "the run must preempt");
+        assert_eq!(out.records.len() + out.shed.len() + out.failed.len(), 60);
+        for r in &out.records {
+            let t = r.arrival;
+            let in_system = out
+                .records
+                .iter()
+                .filter(|o| o.arrival <= t && t < o.finish)
+                .count();
+            assert!(
+                in_system <= clients,
+                "{in_system} requests in the system at {t}"
+            );
         }
     }
 
@@ -5121,11 +4796,9 @@ mod tests {
     fn json_is_deterministic_escaped_and_carries_new_fields() {
         let ctx = tiny_ctx();
         let stream = ctx.request_stream(5);
-        let out = run_queue(
+        let out = run(
             &ctx,
             &stream,
-            &AccelModel::sgcn(),
-            &HwConfig::default(),
             &qcfg(2, SchedPolicy::LeastLoaded)
                 .with_traffic(TrafficModel::bursty_default())
                 .with_slo(SloConfig::shedding(1_000_000)),
@@ -5251,12 +4924,11 @@ mod tests {
         let ctx = tiny_ctx();
         let stream = ctx.hotspot_stream(96, 8);
         let base = HwConfig::default();
-        let prepared = prepare_matrix(
+        let prepared = prepare_lineup(
             &ctx,
             &stream,
-            &AccelModel::sgcn(),
             &EngineLineup::mixed(4, base),
-            &[ServeFormat::Native],
+            FormatPolicy::default(),
         );
         let row = feature_row_bytes(&ctx);
         let mean = prepared.iter().map(|p| p.report.cycles).sum::<u64>() / prepared.len() as u64;

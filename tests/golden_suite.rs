@@ -147,7 +147,9 @@ fn check_serve_summary_golden() {
 /// in one trace. Called from [`quick_suite_and_serving_match_goldens`].
 fn check_queue_summary_golden() {
     use sgcn::accel::AccelModel;
-    use sgcn::serving::queueing::{run_queue, QueueConfig, SchedPolicy};
+    use sgcn::serving::queueing::{
+        feature_row_bytes, prepare_for, simulate_queue, QueueConfig, SchedPolicy,
+    };
     use sgcn::serving::{ServingConfig, ServingContext};
 
     let cfg = ExperimentConfig::quick();
@@ -159,13 +161,9 @@ fn check_queue_summary_golden() {
         seed: cfg.seed,
     });
     let stream = ctx.hotspot_stream(60, 10);
-    let out = run_queue(
-        &ctx,
-        &stream,
-        &AccelModel::sgcn(),
-        &cfg.hw(),
-        &QueueConfig::new(4, SchedPolicy::CacheAffinity, 0.8, cfg.seed),
-    );
+    let qcfg = QueueConfig::new(4, SchedPolicy::CacheAffinity, 0.8, cfg.seed);
+    let prepared = prepare_for(&ctx, &stream, &AccelModel::sgcn(), &cfg.hw(), &qcfg);
+    let out = simulate_queue(&prepared, &qcfg, &cfg.hw(), feature_row_bytes(&ctx));
     let json = out.summary.to_json("PM fanout 10x5 SGCN x4 cache-affinity");
     assert_matches_golden("queue_quick.json", &json);
 }
@@ -275,8 +273,8 @@ fn check_queue_drill_summary_golden() {
 fn check_queue_lineup_summary_golden() {
     use sgcn::accel::AccelModel;
     use sgcn::serving::queueing::{
-        feature_row_bytes, prepare_matrix, simulate_queue, EngineLineup, QueueConfig, SchedPolicy,
-        ServeFormat, TrafficModel,
+        feature_row_bytes, prepare_for, simulate_queue, EngineLineup, QueueConfig, SchedPolicy,
+        TrafficModel,
     };
     use sgcn::serving::{ServingConfig, ServingContext};
 
@@ -290,19 +288,20 @@ fn check_queue_lineup_summary_golden() {
     });
     let stream = ctx.hotspot_stream(60, 10);
     let lineup = EngineLineup::mixed(4, cfg.hw());
-    let prepared = prepare_matrix(
+    let config = |policy| {
+        QueueConfig::new(4, policy, 0.8, cfg.seed)
+            .with_traffic(TrafficModel::bursty_default())
+            .with_lineup(lineup.clone())
+    };
+    let prepared = prepare_for(
         &ctx,
         &stream,
         &AccelModel::sgcn(),
-        &lineup,
-        &[ServeFormat::Native],
+        &cfg.hw(),
+        &config(SchedPolicy::CostAware),
     );
-    let run = |policy| {
-        let qcfg = QueueConfig::new(4, policy, 0.8, cfg.seed)
-            .with_traffic(TrafficModel::bursty_default())
-            .with_lineup(lineup.clone());
-        simulate_queue(&prepared, &qcfg, &cfg.hw(), feature_row_bytes(&ctx))
-    };
+    let row = feature_row_bytes(&ctx);
+    let run = |policy| simulate_queue(&prepared, &config(policy), &cfg.hw(), row);
     let least = run(SchedPolicy::LeastLoaded);
     let cost = run(SchedPolicy::CostAware);
     assert!(
@@ -329,7 +328,7 @@ fn check_queue_lineup_summary_golden() {
 fn check_queue_format_summary_golden() {
     use sgcn::accel::AccelModel;
     use sgcn::serving::queueing::{
-        feature_row_bytes, prepare_matrix, simulate_queue, EngineLineup, FormatPolicy, QueueConfig,
+        feature_row_bytes, prepare_for, simulate_queue, EngineLineup, FormatPolicy, QueueConfig,
         SchedPolicy, ServeFormat, TrafficModel,
     };
     use sgcn::serving::{ServingConfig, ServingContext};
@@ -344,20 +343,21 @@ fn check_queue_format_summary_golden() {
     });
     let stream = ctx.hotspot_stream(60, 10);
     let lineup = EngineLineup::mixed(4, cfg.hw());
-    let prepared = prepare_matrix(
+    let config = |format| {
+        QueueConfig::new(4, SchedPolicy::CostAware, 0.8, cfg.seed)
+            .with_traffic(TrafficModel::bursty_default())
+            .with_lineup(lineup.clone())
+            .with_format(format)
+    };
+    let prepared = prepare_for(
         &ctx,
         &stream,
         &AccelModel::sgcn(),
-        &lineup,
-        &ServeFormat::PALETTE,
+        &cfg.hw(),
+        &config(FormatPolicy::Adaptive),
     );
-    let run = |format| {
-        let qcfg = QueueConfig::new(4, SchedPolicy::CostAware, 0.8, cfg.seed)
-            .with_traffic(TrafficModel::bursty_default())
-            .with_lineup(lineup.clone())
-            .with_format(format);
-        simulate_queue(&prepared, &qcfg, &cfg.hw(), feature_row_bytes(&ctx))
-    };
+    let row = feature_row_bytes(&ctx);
+    let run = |format| simulate_queue(&prepared, &config(format), &cfg.hw(), row);
     let adaptive = run(FormatPolicy::Adaptive);
     for f in ServeFormat::PALETTE {
         let fixed = run(FormatPolicy::Fixed(f));

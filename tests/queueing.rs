@@ -12,9 +12,8 @@ use proptest::prelude::*;
 use sgcn::accel::AccelModel;
 use sgcn::experiments::ExperimentConfig;
 use sgcn::serving::queueing::{
-    feature_row_bytes, prepare, prepare_degraded, run_queue, simulate_queue, ArrivalModel,
-    ArrivalProcess, EngineLineup, PreparedRequest, QueueConfig, RequestStats, SchedPolicy,
-    ServeFormat,
+    feature_row_bytes, prepare, prepare_degraded, simulate_queue, ArrivalModel, ArrivalProcess,
+    EngineLineup, PreparedRequest, QueueConfig, RequestStats, SchedPolicy, ServeFormat,
 };
 use sgcn::serving::{Request, ServingConfig, ServingContext};
 use sgcn::{HwConfig, SimReport};
@@ -276,12 +275,11 @@ fn zero_request_harness_path_renders() {
     let batch = prepare(&ctx, &[], &AccelModel::sgcn(), &hw);
     let serve = sgcn::ServeSummary::from_reports(&batch).to_json("empty");
     assert!(serve.contains("\"requests\": 0"), "{serve}");
-    let out = run_queue(
-        &ctx,
-        &[],
-        &AccelModel::sgcn(),
-        &hw,
+    let out = simulate_queue(
+        &batch,
         &QueueConfig::new(2, SchedPolicy::CacheAffinity, 0.8, 0),
+        &hw,
+        feature_row_bytes(&ctx),
     );
     let queue = out.summary.to_json("empty");
     assert!(queue.contains("\"requests\": 0"), "{queue}");
