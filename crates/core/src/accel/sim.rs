@@ -38,7 +38,9 @@
 use std::sync::Arc;
 
 use sgcn_engines::{two_stage_pipeline, SystolicArray};
-use sgcn_formats::{Beicsr, ColRange, CsrFeatures, DenseMatrix, FeatureFormat, LineRun};
+use sgcn_formats::{
+    Beicsr, BeicsrConfig, ColRange, CsrFeatures, DenseMatrix, FeatureFormat, LineRun,
+};
 use sgcn_graph::reorder::{islandize, top_degree_vertices};
 use sgcn_graph::{CsrGraph, Tiling};
 use sgcn_mem::{Cache, CacheModel, EnergyModel, MemorySystem, Traffic};
@@ -437,26 +439,55 @@ impl<'f> SlicePlan<'f> {
     }
 }
 
-/// Encodes a trace matrix in a study format.
-fn encode_kind(
+/// Recalls or BEICSR-encodes boundary `b` under `cfg`.
+fn cached_beicsr(workload: &Workload, b: usize, cfg: BeicsrConfig) -> Arc<Beicsr> {
+    let x = workload.trace.layer_features(b);
+    let cached = workload
+        .format_cache
+        .get_or_build(FormatKey::Beicsr(b, cfg), || {
+            CachedFormat::Beicsr(Arc::new(Beicsr::encode(x, cfg)))
+        });
+    let CachedFormat::Beicsr(f) = cached else {
+        unreachable!("Beicsr key stores Beicsr");
+    };
+    f
+}
+
+/// Recalls or encodes boundary `b` in a study format. The two BEICSR
+/// kinds share the native BEICSR storage's [`FormatKey::Beicsr`] entry,
+/// so a boundary is BEICSR-encoded once whether a study format or an
+/// SGCN model asks for it first.
+fn cached_kind(
+    workload: &Workload,
+    b: usize,
     kind: sgcn_formats::FormatKind,
-    m: &DenseMatrix,
 ) -> Arc<dyn FeatureFormat + Send + Sync> {
     use sgcn_formats::{
-        BeicsrConfig, BlockedEllpack, BsrFeatures, CooFeatures, FormatKind, PackedBeicsr,
-        SeparateBitmapCsr,
+        BlockedEllpack, BsrFeatures, CooFeatures, FormatKind, PackedBeicsr, SeparateBitmapCsr,
     };
-    match kind {
-        FormatKind::Dense => Arc::new(m.clone()),
-        FormatKind::Csr => Arc::new(CsrFeatures::encode(m)),
-        FormatKind::Coo => Arc::new(CooFeatures::encode(m)),
-        FormatKind::Bsr => Arc::new(BsrFeatures::encode(m)),
-        FormatKind::BlockedEllpack => Arc::new(BlockedEllpack::encode(m)),
-        FormatKind::BeicsrNonSliced => Arc::new(Beicsr::encode(m, BeicsrConfig::non_sliced())),
-        FormatKind::Beicsr => Arc::new(Beicsr::encode(m, BeicsrConfig::default())),
-        FormatKind::SeparateBitmap => Arc::new(SeparateBitmapCsr::encode(m)),
-        FormatKind::PackedBeicsr => Arc::new(PackedBeicsr::encode(m)),
-    }
+    let encode: fn(&DenseMatrix) -> Arc<dyn FeatureFormat + Send + Sync> = match kind {
+        FormatKind::Beicsr => return cached_beicsr(workload, b, BeicsrConfig::default()),
+        FormatKind::BeicsrNonSliced => {
+            return cached_beicsr(workload, b, BeicsrConfig::non_sliced())
+        }
+        FormatKind::Dense => |m| Arc::new(m.clone()),
+        FormatKind::Csr => |m| Arc::new(CsrFeatures::encode(m)),
+        FormatKind::Coo => |m| Arc::new(CooFeatures::encode(m)),
+        FormatKind::Bsr => |m| Arc::new(BsrFeatures::encode(m)),
+        FormatKind::BlockedEllpack => |m| Arc::new(BlockedEllpack::encode(m)),
+        FormatKind::SeparateBitmap => |m| Arc::new(SeparateBitmapCsr::encode(m)),
+        FormatKind::PackedBeicsr => |m| Arc::new(PackedBeicsr::encode(m)),
+    };
+    let x = workload.trace.layer_features(b);
+    let cached = workload
+        .format_cache
+        .get_or_build(FormatKey::Kind(b, kind), || {
+            CachedFormat::Generic(encode(x))
+        });
+    let CachedFormat::Generic(f) = cached else {
+        unreachable!("Kind key stores Generic");
+    };
+    f
 }
 
 /// Runs the Fig. 3 format study: a GCNAX-class tiled accelerator whose
@@ -483,12 +514,7 @@ pub(crate) fn precache_boundary_kind(
     kind: sgcn_formats::FormatKind,
 ) {
     debug_assert!(!matches!(kind, sgcn_formats::FormatKind::Dense));
-    let x = workload.trace.layer_features(b);
-    workload
-        .format_cache
-        .get_or_build(FormatKey::Kind(b, kind), || {
-            CachedFormat::Generic(encode_kind(kind, x))
-        });
+    cached_kind(workload, b, kind);
 }
 
 /// Builds the storage format of a boundary matrix — the matrix at trace
@@ -512,29 +538,11 @@ fn boundary_format<'a>(
         if matches!(kind, sgcn_formats::FormatKind::Dense) {
             return LayerFormat::Dense(x);
         }
-        let cached = workload
-            .format_cache
-            .get_or_build(FormatKey::Kind(b, kind), || {
-                CachedFormat::Generic(encode_kind(kind, x))
-            });
-        let CachedFormat::Generic(f) = cached else {
-            unreachable!("Kind key stores Generic");
-        };
-        return LayerFormat::Generic(f);
+        return LayerFormat::Generic(cached_kind(workload, b, kind));
     }
     match model.storage {
         FeatureStorage::Dense => LayerFormat::Dense(x),
-        FeatureStorage::Beicsr(cfg) => {
-            let cached = workload
-                .format_cache
-                .get_or_build(FormatKey::Beicsr(b, cfg), || {
-                    CachedFormat::Beicsr(Arc::new(Beicsr::encode(x, cfg)))
-                });
-            let CachedFormat::Beicsr(f) = cached else {
-                unreachable!("Beicsr key stores Beicsr");
-            };
-            LayerFormat::Beicsr(f)
-        }
+        FeatureStorage::Beicsr(cfg) => LayerFormat::Beicsr(cached_beicsr(workload, b, cfg)),
     }
 }
 
@@ -1646,5 +1654,27 @@ mod tests {
             AccelModel::gcnax().simulate(&wl, &HwConfig::default());
         });
         assert_eq!(counts, crate::metrics::memo::EpochCounts::default());
+    }
+
+    #[test]
+    fn beicsr_study_kinds_share_the_native_encoding() {
+        use sgcn_formats::FormatKind;
+        let wl = Workload::build(
+            DatasetId::Cora,
+            SynthScale::tiny(),
+            NetworkConfig::deep_residual(3, 16),
+            11,
+        );
+        for (kind, cfg) in [
+            (FormatKind::Beicsr, BeicsrConfig::default()),
+            (FormatKind::BeicsrNonSliced, BeicsrConfig::non_sliced()),
+        ] {
+            let study = cached_kind(&wl, 1, kind);
+            let native = cached_beicsr(&wl, 1, cfg);
+            assert!(
+                std::ptr::addr_eq(Arc::as_ptr(&study), Arc::as_ptr(&native)),
+                "{kind:?} encoded twice"
+            );
+        }
     }
 }

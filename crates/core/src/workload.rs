@@ -15,9 +15,10 @@ use sgcn_model::{GcnVariant, ModelTrace, NetworkConfig, ReferenceExecutor};
 /// `b - 1` and `b` (trace index `b`) under one storage choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum FormatKey {
-    /// BEICSR storage under a specific config.
+    /// BEICSR storage under a specific config, whether an SGCN model's
+    /// native storage or one of the two BEICSR study kinds asks for it.
     Beicsr(usize, BeicsrConfig),
-    /// A Fig. 3-style study format.
+    /// A Fig. 3-style study format other than the BEICSR kinds.
     Kind(usize, FormatKind),
     /// CSR of an extremely sparse input matrix (§V-F first-layer path).
     Csr(usize),

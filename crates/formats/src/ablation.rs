@@ -37,33 +37,52 @@ pub struct SeparateBitmapCsr {
 }
 
 impl SeparateBitmapCsr {
-    /// Encodes a dense matrix.
+    /// Encodes a dense matrix with BEICSR's compressor kernel: each row
+    /// in one branch-free pass into its in-place value slot, whose tail
+    /// past the non-zeros stays zero.
     pub fn encode(dense: &DenseMatrix) -> Self {
-        let rows = dense.rows();
-        let cols = dense.cols();
-        let bitmap_bytes_per_row = (cols as u64).div_ceil(8);
-        let slot_bytes = align_up(cols as u64 * ELEM_BYTES, CACHELINE_BYTES);
+        let (rows, cols) = (dense.rows(), dense.cols());
         let mut bitmaps = Vec::with_capacity(rows);
         let mut values = vec![0.0f32; rows * cols];
         let mut nnz = Vec::with_capacity(rows);
         for r in 0..rows {
             let row = dense.row_slice(r);
-            let bm = Bitmap::from_values(row);
-            let mut count = 0usize;
-            for &v in row {
-                if v != 0.0 {
-                    values[r * cols + count] = v;
-                    count += 1;
-                }
-            }
-            nnz.push(count as u32);
+            let dst = &mut values[r * cols..(r + 1) * cols];
+            let mut bm = Bitmap::new(cols);
+            let n = bm.compress(row, dst);
+            dst[n..].fill(0.0);
+            nnz.push(n as u32);
             bitmaps.push(bm);
         }
+        Self::from_parts(rows, cols, bitmaps, values, nnz)
+    }
+
+    /// Assembles the variant from its per-row bitmaps, non-zero counts and
+    /// in-place value slots (`cols` values per row, packed non-zeros first
+    /// and zeros after them).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an array's length or a bitmap's width disagrees with the
+    /// shape.
+    pub fn from_parts(
+        rows: usize,
+        cols: usize,
+        bitmaps: Vec<Bitmap>,
+        values: Vec<f32>,
+        nnz: Vec<u32>,
+    ) -> Self {
+        assert_eq!(nnz.len(), rows, "one non-zero count per row");
+        assert_eq!(values.len(), rows * cols, "cols values per row");
+        assert!(
+            bitmaps.len() == rows && bitmaps.iter().all(|bm| bm.len() == cols),
+            "one bitmap per row, as wide as the row"
+        );
         SeparateBitmapCsr {
             rows,
             cols,
-            bitmap_bytes_per_row,
-            slot_bytes,
+            bitmap_bytes_per_row: (cols as u64).div_ceil(8),
+            slot_bytes: align_up(cols as u64 * ELEM_BYTES, CACHELINE_BYTES),
             bitmaps,
             values,
             nnz,
@@ -163,27 +182,60 @@ pub struct PackedBeicsr {
 }
 
 impl PackedBeicsr {
-    /// Encodes a dense matrix.
+    /// Encodes a dense matrix with BEICSR's compressor kernel: counts the
+    /// non-zeros, allocates the packed value array exactly (plus one slot
+    /// of slack), then compresses each row in one branch-free pass to the
+    /// end of the previous one.
     pub fn encode(dense: &DenseMatrix) -> Self {
-        let rows = dense.rows();
-        let cols = dense.cols();
-        let bitmap_bytes_per_row = (cols as u64).div_ceil(8);
-        let mut row_offsets = Vec::with_capacity(rows + 1);
+        let (rows, cols) = (dense.rows(), dense.cols());
+        let nnz = dense.count_nonzeros();
         let mut bitmaps = Vec::with_capacity(rows);
-        let mut values = Vec::new();
+        let mut values = vec![0.0f32; nnz + 1];
         let mut value_starts = Vec::with_capacity(rows);
-        let mut offset = 0u64;
+        let mut start = 0;
         for r in 0..rows {
-            let row = dense.row_slice(r);
-            let bm = Bitmap::from_values(row);
-            row_offsets.push(offset);
-            value_starts.push(values.len() as u32);
-            let nnz = bm.count_ones() as u64;
-            offset += bitmap_bytes_per_row + nnz * ELEM_BYTES;
-            values.extend(row.iter().copied().filter(|&v| v != 0.0));
+            let mut bm = Bitmap::new(cols);
+            value_starts.push(start as u32);
+            start += bm.compress(dense.row_slice(r), &mut values[start..]);
             bitmaps.push(bm);
         }
+        values.truncate(nnz);
+        Self::from_parts(rows, cols, bitmaps, values, value_starts)
+    }
+
+    /// Assembles the variant from its per-row bitmaps and the packed
+    /// non-zeros, row `r`'s starting at `value_starts[r]`; the records'
+    /// byte offsets follow from the bitmaps' populations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an array's length or a bitmap's width disagrees with the
+    /// shape.
+    pub fn from_parts(
+        rows: usize,
+        cols: usize,
+        bitmaps: Vec<Bitmap>,
+        values: Vec<f32>,
+        value_starts: Vec<u32>,
+    ) -> Self {
+        assert_eq!(value_starts.len(), rows, "one value start per row");
+        assert!(
+            bitmaps.len() == rows && bitmaps.iter().all(|bm| bm.len() == cols),
+            "one bitmap per row, as wide as the row"
+        );
+        let bitmap_bytes_per_row = (cols as u64).div_ceil(8);
+        let mut row_offsets = Vec::with_capacity(rows + 1);
+        let mut offset = 0u64;
         row_offsets.push(offset);
+        for bm in &bitmaps {
+            offset += bitmap_bytes_per_row + bm.count_ones() as u64 * ELEM_BYTES;
+            row_offsets.push(offset);
+        }
+        assert_eq!(
+            offset - rows as u64 * bitmap_bytes_per_row,
+            values.len() as u64 * ELEM_BYTES,
+            "one packed value per set bit"
+        );
         PackedBeicsr {
             rows,
             cols,

@@ -89,14 +89,15 @@ pub struct Beicsr {
     /// Per (row, slice) bitmap, row-major.
     bitmaps: Vec<Bitmap>,
     /// Per (row, slice) packed non-zero values; slot `i`'s values occupy
-    /// `values[i*slice_elems .. i*slice_elems + nnz[i]]`.
+    /// `values[i*slice_elems .. i*slice_elems + nnz[i]]`, zeros after them.
     values: Vec<f32>,
     /// Per (row, slice) non-zero count.
     nnz: Vec<u32>,
 }
 
 impl Beicsr {
-    /// Encodes a dense matrix.
+    /// Encodes a dense matrix, each row through the compressor kernel of
+    /// [`Beicsr::set_row_from_dense`].
     pub fn encode(dense: &DenseMatrix, config: BeicsrConfig) -> Self {
         let mut me = Self::with_shape(dense.rows(), dense.cols(), config);
         for r in 0..dense.rows() {
@@ -105,34 +106,39 @@ impl Beicsr {
         me
     }
 
-    /// The original per-bit encoder, kept verbatim as the executable
-    /// reference: a fresh [`Bitmap`] is allocated per slot and populated
-    /// bit by bit. Produces a value equal to [`Beicsr::encode`]; the
-    /// encoder-equivalence tests drive it.
-    pub fn encode_reference(dense: &DenseMatrix, config: BeicsrConfig) -> Self {
-        let mut me = Self::with_shape(dense.rows(), dense.cols(), config);
-        for row in 0..dense.rows() {
-            let data = dense.row_slice(row);
-            for s in 0..me.nslices {
-                let start = s * me.slice_elems;
-                let end = (start + me.slice_elems).min(me.cols);
-                let window = &data[start..end];
-                let slot = row * me.nslices + s;
-                let mut bm = Bitmap::new(window.len());
-                let mut count = 0usize;
-                let vbase = slot * me.slice_elems;
-                for (i, &v) in window.iter().enumerate() {
-                    if v != 0.0 {
-                        bm.set(i, true);
-                        me.values[vbase + count] = v;
-                        count += 1;
-                    }
-                }
-                me.bitmaps[slot] = bm;
-                me.nnz[slot] = count as u32;
-            }
+    /// Assembles a BEICSR matrix from its per-slot arrays, row-major over
+    /// `(row, slice)` slots: each slot's bitmap, its non-zero count, and
+    /// the in-place value array of `slice_elems` slots per slot, packed
+    /// non-zeros first and zeros after them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an array's length or a bitmap's width does not match the
+    /// shape `config` gives `rows × cols`.
+    pub fn from_parts(
+        rows: usize,
+        cols: usize,
+        config: BeicsrConfig,
+        bitmaps: Vec<Bitmap>,
+        values: Vec<f32>,
+        nnz: Vec<u32>,
+    ) -> Self {
+        let me = Self::with_shape(rows, cols, config);
+        assert_eq!(nnz.len(), me.nnz.len(), "one non-zero count per slot");
+        assert_eq!(values.len(), me.values.len(), "slice_elems values per slot");
+        assert!(
+            bitmaps
+                .iter()
+                .map(Bitmap::len)
+                .eq(me.bitmaps.iter().map(Bitmap::len)),
+            "one bitmap per slot, as wide as its slice"
+        );
+        Beicsr {
+            bitmaps,
+            values,
+            nnz,
+            ..me
         }
-        me
     }
 
     /// Creates an all-zero BEICSR matrix of the given shape — the layer
@@ -173,7 +179,11 @@ impl Beicsr {
     }
 
     /// Overwrites `row` from dense contents — the operation the paper's
-    /// post-combination compressor performs (§V-E), done in place.
+    /// post-combination compressor performs (§V-E), done in place. Each
+    /// slot goes through the compressor's running-counter kernel
+    /// ([`Bitmap`]'s `compress`: bitmap bit and value store per element,
+    /// no branch), then the slot tail past the new non-zero count is
+    /// zero-filled, so a rewrite leaves no stale values behind.
     ///
     /// # Panics
     ///
@@ -186,23 +196,13 @@ impl Beicsr {
             "row data must have {} columns",
             self.cols
         );
-        for s in 0..self.nslices {
-            let start = s * self.slice_elems;
-            let end = (start + self.slice_elems).min(self.cols);
-            let window = &data[start..end];
+        let se = self.slice_elems;
+        for (s, window) in data.chunks(se).enumerate() {
             let slot = row * self.nslices + s;
-            let mut count = 0usize;
-            let vbase = slot * self.slice_elems;
-            for &v in window {
-                if v != 0.0 {
-                    self.values[vbase + count] = v;
-                    count += 1;
-                }
-            }
-            // Word-at-a-time bitmap rebuild into the existing slot — no
-            // per-slot allocation, no per-bit read-modify-write.
-            self.bitmaps[slot].fill_from_values(window);
-            self.nnz[slot] = count as u32;
+            let dst = &mut self.values[slot * se..(slot + 1) * se];
+            let n = self.bitmaps[slot].compress(window, dst);
+            dst[n..window.len()].fill(0.0);
+            self.nnz[slot] = n as u32;
         }
     }
 
@@ -497,6 +497,24 @@ mod tests {
         b.set_row_from_dense(0, &[0.0; 8]);
         assert_eq!(b.slot_nnz(0, 0), 0);
         assert_eq!(b.decode_row(0), vec![0.0; 8]);
+    }
+
+    #[test]
+    fn rewrite_with_fewer_nonzeros_equals_fresh_encode() {
+        // The slot tail past the new non-zero count is zero-filled, so no
+        // value of the old row survives the rewrite.
+        let full = DenseMatrix::from_vec(1, 6, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let sparse = [0.0, 0.0, 7.0, 0.0, 0.0, 0.0];
+        for cfg in [
+            BeicsrConfig::non_sliced(),
+            BeicsrConfig::default(),
+            BeicsrConfig::sliced(4),
+        ] {
+            let mut b = Beicsr::encode(&full, cfg);
+            b.set_row_from_dense(0, &sparse);
+            let fresh = Beicsr::encode(&DenseMatrix::from_vec(1, 6, sparse.to_vec()), cfg);
+            assert_eq!(b, fresh, "{cfg:?}");
+        }
     }
 
     #[test]

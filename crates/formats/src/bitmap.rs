@@ -8,7 +8,9 @@
 //!
 //! The hardware reads bitmaps through a parallel prefix-sum unit
 //! (`sgcn-engines::prefix_sum`); this module provides the functional
-//! bit-level operations that unit and the software encoder share.
+//! bit-level operations that unit and the software encoders share,
+//! including the running-counter compressor kernel every bitmap format
+//! encodes with (§V-E).
 
 use std::fmt;
 
@@ -28,35 +30,43 @@ impl Bitmap {
         }
     }
 
-    /// Builds a bitmap from the non-zero pattern of `values`, assembling
-    /// one 64-bit word at a time (no per-bit bounds checks or
-    /// read-modify-write of the word array).
+    /// Builds a bitmap from the non-zero pattern of `values` with the
+    /// encoders' compressor kernel, discarding the packed values.
     pub fn from_values(values: &[f32]) -> Self {
         let mut bm = Bitmap::new(values.len());
-        bm.fill_from_values(values);
+        bm.compress(values, &mut vec![0.0; values.len()]);
         bm
     }
 
-    /// Overwrites the bitmap in place from the non-zero pattern of
-    /// `values` — the allocation-free form of [`Bitmap::from_values`]
-    /// used by the compressor when re-encoding into an existing slot.
+    /// The compressor kernel of SGCN's post-combination unit (§V-E,
+    /// Fig. 9): zero-checks each element of `src`, appends its bit to
+    /// this bitmap (rebuilt word by word) and stores it at the slot of
+    /// `dst` a running counter points to, advancing the counter by
+    /// `(v != 0.0)`. One pass, no per-element branch. Returns the
+    /// non-zero count `n`: `dst[..n]` holds the packed non-zeros in
+    /// order, `dst[n]` (if any) the last zero seen, and `dst` past that
+    /// is untouched, so in-place callers zero-fill the tail themselves.
+    ///
+    /// `dst` needs one slot past the non-zeros; `src.len()` slots always
+    /// suffice.
     ///
     /// # Panics
     ///
-    /// Panics if `values.len() != self.len()`.
-    pub fn fill_from_values(&mut self, values: &[f32]) {
-        assert_eq!(
-            values.len(),
-            self.len,
-            "value count must match bitmap length"
-        );
-        for (word, chunk) in self.words.iter_mut().zip(values.chunks(64)) {
+    /// Panics if `src.len() != self.len()` or `dst` is too short.
+    pub(crate) fn compress(&mut self, src: &[f32], dst: &mut [f32]) -> usize {
+        assert_eq!(src.len(), self.len, "value count must match bitmap length");
+        let mut n = 0;
+        for (word, chunk) in self.words.iter_mut().zip(src.chunks(64)) {
             let mut w = 0u64;
             for (b, &v) in chunk.iter().enumerate() {
-                w |= u64::from(v != 0.0) << b;
+                let nz = v != 0.0;
+                dst[n] = v;
+                n += usize::from(nz);
+                w |= u64::from(nz) << b;
             }
             *word = w;
         }
+        n
     }
 
     /// Number of elements covered by the bitmap.

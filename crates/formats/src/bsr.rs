@@ -33,49 +33,71 @@ impl BsrFeatures {
         Self::encode_with_blocks(dense, 2, 2)
     }
 
-    /// Encodes with `br×bc` blocks.
+    /// Encodes with `br×bc` blocks: one pass counts the non-empty blocks
+    /// so the arrays are allocated exactly (plus one slot of slack), a
+    /// second stores every block at a running counter that advances only
+    /// past non-empty ones — no per-block allocation or branch.
     ///
     /// # Panics
     ///
     /// Panics if `br` or `bc` is zero.
     pub fn encode_with_blocks(dense: &DenseMatrix, br: usize, bc: usize) -> Self {
-        assert!(br > 0 && bc > 0, "block dimensions must be non-zero");
-        let rows = dense.rows();
-        let cols = dense.cols();
-        let block_rows = rows.div_ceil(br);
-        let block_cols_n = cols.div_ceil(bc);
+        let mut grid = BlockGrid::new(dense, br, bc);
+        let block_rows = grid.block_rows();
+        let stored: usize = (0..block_rows).map(|bri| grid.stored_in(bri)).sum();
+        let bs = br * bc;
         let mut block_ptr = Vec::with_capacity(block_rows + 1);
-        let mut block_cols = Vec::new();
-        let mut block_vals = Vec::new();
+        let mut block_cols = vec![0u32; stored + 1];
+        let mut block_vals = vec![0.0f32; (stored + 1) * bs];
+        let mut k = 0;
         block_ptr.push(0);
         for bri in 0..block_rows {
-            for bci in 0..block_cols_n {
-                let mut block = vec![0.0f32; br * bc];
-                let mut any = false;
-                for dr in 0..br {
-                    let r = bri * br + dr;
-                    if r >= rows {
-                        continue;
-                    }
-                    for dc in 0..bc {
-                        let c = bci * bc + dc;
-                        if c >= cols {
-                            continue;
-                        }
-                        let v = dense.get(r, c);
-                        if v != 0.0 {
-                            any = true;
-                        }
-                        block[dr * bc + dc] = v;
-                    }
-                }
-                if any {
-                    block_cols.push(bci as u32);
-                    block_vals.extend_from_slice(&block);
-                }
+            let (strip, any) = grid.strip(bri);
+            for (bci, (block, &nz)) in strip.chunks_exact(bs).zip(any).enumerate() {
+                block_cols[k] = bci as u32;
+                block_vals[k * bs..(k + 1) * bs].copy_from_slice(block);
+                k += usize::from(nz);
             }
-            block_ptr.push(block_cols.len() as u32);
+            block_ptr.push(k as u32);
         }
+        block_cols.truncate(stored);
+        block_vals.truncate(stored * bs);
+        Self::from_parts(
+            dense.rows(),
+            dense.cols(),
+            br,
+            bc,
+            block_ptr,
+            block_cols,
+            block_vals,
+        )
+    }
+
+    /// Assembles BSR features with `br×bc` blocks from their arrays: one
+    /// pointer per block-row (plus one) into the stored blocks' column
+    /// indices and their dense, row-major payloads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `br` or `bc` is zero or the arrays' lengths disagree with
+    /// each other or the shape.
+    pub fn from_parts(
+        rows: usize,
+        cols: usize,
+        br: usize,
+        bc: usize,
+        block_ptr: Vec<u32>,
+        block_cols: Vec<u32>,
+        block_vals: Vec<f32>,
+    ) -> Self {
+        assert!(br > 0 && bc > 0, "block dimensions must be non-zero");
+        let block_rows = rows.div_ceil(br);
+        assert!(
+            block_ptr.len() == block_rows + 1
+                && block_ptr[block_rows] as usize == block_cols.len()
+                && block_vals.len() == block_cols.len() * br * bc,
+            "block pointers must end at the block count, with br·bc values per block"
+        );
         BsrFeatures {
             rows,
             cols,
@@ -115,6 +137,89 @@ impl BsrFeatures {
             self.idx_base() + self.stored_blocks() as u64 * 4,
             CACHELINE_BYTES,
         )
+    }
+}
+
+/// The `br×bc` block grid of a dense matrix, gathered one block-row at a
+/// time into a reused strip buffer — the block encoders' shared front end.
+/// Each element is scattered to its block through a per-column map, so
+/// the inner loops run over whole rows rather than `bc`-wide fragments.
+pub(crate) struct BlockGrid<'a> {
+    dense: &'a DenseMatrix,
+    br: usize,
+    bc: usize,
+    /// The block-column of each column.
+    block_of: Vec<u32>,
+    /// The current block-row's blocks, each `br·bc` values, row-major.
+    strip: Vec<f32>,
+    /// Whether each block of the current block-row holds a non-zero.
+    any: Vec<bool>,
+}
+
+impl<'a> BlockGrid<'a> {
+    /// A grid of `br×bc` blocks over `dense`.
+    pub(crate) fn new(dense: &'a DenseMatrix, br: usize, bc: usize) -> Self {
+        assert!(br > 0 && bc > 0, "block dimensions must be non-zero");
+        let blocks = dense.cols().div_ceil(bc);
+        BlockGrid {
+            dense,
+            br,
+            bc,
+            block_of: (0..dense.cols()).map(|c| (c / bc) as u32).collect(),
+            strip: vec![0.0; blocks * br * bc],
+            any: vec![false; blocks],
+        }
+    }
+
+    pub(crate) fn block_rows(&self) -> usize {
+        self.dense.rows().div_ceil(self.br)
+    }
+
+    /// The matrix rows of block-row `bri`.
+    fn rows_of(&self, bri: usize) -> std::ops::Range<usize> {
+        bri * self.br..(bri * self.br + self.br).min(self.dense.rows())
+    }
+
+    /// How many blocks of block-row `bri` hold a non-zero.
+    pub(crate) fn stored_in(&mut self, bri: usize) -> usize {
+        self.any.fill(false);
+        for r in self.rows_of(bri) {
+            for (&b, &v) in self.block_of.iter().zip(self.dense.row_slice(r)) {
+                self.any[b as usize] |= v != 0.0;
+            }
+        }
+        self.any.iter().filter(|&&any| any).count()
+    }
+
+    /// Gathers block-row `bri`: its blocks' payloads, one `br·bc` chunk
+    /// per block-column, and whether each holds a non-zero. Elements past
+    /// a ragged matrix edge read as zero, and `-0.0` is stored as `+0.0`,
+    /// so a payload depends only on the values that compare non-zero.
+    pub(crate) fn strip(&mut self, bri: usize) -> (&[f32], &[bool]) {
+        let (br, bc) = (self.br, self.bc);
+        let rows = self.rows_of(bri);
+        // Cells past the last column are never written and stay zero;
+        // rows past the last matrix row still hold the previous strip's.
+        if rows.len() < br {
+            self.strip.fill(0.0);
+        }
+        self.any.fill(false);
+        // Column `c` of block `b` sits at `b·br·bc + c % bc`, which is
+        // `c + b·(br - 1)·bc`.
+        let skip = (br - 1) * bc;
+        for (dr, r) in rows.enumerate() {
+            let strip = &mut self.strip[dr * bc..];
+            let cells = self
+                .block_of
+                .iter()
+                .enumerate()
+                .zip(self.dense.row_slice(r));
+            for ((c, &b), &v) in cells {
+                strip[c + b as usize * skip] = v + 0.0;
+                self.any[b as usize] |= v != 0.0;
+            }
+        }
+        (&self.strip, &self.any)
     }
 }
 

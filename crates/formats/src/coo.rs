@@ -26,25 +26,74 @@ pub struct CooFeatures {
 }
 
 impl CooFeatures {
-    /// Encodes a dense matrix into row-sorted COO.
+    /// Encodes a dense matrix into row-sorted COO with CSR's kernel:
+    /// count, allocate exactly (plus one slot of slack), then one
+    /// branch-free pass storing every element's triple at a running
+    /// counter that advances by `(v != 0.0)`.
     pub fn encode(dense: &DenseMatrix) -> Self {
-        let rows = dense.rows();
-        let cols = dense.cols();
-        let mut entry_rows = Vec::new();
-        let mut entry_cols = Vec::new();
-        let mut entry_vals = Vec::new();
-        let mut directory = Vec::with_capacity(rows + 1);
+        let nnz = dense.count_nonzeros();
+        let mut entry_rows = vec![0u32; nnz + 1];
+        let mut entry_cols = vec![0u32; nnz + 1];
+        let mut entry_vals = vec![0.0f32; nnz + 1];
+        let mut directory = Vec::with_capacity(dense.rows() + 1);
+        let mut n = 0;
         directory.push(0);
-        for r in 0..rows {
+        for r in 0..dense.rows() {
             for (c, &v) in dense.row_slice(r).iter().enumerate() {
-                if v != 0.0 {
-                    entry_rows.push(r as u32);
-                    entry_cols.push(c as u32);
-                    entry_vals.push(v);
-                }
+                entry_rows[n] = r as u32;
+                entry_cols[n] = c as u32;
+                entry_vals[n] = v;
+                n += usize::from(v != 0.0);
             }
-            directory.push(entry_rows.len() as u32);
+            directory.push(n as u32);
         }
+        entry_rows.truncate(nnz);
+        entry_cols.truncate(nnz);
+        entry_vals.truncate(nnz);
+        Self::from_parts(
+            dense.rows(),
+            dense.cols(),
+            entry_rows,
+            entry_cols,
+            entry_vals,
+            directory,
+        )
+    }
+
+    /// Assembles COO features from their parallel triple arrays and the
+    /// `rows + 1`-entry row directory into them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arrays' lengths disagree with each other or `rows`.
+    pub fn from_parts(
+        rows: usize,
+        cols: usize,
+        entry_rows: Vec<u32>,
+        entry_cols: Vec<u32>,
+        entry_vals: Vec<f32>,
+        directory: Vec<u32>,
+    ) -> Self {
+        assert_eq!(
+            directory.len(),
+            rows + 1,
+            "one directory entry per row, plus one"
+        );
+        assert_eq!(
+            entry_rows.len(),
+            entry_vals.len(),
+            "one row index per value"
+        );
+        assert_eq!(
+            entry_cols.len(),
+            entry_vals.len(),
+            "one column index per value"
+        );
+        assert_eq!(
+            directory[rows] as usize,
+            entry_vals.len(),
+            "directory ends at nnz"
+        );
         CooFeatures {
             rows,
             cols,

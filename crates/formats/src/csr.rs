@@ -24,23 +24,51 @@ pub struct CsrFeatures {
 }
 
 impl CsrFeatures {
-    /// Encodes a dense matrix into CSR.
+    /// Encodes a dense matrix into CSR: counts the non-zeros, allocates
+    /// the index and value arrays exactly (plus one slot of slack), then
+    /// stores every element at a running counter that advances by
+    /// `(v != 0.0)` — one branch-free pass (the compressor kernel of
+    /// §V-E, with a column index in place of the bitmap bit).
     pub fn encode(dense: &DenseMatrix) -> Self {
-        let rows = dense.rows();
-        let cols = dense.cols();
-        let mut row_ptr = Vec::with_capacity(rows + 1);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
+        let nnz = dense.count_nonzeros();
+        let mut row_ptr = Vec::with_capacity(dense.rows() + 1);
+        let mut col_idx = vec![0u32; nnz + 1];
+        let mut values = vec![0.0f32; nnz + 1];
+        let mut n = 0;
         row_ptr.push(0);
-        for r in 0..rows {
+        for r in 0..dense.rows() {
             for (c, &v) in dense.row_slice(r).iter().enumerate() {
-                if v != 0.0 {
-                    col_idx.push(c as u32);
-                    values.push(v);
-                }
+                col_idx[n] = c as u32;
+                values[n] = v;
+                n += usize::from(v != 0.0);
             }
-            row_ptr.push(col_idx.len() as u32);
+            row_ptr.push(n as u32);
         }
+        col_idx.truncate(nnz);
+        values.truncate(nnz);
+        Self::from_parts(dense.rows(), dense.cols(), row_ptr, col_idx, values)
+    }
+
+    /// Assembles CSR features from their arrays: `rows + 1` row pointers
+    /// into the parallel column-index and value arrays.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arrays' lengths disagree with each other or `rows`.
+    pub fn from_parts(
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<u32>,
+        col_idx: Vec<u32>,
+        values: Vec<f32>,
+    ) -> Self {
+        assert_eq!(row_ptr.len(), rows + 1, "one row pointer per row, plus one");
+        assert_eq!(col_idx.len(), values.len(), "one column index per value");
+        assert_eq!(
+            row_ptr[rows] as usize,
+            values.len(),
+            "row pointers end at nnz"
+        );
         CsrFeatures {
             rows,
             cols,

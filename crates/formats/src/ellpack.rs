@@ -6,6 +6,7 @@
 //! the densest block-row dictates everyone's storage. This reproduces the
 //! "Blocked Ellpack" bar of the paper's Fig. 3.
 
+use crate::bsr::BlockGrid;
 use crate::layout::{Span, ELEM_BYTES};
 use crate::traits::{ColRange, FeatureFormat};
 use crate::DenseMatrix;
@@ -37,59 +38,70 @@ impl BlockedEllpack {
         Self::encode_with_blocks(dense, 2, 2)
     }
 
-    /// Encodes with `br×bc` blocks.
+    /// Encodes with `br×bc` blocks: one pass finds the widest block-row
+    /// `K`, a second stores every block of a block-row at a running slot
+    /// counter that advances only past non-empty ones. An empty block
+    /// lands as padding (`PAD`, zeros) in the slot the next non-empty one
+    /// overwrites, so there is no per-block allocation or branch.
     ///
     /// # Panics
     ///
     /// Panics if `br` or `bc` is zero.
     pub fn encode_with_blocks(dense: &DenseMatrix, br: usize, bc: usize) -> Self {
-        assert!(br > 0 && bc > 0, "block dimensions must be non-zero");
-        let rows = dense.rows();
-        let cols = dense.cols();
-        let block_rows = rows.div_ceil(br);
-        let block_cols_n = cols.div_ceil(bc);
-
-        // First pass: collect non-empty blocks per block-row.
-        let mut per_row: Vec<Vec<(u32, Vec<f32>)>> = Vec::with_capacity(block_rows);
+        let mut grid = BlockGrid::new(dense, br, bc);
+        let block_rows = grid.block_rows();
+        let k = (0..block_rows)
+            .map(|bri| grid.stored_in(bri))
+            .max()
+            .unwrap_or(0);
+        // One slot of slack: a full block-row's trailing empty blocks land
+        // one slot past its last.
+        let bs = br * bc;
+        let slots = block_rows * k;
+        let mut slot_cols = vec![PAD; slots + 1];
+        let mut slot_vals = vec![0.0f32; (slots + 1) * bs];
         for bri in 0..block_rows {
-            let mut blocks = Vec::new();
-            for bci in 0..block_cols_n {
-                let mut block = vec![0.0f32; br * bc];
-                let mut any = false;
-                for dr in 0..br {
-                    let r = bri * br + dr;
-                    if r >= rows {
-                        continue;
-                    }
-                    for dc in 0..bc {
-                        let c = bci * bc + dc;
-                        if c >= cols {
-                            continue;
-                        }
-                        let v = dense.get(r, c);
-                        if v != 0.0 {
-                            any = true;
-                        }
-                        block[dr * bc + dc] = v;
-                    }
-                }
-                if any {
-                    blocks.push((bci as u32, block));
-                }
+            let (strip, any) = grid.strip(bri);
+            let mut j = bri * k;
+            for (bci, (block, &nz)) in strip.chunks_exact(bs).zip(any).enumerate() {
+                slot_cols[j] = if nz { bci as u32 } else { PAD };
+                slot_vals[j * bs..(j + 1) * bs].copy_from_slice(block);
+                j += usize::from(nz);
             }
-            per_row.push(blocks);
         }
-        let k = per_row.iter().map(Vec::len).max().unwrap_or(0);
+        slot_cols.truncate(slots);
+        slot_vals.truncate(slots * bs);
+        Self::from_parts(dense.rows(), dense.cols(), br, bc, k, slot_cols, slot_vals)
+    }
 
-        let mut slot_cols = vec![PAD; block_rows * k];
-        let mut slot_vals = vec![0.0f32; block_rows * k * br * bc];
-        for (bri, blocks) in per_row.iter().enumerate() {
-            for (slot, (bci, block)) in blocks.iter().enumerate() {
-                slot_cols[bri * k + slot] = *bci;
-                let base = (bri * k + slot) * br * bc;
-                slot_vals[base..base + br * bc].copy_from_slice(block);
-            }
-        }
+    /// Assembles blocked ELLPACK features of uniform width `k` from their
+    /// block-row-major slot arrays: each slot's block-column index (`u32::MAX`
+    /// for padding) and its dense, row-major `br·bc` payload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `br` or `bc` is zero or the arrays' lengths disagree with
+    /// the shape.
+    pub fn from_parts(
+        rows: usize,
+        cols: usize,
+        br: usize,
+        bc: usize,
+        k: usize,
+        slot_cols: Vec<u32>,
+        slot_vals: Vec<f32>,
+    ) -> Self {
+        assert!(br > 0 && bc > 0, "block dimensions must be non-zero");
+        assert_eq!(
+            slot_cols.len(),
+            rows.div_ceil(br) * k,
+            "k slots per block-row"
+        );
+        assert_eq!(
+            slot_vals.len(),
+            slot_cols.len() * br * bc,
+            "br·bc values per slot"
+        );
         BlockedEllpack {
             rows,
             cols,

@@ -22,6 +22,13 @@
 //! so the formats are the source of truth for the off-chip traffic
 //! comparison of the paper's Fig. 3, Fig. 17 and Fig. 19.
 //!
+//! Every encoder works the way SGCN's compressor unit does (§V-E): one
+//! pass that stores each value at the slot a running counter points to
+//! and advances the counter by `(v != 0.0)`, with no per-element branch.
+//! Variable-length formats count their non-zeros first and allocate
+//! exactly; in-place formats zero their slot tails. Each format's
+//! `from_parts` assembles it from its arrays.
+//!
 //! # Example
 //!
 //! ```

@@ -10,23 +10,223 @@ use sgcn_formats::{
 };
 use sgcn_mem::{Cache, CacheConfig, CacheModel, DramConfig, ListCache, MemorySystem, Traffic};
 
-/// Strategy: a small dense matrix with a mix of zeros and non-zeros.
-fn matrix_strategy() -> impl Strategy<Value = DenseMatrix> {
-    (1usize..12, 1usize..40).prop_flat_map(|(rows, cols)| {
+/// Strategy: a dense matrix of 1–12 rows (odd counts included) and 1–229
+/// columns — wide enough for multi-word bitmaps, a ragged final slice at
+/// the default `C = 96` and ragged 2×2 block edges — mixing zeros of both
+/// signs with non-zeros.
+fn signed_matrix_strategy() -> impl Strategy<Value = DenseMatrix> {
+    (1usize..13, 1usize..230).prop_flat_map(|(rows, cols)| {
         proptest::collection::vec(
-            prop_oneof![3 => Just(0.0f32), 2 => -10.0f32..10.0],
+            prop_oneof![2 => Just(0.0f32), 1 => Just(-0.0f32), 2 => -10.0f32..10.0],
             rows * cols,
         )
-        .prop_map(move |data| {
-            // Avoid -0.0 (compares equal to 0.0 but is not bit-identical,
-            // and the formats canonicalize it away as a zero).
-            let data = data
-                .into_iter()
-                .map(|v| if v == 0.0 { 0.0 } else { v })
-                .collect();
-            DenseMatrix::from_vec(rows, cols, data)
-        })
+        .prop_map(move |data| DenseMatrix::from_vec(rows, cols, data))
     })
+}
+
+/// `m` with every `-0.0` made `+0.0`.
+fn positive_zeros(m: &DenseMatrix) -> DenseMatrix {
+    let data = m.as_slice().iter().map(|&v| v + 0.0).collect();
+    DenseMatrix::from_vec(m.rows(), m.cols(), data)
+}
+
+/// Strategy: [`signed_matrix_strategy`] with positive zeros only, so a
+/// decoded row equals the source row bit for bit.
+fn matrix_strategy() -> impl Strategy<Value = DenseMatrix> {
+    signed_matrix_strategy().prop_map(|m| positive_zeros(&m))
+}
+
+// The encoders' original loops, one branch per element and a fresh
+// allocation per bitmap or block: the oracles the running-counter kernels
+// must equal, field for field.
+
+fn beicsr_old_loop(m: &DenseMatrix, config: BeicsrConfig) -> Beicsr {
+    let shape = Beicsr::with_shape(m.rows(), m.cols(), config);
+    let (se, nslices) = (shape.slice_elems(), shape.num_slices());
+    let mut bitmaps = Vec::new();
+    let mut values = vec![0.0f32; m.rows() * nslices * se];
+    let mut nnz = Vec::new();
+    for row in 0..m.rows() {
+        let data = m.row_slice(row);
+        for s in 0..nslices {
+            let start = s * se;
+            let window = &data[start..(start + se).min(m.cols())];
+            let vbase = (row * nslices + s) * se;
+            let mut bm = Bitmap::new(window.len());
+            let mut count = 0usize;
+            for (i, &v) in window.iter().enumerate() {
+                if v != 0.0 {
+                    bm.set(i, true);
+                    values[vbase + count] = v;
+                    count += 1;
+                }
+            }
+            bitmaps.push(bm);
+            nnz.push(count as u32);
+        }
+    }
+    Beicsr::from_parts(m.rows(), m.cols(), config, bitmaps, values, nnz)
+}
+
+fn csr_old_loop(m: &DenseMatrix) -> CsrFeatures {
+    let mut row_ptr = vec![0];
+    let mut col_idx = Vec::new();
+    let mut values = Vec::new();
+    for r in 0..m.rows() {
+        for (c, &v) in m.row_slice(r).iter().enumerate() {
+            if v != 0.0 {
+                col_idx.push(c as u32);
+                values.push(v);
+            }
+        }
+        row_ptr.push(col_idx.len() as u32);
+    }
+    CsrFeatures::from_parts(m.rows(), m.cols(), row_ptr, col_idx, values)
+}
+
+fn coo_old_loop(m: &DenseMatrix) -> CooFeatures {
+    let (mut entry_rows, mut entry_cols, mut entry_vals) = (Vec::new(), Vec::new(), Vec::new());
+    let mut directory = vec![0];
+    for r in 0..m.rows() {
+        for (c, &v) in m.row_slice(r).iter().enumerate() {
+            if v != 0.0 {
+                entry_rows.push(r as u32);
+                entry_cols.push(c as u32);
+                entry_vals.push(v);
+            }
+        }
+        directory.push(entry_rows.len() as u32);
+    }
+    CooFeatures::from_parts(
+        m.rows(),
+        m.cols(),
+        entry_rows,
+        entry_cols,
+        entry_vals,
+        directory,
+    )
+}
+
+/// Every `br×bc` block of `m`, per block-row, as `(block-column,
+/// payload)` for the blocks holding a non-zero.
+fn nonempty_blocks_old_loop(m: &DenseMatrix, br: usize, bc: usize) -> Vec<Vec<(u32, Vec<f32>)>> {
+    let mut per_row = Vec::new();
+    for bri in 0..m.rows().div_ceil(br) {
+        let mut blocks = Vec::new();
+        for bci in 0..m.cols().div_ceil(bc) {
+            let mut block = vec![0.0f32; br * bc];
+            let mut any = false;
+            for dr in 0..br {
+                let r = bri * br + dr;
+                if r >= m.rows() {
+                    continue;
+                }
+                for dc in 0..bc {
+                    let c = bci * bc + dc;
+                    if c >= m.cols() {
+                        continue;
+                    }
+                    let v = m.get(r, c);
+                    if v != 0.0 {
+                        any = true;
+                    }
+                    block[dr * bc + dc] = v;
+                }
+            }
+            if any {
+                blocks.push((bci as u32, block));
+            }
+        }
+        per_row.push(blocks);
+    }
+    per_row
+}
+
+fn bsr_old_loop(m: &DenseMatrix, br: usize, bc: usize) -> BsrFeatures {
+    let mut block_ptr = vec![0];
+    let mut block_cols = Vec::new();
+    let mut block_vals = Vec::new();
+    for blocks in nonempty_blocks_old_loop(m, br, bc) {
+        for (bci, block) in blocks {
+            block_cols.push(bci);
+            block_vals.extend_from_slice(&block);
+        }
+        block_ptr.push(block_cols.len() as u32);
+    }
+    BsrFeatures::from_parts(
+        m.rows(),
+        m.cols(),
+        br,
+        bc,
+        block_ptr,
+        block_cols,
+        block_vals,
+    )
+}
+
+fn ellpack_old_loop(m: &DenseMatrix, br: usize, bc: usize) -> BlockedEllpack {
+    let per_row = nonempty_blocks_old_loop(m, br, bc);
+    let k = per_row.iter().map(Vec::len).max().unwrap_or(0);
+    let mut slot_cols = vec![u32::MAX; per_row.len() * k];
+    let mut slot_vals = vec![0.0f32; per_row.len() * k * br * bc];
+    for (bri, blocks) in per_row.iter().enumerate() {
+        for (slot, (bci, block)) in blocks.iter().enumerate() {
+            slot_cols[bri * k + slot] = *bci;
+            let base = (bri * k + slot) * br * bc;
+            slot_vals[base..base + br * bc].copy_from_slice(block);
+        }
+    }
+    BlockedEllpack::from_parts(m.rows(), m.cols(), br, bc, k, slot_cols, slot_vals)
+}
+
+fn separate_bitmap_old_loop(m: &DenseMatrix) -> SeparateBitmapCsr {
+    let (rows, cols) = (m.rows(), m.cols());
+    let mut bitmaps = Vec::new();
+    let mut values = vec![0.0f32; rows * cols];
+    let mut nnz = Vec::new();
+    for r in 0..rows {
+        let row = m.row_slice(r);
+        let mut count = 0usize;
+        for &v in row {
+            if v != 0.0 {
+                values[r * cols + count] = v;
+                count += 1;
+            }
+        }
+        nnz.push(count as u32);
+        bitmaps.push(Bitmap::from_values(row));
+    }
+    SeparateBitmapCsr::from_parts(rows, cols, bitmaps, values, nnz)
+}
+
+fn packed_beicsr_old_loop(m: &DenseMatrix) -> PackedBeicsr {
+    let mut bitmaps = Vec::new();
+    let mut values = Vec::new();
+    let mut value_starts = Vec::new();
+    for r in 0..m.rows() {
+        let row = m.row_slice(r);
+        value_starts.push(values.len() as u32);
+        values.extend(row.iter().copied().filter(|&v| v != 0.0));
+        bitmaps.push(Bitmap::from_values(row));
+    }
+    PackedBeicsr::from_parts(m.rows(), m.cols(), bitmaps, values, value_starts)
+}
+
+/// The `Debug` rendering of every encoder's output for `m`. It prints a
+/// stored `-0.0` as `-0.0`, so it tells the two zeros apart where
+/// `PartialEq` does not.
+fn every_encoding(m: &DenseMatrix, slice: usize) -> Vec<String> {
+    vec![
+        format!("{:?}", CsrFeatures::encode(m)),
+        format!("{:?}", CooFeatures::encode(m)),
+        format!("{:?}", BsrFeatures::encode(m)),
+        format!("{:?}", BlockedEllpack::encode(m)),
+        format!("{:?}", Beicsr::encode(m, BeicsrConfig::non_sliced())),
+        format!("{:?}", Beicsr::encode(m, BeicsrConfig::default())),
+        format!("{:?}", Beicsr::encode(m, BeicsrConfig::sliced(slice))),
+        format!("{:?}", SeparateBitmapCsr::encode(m)),
+        format!("{:?}", PackedBeicsr::encode(m)),
+    ]
 }
 
 /// Every storage encoding the simulator can drive: one per
@@ -277,21 +477,37 @@ proptest! {
     }
 
     #[test]
-    fn word_level_encoder_matches_reference(m in matrix_strategy(), slice in 1usize..20) {
-        // The in-place word-level encoder must produce a value equal to
-        // the original per-bit reference encoder for every config.
+    fn every_encoder_matches_its_old_loop(
+        m in signed_matrix_strategy(),
+        slice in 1usize..20,
+        br in 1usize..4,
+        bc in 1usize..4,
+    ) {
+        // Whole-struct equality: besides every stored value and index it
+        // covers the zero tail of each in-place slot, so a kernel that
+        // left a stale or stray value past a slot's non-zeros fails here.
         for cfg in [BeicsrConfig::non_sliced(), BeicsrConfig::sliced(slice), BeicsrConfig::default()] {
-            let fast = Beicsr::encode(&m, cfg);
-            let reference = Beicsr::encode_reference(&m, cfg);
-            for r in 0..m.rows() {
-                prop_assert_eq!(fast.decode_row(r), reference.decode_row(r));
-                for s in 0..fast.num_slices() {
-                    prop_assert_eq!(fast.slot_nnz(r, s), reference.slot_nnz(r, s));
-                    prop_assert_eq!(fast.slot_bitmap(r, s), reference.slot_bitmap(r, s));
-                    prop_assert_eq!(fast.slot_values(r, s), reference.slot_values(r, s));
-                }
-            }
+            prop_assert_eq!(Beicsr::encode(&m, cfg), beicsr_old_loop(&m, cfg), "{:?}", cfg);
         }
+        prop_assert_eq!(CsrFeatures::encode(&m), csr_old_loop(&m));
+        prop_assert_eq!(CooFeatures::encode(&m), coo_old_loop(&m));
+        prop_assert_eq!(BsrFeatures::encode(&m), bsr_old_loop(&m, 2, 2));
+        prop_assert_eq!(BlockedEllpack::encode(&m), ellpack_old_loop(&m, 2, 2));
+        prop_assert_eq!(BsrFeatures::encode_with_blocks(&m, br, bc), bsr_old_loop(&m, br, bc));
+        prop_assert_eq!(
+            BlockedEllpack::encode_with_blocks(&m, br, bc),
+            ellpack_old_loop(&m, br, bc)
+        );
+        prop_assert_eq!(SeparateBitmapCsr::encode(&m), separate_bitmap_old_loop(&m));
+        prop_assert_eq!(PackedBeicsr::encode(&m), packed_beicsr_old_loop(&m));
+    }
+
+    #[test]
+    fn negative_zero_encodes_like_positive_zero(m in signed_matrix_strategy(), slice in 1usize..20) {
+        // `-0.0 == 0.0`, so every format must store a negative zero
+        // exactly as a positive one: same bitmap, same indices, and no
+        // `-0.0` left in a slot tail or a block payload.
+        prop_assert_eq!(every_encoding(&m, slice), every_encoding(&positive_zeros(&m), slice));
     }
 
     #[test]
