@@ -847,10 +847,11 @@ pub fn table02_datasets(cfg: &ExperimentConfig) -> Grid {
     grid
 }
 
-/// Design ablation (DESIGN.md): BEICSR's two structural choices measured
-/// in isolation — embedded-in-place (the paper's format) vs a separate
-/// bitmap-index array vs packed variable-length rows. Returns DRAM bytes
-/// normalized to the embedded-in-place variant (lower = better).
+/// Design ablation (`docs/ARCHITECTURE.md`, "Substitutions"): BEICSR's
+/// two structural choices measured in isolation — embedded-in-place (the
+/// paper's format) vs a separate bitmap-index array vs packed
+/// variable-length rows. Returns DRAM bytes normalized to the
+/// embedded-in-place variant (lower = better).
 pub fn ablation_beicsr_design(cfg: &ExperimentConfig, datasets: &[DatasetId]) -> Grid {
     let hw = cfg.hw();
     let variants = [
@@ -880,8 +881,9 @@ pub fn ablation_beicsr_design(cfg: &ExperimentConfig, datasets: &[DatasetId]) ->
     grid
 }
 
-/// Design ablation (DESIGN.md): SAC strip-height sweep around the paper's
-/// default of 32, speedups vs GCNAX.
+/// Design ablation (`docs/ARCHITECTURE.md`, "Substitutions"): SAC
+/// strip-height sweep around the paper's default of 32, speedups vs
+/// GCNAX.
 pub fn ablation_sac_strip(
     cfg: &ExperimentConfig,
     strips: &[usize],

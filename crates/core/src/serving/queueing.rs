@@ -60,7 +60,9 @@
 //! inputs, so `(context, stream, model, hw, QueueConfig)` fully
 //! determines every record byte — `BENCH_queue.json` is identical across
 //! `SGCN_THREADS=1,2,4` for every traffic model × policy × fleet
-//! combination, and across the Flat/List cache engines.
+//! combination. The engines' caches always run on the `Cache` model;
+//! `tests/proptest_row_cache.rs` holds `RowCache` equal to the
+//! simulator's cache replay on both cache models.
 //!
 //! # The event loop
 //!

@@ -15,7 +15,7 @@
 //!   "in-place" argument).
 //!
 //! Neither variant is part of SGCN proper; they exist so the design
-//! claims can be measured (see `ablation_beicsr_design` in `sgcn-bench`).
+//! claims can be measured (see `sgcn_fig ablation_beicsr` in `sgcn-bench`).
 
 use crate::bitmap::Bitmap;
 use crate::layout::{align_up, Span, CACHELINE_BYTES, ELEM_BYTES};

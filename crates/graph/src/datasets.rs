@@ -8,7 +8,7 @@
 //! preserved up to a cap, community clustering and neighbor similarity per
 //! dataset (strongly clustered for DBLP, PubMed, Reddit — the graphs where
 //! the paper reports SAC helps most). The scale factor is recorded so
-//! reports can state it. See DESIGN.md ("Substitutions").
+//! reports can state it. See `docs/ARCHITECTURE.md` ("Substitutions").
 
 use crate::builder::Normalization;
 use crate::csr::CsrGraph;

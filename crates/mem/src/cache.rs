@@ -40,7 +40,7 @@
 /// Replacement policy for the global cache.
 ///
 /// Table III specifies LRU; the alternatives exist for the replacement
-/// ablation (`ablation_cache_policy` in `sgcn-bench`) — the paper's §V-C
+/// ablation (`sgcn_fig ablation_cache` in `sgcn-bench`) — the paper's §V-C
 /// motivates SAC precisely by LRU's thrashing pattern on oversized
 /// working sets, the problem BIP-style insertion policies attack
 /// (Qureshi et al., ISCA'07, the paper's reference \[61\]).

@@ -14,8 +14,8 @@
 //! * [`sparsity`] — target-calibrated activation thresholds. We do not
 //!   train networks; instead the executor reproduces the paper's measured
 //!   sparsity trajectories (Table II / Fig. 2) by calibrating each layer's
-//!   activation threshold to the target sparsity — see DESIGN.md
-//!   ("Substitutions").
+//!   activation threshold to the target sparsity — see
+//!   `docs/ARCHITECTURE.md` ("Substitutions").
 //!
 //! # Example
 //!

@@ -26,7 +26,8 @@ fn main() {
         100.0 * workload.trace.avg_intermediate_sparsity()
     );
 
-    // The paper's platform, cache scaled with the graph (see DESIGN.md).
+    // The paper's platform, cache scaled with the graph (see
+    // docs/ARCHITECTURE.md, "Substitutions").
     let hw = HwConfig::default().with_cache_kib(64);
 
     let baseline = AccelModel::gcnax().simulate(&workload, &hw);

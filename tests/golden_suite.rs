@@ -3,8 +3,11 @@
 //! fails with a readable line diff.
 //!
 //! The suite output is deterministic by contract — bit-identical across
-//! thread counts, cache engines, and driver memoization — so these
-//! snapshots pin the *results* of every experiment driver at once. After
+//! thread counts and driver memoization — so these snapshots pin the
+//! *results* of every experiment driver at once. (That the simulator's
+//! reports and the serving engines' `RowCache` are equal on both cache
+//! models is checked by `tests/fast_path_equivalence.rs` and
+//! `tests/proptest_row_cache.rs`.) After
 //! an intentional modelling change, regenerate with:
 //!
 //! ```text
