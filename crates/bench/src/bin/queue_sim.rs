@@ -14,75 +14,19 @@
 //! Every field of the JSON is a pure function of `(stream, knobs)` — the
 //! only parallel stage returns results in stream order and the event
 //! loop is serial — so the file is **byte-identical at any
-//! `SGCN_THREADS`** (wall-clock timings go to stdout only). Knobs:
+//! `SGCN_THREADS`** (wall-clock timings go to stdout only).
 //!
-//! * `SGCN_REQUESTS` — stream length (default 1000; 0 renders the
-//!   all-zero summary instead of aborting),
-//! * `SGCN_LOAD` — offered load ρ (default 0.8),
-//! * `SGCN_ENGINES` — engine count (default 4),
-//! * `SGCN_POLICY` — `fifo` / `least` / `affinity` / `slo` / `cost` /
-//!   `shard` (default `affinity`),
-//! * `SGCN_TRAFFIC` — `exp` / `bursty` / `diurnal` / `closed[:K]`
-//!   (default `exp`),
-//! * `SGCN_SLO_CYCLES` — end-to-end deadline in cycles with load
-//!   shedding on; 0 = no SLO (default 0),
-//! * `SGCN_FLEET` — `uniform` / `steal` / `mixed` / `mixed-steal` / a
-//!   comma-separated scale list, optionally `+steal` (default
-//!   `uniform`),
-//! * `SGCN_LINEUP` — heterogeneous hardware lineup: `uniform` / `eco` /
-//!   `mixed`, optionally `+steal`-suffixed, giving every engine a real
-//!   per-class accelerator platform (overrides `SGCN_FLEET`); or
-//!   `sweep` to run the lineup × routing-policy capacity planner and
-//!   write `BENCH_lineup.json` (`SGCN_LINEUP_OUT`) instead of a single
-//!   run (default: unset — legacy scalar fleet),
-//! * `SGCN_FORMATS` — per-request serving-format dispatch (needs
-//!   `SGCN_LINEUP`): `fixed:<format>` pins every request to one palette
-//!   format, `adaptive` lets the cost model pick `(engine, format)` per
-//!   request, `sweep` runs every fixed format plus adaptive and writes
-//!   `BENCH_format.json` (`SGCN_FORMAT_OUT`) with an "adaptive vs best
-//!   fixed p99" verdict (default: unset — native format),
-//! * `SGCN_HOTSPOT` — hot-seed pool size, 0 = uniform traffic
-//!   (default `requests / 6`),
-//! * `SGCN_FAULTS` — failure drill: `none` / `mtbf[:M,R[,K]]` /
-//!   `script:E@DOWN+DUR;…` (default `none`),
-//! * `SGCN_RETRIES` — retry budget `A[:BACKOFF]` — max dispatch
-//!   attempts per request, optional redrive backoff in cycles (default
-//!   `3`),
-//! * `SGCN_AUTOSCALE` — elastic fleet: `none` / `auto[:MIN[:PROV]]`
-//!   (default `none`),
-//! * `SGCN_CLASSES` — deadline classes: `none` / `mix:FRAC` /
-//!   `mix:FRAC+preempt` — a seeded interactive/batch mix with per-class
-//!   deadlines, shed switches and retry budgets; `+preempt` lets
-//!   arriving interactive requests preempt in-service batch work
-//!   (default `none`),
-//! * `SGCN_DEGRADE` — brownout ladder: `none` /
-//!   `brownout[:DOWN,UP[,COOLDOWN]]` — under backlog pressure the fleet
-//!   steps adaptive → cheapest fixed format → lite fanouts and back
-//!   (needs `SGCN_LINEUP` and `SGCN_FORMATS=adaptive`; default `none`),
-//! * `SGCN_LOG_INGEST` — ingest a real timestamp log (one timestamp per
-//!   line) as the arrival process, rescaled so the stream's offered
-//!   load matches `SGCN_LOAD`; missing/malformed files are hard errors,
-//! * `SGCN_CAPACITY=sweep` — run the capacity planner (fleet sizes ×
-//!   class mixes under a drills-on overload) and write
-//!   `BENCH_capacity.json` (`SGCN_CAPACITY_OUT`) instead of a single
-//!   run,
-//! * `SGCN_SHARDS` — sharded feature store: a shard count ≥ 1 wires the
-//!   single run through a contiguous-range shard plan (cross-shard
-//!   neighbor rows pay a modeled network bill), or `sweep` to run the
-//!   shard-count × hub-replication × routing grid plus a million-vertex
-//!   power-law plan and write `BENCH_shard.json` (`SGCN_SHARD_OUT`)
-//!   with a locality-wins verdict (default: unset — no sharding),
-//! * `SGCN_REPLICATE` — hub vertices replicated to every shard, by
-//!   descending degree (needs `SGCN_SHARDS`; default 0),
-//! * `SGCN_TRACE_RECORD` — write the run's arrival trace to this path,
-//! * `SGCN_TRACE_REPLAY` — replay a recorded arrival trace from this
-//!   path instead of generating traffic,
-//! * `SGCN_QUICK=1` — test-scale graph, `SGCN_QUEUE_OUT` — output path.
-//!
-//! Every knob is strict: an unknown enum value aborts with a message
-//! listing the valid spellings, and a numeric value that does not parse
-//! aborts naming the expected type (silent fallbacks would make a
-//! typo'd CI matrix cell silently re-run the default scenario).
+//! `SGCN_SWEEP` swaps the single run for one of four planners, each
+//! writing its own committed file: `lineup` (`BENCH_lineup.json`),
+//! `format` (`BENCH_format.json`), `shard` (`BENCH_shard.json`) and
+//! `capacity` (`BENCH_capacity.json`). Every knob, with its values and
+//! defaults, is listed in `docs/KNOBS.md`. [`Scenario::from_env`] parses
+//! them all once before any work runs, and every knob is strict: an
+//! unknown enum value aborts with the valid spellings, a numeric value
+//! that does not parse aborts naming the expected type, and a set
+//! `SGCN_*` variable the mode does not read aborts naming it (silent
+//! fallbacks would make a typo'd CI matrix cell silently re-run the
+//! default scenario).
 
 use sgcn::accel::AccelModel;
 use sgcn::config::HwConfig;
@@ -95,63 +39,227 @@ use sgcn::serving::queueing::{
     QueueSummary, RequestClass, RetryPolicy, ScalePolicy, SchedPolicy, ShardPlan, SloConfig,
     TrafficModel,
 };
-use sgcn::serving::{Request, ServingConfig, ServingContext};
-use sgcn_bench::{banner, env_parse, experiment_config};
-use sgcn_graph::datasets::DatasetId;
+use sgcn_bench::{banner, experiment_config, serving, Knobs};
 use sgcn_graph::generate::power_law;
-use sgcn_graph::sampling::Fanouts;
 use sgcn_graph::Normalization;
 
-/// Parses an enum-valued knob, aborting on unknown values with the list
-/// of valid spellings — never a silent fallback.
-fn knob<T>(key: &str, value: &str, valid: &str, parse: impl FnOnce(&str) -> Option<T>) -> T {
-    parse(value).unwrap_or_else(|| panic!("unknown {key} {value:?} — valid values: {valid}"))
-}
-
 /// Valid spellings per knob, surfaced verbatim in abort messages.
+const SWEEP_VALUES: &str = "lineup, format, shard, capacity";
 const POLICY_VALUES: &str = "fifo, least, affinity, slo, cost, shard";
 const TRAFFIC_VALUES: &str = "exp, bursty, diurnal, closed[:CLIENTS]";
-const FLEET_VALUES: &str =
-    "uniform, steal, mixed, mixed-steal, or a comma-separated scale list (optionally +steal)";
-const LINEUP_VALUES: &str = "uniform, eco, mixed (each optionally +steal), or sweep";
+const FLEET_VALUES: &str = "uniform, steal, mixed, mixed-steal, a comma-separated scale list \
+     (optionally +steal), or a hardware lineup lineup-uniform, lineup-eco, lineup-mixed \
+     (each optionally +steal)";
 const FAULTS_VALUES: &str = "none, mtbf[:MTBF,MTTR[,KILLED]], script:ENGINE@DOWN+DUR;...";
 const RETRY_VALUES: &str = "ATTEMPTS[:BACKOFF_CYCLES]";
 const AUTOSCALE_VALUES: &str = "none, auto[:MIN[:PROVISION_CYCLES]]";
 const CLASSES_VALUES: &str = "none, mix:FRAC, mix:FRAC+preempt (FRAC in [0,1])";
 const DEGRADE_VALUES: &str = "none, brownout, brownout:DOWN,UP[,COOLDOWN] (DOWN > UP >= 0)";
-const CAPACITY_VALUES: &str = "sweep";
-const SHARDS_VALUES: &str = "a shard count >= 1, or sweep";
+const SHARDS_VALUES: &str = "a shard count >= 1";
 const REPLICATE_VALUES: &str = "a non-negative hub-replication count";
 const TRACE_FORMAT: &str = "an arrival-trace JSON written by SGCN_TRACE_RECORD \
      ({\"trace\": \"sgcn-arrivals\", \"version\": 1, \"traffic\": ..., \"times\": [...]})";
 
-/// The PubMed serving context every run of this binary uses, its
-/// request stream (`hotspot` hot seeds; uniform when `hotspot` is 0),
-/// and the `dataset fanout … SGCN` label prefix of every JSON it writes.
-fn serving(
-    cfg: &ExperimentConfig,
+/// The planner `SGCN_SWEEP` runs instead of a single run.
+#[derive(Clone, Copy)]
+enum Sweep {
+    Lineup,
+    Format,
+    Shard,
+    Capacity,
+}
+
+impl Sweep {
+    const ALL: [Sweep; 4] = [Sweep::Lineup, Sweep::Format, Sweep::Shard, Sweep::Capacity];
+
+    /// The `SGCN_SWEEP` spelling.
+    fn name(self) -> &'static str {
+        match self {
+            Sweep::Lineup => "lineup",
+            Sweep::Format => "format",
+            Sweep::Shard => "shard",
+            Sweep::Capacity => "capacity",
+        }
+    }
+
+    fn parse(v: &str) -> Option<Sweep> {
+        Self::ALL.into_iter().find(|s| s.name() == v.trim())
+    }
+}
+
+/// A `SGCN_FLEET` value.
+#[derive(Debug, PartialEq)]
+enum Fleet {
+    Scalar(FleetSpec),
+    /// A hardware lineup, named by its summary label
+    /// (`lineup-mixed+steal`).
+    Lineup(EngineLineup),
+}
+
+fn parse_fleet(spec: &str, engines: usize, hw: HwConfig) -> Option<Fleet> {
+    let spec = spec.trim().to_ascii_lowercase();
+    match spec.strip_prefix("lineup-") {
+        Some(name) => EngineLineup::parse(name, engines, hw).map(Fleet::Lineup),
+        None => FleetSpec::parse(&spec, engines).map(Fleet::Scalar),
+    }
+}
+
+/// Every knob of one `queue_sim` invocation, parsed once.
+struct Scenario {
+    /// The experiment scale (`SGCN_QUICK`).
+    cfg: ExperimentConfig,
+    /// The planner to run, or `None` for the single run.
+    sweep: Option<Sweep>,
     requests: usize,
     hotspot: usize,
-) -> (ServingContext, Vec<Request>, String) {
-    let fanouts = Fanouts::new(vec![10, 5]);
-    let label = format!(
-        "{} fanout {} SGCN",
-        DatasetId::PubMed.abbrev(),
-        fanouts.label()
-    );
-    let ctx = ServingContext::new(ServingConfig {
-        dataset: DatasetId::PubMed,
-        scale: cfg.scale,
-        fanouts,
-        width: cfg.width,
-        seed: cfg.seed,
-    });
-    let stream = if hotspot == 0 {
-        ctx.request_stream(requests)
-    } else {
-        ctx.hotspot_stream(requests, hotspot)
-    };
-    (ctx, stream, label)
+    /// Output path: `SGCN_OUT`, else the mode's committed file.
+    out: String,
+    /// The single run's checked config; a planner reads only its
+    /// engine count and offered load.
+    queue: QueueConfig,
+    /// `(shards, replicated hubs)` of the single run's shard plan.
+    shards: Option<(usize, usize)>,
+    /// Timestamp log to ingest as the arrival process.
+    log_ingest: Option<String>,
+    /// Where to record the single run's arrival trace.
+    record: Option<String>,
+}
+
+impl Scenario {
+    /// Parses every knob the selected mode reads and aborts on the first
+    /// bad value, unread knob or bad combination — before any graph is
+    /// built or stream prepared.
+    fn from_env() -> Scenario {
+        let cfg = experiment_config();
+        let mut k = Knobs::default();
+        let sweep = k.choice("SGCN_SWEEP", SWEEP_VALUES, None, |v| {
+            Sweep::parse(v).map(Some)
+        });
+        let requests: usize = k.number("SGCN_REQUESTS", 1000);
+        let engines: usize = k.number("SGCN_ENGINES", 4);
+        let load: f64 = k.number("SGCN_LOAD", 0.8);
+        let hotspot = k.number("SGCN_HOTSPOT", (requests / 6).max(1));
+        // Each mode writes its committed file unless told otherwise.
+        let out = k
+            .var("SGCN_OUT")
+            .unwrap_or_else(|| format!("BENCH_{}.json", sweep.map_or("queue", Sweep::name)));
+        let hw = cfg.hw();
+        let mut sc = Scenario {
+            queue: QueueConfig::new(engines, SchedPolicy::CacheAffinity, load, cfg.seed),
+            cfg,
+            sweep,
+            requests,
+            hotspot,
+            out,
+            shards: None,
+            log_ingest: None,
+            record: None,
+        };
+        if let Some(s) = sweep {
+            k.reject_unread(&format!("queue_sim SGCN_SWEEP={}", s.name()));
+            return sc;
+        }
+
+        let q = &mut sc.queue;
+        q.policy = k.choice("SGCN_POLICY", POLICY_VALUES, q.policy, SchedPolicy::parse);
+        q.traffic = k.choice(
+            "SGCN_TRAFFIC",
+            TRAFFIC_VALUES,
+            q.traffic,
+            TrafficModel::parse,
+        );
+        let scalar = Fleet::Scalar(q.fleet.clone());
+        match k.choice("SGCN_FLEET", FLEET_VALUES, scalar, |v| {
+            parse_fleet(v, engines, hw)
+        }) {
+            Fleet::Scalar(fleet) => q.fleet = fleet,
+            Fleet::Lineup(lineup) => q.lineup = Some(lineup),
+        }
+        let formats = FormatPolicy::valid_values();
+        q.format = k.choice("SGCN_FORMATS", &formats, q.format, FormatPolicy::parse);
+        let slo_cycles: u64 = k.number("SGCN_SLO_CYCLES", 0);
+        q.slo = (slo_cycles > 0).then(|| SloConfig::shedding(slo_cycles));
+        q.faults = k.choice(
+            "SGCN_FAULTS",
+            FAULTS_VALUES,
+            q.faults.clone(),
+            FailureModel::parse,
+        );
+        q.retry = k.choice("SGCN_RETRIES", RETRY_VALUES, q.retry, RetryPolicy::parse);
+        q.autoscale = k.choice("SGCN_AUTOSCALE", AUTOSCALE_VALUES, None, ScalePolicy::parse);
+        q.classes = k.choice("SGCN_CLASSES", CLASSES_VALUES, None, ClassPolicy::parse);
+        q.degrade = k.choice("SGCN_DEGRADE", DEGRADE_VALUES, None, DegradePolicy::parse);
+        // File knobs follow the same hard-error convention as enum knobs: a
+        // missing or malformed path aborts with the expected format instead
+        // of silently re-running generated traffic.
+        q.trace = k.var("SGCN_TRACE_REPLAY").map(|path| {
+            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+                panic!("cannot read SGCN_TRACE_REPLAY {path:?}: {e} — expected {TRACE_FORMAT}")
+            });
+            let trace = ArrivalTrace::parse(&text).unwrap_or_else(|| {
+                panic!(
+                    "SGCN_TRACE_REPLAY {path:?} is not an arrival trace — expected {TRACE_FORMAT}"
+                )
+            });
+            assert_eq!(
+                trace.len(),
+                requests,
+                "SGCN_TRACE_REPLAY has {} arrivals but SGCN_REQUESTS is {requests}",
+                trace.len()
+            );
+            trace
+        });
+        sc.log_ingest = k.var("SGCN_LOG_INGEST");
+        if sc.queue.trace.is_some() && sc.log_ingest.is_some() {
+            panic!("SGCN_TRACE_REPLAY and SGCN_LOG_INGEST both set — pick one arrival source");
+        }
+        sc.record = k.var("SGCN_TRACE_RECORD");
+        let shards = k.choice("SGCN_SHARDS", SHARDS_VALUES, None, |v| {
+            v.trim().parse::<usize>().ok().filter(|&n| n >= 1).map(Some)
+        });
+        let replicate = k.choice("SGCN_REPLICATE", REPLICATE_VALUES, None, |v| {
+            v.trim().parse::<usize>().ok().map(Some)
+        });
+        if replicate.is_some() && shards.is_none() {
+            panic!("SGCN_REPLICATE needs a shard plan to replicate into — set SGCN_SHARDS ({SHARDS_VALUES})");
+        }
+        sc.shards = shards.map(|n| (n, replicate.unwrap_or(0)));
+        k.reject_unread("queue_sim");
+        sc.queue.check();
+        sc
+    }
+
+    /// The run's `workload` label: the serving prefix, then every
+    /// non-default feature in a fixed order.
+    fn label(&self, serving_label: &str, plan: Option<&ShardPlan>) -> String {
+        let q = &self.queue;
+        let fleet = q
+            .lineup
+            .as_ref()
+            .map_or_else(|| q.fleet.label(), EngineLineup::label);
+        let mut parts = vec![
+            format!("{serving_label} x{} {}", q.engines, q.policy.label()),
+            q.traffic.label(),
+            fleet,
+        ];
+        if q.format != FormatPolicy::default() {
+            parts.push(q.format.label());
+        }
+        if !q.faults.is_none() || q.autoscale.is_some() {
+            let autoscale = q
+                .autoscale
+                .as_ref()
+                .map_or("none".into(), ScalePolicy::label);
+            parts.extend([q.faults.label(), q.retry.label(), autoscale]);
+        }
+        parts.extend(q.classes.as_ref().map(ClassPolicy::label));
+        parts.extend(q.degrade.as_ref().map(DegradePolicy::label));
+        if self.log_ingest.is_some() {
+            parts.push("log-ingest".into());
+        }
+        parts.extend(plan.map(|p| format!("shards {}", p.label())));
+        parts.join(" ")
+    }
 }
 
 /// Simulates every sweep cell over `prepared`, in order, printing one
@@ -185,6 +293,14 @@ fn json_rows(rows: impl Iterator<Item = String>) -> String {
     format!("{}\n", rows.join(",\n"))
 }
 
+/// The fields a lineup, format or shard sweep's JSON opens with.
+fn json_head(label: &str, requests: usize, engines: usize, load: f64) -> String {
+    format!(
+        "{{\n  \"label\": \"{label}\",\n  \"requests\": {requests},\n  \"engines\": {engines},\n  \
+         \"offered_load\": {load:.6},\n"
+    )
+}
+
 /// Prints the sweep's host-time line.
 fn report_wall(t0: std::time::Instant, cells: usize) {
     println!(
@@ -194,13 +310,6 @@ fn report_wall(t0: std::time::Instant, cells: usize) {
     );
 }
 
-/// Writes a sweep's JSON to the path in `out_key` (else `default`).
-fn write_json(out_key: &str, default: &str, json: &str) {
-    let path = std::env::var(out_key).unwrap_or_else(|_| default.into());
-    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {default}: {e}"));
-    println!("wrote {path}");
-}
-
 /// The lineup × routing-policy capacity planner behind
 /// `BENCH_lineup.json`: the suite's lineup cells
 /// ([`sgcn::experiments::lineup_cells`]) at paper scale, one per-class
@@ -208,12 +317,13 @@ fn write_json(out_key: &str, default: &str, json: &str) {
 /// the cell minimizing p99 × cost units (ties to the cheaper lineup,
 /// then sweep order). Every byte of the JSON is a pure function of
 /// `(stream, knobs)`.
-fn lineup_sweep(requests: usize, engines: usize, load: f64, hotspot: usize) {
-    let cfg = experiment_config();
+fn lineup_sweep(sc: &Scenario) -> String {
+    let (cfg, requests, hotspot) = (&sc.cfg, sc.requests, sc.hotspot);
+    let (engines, load) = (sc.queue.engines, sc.queue.offered_load);
     let hw = cfg.hw();
-    let (ctx, stream, serving_label) = serving(&cfg, requests, hotspot);
+    let (ctx, stream, serving_label) = serving(cfg, requests, hotspot);
     let label = format!("{serving_label} x{engines} lineup sweep bursty load {load:.2}");
-    let cells = lineup_cells(&cfg, engines, load);
+    let cells = lineup_cells(cfg, engines, load);
     let t0 = std::time::Instant::now();
     // One per-class preparation (the only parallel stage) serves all cells.
     let (_, widest) = cells.last().expect("a sweep has cells");
@@ -240,12 +350,7 @@ fn lineup_sweep(requests: usize, engines: usize, load: f64, hotspot: usize) {
     );
     report_wall(t0, cells.len());
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!("  \"label\": \"{label}\",\n"));
-    json.push_str(&format!("  \"requests\": {requests},\n"));
-    json.push_str(&format!("  \"engines\": {engines},\n"));
-    json.push_str(&format!("  \"offered_load\": {load:.6},\n"));
+    let mut json = json_head(&label, requests, engines, load);
     json.push_str("  \"cells\": [\n");
     json.push_str(&json_rows(summaries.iter().map(|s| {
         format!(
@@ -270,7 +375,7 @@ fn lineup_sweep(requests: usize, engines: usize, load: f64, hotspot: usize) {
         best.fleet, best.policy, best.cost_units, best.p99_e2e_cycles
     ));
     json.push_str("}\n");
-    write_json("SGCN_LINEUP_OUT", "BENCH_lineup.json", &json);
+    json
 }
 
 /// The serving-format dispatch planner behind `BENCH_format.json`: the
@@ -281,13 +386,14 @@ fn lineup_sweep(requests: usize, engines: usize, load: f64, hotspot: usize) {
 /// single fixed format — the paper's Fig. 3 claim ("format choice
 /// dominates cost") turned into an online scheduling win. Every byte of
 /// the JSON is a pure function of `(stream, knobs)`.
-fn format_sweep(requests: usize, engines: usize, load: f64, hotspot: usize) {
-    let cfg = experiment_config();
+fn format_sweep(sc: &Scenario) -> String {
+    let (cfg, requests, hotspot) = (&sc.cfg, sc.requests, sc.hotspot);
+    let (engines, load) = (sc.queue.engines, sc.queue.offered_load);
     let hw = cfg.hw();
-    let (ctx, stream, serving_label) = serving(&cfg, requests, hotspot);
+    let (ctx, stream, serving_label) = serving(cfg, requests, hotspot);
     let label =
         format!("{serving_label} x{engines} format sweep mixed cost-aware bursty load {load:.2}");
-    let cells = format_cells(&cfg, engines, load);
+    let cells = format_cells(cfg, engines, load);
     let t0 = std::time::Instant::now();
     // One (class, format) matrix preparation (the only parallel stage)
     // serves every cell.
@@ -320,12 +426,7 @@ fn format_sweep(requests: usize, engines: usize, load: f64, hotspot: usize) {
     );
     report_wall(t0, cells.len());
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!("  \"label\": \"{label}\",\n"));
-    json.push_str(&format!("  \"requests\": {requests},\n"));
-    json.push_str(&format!("  \"engines\": {engines},\n"));
-    json.push_str(&format!("  \"offered_load\": {load:.6},\n"));
+    let mut json = json_head(&label, requests, engines, load);
     json.push_str("  \"cells\": [\n");
     json.push_str(&json_rows(summaries.iter().map(|s| {
         let dispatch: Vec<String> = s
@@ -356,7 +457,7 @@ fn format_sweep(requests: usize, engines: usize, load: f64, hotspot: usize) {
         adaptive.p99_e2e_cycles, best_fixed.format_policy, best_fixed.p99_e2e_cycles, wins
     ));
     json.push_str("}\n");
-    write_json("SGCN_FORMAT_OUT", "BENCH_format.json", &json);
+    json
 }
 
 /// Per-class "SLO met" verdict of one capacity cell: the class had
@@ -390,14 +491,15 @@ fn interactive_shed_rate(s: &QueueSummary) -> f64 {
 /// same timeline — the overload-resilience claim (better interactive
 /// p99 *and* shed rate) as a committed, drift-checked number. Every
 /// byte of the JSON is a pure function of `(stream, knobs)`.
-fn capacity_plan(requests: usize, engines: usize, load: f64, hotspot: usize) {
-    let cfg = experiment_config();
+fn capacity_plan(sc: &Scenario) -> String {
+    let (cfg, requests, hotspot) = (&sc.cfg, sc.requests, sc.hotspot);
+    let (engines, load) = (sc.queue.engines, sc.queue.offered_load);
     let hw = cfg.hw();
-    let (ctx, stream, serving_label) = serving(&cfg, requests, hotspot);
+    let (ctx, stream, serving_label) = serving(cfg, requests, hotspot);
     let fleet_sizes = [2usize, 3, 4, 6, 8, 12, 16];
     let mixes = CapacityScenario::MIXES;
     let t0 = std::time::Instant::now();
-    let scenario = CapacityScenario::new(&cfg, &ctx, &stream, engines, load);
+    let scenario = CapacityScenario::new(cfg, &ctx, &stream, engines, load);
     let row_bytes = feature_row_bytes(&ctx);
     let rho = scenario.rho();
     let label =
@@ -518,7 +620,7 @@ fn capacity_plan(requests: usize, engines: usize, load: f64, hotspot: usize) {
         interactive_shed_rate(&baseline),
     ));
     json.push_str("}\n");
-    write_json("SGCN_CAPACITY_OUT", "BENCH_capacity.json", &json);
+    json
 }
 
 /// The sharded-store planner behind `BENCH_shard.json`: the suite's
@@ -533,22 +635,16 @@ fn capacity_plan(requests: usize, engines: usize, load: f64, hotspot: usize) {
 /// exactly as many requests as least-loaded everywhere and moves
 /// strictly fewer bytes overall. Every byte of the JSON is a pure
 /// function of `(stream, knobs)`.
-fn shard_sweep(requests: usize, engines: usize, load: f64, hotspot: usize) {
-    let cfg = experiment_config();
+fn shard_sweep(sc: &Scenario) -> String {
+    let (cfg, requests, hotspot) = (&sc.cfg, sc.requests, sc.hotspot);
+    let (engines, load) = (sc.queue.engines, sc.queue.offered_load);
     let hw = cfg.hw();
-    let (ctx, stream, serving_label) = serving(&cfg, requests, hotspot);
+    let (ctx, stream, serving_label) = serving(cfg, requests, hotspot);
     let label = format!("{serving_label} x{engines} shard sweep bursty load {load:.2}");
     let t0 = std::time::Instant::now();
     // One preparation (the only parallel stage) serves every cell: the
     // shard plan changes routing and the network bill, not the work.
-    let cells = shard_cells(
-        &cfg,
-        &ctx.dataset.graph,
-        engines,
-        load,
-        &[2, 4, 8],
-        &[0, 64],
-    );
+    let cells = shard_cells(cfg, &ctx.dataset.graph, engines, load, &[2, 4, 8], &[0, 64]);
     let (_, widest) = cells.last().expect("a sweep has cells");
     let prepared = prepare_for(&ctx, &stream, &AccelModel::sgcn(), &hw, widest);
     let summaries = run_cells(&prepared, &cells, &hw, feature_row_bytes(&ctx), |s| {
@@ -604,12 +700,7 @@ fn shard_sweep(requests: usize, engines: usize, load: f64, hotspot: usize) {
     );
     report_wall(t0, cells.len());
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!("  \"label\": \"{label}\",\n"));
-    json.push_str(&format!("  \"requests\": {requests},\n"));
-    json.push_str(&format!("  \"engines\": {engines},\n"));
-    json.push_str(&format!("  \"offered_load\": {load:.6},\n"));
+    let mut json = json_head(&label, requests, engines, load);
     json.push_str(&format!(
         "  \"paper_scale\": {{\"vertices\": {pl_vertices}, \"edges\": {}, \"alpha\": 2.1, \
          \"shards\": {pl_shards}, \"hubs\": {pl_hubs}, \"max_degree\": {max_degree}, \
@@ -641,219 +732,43 @@ fn shard_sweep(requests: usize, engines: usize, load: f64, hotspot: usize) {
          \"locality_wins\": {locality_wins}}}\n"
     ));
     json.push_str("}\n");
-    write_json("SGCN_SHARD_OUT", "BENCH_shard.json", &json);
+    json
 }
 
 fn main() {
+    let sc = Scenario::from_env();
     banner("BENCH_queue harness (online queueing, multi-engine co-scheduling)");
-    let cfg = experiment_config();
-    let requests: usize = env_parse("SGCN_REQUESTS", 1000);
-    let load: f64 = env_parse("SGCN_LOAD", 0.8);
-    let engines: usize = env_parse("SGCN_ENGINES", 4);
-    let policy = std::env::var("SGCN_POLICY")
-        .ok()
-        .map(|v| knob("SGCN_POLICY", &v, POLICY_VALUES, SchedPolicy::parse))
-        .unwrap_or(SchedPolicy::CacheAffinity);
-    let traffic = std::env::var("SGCN_TRAFFIC")
-        .ok()
-        .map(|v| knob("SGCN_TRAFFIC", &v, TRAFFIC_VALUES, TrafficModel::parse))
-        .unwrap_or(TrafficModel::Exponential);
-    let slo_cycles: u64 = env_parse("SGCN_SLO_CYCLES", 0);
-    let fleet = std::env::var("SGCN_FLEET")
-        .ok()
-        .map(|v| {
-            knob("SGCN_FLEET", &v, FLEET_VALUES, |v| {
-                FleetSpec::parse(v, engines)
-            })
-        })
-        .unwrap_or_else(|| FleetSpec::uniform(engines));
-    let hotspot: usize = env_parse("SGCN_HOTSPOT", (requests / 6).max(1));
-    if let Ok(v) = std::env::var("SGCN_CAPACITY") {
-        knob("SGCN_CAPACITY", &v, CAPACITY_VALUES, |v| {
-            (v.trim() == "sweep").then_some(())
-        });
-        capacity_plan(requests, engines, load, hotspot);
-        return;
-    }
-    let shards_spec = std::env::var("SGCN_SHARDS").ok();
-    let replicate_spec = std::env::var("SGCN_REPLICATE").ok();
-    if replicate_spec.is_some() && shards_spec.is_none() {
-        panic!("SGCN_REPLICATE needs a shard plan to replicate into — set SGCN_SHARDS ({SHARDS_VALUES})");
-    }
-    if shards_spec.as_deref().map(str::trim) == Some("sweep") {
-        shard_sweep(requests, engines, load, hotspot);
-        return;
-    }
-    let shards: Option<usize> = shards_spec.map(|v| {
-        knob("SGCN_SHARDS", &v, SHARDS_VALUES, |v| {
-            v.trim().parse::<usize>().ok().filter(|&n| n >= 1)
-        })
-    });
-    let replicate: usize = replicate_spec.map_or(0, |v| {
-        knob("SGCN_REPLICATE", &v, REPLICATE_VALUES, |v| {
-            v.trim().parse::<usize>().ok()
-        })
-    });
-    let lineup_spec = std::env::var("SGCN_LINEUP").ok();
-    let format_spec = std::env::var("SGCN_FORMATS").ok();
-    if format_spec.as_deref().map(str::trim) == Some("sweep") {
-        format_sweep(requests, engines, load, hotspot);
-        return;
-    }
-    let format = format_spec
-        .map(|v| {
-            knob(
-                "SGCN_FORMATS",
-                &v,
-                &format!("{}, sweep", FormatPolicy::valid_values()),
-                FormatPolicy::parse,
-            )
-        })
-        .unwrap_or_default();
-    if format != FormatPolicy::default() && lineup_spec.is_none() {
-        panic!(
-            "SGCN_FORMATS={} needs a hardware lineup — set SGCN_LINEUP ({LINEUP_VALUES})",
-            format.label()
-        );
-    }
-    if lineup_spec.as_deref().map(str::trim) == Some("sweep") {
-        lineup_sweep(requests, engines, load, hotspot);
-        return;
-    }
-    let lineup = lineup_spec.map(|v| {
-        knob("SGCN_LINEUP", &v, LINEUP_VALUES, |v| {
-            EngineLineup::parse(v, engines, cfg.hw())
-        })
-    });
-    let faults = std::env::var("SGCN_FAULTS")
-        .ok()
-        .map(|v| knob("SGCN_FAULTS", &v, FAULTS_VALUES, FailureModel::parse))
-        .unwrap_or(FailureModel::None);
-    let retry = std::env::var("SGCN_RETRIES")
-        .ok()
-        .map(|v| knob("SGCN_RETRIES", &v, RETRY_VALUES, RetryPolicy::parse))
-        .unwrap_or_default();
-    let autoscale = std::env::var("SGCN_AUTOSCALE")
-        .ok()
-        .map(|v| knob("SGCN_AUTOSCALE", &v, AUTOSCALE_VALUES, ScalePolicy::parse))
-        .unwrap_or(None);
-    let classes = std::env::var("SGCN_CLASSES")
-        .ok()
-        .map(|v| knob("SGCN_CLASSES", &v, CLASSES_VALUES, ClassPolicy::parse))
-        .unwrap_or(None);
-    let degrade = std::env::var("SGCN_DEGRADE")
-        .ok()
-        .map(|v| knob("SGCN_DEGRADE", &v, DEGRADE_VALUES, DegradePolicy::parse))
-        .unwrap_or(None);
-    if classes.is_some() && slo_cycles > 0 {
-        panic!(
-            "SGCN_CLASSES and SGCN_SLO_CYCLES are mutually exclusive — per-class deadlines \
-             replace the single-class SLO"
-        );
-    }
-    if degrade.is_some() && (lineup.is_none() || format != FormatPolicy::Adaptive) {
-        panic!(
-            "SGCN_DEGRADE needs a hardware lineup and adaptive dispatch to step down from — \
-             set SGCN_LINEUP ({LINEUP_VALUES}) and SGCN_FORMATS=adaptive"
-        );
-    }
-    // File knobs follow the same hard-error convention as enum knobs: a
-    // missing or malformed path aborts with the expected format instead
-    // of silently re-running generated traffic.
-    let replay = std::env::var("SGCN_TRACE_REPLAY").ok().map(|path| {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!("cannot read SGCN_TRACE_REPLAY {path:?}: {e} — expected {TRACE_FORMAT}")
-        });
-        ArrivalTrace::parse(&text).unwrap_or_else(|| {
-            panic!("SGCN_TRACE_REPLAY {path:?} is not an arrival trace — expected {TRACE_FORMAT}")
-        })
-    });
-    let log_ingest = std::env::var("SGCN_LOG_INGEST").ok();
-    if replay.is_some() && log_ingest.is_some() {
-        panic!("SGCN_TRACE_REPLAY and SGCN_LOG_INGEST both set — pick one arrival source");
-    }
+    let json = match sc.sweep {
+        Some(Sweep::Lineup) => lineup_sweep(&sc),
+        Some(Sweep::Format) => format_sweep(&sc),
+        Some(Sweep::Shard) => shard_sweep(&sc),
+        Some(Sweep::Capacity) => capacity_plan(&sc),
+        None => single_run(&sc),
+    };
+    std::fs::write(&sc.out, json).unwrap_or_else(|e| panic!("write {}: {e}", sc.out));
+    println!("wrote {}", sc.out);
+}
 
-    let (ctx, stream, serving_label) = serving(&cfg, requests, hotspot);
-    let mut label = format!(
-        "{serving_label} x{engines} {} {} {}",
-        policy.label(),
-        traffic.label(),
-        lineup
-            .as_ref()
-            .map_or_else(|| fleet.label(), EngineLineup::label)
-    );
-    if format != FormatPolicy::default() {
-        label = format!("{label} {}", format.label());
+/// One queueing run of the scenario's checked config: prints the
+/// summary and returns its JSON.
+fn single_run(sc: &Scenario) -> String {
+    let (cfg, requests, hotspot) = (&sc.cfg, sc.requests, sc.hotspot);
+    let (ctx, stream, serving_label) = serving(cfg, requests, hotspot);
+    let mut qcfg = sc.queue.clone();
+    if let Some((shards, replicate)) = sc.shards {
+        qcfg = qcfg.with_sharding(ShardPlan::from_graph(&ctx.dataset.graph, shards, replicate));
     }
-    if !faults.is_none() || autoscale.is_some() {
-        label = format!(
-            "{label} {} {} {}",
-            faults.label(),
-            retry.label(),
-            autoscale
-                .as_ref()
-                .map_or_else(|| "none".to_string(), ScalePolicy::label)
-        );
-    }
-    if let Some(pol) = &classes {
-        label = format!("{label} {}", pol.label());
-    }
-    if let Some(pol) = &degrade {
-        label = format!("{label} {}", pol.label());
-    }
-    if log_ingest.is_some() {
-        label = format!("{label} log-ingest");
-    }
-
-    let mut qcfg = QueueConfig::new(engines, policy, load, cfg.seed)
-        .with_traffic(traffic)
-        .with_fleet(fleet)
-        .with_faults(faults)
-        .with_retry(retry)
-        .with_format(format);
-    if let Some(sh) = shards {
-        let plan = ShardPlan::from_graph(&ctx.dataset.graph, sh, replicate);
-        label = format!("{label} shards {}", plan.label());
-        qcfg = qcfg.with_sharding(plan);
-    }
-    if let Some(lineup) = lineup {
-        qcfg = qcfg.with_lineup(lineup);
-    }
-    if slo_cycles > 0 {
-        qcfg = qcfg.with_slo(SloConfig::shedding(slo_cycles));
-    }
-    if let Some(scale) = autoscale {
-        qcfg = qcfg.with_autoscale(scale);
-    }
-    if let Some(pol) = classes {
-        qcfg = qcfg.with_classes(pol);
-    }
-    if let Some(pol) = degrade {
-        qcfg = qcfg.with_degrade(pol);
-    }
-    if let Some(trace) = replay {
-        assert_eq!(
-            trace.len(),
-            requests,
-            "SGCN_TRACE_REPLAY has {} arrivals but SGCN_REQUESTS is {requests}",
-            trace.len()
-        );
-        qcfg = qcfg.with_trace(trace);
-    }
+    let label = sc.label(&serving_label, qcfg.sharding.as_ref());
     let t0 = std::time::Instant::now();
     // Prepare before traffic materializes: log ingestion rescales the
     // real log's gaps against the prepared stream's mean cold service,
     // so the replayed timeline offers exactly SGCN_LOAD to this fleet.
     let prepared = prepare_for(&ctx, &stream, &AccelModel::sgcn(), &cfg.hw(), &qcfg);
-    if let Some(path) = log_ingest {
+    if let Some(path) = &sc.log_ingest {
         let mean_service = prepared.iter().map(|p| p.report.cycles).sum::<u64>() as f64
             / prepared.len().max(1) as f64;
-        let gap = if engines > 0 && load > 0.0 {
-            mean_service / (engines as f64 * load)
-        } else {
-            mean_service
-        };
-        let trace = ArrivalTrace::from_timestamp_file(&path, gap);
+        let gap = mean_service / (qcfg.engines as f64 * qcfg.offered_load);
+        let trace = ArrivalTrace::from_timestamp_file(path, gap);
         assert_eq!(
             trace.len(),
             requests,
@@ -979,14 +894,52 @@ fn main() {
         sgcn_par::threads()
     );
 
-    if let Ok(path) = std::env::var("SGCN_TRACE_RECORD") {
+    if let Some(path) = &sc.record {
         let trace = out.arrival_trace();
-        std::fs::write(&path, trace.to_json()).expect("write arrival trace");
+        std::fs::write(path, trace.to_json()).expect("write arrival trace");
         println!("recorded {} arrivals to {path}", trace.len());
     }
+    s.to_json(&label)
+}
 
-    let json = s.to_json(&label);
-    let path = std::env::var("SGCN_QUEUE_OUT").unwrap_or_else(|_| "BENCH_queue.json".into());
-    std::fs::write(&path, &json).expect("write BENCH_queue.json");
-    println!("wrote {path}");
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fleet_accepts_every_lineup_label_the_summary_prints() {
+        let hw = HwConfig::default();
+        for base in [
+            EngineLineup::uniform,
+            EngineLineup::eco,
+            EngineLineup::mixed,
+        ] {
+            for lineup in [base(4, hw), base(4, hw).with_work_stealing()] {
+                let parsed = parse_fleet(&lineup.label(), 4, hw);
+                assert_eq!(
+                    parsed,
+                    Some(Fleet::Lineup(lineup.clone())),
+                    "{}",
+                    lineup.label()
+                );
+            }
+        }
+        assert_eq!(
+            parse_fleet("mixed-steal", 4, hw),
+            Some(Fleet::Scalar(FleetSpec::mixed(4, 1.5).with_work_stealing()))
+        );
+        assert_eq!(parse_fleet("lineup-bogus", 4, hw), None);
+    }
+
+    #[test]
+    fn sweep_names_round_trip_and_are_listed() {
+        for sweep in Sweep::ALL {
+            assert_eq!(
+                Sweep::parse(sweep.name()).map(Sweep::name),
+                Some(sweep.name())
+            );
+            assert!(SWEEP_VALUES.contains(sweep.name()));
+        }
+        assert!(Sweep::parse("sweep").is_none());
+    }
 }

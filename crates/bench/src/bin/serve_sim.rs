@@ -12,34 +12,24 @@
 //! `SGCN_THREADS`** (wall-clock timings go to stdout only). Knobs:
 //! `SGCN_REQUESTS` (stream length, default 1000; 0 renders the all-zero
 //! summary instead of aborting), `SGCN_QUICK=1` (test-scale graph),
-//! `SGCN_SERVE_OUT` (output path).
+//! `SGCN_OUT` (output path). Any other set `SGCN_*` variable aborts.
 
 use sgcn::accel::AccelModel;
 use sgcn::serving::queueing::prepare;
-use sgcn::serving::{ServeSummary, ServingConfig, ServingContext};
-use sgcn_bench::{banner, env_parse, experiment_config};
-use sgcn_graph::datasets::DatasetId;
-use sgcn_graph::sampling::Fanouts;
+use sgcn::serving::ServeSummary;
+use sgcn_bench::{banner, experiment_config, serving, Knobs};
 
 fn main() {
+    let mut knobs = Knobs::default();
+    let requests: usize = knobs.number("SGCN_REQUESTS", 1000);
+    let path = knobs
+        .var("SGCN_OUT")
+        .unwrap_or_else(|| "BENCH_serve.json".into());
+    knobs.reject_unread("serve_sim");
     banner("BENCH_serve harness (sampled-subgraph request replay)");
     let cfg = experiment_config();
-    let requests: usize = env_parse("SGCN_REQUESTS", 1000);
 
-    let fanouts = Fanouts::new(vec![10, 5]);
-    let label = format!(
-        "{} fanout {} SGCN",
-        DatasetId::PubMed.abbrev(),
-        fanouts.label()
-    );
-    let ctx = ServingContext::new(ServingConfig {
-        dataset: DatasetId::PubMed,
-        scale: cfg.scale,
-        fanouts,
-        width: cfg.width,
-        seed: cfg.seed,
-    });
-    let stream = ctx.request_stream(requests);
+    let (ctx, stream, label) = serving(&cfg, requests, 0);
 
     let t0 = std::time::Instant::now();
     let batch = prepare(&ctx, &stream, &AccelModel::sgcn(), &cfg.hw());
@@ -63,7 +53,6 @@ fn main() {
     );
 
     let json = s.to_json(&label);
-    let path = std::env::var("SGCN_SERVE_OUT").unwrap_or_else(|_| "BENCH_serve.json".into());
     std::fs::write(&path, &json).expect("write BENCH_serve.json");
     println!("wrote {path}");
 }

@@ -10,8 +10,10 @@
 
 use sgcn::accel::{AccelModel, FeatureStorage, PhaseOrder, TilingPolicy};
 use sgcn::experiments::{self as exp, ExperimentConfig, Grid};
+use sgcn::serving::{Request, ServingConfig, ServingContext};
 use sgcn_graph::builder::Normalization;
 use sgcn_graph::datasets::{Dataset, DatasetId};
+use sgcn_graph::sampling::Fanouts;
 use sgcn_model::GcnVariant;
 
 /// The experiment configuration selected by the `SGCN_QUICK` environment
@@ -31,19 +33,106 @@ pub fn quick_mode() -> bool {
         .unwrap_or(false)
 }
 
-/// Reads a numeric knob: unset means `default`; a set value that does
-/// not parse as `T` aborts with the key, the raw value and the expected
-/// type — never a silent fallback to the default.
-pub fn env_parse<T: std::str::FromStr>(key: &str, default: T) -> T {
-    match std::env::var(key) {
-        Err(_) => default,
-        Ok(v) => v.trim().parse().unwrap_or_else(|_| {
-            panic!(
-                "{key}={v:?} is not a valid value — expected a {}",
-                std::any::type_name::<T>()
-            )
-        }),
+/// The knobs every binary reads: the problem scale and the worker count.
+const GLOBAL_KNOBS: &[&str] = &["SGCN_QUICK", "SGCN_THREADS"];
+
+/// The `SGCN_*` names among `vars` that neither `reads` nor
+/// [`GLOBAL_KNOBS`] lists, sorted.
+fn unread_knobs(vars: impl IntoIterator<Item = String>, reads: &[&str]) -> Vec<String> {
+    let mut unread: Vec<String> = vars
+        .into_iter()
+        .filter(|k| k.starts_with("SGCN_"))
+        .filter(|k| !reads.contains(&k.as_str()) && !GLOBAL_KNOBS.contains(&k.as_str()))
+        .collect();
+    unread.sort();
+    unread
+}
+
+/// The `SGCN_*` knobs one harness run reads. Every read goes through
+/// it, so the mode's read list is exactly what its parser reads, and
+/// [`Knobs::reject_unread`] can abort on any other set variable.
+#[derive(Default)]
+pub struct Knobs {
+    read: Vec<&'static str>,
+}
+
+impl Knobs {
+    /// The raw value of `key`, if set.
+    pub fn var(&mut self, key: &'static str) -> Option<String> {
+        self.read.push(key);
+        std::env::var(key).ok()
     }
+
+    /// Reads a numeric knob: unset means `default`; a set value that
+    /// does not parse as `T` aborts with the key, the raw value and the
+    /// expected type — never a silent fallback to the default.
+    pub fn number<T: std::str::FromStr>(&mut self, key: &'static str, default: T) -> T {
+        self.var(key).map_or(default, |v| {
+            v.trim().parse().unwrap_or_else(|_| {
+                panic!(
+                    "{key}={v:?} is not a valid value — expected a {}",
+                    std::any::type_name::<T>()
+                )
+            })
+        })
+    }
+
+    /// Reads an enum-valued knob: unset means `default`, and a value
+    /// `parse` rejects aborts with the `valid` spellings.
+    pub fn choice<T>(
+        &mut self,
+        key: &'static str,
+        valid: &str,
+        default: T,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> T {
+        self.var(key).map_or(default, |v| {
+            parse(&v).unwrap_or_else(|| panic!("unknown {key} {v:?} — valid values: {valid}"))
+        })
+    }
+
+    /// Aborts when a set `SGCN_*` variable is neither read so far nor
+    /// global. A typo, a retired spelling or another mode's knob would
+    /// otherwise silently re-run the default scenario.
+    pub fn reject_unread(&self, mode: &str) {
+        let unread = unread_knobs(std::env::vars().map(|(k, _)| k), &self.read);
+        assert!(
+            unread.is_empty(),
+            "{} set but not read by {mode} — a typo, a retired spelling or another mode's knob \
+             (docs/KNOBS.md); {mode} reads {}",
+            unread.join(", "),
+            self.read.join(", ")
+        );
+    }
+}
+
+/// The PubMed serving context both serving harnesses use, its
+/// request stream (`hotspot` hot seeds; uniform when `hotspot` is 0),
+/// and the `dataset fanout … SGCN` label prefix of every JSON it writes.
+pub fn serving(
+    cfg: &ExperimentConfig,
+    requests: usize,
+    hotspot: usize,
+) -> (ServingContext, Vec<Request>, String) {
+    let fanouts = Fanouts::new(vec![10, 5]);
+    let label = format!(
+        "{} fanout {} SGCN",
+        DatasetId::PubMed.abbrev(),
+        fanouts.label()
+    );
+    let ctx = ServingContext::new(ServingConfig {
+        dataset: DatasetId::PubMed,
+        scale: cfg.scale,
+        fanouts,
+        width: cfg.width,
+        seed: cfg.seed,
+    });
+    let stream = if hotspot == 0 {
+        ctx.request_stream(requests)
+    } else {
+        ctx.hotspot_stream(requests, hotspot)
+    };
+    (ctx, stream, label)
 }
 
 /// The evaluation datasets: all nine in the paper's order, or CR/PM/GH
@@ -472,6 +561,27 @@ fn table03_config(cfg: &ExperimentConfig) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn unread_knobs_names_set_sgcn_vars_outside_the_read_list() {
+        let set = [
+            "SGCN_POLICY",
+            "SGCN_REQUESTS",
+            "SGCN_THREADS",
+            "HOME",
+            "SGCN_LOAD",
+        ];
+        assert_eq!(
+            unread_knobs(set.map(String::from), &["SGCN_REQUESTS"]),
+            ["SGCN_LOAD", "SGCN_POLICY"],
+            "global knobs and non-SGCN variables always pass"
+        );
+        assert!(unread_knobs(
+            set.map(String::from),
+            &["SGCN_POLICY", "SGCN_REQUESTS", "SGCN_LOAD"]
+        )
+        .is_empty());
+    }
 
     #[test]
     fn figure_ids_are_unique() {

@@ -499,9 +499,10 @@ impl EngineLineup {
         }
     }
 
-    /// Parses an `SGCN_LINEUP`-style spec for an `engines`-wide fleet on
-    /// a base platform: `uniform`, `eco`, `mixed`, optionally
-    /// `+steal`-suffixed. `None` for unknown names.
+    /// Parses a lineup name for an `engines`-wide fleet on a base
+    /// platform — the part after `lineup-` in an `SGCN_FLEET` spec:
+    /// `uniform`, `eco`, `mixed`, optionally `+steal`-suffixed. `None`
+    /// for unknown names.
     pub fn parse(spec: &str, engines: usize, base: HwConfig) -> Option<EngineLineup> {
         let spec = spec.trim().to_ascii_lowercase();
         let (name, steal) = match spec.strip_suffix("+steal") {
@@ -819,32 +820,17 @@ impl QueueConfig {
         self
     }
 
-    /// Sets the SLO (deadline + shedding).
-    ///
-    /// # Panics
-    ///
-    /// Panics if deadline classes are already configured — the
-    /// per-class contracts supersede the single SLO.
+    /// Sets the SLO (deadline + shedding). Exclusive with deadline
+    /// classes ([`Self::check`]).
     pub fn with_slo(mut self, slo: SloConfig) -> Self {
-        assert!(
-            self.classes.is_none(),
-            "deadline classes supersede the single SLO — configure one or the other"
-        );
         self.slo = Some(slo);
         self
     }
 
     /// Installs deadline classes (seeded interactive/batch mix with
-    /// per-class contracts and optional preemption).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a single-class SLO is already configured.
+    /// per-class contracts and optional preemption). Exclusive with the
+    /// single-class SLO ([`Self::check`]).
     pub fn with_classes(mut self, classes: ClassPolicy) -> Self {
-        assert!(
-            self.slo.is_none(),
-            "deadline classes supersede the single SLO — configure one or the other"
-        );
         self.classes = Some(classes);
         self
     }
@@ -856,33 +842,16 @@ impl QueueConfig {
         self
     }
 
-    /// Swaps the fleet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fleet's engine count disagrees with `engines`.
+    /// Swaps the fleet (its width must match `engines`:
+    /// [`Self::check`]).
     pub fn with_fleet(mut self, fleet: FleetSpec) -> Self {
-        assert_eq!(
-            fleet.engines(),
-            self.engines,
-            "fleet width must match the engine count"
-        );
         self.fleet = fleet;
         self
     }
 
     /// Installs a heterogeneous hardware lineup (supersedes the scalar
-    /// fleet).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lineup's engine count disagrees with `engines`.
+    /// fleet; its width must match `engines`: [`Self::check`]).
     pub fn with_lineup(mut self, lineup: EngineLineup) -> Self {
-        assert_eq!(
-            lineup.engines(),
-            self.engines,
-            "lineup width must match the engine count"
-        );
         self.lineup = Some(lineup);
         self
     }
@@ -914,18 +883,9 @@ impl QueueConfig {
         self
     }
 
-    /// Enables elastic autoscaling (`engines` becomes the ceiling).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy's floor exceeds the engine count.
+    /// Enables elastic autoscaling (`engines` becomes the ceiling; the
+    /// floor must fit under it: [`Self::check`]).
     pub fn with_autoscale(mut self, policy: ScalePolicy) -> Self {
-        assert!(
-            policy.min_engines <= self.engines,
-            "autoscale floor {} exceeds the {}-engine ceiling",
-            policy.min_engines,
-            self.engines
-        );
         self.autoscale = Some(policy);
         self
     }
@@ -947,6 +907,77 @@ impl QueueConfig {
     pub fn with_sharding(mut self, plan: ShardPlan) -> Self {
         self.sharding = Some(plan);
         self
+    }
+
+    /// Checks the rules a configuration must satisfy on its own, before
+    /// any stream is prepared. [`simulate_queue`] runs it first; a
+    /// harness can run it as soon as the config is built, so a bad
+    /// combination aborts before the expensive preparation.
+    ///
+    /// # Panics
+    ///
+    /// - the fleet's engine count disagrees with `engines`, or a fleet
+    ///   scale is not positive and finite;
+    /// - both an SLO and deadline classes are set;
+    /// - a format policy other than `fixed:native` runs without a
+    ///   hardware lineup;
+    /// - a lineup's width disagrees with `engines`, or it assigns an
+    ///   unknown class;
+    /// - brownout runs without the adaptive format policy;
+    /// - the autoscale floor exceeds `engines`;
+    /// - closed-loop traffic has no clients (unless a recorded trace
+    ///   replaces it).
+    pub fn check(&self) {
+        assert_eq!(
+            self.fleet.engines(),
+            self.engines,
+            "fleet width must match the engine count"
+        );
+        for &s in &self.fleet.scales {
+            assert!(
+                s.is_finite() && s > 0.0,
+                "fleet scales must be positive and finite, got {s}"
+            );
+        }
+        assert!(
+            self.slo.is_none() || self.classes.is_none(),
+            "deadline classes supersede the single SLO — configure one or the other"
+        );
+        // The scalar fleet serves every request from its reference report,
+        // which is the native column: any other format would be credited in
+        // the summary's dispatch counts while the native report is served.
+        assert!(
+            self.lineup.is_some() || self.format == FormatPolicy::Fixed(ServeFormat::Native),
+            "format policy {} needs a hardware lineup — the scalar fleet serves fixed:native only",
+            self.format.label()
+        );
+        if let Some(lineup) = &self.lineup {
+            assert_eq!(
+                lineup.engines(),
+                self.engines,
+                "lineup width must match the engine count"
+            );
+            assert!(
+                lineup.assignment.iter().all(|&k| k < lineup.classes.len()),
+                "lineup assigns an unknown class"
+            );
+        }
+        // Adaptive dispatch implies a lineup (asserted above).
+        assert!(
+            self.degrade.is_none() || matches!(self.format, FormatPolicy::Adaptive),
+            "brownout degrades the adaptive dispatcher — run with the adaptive format policy"
+        );
+        if let Some(pol) = &self.autoscale {
+            assert!(
+                pol.min_engines <= self.engines,
+                "autoscale floor {} exceeds the {}-engine ceiling",
+                pol.min_engines,
+                self.engines
+            );
+        }
+        if let (None, TrafficModel::ClosedLoop { clients }) = (&self.trace, self.traffic) {
+            assert!(clients > 0, "closed-loop traffic needs at least one client");
+        }
     }
 
     /// Whether this run injects faults or scales the fleet — the
@@ -1581,10 +1612,10 @@ struct QueueSim<'a> {
     degrade_armed: bool,
     /// Current brownout rung.
     degrade_mode: DegradeMode,
-    /// Instant the current rung was entered.
-    mode_since: u64,
-    /// Cycles spent on each rung (finalized and clipped at makespan).
-    mode_residency: [u64; DegradeMode::COUNT],
+    /// Every rung change as `(instant entered, rung)`, starting with
+    /// full service at 0; folded into per-rung residency clipped at the
+    /// makespan once the run ends.
+    mode_log: Vec<(u64, DegradeMode)>,
     /// Brownout decision cooldown (cycles, from `cooldown_services`).
     degrade_cooldown_cycles: u64,
     degrade_cooldown_until: u64,
@@ -2029,6 +2060,12 @@ impl QueueSim<'_> {
     /// Closed-loop feedback: once request `id`'s outcome instant is
     /// known (finish, or the arrival instant when shed), its client
     /// thinks and becomes ready again. No-op for open-loop sources.
+    ///
+    /// A think lasts at least one cycle, so the next arrival lands after
+    /// the instant that released the client. A replay materializes every
+    /// arrival up front and runs an instant's arrivals before its
+    /// redrives and completions; a zero-cycle think would let the
+    /// replayed arrival overtake the completion that released it.
     fn schedule_next_client(&mut self, id: usize, basis: u64) {
         if let Source::Closed {
             ready,
@@ -2039,7 +2076,7 @@ impl QueueSim<'_> {
         {
             let client = client_of[id];
             ready.push(Reverse((
-                basis.saturating_add(think.gap_cycles(id)),
+                basis.saturating_add(think.gap_cycles(id).max(1)),
                 client,
             )));
         }
@@ -2059,11 +2096,8 @@ impl QueueSim<'_> {
         // Autoscaling decisions happen at instant *boundaries* (when
         // the clock is about to advance), never between two events at
         // the same instant: the end-of-instant fleet state is identical
-        // no matter how same-instant events interleave (closed-loop
-        // feedback schedules arrivals after the completion that freed
-        // the client; a trace replay of the same timeline materializes
-        // them up front), so boundary evaluation is what keeps
-        // record→replay bit-identical.
+        // no matter how same-instant events interleave, so boundary
+        // evaluation is what keeps record→replay bit-identical.
         let mut now = 0u64;
         let mut evaluated_at = u64::MAX;
         loop {
@@ -2586,8 +2620,7 @@ impl QueueSim<'_> {
             self.degrade_mode
         };
         if next != self.degrade_mode {
-            self.mode_residency[self.degrade_mode.idx()] += t - self.mode_since;
-            self.mode_since = t;
+            self.mode_log.push((t, next));
             self.degrade_mode = next;
             self.degrade_cooldown_until = t.saturating_add(self.degrade_cooldown_cycles);
         }
@@ -2701,44 +2734,23 @@ impl QueueSim<'_> {
 ///
 /// # Panics
 ///
-/// Panics on a configuration the prepared stream cannot serve:
+/// Panics on a configuration [`QueueConfig::check`] rejects, or one the
+/// prepared stream cannot serve:
 ///
-/// - the fleet's engine count disagrees with `cfg.engines`, or a fleet
-///   scale is not positive and finite;
-/// - both an SLO and deadline classes are set;
 /// - the prepared requests do not share one format palette
 ///   ([`PreparedRequest::palette`]), or a fixed format policy names a
 ///   format outside it;
-/// - a format policy other than `fixed:native` runs without a hardware
-///   lineup;
-/// - a lineup's width disagrees with `cfg.engines`, it assigns an
-///   unknown class, or a request lacks its per-(class, format) cold
-///   reports;
-/// - brownout runs without the adaptive format policy, or a request
-///   lacks its lite reports (one per lineup class);
-/// - a recorded arrival trace's length disagrees with the stream, or
-///   closed-loop traffic has no clients.
+/// - a lineup run's request lacks its per-(class, format) cold reports;
+/// - a brownout run's request lacks its lite reports (one per lineup
+///   class);
+/// - a recorded arrival trace's length disagrees with the stream.
 pub fn simulate_queue(
     prepared: &[PreparedRequest],
     cfg: &QueueConfig,
     hw: &HwConfig,
     feature_row_bytes: u64,
 ) -> QueueOutcome {
-    assert_eq!(
-        cfg.fleet.engines(),
-        cfg.engines,
-        "fleet width must match the engine count"
-    );
-    for &s in &cfg.fleet.scales {
-        assert!(
-            s.is_finite() && s > 0.0,
-            "fleet scales must be positive and finite, got {s}"
-        );
-    }
-    assert!(
-        cfg.slo.is_none() || cfg.classes.is_none(),
-        "deadline classes supersede the single SLO — configure one or the other"
-    );
+    cfg.check();
     // The prepared stream's format palette: every request must share
     // it, and the fixed-format policy must name one of its columns.
     let palette = prepared
@@ -2759,14 +2771,6 @@ pub fn simulate_queue(
         })),
         FormatPolicy::Adaptive => None,
     };
-    // The scalar fleet serves every request from its reference report,
-    // which is the native column: any other format would be credited in
-    // the summary's dispatch counts while the native report is served.
-    assert!(
-        cfg.lineup.is_some() || cfg.format == FormatPolicy::Fixed(ServeFormat::Native),
-        "format policy {} needs a hardware lineup — the scalar fleet serves fixed:native only",
-        cfg.format.label()
-    );
     // One hardware table prices every engine: the lineup's classes, or —
     // for the scalar fleet — one class on the run's platform, scaled per
     // engine. The scalar class warms the full Table III cache
@@ -2787,16 +2791,7 @@ pub fn simulate_queue(
             cfg.fleet.scales.iter().map(|&s| (0, s)).collect(),
         ),
     };
-    if let Some(lineup) = &cfg.lineup {
-        assert_eq!(
-            lineup.engines(),
-            cfg.engines,
-            "lineup width must match the engine count"
-        );
-        assert!(
-            lineup.assignment.iter().all(|&k| k < class_hw.len()),
-            "lineup assigns an unknown class"
-        );
+    if cfg.lineup.is_some() {
         for p in prepared {
             assert_eq!(
                 p.class_reports.len(),
@@ -2807,11 +2802,6 @@ pub fn simulate_queue(
         }
     }
     if cfg.degrade.is_some() {
-        // Adaptive dispatch implies a lineup (asserted above).
-        assert!(
-            matches!(cfg.format, FormatPolicy::Adaptive),
-            "brownout degrades the adaptive dispatcher — run with the adaptive format policy"
-        );
         for p in prepared {
             assert_eq!(
                 p.lite_reports.len(),
@@ -2847,7 +2837,6 @@ pub fn simulate_queue(
     } else {
         match cfg.traffic {
             TrafficModel::ClosedLoop { clients } => {
-                assert!(clients > 0, "closed-loop traffic needs at least one client");
                 // Interactive-response-time calibration: K clients cycling
                 // through think + response approach throughput K/(Z + R);
                 // targeting ρ of the fleet's reference capacity with R ≈ one
@@ -2897,14 +2886,6 @@ pub fn simulate_queue(
     // starve the rest of the fleet behind one hot engine).
     let affinity_slack = affinity_slack_cycles(mean_service);
 
-    if let Some(pol) = &cfg.autoscale {
-        assert!(
-            pol.min_engines <= cfg.engines,
-            "autoscale floor {} exceeds the {}-engine ceiling",
-            pol.min_engines,
-            cfg.engines
-        );
-    }
     // The starting fleet: everything, or the autoscale floor.
     let initial_active = cfg
         .autoscale
@@ -3072,8 +3053,7 @@ pub fn simulate_queue(
         preemptions: 0,
         degrade_armed: cfg.degrade.is_some(),
         degrade_mode: DegradeMode::Full,
-        mode_since: 0,
-        mode_residency: [0; DegradeMode::COUNT],
+        mode_log: vec![(0, DegradeMode::Full)],
         degrade_cooldown_cycles,
         degrade_cooldown_until: 0,
         cheapest_fmt,
@@ -3091,9 +3071,7 @@ pub fn simulate_queue(
         peak_available,
         palette,
         preemptions,
-        degrade_mode,
-        mode_since,
-        mut mode_residency,
+        mode_log,
         class_ddl,
         ..
     } = sim;
@@ -3131,10 +3109,15 @@ pub fn simulate_queue(
         retries,
         peak_engines: peak_available,
     };
-    // Close the open degradation-rung interval at the makespan; a rung
-    // entered past the last completion contributes nothing further.
+    // Residency per rung over [0, makespan]: a rung change processed
+    // past the last completion (a late failure or shed keeps the loop
+    // running) clips to nothing, so the rungs partition the makespan.
+    let mut mode_residency = [0u64; DegradeMode::COUNT];
     if cfg.degrade.is_some() {
-        mode_residency[degrade_mode.idx()] += makespan.saturating_sub(mode_since.min(makespan));
+        for (i, &(since, mode)) in mode_log.iter().enumerate() {
+            let until = mode_log.get(i + 1).map_or(makespan, |&(t, _)| t);
+            mode_residency[mode.idx()] += until.min(makespan).saturating_sub(since.min(makespan));
+        }
     }
     let lab_stats = LabStats {
         preemptions,
@@ -3814,7 +3797,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "fleet width")]
     fn fleet_width_mismatch_panics() {
-        let _ = qcfg(2, SchedPolicy::LeastLoaded).with_fleet(FleetSpec::uniform(3));
+        qcfg(2, SchedPolicy::LeastLoaded)
+            .with_fleet(FleetSpec::uniform(3))
+            .check();
     }
 
     #[test]

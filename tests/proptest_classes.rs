@@ -2,7 +2,9 @@
 //! conservation, preemption never stranding (or worsening the
 //! interactive experience of) a run, the one-rung degrade ladder, and
 //! brownout residency accounting that closes exactly — plus bit-exact
-//! rerun determinism on every scenario the strategies draw.
+//! rerun determinism on every scenario the strategies draw. One
+//! property turns every queueing feature on at once and checks that a
+//! recorded run replays byte for byte.
 //!
 //! The class properties drive the event loop with fabricated service
 //! profiles (like `proptest_drills.rs`); the brownout property replays
@@ -18,7 +20,7 @@ use sgcn::experiments::ExperimentConfig;
 use sgcn::serving::queueing::{
     feature_row_bytes, prepare_degraded, simulate_queue, ClassPolicy, DegradeMode, DegradePolicy,
     EngineLineup, FailureModel, FormatPolicy, PreparedRequest, QueueConfig, RequestClass,
-    RetryPolicy, SchedPolicy, ServeFormat, TrafficModel,
+    RetryPolicy, ScalePolicy, SchedPolicy, ServeFormat, ShardPlan, TrafficModel,
 };
 use sgcn::serving::{Request, ServingConfig, ServingContext};
 use sgcn::{HwConfig, SimReport};
@@ -109,11 +111,12 @@ fn class_strategy() -> impl Strategy<Value = (Vec<PreparedRequest>, QueueConfig)
         )
 }
 
-/// The (context, degraded preparation, lineup, feature-row bytes)
-/// quadruple behind the brownout property — built once per process;
+/// The (degraded preparation, platform, feature-row bytes, graph)
+/// quadruple behind the brownout properties — built once per process;
 /// every proptest case replays the same prepared stream through
-/// different knobs, which is exactly how the harness uses it.
-type BrownoutSetup = (Vec<PreparedRequest>, HwConfig, u64);
+/// different knobs, which is exactly how the harness uses it. The graph
+/// is the one shard plans are cut from.
+type BrownoutSetup = (Vec<PreparedRequest>, HwConfig, u64, sgcn_graph::CsrGraph);
 
 fn brownout_setup() -> &'static BrownoutSetup {
     static SETUP: OnceLock<BrownoutSetup> = OnceLock::new();
@@ -136,7 +139,7 @@ fn brownout_setup() -> &'static BrownoutSetup {
             &ServeFormat::PALETTE,
         );
         let row = feature_row_bytes(&ctx);
-        (prepared, hw, row)
+        (prepared, hw, row, ctx.dataset.graph.clone())
     })
 }
 
@@ -147,7 +150,7 @@ fn brownout_setup() -> &'static BrownoutSetup {
 /// aborted partial service stays busy but renders no record).
 #[test]
 fn engine_ledgers_match_their_records_after_rollbacks() {
-    let (prepared, hw, row) = brownout_setup();
+    let (prepared, hw, row, _) = brownout_setup();
     let engines = 3;
     let (mut incidents, mut preemptions) = (0u64, 0u64);
     for seed in 0..8u64 {
@@ -367,7 +370,7 @@ proptest! {
         up_frac_x10 in 2u32..8,
         cooldown_x10 in 0u32..40,
     ) {
-        let (prepared, hw, row) = brownout_setup();
+        let (prepared, hw, row, _) = brownout_setup();
         let degrade = DegradePolicy {
             down_pressure: down_x10 as f64 / 10.0,
             up_pressure: (down_x10 * up_frac_x10) as f64 / 100.0,
@@ -404,5 +407,77 @@ proptest! {
         );
         let again = simulate_queue(prepared, &cfg, hw, *row);
         prop_assert_eq!(&again, &out);
+    }
+
+    // Every feature at once on the real degraded preparation: a mixed
+    // lineup with adaptive formats and brownout, `mix(0.3)+preempt`
+    // classes, MTBF faults with retries, autoscale, closed-loop
+    // traffic and a shard plan. Requests and every class partition are
+    // conserved exactly, the JSON stays finite, and replaying the run's
+    // recorded arrivals reproduces it byte for byte.
+    #[test]
+    fn all_features_conserve_and_replay_byte_for_byte(
+        engines in 2usize..5,
+        seed in 0u64..500,
+        load_x10 in 8u32..20,
+        clients in 2usize..12,
+        floor_pick in 0usize..4,
+        shards in 2usize..5,
+        hubs in 0usize..16,
+        policy in prop_oneof![
+            Just(SchedPolicy::CostAware),
+            Just(SchedPolicy::ShardAffinity),
+            Just(SchedPolicy::CacheAffinity),
+        ],
+    ) {
+        let (prepared, hw, row, graph) = brownout_setup();
+        let cfg = QueueConfig::new(engines, policy, load_x10 as f64 / 10.0, seed)
+            .with_traffic(TrafficModel::ClosedLoop { clients })
+            .with_lineup(EngineLineup::mixed(engines, *hw))
+            .with_format(FormatPolicy::Adaptive)
+            .with_degrade(DegradePolicy::default())
+            .with_classes(ClassPolicy::mix(0.3).with_preemption())
+            .with_faults(FailureModel::mtbf_default())
+            .with_retry(RetryPolicy::new(2, 0))
+            .with_autoscale(ScalePolicy::with_floor(1 + floor_pick % engines))
+            .with_sharding(ShardPlan::from_graph(graph, shards, hubs));
+        let out = simulate_queue(prepared, &cfg, hw, *row);
+        let s = &out.summary;
+
+        prop_assert_eq!(s.requests, prepared.len());
+        prop_assert_eq!(
+            s.completed + s.shed as usize + s.failed as usize,
+            s.requests
+        );
+        let mut seen: Vec<usize> = out
+            .records
+            .iter()
+            .map(|r| r.index)
+            .chain(out.shed.iter().map(|r| r.index))
+            .chain(out.failed.iter().map(|r| r.index))
+            .collect();
+        seen.sort_unstable();
+        prop_assert_eq!(seen, (0..prepared.len()).collect::<Vec<_>>());
+        prop_assert_eq!(s.class_completed.iter().sum::<u64>(), s.completed as u64);
+        prop_assert_eq!(s.class_shed.iter().sum::<u64>(), s.shed);
+        prop_assert_eq!(s.class_failed.iter().sum::<u64>(), s.failed);
+        for c in 0..RequestClass::COUNT {
+            prop_assert!(s.class_violations[c] <= s.class_completed[c]);
+        }
+        prop_assert_eq!(s.mode_cycles.iter().sum::<u64>(), s.makespan_cycles);
+        prop_assert!(s.degraded <= s.completed as u64);
+
+        let json = s.to_json("all-features");
+        prop_assert!(
+            !json.contains("inf") && !json.contains("NaN") && !json.contains("nan"),
+            "non-finite field in {}", json
+        );
+        let replay = simulate_queue(
+            prepared,
+            &cfg.clone().with_trace(out.arrival_trace()),
+            hw,
+            *row,
+        );
+        prop_assert_eq!(replay.summary.to_json("all-features"), json);
     }
 }
